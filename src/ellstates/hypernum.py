@@ -40,6 +40,18 @@ def _rat(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def interval_defect(std: Fraction, inf: Fraction) -> str:
+    """Why the pair ``std + eps*inf`` lies outside the interval, or "" when
+    it lies inside."""
+    if not 0 <= std <= 1:
+        return f"standard part {std} outside [0, 1]"
+    if std == 0 and inf < 0:
+        return f"0 + eps*{inf} lies below (0, 0)"
+    if std == 1 and inf > 0:
+        return f"1 + eps*{inf} lies above (1, 0)"
+    return ""
+
+
 @dataclass(frozen=True)
 class DualRational:
     """One element of the interval: ``std + eps*inf``.
@@ -56,12 +68,9 @@ class DualRational:
     def __post_init__(self) -> None:
         object.__setattr__(self, "std", _rat(self.std))
         object.__setattr__(self, "inf", _rat(self.inf))
-        if not 0 <= self.std <= 1:
-            raise ValueError(f"standard part {self.std} outside [0, 1]")
-        if self.std == 0 and self.inf < 0:
-            raise ValueError(f"0 + eps*{self.inf} lies below (0, 0)")
-        if self.std == 1 and self.inf > 0:
-            raise ValueError(f"1 + eps*{self.inf} lies above (1, 0)")
+        defect = interval_defect(self.std, self.inf)
+        if defect:
+            raise ValueError(defect)
 
     # Order is lexicographic; equality is the componentwise dataclass one.
     def _key(self) -> tuple[Fraction, Fraction]:

@@ -10,9 +10,13 @@ Three carrier forms:
 
 Validation is windowed brute force.  Operation evaluation is always exact
 and unbounded (x·x may leave any window); only the quantifiers range over a
-window.  The scans are vectorized with numpy: elements are encoded into
-index or coordinate arrays once, pair axioms run on a full n² grid, and
-triple axioms loop over one axis while the other two stay vectorized.
+window.  Each axiom is declared once, as terms over an ops namespace
+(MTL_AXIOMS, IBP0_AXIOMS), and scanned by the one engine in :mod:`._scan`.
+All three carriers define numpy ``b_*`` batch ops beside their scalar ones,
+so the engine takes its batch path here: elements are encoded into index or
+coordinate arrays once, pair axioms run on a full n² grid, and triple axioms
+loop over one axis while the other two stay vectorized.  Witnesses are
+rendered through the scalar ops.
 
 Structure theory: the Boolean skeleton {a : a ∨ ¬a = 1}, the radical
 {x : x > ¬x} with its induced prelinear semihoop, and the decomposition
@@ -26,18 +30,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product as iterproduct
+from math import prod
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ._scan import capped_cartesian, stride_select
+from ._scan import Axiom, capped_cartesian, memo, scan_axioms, scan_mode, stride_select
 from .reports import (
     InternalConsistencyError,
     MalformedInputError,
     PreconditionError,
     ValidationReport,
-    failed_check,
-    passed_check,
+    verdict,
 )
 from .semihoop import (
     FiniteSemihoop,
@@ -54,6 +58,7 @@ from .semihoop import (
 SINGLE_TRIPLE_CAP = 176
 PRODUCT_ELEMENT_CAP = 144
 PRODUCT_TRIPLE_CAP = 48
+SAMPLED_NOTE = "each axis sampled {m} of {n} window elements"
 
 
 class FiniteMTL:
@@ -410,188 +415,62 @@ class ProductAlgebra:
         return out
 
 
-def b_oplus(A, a, b):
-    return A.b_impl(A.b_neg(a), b)
-
-
 # ---------------------------------------------------------------------------
 # Validators
 
-
-def _scan_mode(A, window: int) -> str:
-    return "exhaustive" if A.is_finite else f"window-verified (N={window})"
-
-
-@dataclass(frozen=True)
-class _Axiom:
-    name: str
-    arity: int
-    batch: Callable  # (A, *batches) -> bool array
-    scalar: Callable  # (A, *elements) -> (lhs, rhs) as elements or bools
-
-
-def _mtl_axioms() -> list[_Axiom]:
-    return [
-        _Axiom("meet-commutative", 2, lambda A, x, y: A.b_eq(A.b_meet(x, y), A.b_meet(y, x)),
-               lambda A, x, y: (A.meet(x, y), A.meet(y, x))),
-        _Axiom("join-commutative", 2, lambda A, x, y: A.b_eq(A.b_join(x, y), A.b_join(y, x)),
-               lambda A, x, y: (A.join(x, y), A.join(y, x))),
-        _Axiom("times-commutative", 2, lambda A, x, y: A.b_eq(A.b_times(x, y), A.b_times(y, x)),
-               lambda A, x, y: (A.times(x, y), A.times(y, x))),
-        _Axiom("absorption-meet", 2, lambda A, x, y: A.b_eq(A.b_meet(x, A.b_join(x, y)), x),
-               lambda A, x, y: (A.meet(x, A.join(x, y)), x)),
-        _Axiom("absorption-join", 2, lambda A, x, y: A.b_eq(A.b_join(x, A.b_meet(x, y)), x),
-               lambda A, x, y: (A.join(x, A.meet(x, y)), x)),
-        _Axiom("prelinearity", 2,
-               lambda A, x, y: A.b_eq(A.b_join(A.b_impl(x, y), A.b_impl(y, x)), A.b_const(A.top, _count(A, x))),
-               lambda A, x, y: (A.join(A.impl(x, y), A.impl(y, x)), A.top)),
-        _Axiom("meet-idempotent", 1, lambda A, x: A.b_eq(A.b_meet(x, x), x),
-               lambda A, x: (A.meet(x, x), x)),
-        _Axiom("join-idempotent", 1, lambda A, x: A.b_eq(A.b_join(x, x), x),
-               lambda A, x: (A.join(x, x), x)),
-        _Axiom("times-unit", 1, lambda A, x: A.b_eq(A.b_times(x, A.b_const(A.top, _count(A, x))), x),
-               lambda A, x: (A.times(x, A.top), x)),
-        _Axiom("bot-least", 1, lambda A, x: A.b_leq(A.b_const(A.bot, _count(A, x)), x),
-               lambda A, x: (A.leq(A.bot, x), True)),
-        _Axiom("top-greatest", 1, lambda A, x: A.b_leq(x, A.b_const(A.top, _count(A, x))),
-               lambda A, x: (A.leq(x, A.top), True)),
-        _Axiom("meet-associative", 3,
-               lambda A, x, y, z: A.b_eq(A.b_meet(A.b_meet(x, y), z), A.b_meet(x, A.b_meet(y, z))),
-               lambda A, x, y, z: (A.meet(A.meet(x, y), z), A.meet(x, A.meet(y, z)))),
-        _Axiom("join-associative", 3,
-               lambda A, x, y, z: A.b_eq(A.b_join(A.b_join(x, y), z), A.b_join(x, A.b_join(y, z))),
-               lambda A, x, y, z: (A.join(A.join(x, y), z), A.join(x, A.join(y, z)))),
-        _Axiom("times-associative", 3,
-               lambda A, x, y, z: A.b_eq(A.b_times(A.b_times(x, y), z), A.b_times(x, A.b_times(y, z))),
-               lambda A, x, y, z: (A.times(A.times(x, y), z), A.times(x, A.times(y, z)))),
-        _Axiom("residuation", 3,
-               lambda A, x, y, z: A.b_leq(A.b_times(x, z), y) == A.b_leq(z, A.b_impl(x, y)),
-               lambda A, x, y, z: (A.leq(A.times(x, z), y), A.leq(z, A.impl(x, y)))),
-    ]
+MTL_AXIOMS = [
+    Axiom("meet-commutative", 2, lambda o, x, y: (o.meet(x, y), o.meet(y, x))),
+    Axiom("join-commutative", 2, lambda o, x, y: (o.join(x, y), o.join(y, x))),
+    Axiom("times-commutative", 2, lambda o, x, y: (o.times(x, y), o.times(y, x))),
+    Axiom("absorption-meet", 2, lambda o, x, y: (o.meet(x, o.join(x, y)), x)),
+    Axiom("absorption-join", 2, lambda o, x, y: (o.join(x, o.meet(x, y)), x)),
+    Axiom("prelinearity", 2, lambda o, x, y: (o.join(o.impl(x, y), o.impl(y, x)), o.top)),
+    Axiom("meet-idempotent", 1, lambda o, x: (o.meet(x, x), x)),
+    Axiom("join-idempotent", 1, lambda o, x: (o.join(x, x), x)),
+    Axiom("times-unit", 1, lambda o, x: (o.times(x, o.top), x)),
+    Axiom("bot-least", 1, lambda o, x: (o.leq(o.bot, x), True)),
+    Axiom("top-greatest", 1, lambda o, x: (o.leq(x, o.top), True)),
+    Axiom("meet-associative", 3, lambda o, x, y, z: (o.meet(o.meet(x, y), z), o.meet(x, o.meet(y, z)))),
+    Axiom("join-associative", 3, lambda o, x, y, z: (o.join(o.join(x, y), z), o.join(x, o.join(y, z)))),
+    Axiom("times-associative", 3, lambda o, x, y, z: (o.times(o.times(x, y), z), o.times(x, o.times(y, z)))),
+    Axiom("residuation", 3, lambda o, x, y, z: (o.leq(o.times(x, z), y), o.leq(z, o.impl(x, y)))),
+]
 
 
-def _ibp0_axioms() -> list[_Axiom]:
-    def scalar_doubling(A, x):
-        two_x = A.oplus(x, x)
-        x_sq = A.times(x, x)
-        return A.times(two_x, two_x), A.oplus(x_sq, x_sq)
-
-    def batch_doubling(A, x):
-        two_x = b_oplus(A, x, x)
-        x_sq = A.b_times(x, x)
-        return A.b_eq(A.b_times(two_x, two_x), b_oplus(A, x_sq, x_sq))
-
-    return [
-        _Axiom("involution", 1, lambda A, x: A.b_eq(A.b_neg(A.b_neg(x)), x),
-               lambda A, x: (A.neg(A.neg(x)), x)),
-        _Axiom("doubling-law", 1, batch_doubling, scalar_doubling),
-    ]
+def _doubling(o, x):
+    two_x = o.oplus(x, x)
+    x_sq = o.times(x, x)
+    return o.times(two_x, two_x), o.oplus(x_sq, x_sq)
 
 
-def _count(A, batch) -> int:
-    if isinstance(A, FiniteMTL):
-        return len(batch)
-    if isinstance(A, SymbolicPerfectAlgebra):
-        return len(batch[0])
-    return _count(A.factors[0], batch[0])
+IBP0_AXIOMS = MTL_AXIOMS + [
+    Axiom("involution", 1, lambda o, x: (o.neg(o.neg(x)), x)),
+    Axiom("doubling-law", 1, _doubling),
+]
 
 
-def _witness_entry(A, axiom: _Axiom, inst) -> dict[str, Any]:
-    lhs, rhs = axiom.scalar(A, *inst)
-    names = "xyz"[: axiom.arity]
-    return {
-        "witness": {n: A.token(v) for n, v in zip(names, inst)},
-        "lhs": lhs if isinstance(lhs, bool) else A.token(lhs),
-        "rhs": rhs if isinstance(rhs, bool) else A.token(rhs),
-    }
-
-
-def _run_axioms(A, axioms: list[_Axiom], elems, triple_cap: int, mode: str, report: ValidationReport) -> None:
-    n = len(elems)
-    E = A.b_encode(elems)
-    idx = np.arange(n)
-    grid_i = np.repeat(idx, n)
-    grid_j = np.tile(idx, n)
-    X = A.b_take(E, grid_i)
-    Y = A.b_take(E, grid_j)
-
-    triple_base = stride_select(list(range(n)), triple_cap)
-    m = len(triple_base)
-    tb = np.array(triple_base)
-    tgrid_i = np.repeat(tb, m)
-    tgrid_j = np.tile(tb, m)
-    TX = A.b_take(E, tgrid_i)
-    TY = A.b_take(E, tgrid_j)
-    triple_note = f"each axis sampled {m} of {n} window elements" if m < n else ""
-
-    for axiom in axioms:
-        bad: list[dict[str, Any]] = []
-        violations = 0
-        if axiom.arity == 1:
-            ok = axiom.batch(A, E)
-            fails = np.flatnonzero(~ok)
-            violations = len(fails)
-            bad = [_witness_entry(A, axiom, (elems[i],)) for i in fails[:8]]
-            note = ""
-        elif axiom.arity == 2:
-            ok = axiom.batch(A, X, Y)
-            fails = np.flatnonzero(~ok)
-            violations = len(fails)
-            bad = [_witness_entry(A, axiom, (elems[f // n], elems[f % n])) for f in fails[:8]]
-            note = ""
-        else:
-            note = triple_note
-            for zi in triple_base:
-                Z = A.b_take(E, np.full(m * m, zi))
-                ok = axiom.batch(A, TX, TY, Z)
-                fails = np.flatnonzero(~ok)
-                violations += len(fails)
-                for f in fails[: max(0, 8 - len(bad))]:
-                    bad.append(
-                        _witness_entry(A, axiom, (elems[tgrid_i[f]], elems[tgrid_j[f]], elems[zi]))
-                    )
-        if violations:
-            report.add(failed_check(axiom.name, bad, violations=violations, mode=mode, note=note))
-        else:
-            report.add(passed_check(axiom.name, mode=mode, note=note))
+def _validate(A, window: int, axioms: list[Axiom], subject: str) -> ValidationReport:
+    report = ValidationReport(subject=subject)
+    elems = A.carrier(window)
+    mode = scan_mode(A, window)
+    triple_cap = SINGLE_TRIPLE_CAP
+    if isinstance(A, ProductAlgebra):
+        triple_cap = PRODUCT_TRIPLE_CAP
+        if len(elems) < prod(len(f.carrier(window)) for f in A.factors):
+            mode = f"window-verified (N={window})"
+            report.flags["window_capped"] = True
+    report.checks = scan_axioms(A, axioms, elems, {3: triple_cap}, mode, SAMPLED_NOTE)
+    return report
 
 
 def validate_mtl(A, window: int = 8) -> ValidationReport:
     """Scan the bounded residuated-lattice axioms plus prelinearity."""
-    report = ValidationReport(subject="mtl")
-    elems = A.carrier(window)
-    mode = _scan_mode(A, window)
-    if isinstance(A, ProductAlgebra):
-        triple_cap = PRODUCT_TRIPLE_CAP
-        full = 1
-        for f in A.factors:
-            full *= len(f.carrier(window))
-        if len(elems) < full:
-            mode = f"window-verified (N={window})"
-            report.flags["window_capped"] = True
-    else:
-        triple_cap = SINGLE_TRIPLE_CAP
-    _run_axioms(A, _mtl_axioms(), elems, triple_cap, mode, report)
-    return report
+    return _validate(A, window, MTL_AXIOMS, "mtl")
 
 
 def validate_ibp0(A, window: int = 8) -> ValidationReport:
     """MTL validation plus involution and the doubling law, memoized."""
-    cache = getattr(A, "_validation_cache", None)
-    if cache is None:
-        cache = {}
-        A._validation_cache = cache
-    key = ("ibp0", window)
-    if key in cache:
-        return cache[key]
-    report = validate_mtl(A, window)
-    report.subject = "ibp0"
-    elems = A.carrier(window)
-    mode = report.checks[0].mode
-    triple_cap = PRODUCT_TRIPLE_CAP if isinstance(A, ProductAlgebra) else SINGLE_TRIPLE_CAP
-    _run_axioms(A, _ibp0_axioms(), elems, triple_cap, mode, report)
-    cache[key] = report
-    return report
+    return memo(A, ("ibp0", window), lambda: _validate(A, window, IBP0_AXIOMS, "ibp0"))
 
 
 def require_ibp0(A, window: int = 8) -> None:
@@ -625,16 +504,7 @@ class Skeleton:
 
 def boolean_skeleton(A, window: int = 8) -> Skeleton:
     require_ibp0(A, window)
-    cache = getattr(A, "_structure_cache", None)
-    if cache is None:
-        cache = {}
-        A._structure_cache = cache
-    key = ("skeleton", window)
-    if key in cache:
-        return cache[key]
-    sk = _boolean_skeleton(A, window)
-    cache[key] = sk
-    return sk
+    return memo(A, ("skeleton", window), lambda: _boolean_skeleton(A, window))
 
 
 def _boolean_skeleton(A, window: int) -> Skeleton:
@@ -645,7 +515,7 @@ def _boolean_skeleton(A, window: int) -> Skeleton:
         elements = [a for a in A.carrier(window) if A.join(a, A.neg(a)) == A.top]
 
     report = ValidationReport(subject="skeleton")
-    mode = _scan_mode(A, window)
+    mode = scan_mode(A, window)
     member = set(elements)
 
     closure_bad = {"times": [], "oplus": [], "neg": []}
@@ -666,16 +536,16 @@ def _boolean_skeleton(A, window: int) -> Skeleton:
             join_bad.append({"witness": {"x": A.token(b), "y": A.token(c)},
                              "lhs": A.token(A.oplus(b, c)), "rhs": A.token(A.join(b, c))})
     for op, bad in closure_bad.items():
-        report.add(failed_check(f"closure-{op}", bad, mode=mode) if bad else passed_check(f"closure-{op}", mode=mode))
-    report.add(failed_check("times-is-meet", square_bad, mode=mode) if square_bad else passed_check("times-is-meet", mode=mode))
-    report.add(failed_check("oplus-is-join", join_bad, mode=mode) if join_bad else passed_check("oplus-is-join", mode=mode))
+        report.add(verdict(f"closure-{op}", bad, mode=mode))
+    report.add(verdict("times-is-meet", square_bad, mode=mode))
+    report.add(verdict("oplus-is-join", join_bad, mode=mode))
 
     bad = [
         {"witness": {"x": A.token(b)}, "lhs": A.token(A.meet(b, A.neg(b))), "rhs": A.token(A.bot)}
         for b in elements
         if A.meet(b, A.neg(b)) != A.bot
     ]
-    report.add(failed_check("complement-meet", bad, mode=mode) if bad else passed_check("complement-meet", mode=mode))
+    report.add(verdict("complement-meet", bad, mode=mode))
 
     nonzero = [b for b in elements if b != A.bot]
     atoms = [
@@ -691,7 +561,7 @@ def _boolean_skeleton(A, window: int) -> Skeleton:
             acc = A.join(acc, a)
         if acc != b:
             bad.append({"witness": {"x": A.token(b)}, "lhs": A.token(acc), "rhs": A.token(b)})
-    report.add(failed_check("atomic-decomposition", bad, mode=mode) if bad else passed_check("atomic-decomposition", mode=mode))
+    report.add(verdict("atomic-decomposition", bad, mode=mode))
     return Skeleton(elements=elements, atoms=atoms, report=report, algebra=A)
 
 
@@ -713,21 +583,12 @@ def radical(A, window: int = 8) -> RadicalView:
     same radical, and re-validating the induced hoop each time would dominate.
     """
     require_ibp0(A, window)
-    cache = getattr(A, "_structure_cache", None)
-    if cache is None:
-        cache = {}
-        A._structure_cache = cache
-    key = ("radical", window)
-    if key in cache:
-        return cache[key]
-    view = _radical(A, window)
-    cache[key] = view
-    return view
+    return memo(A, ("radical", window), lambda: _radical(A, window))
 
 
 def _radical(A, window: int) -> RadicalView:
     report = ValidationReport(subject="radical")
-    mode = _scan_mode(A, window)
+    mode = scan_mode(A, window)
 
     if isinstance(A, SymbolicPerfectAlgebra):
         elements = [("pos", m) for m in A.core.carrier(window)]
@@ -764,7 +625,7 @@ def _radical(A, window: int) -> RadicalView:
         for a in elements
         if not (A.leq(A.neg(a), a) and A.neg(a) != a)
     ]
-    report.add(failed_check("membership", member_bad, mode=mode) if member_bad else passed_check("membership", mode=mode))
+    report.add(verdict("membership", member_bad, mode=mode))
 
     base = stride_select(elements, 64)
     bad = []
@@ -773,7 +634,7 @@ def _radical(A, window: int) -> RadicalView:
             r = getattr(A, opname)(x, y)
             if not (A.leq(A.neg(r), r) and A.neg(r) != r):
                 bad.append({"witness": {"x": A.token(x), "y": A.token(y)}, "op": opname, "result": A.token(r)})
-    report.add(failed_check("closure", bad, mode=mode) if bad else passed_check("closure", mode=mode))
+    report.add(verdict("closure", bad, mode=mode))
 
     # The induced structure must be a prelinear semihoop.
     hoop_report = validate_semihoop(hoop, window)
@@ -788,7 +649,7 @@ def _radical(A, window: int) -> RadicalView:
             r = A.join(b, c)
             if not (A.leq(A.neg(r), r) and A.neg(r) != r):
                 bad.append({"witness": {"b": A.token(b), "c": A.token(c)}, "result": A.token(r)})
-    report.add(failed_check("skeleton-join-closure", bad, mode=mode) if bad else passed_check("skeleton-join-closure", mode=mode))
+    report.add(verdict("skeleton-join-closure", bad, mode=mode))
 
     # Translation maps must be mutually inverse on the window.
     bad = [
@@ -796,7 +657,7 @@ def _radical(A, window: int) -> RadicalView:
         for a in elements
         if from_hoop(to_hoop(a)) != a
     ]
-    report.add(failed_check("translation-roundtrip", bad, mode=mode) if bad else passed_check("translation-roundtrip", mode=mode))
+    report.add(verdict("translation-roundtrip", bad, mode=mode))
 
     return RadicalView(elements=elements, hoop=hoop, to_hoop=to_hoop, from_hoop=from_hoop, report=report)
 

@@ -33,12 +33,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable
 
-from .reports import (
-    Check,
-    MalformedInputError,
-    ValidationReport,
-    passed_check,
-)
+from ._scan import Axiom, scan_axioms
+from .reports import MalformedInputError, ValidationReport
 
 Element = Any  # int index (finite) or tuple of ints (symbolic)
 
@@ -322,64 +318,24 @@ def envelope_summary(K: KGroup) -> dict[str, Any]:
     }
 
 
+LMONOID_AXIOMS = [
+    Axiom("add-commutative", 2, lambda o, x, y: (o.add(x, y), o.add(y, x))),
+    Axiom("add-associative", 3, lambda o, x, y, z: (o.add(o.add(x, y), z), o.add(x, o.add(y, z)))),
+    Axiom("add-unit", 1, lambda o, x: (o.add(x, o.unit), x)),
+    Axiom("meet-commutative", 2, lambda o, x, y: (o.meet(x, y), o.meet(y, x))),
+    Axiom("meet-associative", 3, lambda o, x, y, z: (o.meet(o.meet(x, y), z), o.meet(x, o.meet(y, z)))),
+    Axiom("meet-idempotent", 1, lambda o, x: (o.meet(x, x), x)),
+    Axiom("join-commutative", 2, lambda o, x, y: (o.join(x, y), o.join(y, x))),
+    Axiom("join-associative", 3, lambda o, x, y, z: (o.join(o.join(x, y), z), o.join(x, o.join(y, z)))),
+    Axiom("join-idempotent", 1, lambda o, x: (o.join(x, x), x)),
+    Axiom("absorption-meet", 2, lambda o, x, y: (o.meet(x, o.join(x, y)), x)),
+    Axiom("absorption-join", 2, lambda o, x, y: (o.join(x, o.meet(x, y)), x)),
+    Axiom("distribution-meet", 3, lambda o, x, y, z: (o.add(x, o.meet(y, z)), o.meet(o.add(x, y), o.add(x, z)))),
+    Axiom("distribution-join", 3, lambda o, x, y, z: (o.add(x, o.join(y, z)), o.join(o.add(x, y), o.add(x, z)))),
+]
+
+
 def validate_lmonoid(M: FiniteLMonoid) -> ValidationReport:
-    """Scan every ell-monoid axiom instance; every violation is listed."""
-    report = ValidationReport(subject="lmonoid")
-    elems = list(M.elements())
-
-    def scan(axiom, instances, lhs_fn, rhs_fn, names):
-        bad = []
-        for inst in instances:
-            lhs, rhs = lhs_fn(*inst), rhs_fn(*inst)
-            if lhs != rhs:
-                bad.append(
-                    {
-                        "witness": {n: M.token(v) for n, v in zip(names, inst)},
-                        "lhs": M.token(lhs),
-                        "rhs": M.token(rhs),
-                    }
-                )
-        if bad:
-            report.add(Check(axiom=axiom, passed=False, witnesses=bad, violations=len(bad)))
-        else:
-            report.add(passed_check(axiom))
-
-    pairs = list(product(elems, repeat=2))
-    triples = list(product(elems, repeat=3))
-
-    scan("add-commutative", pairs, lambda x, y: M.add(x, y), lambda x, y: M.add(y, x), "xy")
-    scan(
-        "add-associative",
-        triples,
-        lambda x, y, z: M.add(M.add(x, y), z),
-        lambda x, y, z: M.add(x, M.add(y, z)),
-        "xyz",
-    )
-    scan("add-unit", [(x,) for x in elems], lambda x: M.add(x, M.unit), lambda x: x, "x")
-    for name, op in (("meet", M.meet), ("join", M.join)):
-        scan(f"{name}-commutative", pairs, lambda x, y, op=op: op(x, y), lambda x, y, op=op: op(y, x), "xy")
-        scan(
-            f"{name}-associative",
-            triples,
-            lambda x, y, z, op=op: op(op(x, y), z),
-            lambda x, y, z, op=op: op(x, op(y, z)),
-            "xyz",
-        )
-        scan(f"{name}-idempotent", [(x,) for x in elems], lambda x, op=op: op(x, x), lambda x: x, "x")
-    scan("absorption-meet", pairs, lambda x, y: M.meet(x, M.join(x, y)), lambda x, y: x, "xy")
-    scan("absorption-join", pairs, lambda x, y: M.join(x, M.meet(x, y)), lambda x, y: x, "xy")
-    scan(
-        "distribution-meet",
-        triples,
-        lambda x, y, z: M.add(x, M.meet(y, z)),
-        lambda x, y, z: M.meet(M.add(x, y), M.add(x, z)),
-        "xyz",
-    )
-    scan(
-        "distribution-join",
-        triples,
-        lambda x, y, z: M.add(x, M.join(y, z)),
-        lambda x, y, z: M.join(M.add(x, y), M.add(x, z)),
-        "xyz",
-    )
-    return report
+    """Scan every ell-monoid axiom instance; every violation is counted."""
+    checks = scan_axioms(M, LMONOID_AXIOMS, list(M.elements()), {}, "exhaustive", "")
+    return ValidationReport(subject="lmonoid", checks=checks)

@@ -66,24 +66,28 @@ class Check:
         return out
 
 
-def passed_check(axiom: str, mode: str = "exhaustive", note: str = "") -> Check:
-    return Check(axiom=axiom, passed=True, mode=mode, note=note)
-
-
-def failed_check(
+def verdict(
     axiom: str,
-    witnesses: list[dict[str, Any]],
-    violations: int | None = None,
+    bad: list[dict[str, Any]],
     mode: str = "exhaustive",
     note: str = "",
+    violations: int | None = None,
+    required: bool = True,
 ) -> Check:
+    """The check for ``axiom``: it passes when nothing is ``bad``.
+
+    ``violations`` is the full count when ``bad`` lists only some of them;
+    at most MAX_WITNESSES of ``bad`` are kept either way.
+    """
+    count = len(bad) if violations is None else violations
     return Check(
         axiom=axiom,
-        passed=False,
+        passed=count == 0,
         mode=mode,
-        witnesses=witnesses[:MAX_WITNESSES],
-        violations=len(witnesses) if violations is None else violations,
+        witnesses=bad[:MAX_WITNESSES],
+        violations=count,
         note=note,
+        required=required,
     )
 
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import product
 from typing import Any, Callable, Mapping, Sequence
 
-from ._scan import stride_select
+from ._scan import Axiom, sampled_note, scan_axioms, scan_mode, stride_select
 from .lmonoid import (
     FiniteLMonoid,
     KElement,
@@ -37,20 +37,14 @@ from .lmonoid import (
     k_envelope,
     k_leq,
 )
-from .reports import (
-    Check,
-    InternalConsistencyError,
-    MalformedInputError,
-    ValidationReport,
-    failed_check,
-    passed_check,
-)
+from .reports import InternalConsistencyError, MalformedInputError, ValidationReport, verdict
 
 # Scans over infinite carriers work on a window of elements.  Pair and
 # triple axioms additionally stride-sample the window once it gets large,
 # so a rank-3 cone does not cost 729^3 instances.
 PAIR_BASE_CAP = 128
 TRIPLE_BASE_CAP = 24
+SAMPLED_NOTE = "axis sampled {m} of {n} window elements"
 # The induced-state constructor re-verifies positivity and additivity on
 # pairs of window elements; a modest cap keeps that affordable when callers
 # sweep many states, and dedicated tests sweep wider.
@@ -208,17 +202,38 @@ def pseudo_join(H, x, y):
     return H.meet(H.impl(H.impl(x, y), y), H.impl(H.impl(y, x), x))
 
 
-def lattice_check(H, window: int = 8) -> bool:
-    """Whether the pseudo-join is associative over the (windowed) carrier."""
-    base = stride_select(H.carrier(window), TRIPLE_BASE_CAP)
-    for x, y, z in product(base, repeat=3):
-        if pseudo_join(H, pseudo_join(H, x, y), z) != pseudo_join(H, x, pseudo_join(H, y, z)):
-            return False
-    return True
-
-
-def _scan_mode(H, window: int) -> str:
-    return "exhaustive" if H.is_finite else f"window-verified (N={window})"
+# Semihoop carriers have scalar ops only, so these terms may use Python's
+# "==" and "not" on elements and booleans.
+SEMIHOOP_AXIOMS = [
+    # (i) meet-semilattice with the unit on top
+    Axiom("meet-commutative", 2, lambda o, x, y: (o.meet(x, y), o.meet(y, x))),
+    Axiom("meet-associative", 3, lambda o, x, y, z: (o.meet(o.meet(x, y), z), o.meet(x, o.meet(y, z)))),
+    Axiom("meet-idempotent", 1, lambda o, x: (o.meet(x, x), x)),
+    Axiom("top-upper-bound", 1, lambda o, x: (o.meet(x, o.top), x)),
+    # (ii) commutative isotone monoid
+    Axiom("times-commutative", 2, lambda o, x, y: (o.times(x, y), o.times(y, x))),
+    Axiom("times-associative", 3, lambda o, x, y, z: (o.times(o.times(x, y), z), o.times(x, o.times(y, z)))),
+    Axiom("times-unit", 1, lambda o, x: (o.times(x, o.top), x)),
+    Axiom("times-isotone", 3, lambda o, x, y, z: (not o.leq(x, y) or o.leq(o.times(x, z), o.times(y, z)), True)),
+    # (iii) the residuum reflects the order
+    Axiom("order-reflection", 2, lambda o, x, y: (o.impl(x, y) == o.top, o.leq(x, y))),
+    # (iv) exchange, and the residuation law it gives together with (iii)
+    Axiom("exchange", 3, lambda o, x, y, z: (o.impl(o.times(x, y), z), o.impl(x, o.impl(y, z)))),
+    Axiom("residuation", 3, lambda o, x, y, z: (o.leq(o.times(x, z), y), o.leq(z, o.impl(x, y)))),
+    # Classification
+    Axiom(
+        "prelinearity", 3,
+        lambda o, x, y, z: (o.leq(o.impl(o.impl(x, y), z), o.impl(o.impl(o.impl(y, x), z), z)), True),
+        required=False,
+    ),
+    Axiom(
+        "pseudo-join-associative", 3,
+        lambda o, x, y, z: (pseudo_join(o, pseudo_join(o, x, y), z), pseudo_join(o, x, pseudo_join(o, y, z))),
+        required=False,
+    ),
+    Axiom("divisibility", 2, lambda o, x, y: (o.times(x, o.impl(x, y)), o.times(y, o.impl(y, x))), required=False),
+    Axiom("cancellativity", 2, lambda o, x, y: (o.impl(o.impl(x, o.times(x, y)), y), o.top), required=False),
+]
 
 
 def validate_semihoop(H, window: int = 8) -> ValidationReport:
@@ -228,101 +243,18 @@ def validate_semihoop(H, window: int = 8) -> ValidationReport:
     everything else but are not required for validity, so a Gödel chain
     (not cancellative) still yields an ok report.
     """
-    report = ValidationReport(subject="semihoop")
-    elems = H.carrier(window)
-    mode = _scan_mode(H, window)
-    bases = {
-        1: elems,
-        2: stride_select(elems, PAIR_BASE_CAP),
-        3: stride_select(elems, TRIPLE_BASE_CAP),
-    }
-
-    def note_for(arity: int) -> str:
-        if len(bases[arity]) < len(elems):
-            return f"axis sampled {len(bases[arity])} of {len(elems)} window elements"
-        return ""
-
-    def scan(axiom: str, arity: int, instance_check, names: str, required: bool = True) -> Check:
-        bad = []
-        for inst in product(bases[arity], repeat=arity):
-            lhs, rhs = instance_check(*inst)
-            if lhs != rhs:
-                bad.append(
-                    {
-                        "witness": {n: H.token(v) for n, v in zip(names, inst)},
-                        "lhs": lhs if isinstance(lhs, bool) else H.token(lhs),
-                        "rhs": rhs if isinstance(rhs, bool) else H.token(rhs),
-                    }
-                )
-        if bad:
-            check = failed_check(axiom, bad, mode=mode, note=note_for(arity))
-            check.required = required
-        else:
-            check = passed_check(axiom, mode=mode, note=note_for(arity))
-            check.required = required
-        return report.add(check)
-
-    # (i) meet-semilattice with the unit on top
-    scan("meet-commutative", 2, lambda x, y: (H.meet(x, y), H.meet(y, x)), "xy")
-    scan("meet-associative", 3, lambda x, y, z: (H.meet(H.meet(x, y), z), H.meet(x, H.meet(y, z))), "xyz")
-    scan("meet-idempotent", 1, lambda x: (H.meet(x, x), x), "x")
-    scan("top-upper-bound", 1, lambda x: (H.meet(x, H.top), x), "x")
-    # (ii) commutative isotone monoid
-    scan("times-commutative", 2, lambda x, y: (H.times(x, y), H.times(y, x)), "xy")
-    scan("times-associative", 3, lambda x, y, z: (H.times(H.times(x, y), z), H.times(x, H.times(y, z))), "xyz")
-    scan("times-unit", 1, lambda x: (H.times(x, H.top), x), "x")
-    scan(
-        "times-isotone",
-        3,
-        lambda x, y, z: (not H.leq(x, y) or H.leq(H.times(x, z), H.times(y, z)), True),
-        "xyz",
+    caps = {2: PAIR_BASE_CAP, 3: TRIPLE_BASE_CAP}
+    checks = scan_axioms(H, SEMIHOOP_AXIOMS, H.carrier(window), caps, scan_mode(H, window), SAMPLED_NOTE)
+    report = ValidationReport(subject="semihoop", checks=checks)
+    pre, pj, div, canc = (
+        report.check(name).passed
+        for name in ("prelinearity", "pseudo-join-associative", "divisibility", "cancellativity")
     )
-    # (iii) the residuum reflects the order
-    scan("order-reflection", 2, lambda x, y: (H.impl(x, y) == H.top, H.leq(x, y)), "xy")
-    # (iv) exchange, and the residuation law it gives together with (iii)
-    scan("exchange", 3, lambda x, y, z: (H.impl(H.times(x, y), z), H.impl(x, H.impl(y, z))), "xyz")
-    scan(
-        "residuation",
-        3,
-        lambda x, y, z: (H.leq(H.times(x, z), y), H.leq(z, H.impl(x, y))),
-        "xyz",
-    )
-
-    # Classification
-    pre = scan(
-        "prelinearity",
-        3,
-        lambda x, y, z: (H.leq(H.impl(H.impl(x, y), z), H.impl(H.impl(H.impl(y, x), z), z)), True),
-        "xyz",
-        required=False,
-    )
-    pj = scan(
-        "pseudo-join-associative",
-        3,
-        lambda x, y, z: (pseudo_join(H, pseudo_join(H, x, y), z), pseudo_join(H, x, pseudo_join(H, y, z))),
-        "xyz",
-        required=False,
-    )
-    div = scan(
-        "divisibility",
-        2,
-        lambda x, y: (H.times(x, H.impl(x, y)), H.times(y, H.impl(y, x))),
-        "xy",
-        required=False,
-    )
-    canc = scan(
-        "cancellativity",
-        2,
-        lambda x, y: (H.impl(H.impl(x, H.times(x, y)), y), H.top),
-        "xy",
-        required=False,
-    )
-
     report.flags = {
-        "prelinear": pre.passed and pj.passed,
-        "divisible": div.passed,
-        "basic": pre.passed and pj.passed and div.passed,
-        "cancellative": pre.passed and pj.passed and div.passed and canc.passed,
+        "prelinear": pre and pj,
+        "divisible": div,
+        "basic": pre and pj and div,
+        "cancellative": pre and pj and div and canc,
     }
     return report
 
@@ -389,26 +321,20 @@ def validate_state(H, w, window: int = 8) -> ValidationReport:
     """
     report = ValidationReport(subject="state")
     elems = H.carrier(window)
-    mode = _scan_mode(H, window)
+    mode = scan_mode(H, window)
     values = {}
     for x in elems:
         values[x] = Fraction(w.value(x))  # raises MalformedInputError if partial
 
     bad = [{"witness": {"x": H.token(x)}, "value": str(v)} for x, v in values.items() if v > 0]
-    report.add(
-        failed_check("codomain-nonpositive", bad, mode=mode)
-        if bad
-        else passed_check("codomain-nonpositive", mode=mode)
-    )
+    report.add(verdict("codomain-nonpositive", bad, mode=mode))
 
     top_val = values[H.top]
-    if top_val == 0:
-        report.add(passed_check("v1-unit", mode=mode))
-    else:
-        report.add(failed_check("v1-unit", [{"witness": {"x": H.token(H.top)}, "value": str(top_val)}], mode=mode))
+    bad = [] if top_val == 0 else [{"witness": {"x": H.token(H.top)}, "value": str(top_val)}]
+    report.add(verdict("v1-unit", bad, mode=mode))
 
     base = stride_select(elems, PAIR_BASE_CAP)
-    note = f"axis sampled {len(base)} of {len(elems)} window elements" if len(base) < len(elems) else ""
+    note = sampled_note(SAMPLED_NOTE, base, elems)
     bad = []
     for x, y in product(base, repeat=2):
         xy = H.times(x, y)
@@ -422,7 +348,7 @@ def validate_state(H, w, window: int = 8) -> ValidationReport:
                     "rhs": str(values[x] + values[y]),
                 }
             )
-    report.add(failed_check("v2-additive", bad, mode=mode, note=note) if bad else passed_check("v2-additive", mode=mode, note=note))
+    report.add(verdict("v2-additive", bad, mode=mode, note=note))
 
     bad = []
     for x, y in product(base, repeat=2):
@@ -434,7 +360,7 @@ def validate_state(H, w, window: int = 8) -> ValidationReport:
                     "rhs": str(values[y]),
                 }
             )
-    report.add(failed_check("v3-monotone", bad, mode=mode, note=note) if bad else passed_check("v3-monotone", mode=mode, note=note))
+    report.add(verdict("v3-monotone", bad, mode=mode, note=note))
     return report
 
 
@@ -448,7 +374,7 @@ def state_properties(H, w, window: int = 8, flags: Mapping[str, bool] | None = N
     if flags is None:
         flags = validate_semihoop(H, window).flags
     report = ValidationReport(subject="state-properties", flags=dict(flags))
-    mode = _scan_mode(H, window)
+    mode = scan_mode(H, window)
     if pairs is None:
         base = stride_select(H.carrier(window), PAIR_BASE_CAP)
         pairs = list(product(base, repeat=2))
@@ -463,7 +389,7 @@ def state_properties(H, w, window: int = 8, flags: Mapping[str, bool] | None = N
             rhs = wv(x) + wv(y)
             if lhs != rhs:
                 bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(lhs), "rhs": str(rhs)})
-        report.add(failed_check("valuation", bad, mode=mode) if bad else passed_check("valuation", mode=mode))
+        report.add(verdict("valuation", bad, mode=mode))
 
     if flags.get("basic"):
         bad = []
@@ -472,7 +398,7 @@ def state_properties(H, w, window: int = 8, flags: Mapping[str, bool] | None = N
             rhs = wv(y) + wv(H.impl(y, x))
             if lhs != rhs:
                 bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(lhs), "rhs": str(rhs)})
-        report.add(failed_check("bosbach", bad, mode=mode) if bad else passed_check("bosbach", mode=mode))
+        report.add(verdict("bosbach", bad, mode=mode))
 
     if flags.get("divisible"):
         # v1 + v2 + nonpositive codomain already force monotonicity here;
@@ -481,7 +407,7 @@ def state_properties(H, w, window: int = 8, flags: Mapping[str, bool] | None = N
         for x, y in pairs:
             if H.leq(x, y) and wv(x) > wv(y):
                 bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(wv(x)), "rhs": str(wv(y))})
-        report.add(failed_check("monotone-derived", bad, mode=mode) if bad else passed_check("monotone-derived", mode=mode))
+        report.add(verdict("monotone-derived", bad, mode=mode))
     return report
 
 

@@ -22,11 +22,10 @@ from fractions import Fraction
 from itertools import product as iterproduct
 from typing import Any, Mapping
 
-from ._scan import stride_select
-from .hypernum import DualRational, mv_otimes, parse_dual
+from ._scan import memo, sampled_note, scan_mode, stride_select
+from .hypernum import DualRational, _rat, interval_defect, mv_otimes, parse_dual
 from .ibp0 import (
     Skeleton,
-    _scan_mode,
     boolean_skeleton,
     coradical,
     decompose_element,
@@ -39,10 +38,10 @@ from .reports import (
     MalformedInputError,
     PreconditionError,
     ValidationReport,
-    failed_check,
-    passed_check,
+    verdict,
 )
 from .semihoop import (
+    SAMPLED_NOTE,
     ConeState,
     ProductHoop,
     ProductState,
@@ -57,24 +56,10 @@ from .semihoop import (
 HYPER_PAIR_CAP = 96
 
 
-def _fraction(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
-    return Fraction(value)
-
-
 def _pair_token(pair: tuple[Fraction, Fraction]) -> str:
     """Render a raw (standard, infinitesimal) pair; sums during checks may
     leave the unit interval, so this must not go through DualRational."""
     return f"{pair[0]}+e{pair[1]}"
-
-
-def _representable(std: Fraction, inf: Fraction) -> bool:
-    if not 0 <= std <= 1:
-        return False
-    if std == 0 and inf < 0:
-        return False
-    return not (std == 1 and inf > 0)
 
 
 class ProbabilityMeasure:
@@ -91,9 +76,9 @@ class ProbabilityMeasure:
                     raise MalformedInputError(
                         f"weight for atom {i} but the skeleton has {len(atoms)} atoms"
                     )
-                vec[i] = _fraction(value)
+                vec[i] = _rat(value)
         else:
-            vec = [_fraction(v) for v in weights]
+            vec = [_rat(v) for v in weights]
             if len(vec) != len(atoms):
                 raise MalformedInputError(f"{len(vec)} weights for {len(atoms)} atoms")
         self.weights = tuple(vec)
@@ -141,18 +126,13 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
         for b, v in vals.items()
         if not 0 <= v <= 1
     ]
-    report.add(failed_check("range", bad) if bad else passed_check("range"))
+    report.add(verdict("range", bad))
 
     total = sum(p.weights, Fraction(0))
-    if total == 1 and vals[A.top] == 1:
-        report.add(passed_check("normalization"))
-    else:
-        report.add(
-            failed_check(
-                "normalization",
-                [{"witness": {"x": A.token(A.top)}, "lhs": str(total), "rhs": "1"}],
-            )
-        )
+    bad = []
+    if total != 1 or vals[A.top] != 1:
+        bad = [{"witness": {"x": A.token(A.top)}, "lhs": str(total), "rhs": "1"}]
+    report.add(verdict("normalization", bad))
 
     bad = []
     for b1, b2 in iterproduct(B.elements, repeat=2):
@@ -168,7 +148,7 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
                     "rhs": str(rhs),
                 }
             )
-    report.add(failed_check("additivity", bad) if bad else passed_check("additivity"))
+    report.add(verdict("additivity", bad))
     return report
 
 
@@ -229,14 +209,14 @@ class FormulaHyperstate:
             hi = to_hoop(A.join(d.b, d.c))
             got = (
                 self.measure.value(d.b),
-                _fraction(self.state.value(lo)) - _fraction(self.state.value(hi)),
+                _rat(self.state.value(lo)) - _rat(self.state.value(hi)),
             )
             self._memo[a] = got
         return got
 
     def value(self, a) -> DualRational:
         std, inf = self.raw_value(a)
-        if not _representable(std, inf):
+        if interval_defect(std, inf):
             raise MalformedInputError(
                 f"formula value escapes the interval at {self.algebra.token(a)}: "
                 f"{_pair_token((std, inf))}"
@@ -253,14 +233,10 @@ class FormulaHyperstate:
 
 
 def _pair_context(A, window: int) -> dict[str, Any]:
-    cache = getattr(A, "_structure_cache", None)
-    if cache is None:
-        cache = {}
-        A._structure_cache = cache
-    key = ("hyper-pairs", window)
-    if key in cache:
-        return cache[key]
+    return memo(A, ("hyper-pairs", window), lambda: _build_pair_context(A, window))
 
+
+def _build_pair_context(A, window: int) -> dict[str, Any]:
     carrier = A.carrier(window)
     index = {a: i for i, a in enumerate(carrier)}
     base = stride_select(carrier, HYPER_PAIR_CAP)
@@ -282,14 +258,8 @@ def _pair_context(A, window: int) -> dict[str, Any]:
                     oplus == A.top,
                 )
             )
-    note = (
-        f"axis sampled {len(base)} of {len(carrier)} window elements"
-        if len(base) < len(carrier)
-        else ""
-    )
-    ctx = {"carrier": carrier, "index": index, "rows": rows, "note": note}
-    cache[key] = ctx
-    return ctx
+    note = sampled_note(SAMPLED_NOTE, base, carrier)
+    return {"carrier": carrier, "index": index, "rows": rows, "note": note}
 
 
 def _scan_note(ctx: dict[str, Any], skipped: int) -> str:
@@ -308,7 +278,7 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
     """
     require_ibp0(A, window)
     report = ValidationReport(subject="hyperstate")
-    mode = _scan_mode(A, window)
+    mode = scan_mode(A, window)
     ctx = _pair_context(A, window)
     carrier = ctx["carrier"]
     raws = [s.raw_value(a) for a in carrier]
@@ -316,9 +286,9 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
     bad = [
         {"witness": {"x": A.token(a)}, "value": _pair_token(r)}
         for a, r in zip(carrier, raws)
-        if not _representable(*r)
+        if interval_defect(*r)
     ]
-    report.add(failed_check("codomain", bad, mode=mode) if bad else passed_check("codomain", mode=mode))
+    report.add(verdict("codomain", bad, mode=mode))
 
     bad = []
     for element, expected in ((A.top, Fraction(1)), (A.bot, Fraction(0))):
@@ -331,7 +301,7 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
                     "rhs": _pair_token((expected, Fraction(0))),
                 }
             )
-    report.add(failed_check("boundary-values", bad, mode=mode) if bad else passed_check("boundary-values", mode=mode))
+    report.add(verdict("boundary-values", bad, mode=mode))
 
     bad = []
     skipped = 0
@@ -350,11 +320,7 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
                 }
             )
     note = _scan_note(ctx, skipped)
-    report.add(
-        failed_check("pair-additivity", bad, mode=mode, note=note)
-        if bad
-        else passed_check("pair-additivity", mode=mode, note=note)
-    )
+    report.add(verdict("pair-additivity", bad, mode=mode, note=note))
 
     sk = boolean_skeleton(A, window)
     bad = [
@@ -362,11 +328,7 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
         for b in sk.elements
         if s.raw_value(b)[1] != 0
     ]
-    report.add(
-        failed_check("skeleton-standard", bad, mode=mode)
-        if bad
-        else passed_check("skeleton-standard", mode=mode)
-    )
+    report.add(verdict("skeleton-standard", bad, mode=mode))
     return report
 
 
@@ -380,7 +342,7 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     """
     require_ibp0(A, window)
     report = ValidationReport(subject="hyperstate-properties")
-    mode = _scan_mode(A, window)
+    mode = scan_mode(A, window)
     ctx = _pair_context(A, window)
     carrier = ctx["carrier"]
     index = ctx["index"]
@@ -406,11 +368,7 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
                 }
             )
     note = f"{skipped} negations left the window" if skipped else ""
-    report.add(
-        failed_check("negation-law", bad, mode=mode, note=note)
-        if bad
-        else passed_check("negation-law", mode=mode, note=note)
-    )
+    report.add(verdict("negation-law", bad, mode=mode, note=note))
 
     bad = []
     for i, j, _, _, _, _, leq, _, _ in ctx["rows"]:
@@ -422,11 +380,7 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
                     "rhs": _pair_token(raws[j]),
                 }
             )
-    report.add(
-        failed_check("monotone", bad, mode=mode, note=ctx["note"])
-        if bad
-        else passed_check("monotone", mode=mode, note=ctx["note"])
-    )
+    report.add(verdict("monotone", bad, mode=mode, note=ctx["note"]))
 
     bad = []
     skipped = 0
@@ -446,11 +400,7 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
                 }
             )
     note = _scan_note(ctx, skipped)
-    report.add(
-        failed_check("orthogonal-additivity", bad, mode=mode, note=note)
-        if bad
-        else passed_check("orthogonal-additivity", mode=mode, note=note)
-    )
+    report.add(verdict("orthogonal-additivity", bad, mode=mode, note=note))
 
     bad = []
     skipped = 0
@@ -470,11 +420,7 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
                 }
             )
     note = _scan_note(ctx, skipped)
-    report.add(
-        failed_check("complementary-multiplicativity", bad, mode=mode, note=note)
-        if bad
-        else passed_check("complementary-multiplicativity", mode=mode, note=note)
-    )
+    report.add(verdict("complementary-multiplicativity", bad, mode=mode, note=note))
 
     bad = []
     skipped = 0
@@ -493,11 +439,7 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
                 }
             )
     note = _scan_note(ctx, skipped)
-    report.add(
-        failed_check("valuation", bad, mode=mode, note=note)
-        if bad
-        else passed_check("valuation", mode=mode, note=note)
-    )
+    report.add(verdict("valuation", bad, mode=mode, note=note))
 
     sk = boolean_skeleton(A, window)
     restriction = ProbabilityMeasure(sk, [s.raw_value(atom)[0] for atom in sk.atoms])
@@ -511,11 +453,7 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
         for b in sk.elements
         if s.raw_value(b) != (restriction.value(b), Fraction(0))
     ]
-    report.add(
-        failed_check("skeleton-restriction", bad, mode=mode)
-        if bad
-        else passed_check("skeleton-restriction", mode=mode)
-    )
+    report.add(verdict("skeleton-restriction", bad, mode=mode))
 
     rad = radical(A, window)
     bad = [
@@ -523,21 +461,13 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
         for x in rad.elements
         if s.raw_value(x)[0] != 1
     ]
-    report.add(
-        failed_check("radical-standard-part", bad, mode=mode)
-        if bad
-        else passed_check("radical-standard-part", mode=mode)
-    )
+    report.add(verdict("radical-standard-part", bad, mode=mode))
     bad = [
         {"witness": {"x": A.token(x)}, "value": _pair_token(s.raw_value(x))}
         for x in coradical(A, window)
         if s.raw_value(x)[0] != 0
     ]
-    report.add(
-        failed_check("coradical-standard-part", bad, mode=mode)
-        if bad
-        else passed_check("coradical-standard-part", mode=mode)
-    )
+    report.add(verdict("coradical-standard-part", bad, mode=mode))
 
     induced = TableState(
         {h: s.raw_value(rad.from_hoop(h))[1] for h in rad.hoop.carrier(window)}
@@ -620,7 +550,7 @@ def split_hyperstate(A, s, window: int = 8) -> SplitResult:
         hi = rad.to_hoop(A.join(d.b, d.c))
         want = (
             p.value(d.b),
-            _fraction(w.value(lo)) - _fraction(w.value(hi)),
+            _rat(w.value(lo)) - _rat(w.value(hi)),
         )
         if got != want:
             raise InternalConsistencyError(

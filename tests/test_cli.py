@@ -115,6 +115,18 @@ class TestExitContract:
         failed = [c["axiom"] for c in body["checks"] if not c["passed"]]
         assert "boundary-values" in failed
 
+    @pytest.mark.parametrize("lam", ["2", 2, {}], ids=repr)
+    def test_lambda_must_be_an_array(self, corpus_dir, tmp_path, capsys, lam):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"lambda": lam}))
+        code, _, err = run(capsys, "states", str(corpus_dir / "hoop-cone-1.json"), str(state))
+        assert code == 2 and "'lambda' must be an array" in err
+        hyperstate = tmp_path / "hyperstate.json"
+        hyperstate.write_text(json.dumps({"measure": {"0": "1"}, "lambda": lam}))
+        for algebra in ("algebra-chang-1.json", "algebra-boolean-4.json"):
+            code, _, err = run(capsys, "hyperstate", "validate", str(corpus_dir / algebra), str(hyperstate))
+            assert code == 2 and "'lambda' must be an array" in err
+
     def test_unparseable_json(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

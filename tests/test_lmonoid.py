@@ -26,7 +26,7 @@ from ellstates.lmonoid import (
     k_negate,
     validate_lmonoid,
 )
-from ellstates.reports import MalformedInputError
+from ellstates.reports import MAX_WITNESSES, MalformedInputError
 
 
 def trunc_monoid(n: int) -> FiniteLMonoid:
@@ -89,6 +89,14 @@ class TestValidation:
         check = report.check("add-unit")
         assert not check.passed
         assert check.witnesses[0]["witness"] == {"x": "1"}
+
+    def test_broken_table_caps_witnesses_but_counts_every_violation(self):
+        add = [[(x * y + 1) % 6 for y in range(6)] for x in range(6)]
+        meet = [[min(x, y) for y in range(6)] for x in range(6)]
+        join = [[max(x, y) for y in range(6)] for x in range(6)]
+        check = validate_lmonoid(FiniteLMonoid(add, meet, join, unit=0)).check("add-associative")
+        assert check.violations == 180
+        assert len(check.witnesses) <= MAX_WITNESSES
 
     def test_malformed_table_names_the_cell(self):
         with pytest.raises(MalformedInputError, match=r"add\[0\]\[1\] = 5"):
