@@ -6,19 +6,16 @@ two sides ``(lhs, rhs)`` of the law, written once against an ops namespace
 ``o.oplus``, ``o.leq``, ``o.top``, ``o.bot``, ...).  An instance violates the
 axiom when its two sides differ; sides are elements or booleans.
 
-:func:`scan_axioms` evaluates the terms in one of two ways, chosen from the
-carrier alone:
-
-* batch, when the carrier has ``b_encode`` (tabulated or coordinate-encoded
-  algebras): ``o`` maps the same names onto the carrier's ``b_*`` numpy ops.
-  Unary and pair axioms run on one full grid, and triple axioms loop over
-  their first axis while the other two stay vectorized;
-* scalar otherwise: ``o`` is the carrier itself, one call per instance.
-
-Either way instances are visited in ``itertools.product`` order (the last
-variable varies fastest), violations are counted in full, and the first
-:data:`~.reports.MAX_WITNESSES` are rendered as witnesses through the scalar
-terms.
+Carriers define scalar ops only, and :func:`scan_axioms` has one way to
+evaluate terms.  It interns the carrier's elements to int ids, window
+first, and fills each op's table from the scalar op for the id tuples that a
+scan actually reaches, results that leave the window included; the terms
+then run as numpy gathers over chunks of instances.  A product carrier is
+tabulated factor by factor, never over product ids, so its tables stay as
+small as its factors'.  Instances are visited in ``itertools.product``
+order (the last variable varies fastest), violations are counted in full,
+and the first :data:`~.reports.MAX_WITNESSES` are rendered as witnesses
+through the scalar terms.
 
 Symbolic carriers are infinite, and cartesian products of windows can be
 huge, so quantified checks sometimes run over a reduced deterministic
@@ -29,17 +26,24 @@ instances.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import partial, reduce
 from itertools import product
 from math import prod
-from typing import Any, Callable, Hashable, Iterator, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Hashable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
 from .reports import MAX_WITNESSES, Check, verdict
 
 T = TypeVar("T")
+
+# The one op whose results are truth values rather than elements.
+PREDICATES = frozenset({"leq"})
+# Instances evaluated per numpy pass: large enough that the per-call cost
+# vanishes, small enough that a term's temporaries stay well under a megabyte.
+CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -86,15 +90,29 @@ def scan_axioms(
     ``{m}`` sampled of ``{n}`` window elements.
     """
     n = len(elems)
-    batch = _Batch(A, elems) if hasattr(A, "b_encode") else None
+    ops = tables(A)
+    window = ops.encode(elems)
     checks = []
     for axiom in axioms:
         ix = stride_select(range(n), caps.get(axiom.arity, n))
-        runs = batch.failures(axiom, ix) if batch else _scalar_failures(A, axiom, elems, ix)
+        m, arity = len(ix), axiom.arity
+        axis = window[np.asarray(ix, dtype=np.intp)]
+        # x runs over a block of heads, the other variables over the whole
+        # axis, each along its own dimension; numpy broadcasting then
+        # evaluates a subterm only over the variables it mentions.
+        inner = [axis.reshape((1,) * k + (m,) + (1,) * (arity - 1 - k)) for k in range(1, arity)]
+        step = max(1, CHUNK // max(m, 1) ** (arity - 1))
         violations, shown = 0, []
-        for first, count in runs:
-            violations += count
-            shown += first[: MAX_WITNESSES - len(shown)]
+        for head in range(0, m, step):
+            heads = np.arange(head, min(head + step, m))
+            shape = (len(heads),) + (m,) * (arity - 1)
+            x = axis[heads].reshape((len(heads),) + (1,) * (arity - 1))
+            lhs, rhs = axiom.terms(ops, x, *inner)
+            fails = np.flatnonzero(~np.broadcast_to(lhs == rhs, shape))
+            violations += len(fails)
+            for k in fails[: MAX_WITNESSES - len(shown)]:
+                first, *rest = np.unravel_index(k, shape)
+                shown.append(tuple(elems[ix[i]] for i in (heads[first], *rest)))
         checks.append(
             verdict(
                 axiom.name,
@@ -117,64 +135,110 @@ def _witness(A, axiom: Axiom, inst: tuple) -> dict[str, Any]:
     }
 
 
-def _scalar_failures(A, axiom: Axiom, elems: Sequence, ix: list[int]) -> Iterator[tuple[list, int]]:
-    terms = axiom.terms
-    for inst in product([elems[i] for i in ix], repeat=axiom.arity):
-        lhs, rhs = terms(A, *inst)
-        if lhs != rhs:
-            yield [inst], 1
+def tabulate(A, elems: Sequence, names: Sequence[str]) -> tuple[dict, dict[str, list[list[int]]]]:
+    """Full tables of the binary ops ``names`` of ``A`` over ``elems``, which
+    they must not leave; ``elems[i]`` becomes index i, and the index map
+    comes back with the tables."""
+    index = {x: i for i, x in enumerate(elems)}
+    return index, {name: [[index[getattr(A, name)(x, y)] for y in elems] for x in elems] for name in names}
 
 
-class _Batch:
-    """Batch evaluation over one encoded window, grids shared across axioms."""
-
-    def __init__(self, A, elems: Sequence):
-        self.A = A
-        self.elems = elems
-        self.encoded = A.b_encode(elems)
-        self._grids: dict[int, tuple] = {}
-
-    def failures(self, axiom: Axiom, ix: list[int]) -> Iterator[tuple[list, int]]:
-        """Per chunk: the first failing instances and the chunk's failure count."""
-        A, E = self.A, self.encoded
-        if axiom.arity not in self._grids:
-            # The last (at most two) axes form one vectorized grid.
-            vec = min(axiom.arity, 2)
-            grid = np.stack(np.meshgrid(*[np.asarray(ix)] * vec, indexing="ij"), axis=-1).reshape(-1, vec)
-            self._grids[axiom.arity] = grid, [A.b_take(E, grid[:, k]) for k in range(vec)], _BatchOps(A, len(grid))
-        grid, columns, ops = self._grids[axiom.arity]
-        for head in product(ix, repeat=axiom.arity - grid.shape[1]):
-            heads = [A.b_take(E, np.full(len(grid), h)) for h in head]
-            lhs, rhs = axiom.terms(ops, *heads, *columns)
-            if isinstance(lhs, np.ndarray) and lhs.dtype == bool:
-                ok = lhs == rhs
-            else:
-                ok = A.b_eq(lhs, rhs)
-            fails = grid[np.flatnonzero(~ok)]
-            first = [tuple(self.elems[i] for i in head + tuple(row)) for row in fails[:MAX_WITNESSES]]
-            yield first, len(fails)
+def tables(A):
+    """The ops namespace of ``A`` over int ids, with empty tables."""
+    if hasattr(A, "factors"):
+        return _ProductTables(A)
+    return _Tables(A)
 
 
-class _BatchOps:
-    """The scalar op names over batches of ``count`` instances."""
+class _Tables:
+    """One carrier's ops over int ids, each table filled from the scalar op.
 
-    def __init__(self, A, count: int):
+    An element op returns an int32 id array, ``leq`` a bool array, and a
+    constant such as ``top`` is its id.  A table is sized to the largest
+    operand id it has been asked about, -1 marking an entry not yet filled.
+    """
+
+    def __init__(self, A):
         self._A = A
-        self._count = count
+        self._elems: list = []
+        self._ids: dict = {}
+        self._tables: dict[str, np.ndarray] = {}
+
+    def _intern(self, x) -> int:
+        i = self._ids.get(x)
+        if i is None:
+            i = self._ids[x] = len(self._elems)
+            self._elems.append(x)
+        return i
+
+    def encode(self, elems: Sequence) -> np.ndarray:
+        return np.array([self._intern(x) for x in elems], dtype=np.int32)
 
     def __getattr__(self, name: str):
-        return getattr(self._A, "b_" + name)
+        attr = getattr(self._A, name)
+        return partial(self._apply, name, attr) if callable(attr) else self._intern(attr)
 
-    @cached_property
-    def top(self):
-        return self._A.b_const(self._A.top, self._count)
+    def _apply(self, name: str, op: Callable, *args):
+        table = self._table(name, [int(np.max(a)) + 1 for a in args])
+        out = table[args]
+        missing = out < 0
+        if missing.any():
+            flat = np.ravel_multi_index([np.broadcast_to(a, missing.shape)[missing] for a in args], table.shape)
+            # dict.fromkeys, not np.unique: that imports numpy.ma on first
+            # use, about 15 ms of every CLI process.
+            keys = np.unravel_index(list(dict.fromkeys(flat.tolist())), table.shape)
+            results = map(op, *([self._elems[i] for i in k.tolist()] for k in keys))
+            table[keys] = list(results) if name in PREDICATES else [self._intern(r) for r in results]
+            out = table[args]
+        return out.astype(bool) if name in PREDICATES else out
 
-    @cached_property
-    def bot(self):
-        return self._A.b_const(self._A.bot, self._count)
+    def _table(self, name: str, sizes: list[int]) -> np.ndarray:
+        old = self._tables.get(name)
+        if old is not None and all(s <= t for s, t in zip(sizes, old.shape)):
+            return old
+        if old is not None:
+            sizes = [max(s, t) for s, t in zip(sizes, old.shape)]
+        table = np.full(sizes, -1, dtype=np.int8 if name in PREDICATES else np.int32)
+        if old is not None:
+            table[tuple(slice(0, t) for t in old.shape)] = old
+        self._tables[name] = table
+        return table
 
-    def oplus(self, x, y):
-        return self.impl(self.neg(x), y)
+
+class _ProductTables:
+    """A product's ops, run factor by factor on :class:`_Parts` values."""
+
+    def __init__(self, A):
+        self._factors = [tables(f) for f in A.factors]
+
+    def encode(self, elems: Sequence) -> _Parts:
+        return _Parts([f.encode([x[k] for x in elems]) for k, f in enumerate(self._factors)])
+
+    def __getattr__(self, name: str):
+        if not callable(getattr(self._factors[0], name)):
+            return _Parts([getattr(f, name) for f in self._factors])
+
+        def op(*args):
+            parts = [getattr(f, name)(*(a.parts[k] for a in args)) for k, f in enumerate(self._factors)]
+            return reduce(operator.and_, parts) if name in PREDICATES else _Parts(parts)
+
+        return op
+
+
+class _Parts:
+    """A batch of product elements, one id array per factor."""
+
+    def __init__(self, parts: list):
+        self.parts = parts
+
+    def __getitem__(self, idx) -> _Parts:
+        return _Parts([p[idx] for p in self.parts])
+
+    def reshape(self, shape: tuple) -> _Parts:
+        return _Parts([p.reshape(shape) for p in self.parts])
+
+    def __eq__(self, other) -> Any:
+        return reduce(operator.and_, [a == b for a, b in zip(self.parts, other.parts)])
 
 
 def stride_select(items: Sequence[T], cap: int) -> list[T]:

@@ -50,6 +50,7 @@ from .ibp0 import (
     boolean_skeleton,
     decompose_element,
     radical,
+    require_ibp0,
     validate_ibp0,
     validate_mtl,
 )
@@ -125,6 +126,10 @@ def _require_fields(obj: dict, required: set[str], what: str) -> None:
 # ---------------------------------------------------------------------------
 # Parsing and dumping
 
+# The file forms of semihoops and of bounded algebras; a product holds one kind.
+HOOPS = (FiniteSemihoop, SymbolicConeHoop, ProductHoop)
+BOUNDED = (FiniteMTL, SymbolicPerfectAlgebra, ProductAlgebra)
+
 
 def algebra_from_json(obj: Any):
     """Dispatch on the key shape; constructors do the table checking."""
@@ -143,7 +148,14 @@ def algebra_from_json(obj: Any):
             factors = obj["factors"]
             if not isinstance(factors, list) or not factors:
                 raise MalformedInputError("product: 'factors' must be a non-empty array")
-            return ProductAlgebra([algebra_from_json(f) for f in factors])
+            parsed = [algebra_from_json(f) for f in factors]
+            if all(isinstance(f, HOOPS) for f in parsed):
+                return ProductHoop(parsed)
+            if all(isinstance(f, BOUNDED) for f in parsed):
+                return ProductAlgebra(parsed)
+            raise MalformedInputError(
+                "product: 'factors' must be all semihoops or all bounded algebras"
+            )
         raise MalformedInputError(f"unknown kind {kind!r}")
     if "add" in obj:
         _require_fields(obj, {"size", "add", "meet", "join", "unit"}, "lattice monoid")
@@ -349,7 +361,7 @@ def _load(path: str) -> Any:
 
 
 def _bounded(A, verb: str):
-    if isinstance(A, (FiniteLMonoid, FiniteSemihoop, SymbolicConeHoop)):
+    if not isinstance(A, BOUNDED):
         raise MalformedInputError(f"{verb} expects a bounded algebra file")
     return A
 
@@ -372,7 +384,7 @@ def _run_validate(args) -> tuple[str, list[Check], dict]:
         if args.ibp0:
             raise MalformedInputError("--ibp0 applies to bounded algebra files")
         report = validate_lmonoid(A)
-    elif isinstance(A, (FiniteSemihoop, SymbolicConeHoop)):
+    elif isinstance(A, HOOPS):
         if args.ibp0:
             raise MalformedInputError("--ibp0 applies to bounded algebra files")
         report = validate_semihoop(A, args.window)
@@ -409,6 +421,7 @@ def _run_radical(args) -> tuple[str, list[Check], dict]:
 
 def _run_decompose(args) -> tuple[str, list[Check], dict]:
     A = _bounded(algebra_from_json(_load(args.algebra)), "decompose")
+    require_ibp0(A, args.window)
     rows = []
     for a in A.carrier(args.window):
         # decompose_element raises unless b and c recompose to a
@@ -433,7 +446,7 @@ def _run_grothendieck(args) -> tuple[str, list[Check], dict]:
 
 def _run_states(args) -> tuple[str, list[Check], dict]:
     H = algebra_from_json(_load(args.hoop))
-    if not isinstance(H, (FiniteSemihoop, SymbolicConeHoop, ProductHoop)):
+    if not isinstance(H, HOOPS):
         raise MalformedInputError("states expects a semihoop file")
     report = validate_semihoop(H, args.window)
     checks = list(report.checks)
@@ -472,6 +485,9 @@ def _run_hyperstate(args) -> tuple[str, list[Check], dict]:
         report = hyperstate_properties(A, s, args.window)
         return "hyperstate-properties", report.checks, {"values": values}
 
+    report = validate_hyperstate(A, s, args.window)
+    if not report.ok:
+        return "split", report.checks, {"values": values}
     split = split_hyperstate(A, s, args.window)
     check = verdict(
         "split-identity",

@@ -10,13 +10,14 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product as iterproduct
 
+from ._scan import tabulate
 from .ibp0 import (
     FiniteMTL,
     ProductAlgebra,
     SymbolicPerfectAlgebra,
-    _rotation_tables,
     boolean_skeleton,
     radical,
+    rotated_hoop,
 )
 from .lmonoid import FiniteLMonoid
 from .semihoop import (
@@ -107,13 +108,8 @@ def cone_hoop(rank: int) -> SymbolicConeHoop:
 
 def materialize_hoop(P: ProductHoop) -> FiniteSemihoop:
     """Flatten a finite product hoop into one indexed table."""
-    elems = P.carrier(0)
-    idx = {e: i for i, e in enumerate(elems)}
-    n = len(elems)
-    times = [[idx[P.times(x, y)] for y in elems] for x in elems]
-    impl = [[idx[P.impl(x, y)] for y in elems] for x in elems]
-    meet = [[idx[P.meet(x, y)] for y in elems] for x in elems]
-    return FiniteSemihoop(times, impl, meet, top=idx[P.top])
+    index, tables = tabulate(P, P.carrier(0), ("times", "impl", "meet"))
+    return FiniteSemihoop(**tables, top=index[P.top])
 
 
 def negative_rationals_hoop(denominator: int = 1) -> RationalNegativeFragment:
@@ -160,12 +156,6 @@ def lukasiewicz_mtl(n: int) -> FiniteMTL:
     meet = [[min(x, y) for y in range(n)] for x in range(n)]
     join = [[max(x, y) for y in range(n)] for x in range(n)]
     return FiniteMTL(times, impl, meet, join, bot=0, top=top)
-
-
-def rotated_hoop(H: FiniteSemihoop) -> FiniteMTL:
-    """Rotation tables without the validation pass of ibp0.rotate."""
-    t, i, m, j, bot, top = _rotation_tables(H)
-    return FiniteMTL(t, i, m, j, bot=bot, top=top)
 
 
 def chang_algebra(rank: int) -> SymbolicPerfectAlgebra:

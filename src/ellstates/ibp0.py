@@ -3,20 +3,18 @@
 Three carrier forms:
 
 * FiniteMTL -- explicit tables over indices 0..n-1;
-* SymbolicPerfectAlgebra -- the disconnected rotation of a cone hoop, whose
-  elements are signed tuples ('pos', m) / ('neg', m).  pos-m sits above the
-  negation fixpoint-free gap, neg-m = ¬pos-m below it;
-* ProductAlgebra -- componentwise products of the other two.
+* SymbolicPerfectAlgebra -- the disconnected rotation of a semihoop, whose
+  elements are signed pairs ('pos', m) / ('neg', m).  pos-m sits above the
+  negation fixpoint-free gap, neg-m = ¬pos-m below it.  Over a cone hoop it
+  is the symbolic perfect algebra; over a finite semihoop it is tabulated
+  into a FiniteMTL (:func:`rotate`);
+* ProductAlgebra -- componentwise products of the others.
 
 Validation is windowed brute force.  Operation evaluation is always exact
 and unbounded (x·x may leave any window); only the quantifiers range over a
 window.  Each axiom is declared once, as terms over an ops namespace
-(MTL_AXIOMS, IBP0_AXIOMS), and scanned by the one engine in :mod:`._scan`.
-All three carriers define numpy ``b_*`` batch ops beside their scalar ones,
-so the engine takes its batch path here: elements are encoded into index or
-coordinate arrays once, pair axioms run on a full n² grid, and triple axioms
-loop over one axis while the other two stay vectorized.  Witnesses are
-rendered through the scalar ops.
+(MTL_AXIOMS, IBP0_AXIOMS), and scanned by the one engine in :mod:`._scan`,
+which tabulates the carriers' scalar ops on demand.
 
 Structure theory: the Boolean skeleton {a : a ∨ ¬a = 1}, the radical
 {x : x > ¬x} with its induced prelinear semihoop, and the decomposition
@@ -33,9 +31,7 @@ from itertools import product as iterproduct
 from math import prod
 from typing import Any, Callable, Sequence
 
-import numpy as np
-
-from ._scan import Axiom, capped_cartesian, memo, scan_axioms, scan_mode, stride_select
+from ._scan import Axiom, capped_cartesian, memo, scan_axioms, scan_mode, stride_select, tabulate
 from .reports import (
     InternalConsistencyError,
     MalformedInputError,
@@ -82,11 +78,6 @@ class FiniteMTL:
                 raise MalformedInputError(f"{name} = {idx!r} is not an index in 0..{n - 1}")
         self.bot = bot
         self.top = top
-        self._np_times = np.array(self.times_table, dtype=np.int64)
-        self._np_impl = np.array(self.impl_table, dtype=np.int64)
-        self._np_meet = np.array(self.meet_table, dtype=np.int64)
-        self._np_join = np.array(self.join_table, dtype=np.int64)
-        self._np_neg = self._np_impl[:, bot]
 
     def carrier(self, window: int) -> list[int]:
         return list(range(self.size))
@@ -115,59 +106,29 @@ class FiniteMTL:
     def token(self, x) -> str:
         return str(x)
 
-    # vectorized ops: a batch is an int64 index array
-    def b_encode(self, elems):
-        return np.array(elems, dtype=np.int64)
-
-    def b_take(self, batch, idx):
-        return batch[idx]
-
-    def b_const(self, x, count):
-        return np.full(count, x, dtype=np.int64)
-
-    def b_times(self, a, b):
-        return self._np_times[a, b]
-
-    def b_impl(self, a, b):
-        return self._np_impl[a, b]
-
-    def b_meet(self, a, b):
-        return self._np_meet[a, b]
-
-    def b_join(self, a, b):
-        return self._np_join[a, b]
-
-    def b_neg(self, a):
-        return self._np_neg[a]
-
-    def b_leq(self, a, b):
-        return self._np_meet[a, b] == a
-
-    def b_eq(self, a, b):
-        return a == b
-
 
 class SymbolicPerfectAlgebra:
-    """Disconnected rotation of a cone hoop: two signed copies of ℕᵏ.
+    """Disconnected rotation of a semihoop: two signed copies of the core.
 
     The positive copy keeps the hoop structure, the negative copy mirrors
     it, negation swaps them, and every product of two negatives collapses
-    to 0.  The skeleton is exactly {0, 1}; the positive copy is the radical.
+    to 0.  Over a cone hoop (two signed copies of ℕᵏ) the skeleton is
+    exactly {0, 1} and the positive copy is the radical.
     """
 
-    is_finite = False
-
-    def __init__(self, core: SymbolicConeHoop):
-        if not isinstance(core, SymbolicConeHoop):
-            raise MalformedInputError("the symbolic rotation is built over a cone hoop")
+    def __init__(self, core):
         self.core = core
-        self.rank = core.rank
+        self.is_finite = core.is_finite
         self.bot = ("neg", core.top)
         self.top = ("pos", core.top)
 
+    @property
+    def rank(self) -> int:
+        return self.core.rank
+
     def carrier(self, window: int) -> list[tuple]:
-        cone = self.core.carrier(window)
-        return [("neg", m) for m in cone] + [("pos", m) for m in cone]
+        core = self.core.carrier(window)
+        return [("neg", m) for m in core] + [("pos", m) for m in core]
 
     def times(self, x, y):
         sx, cx = x
@@ -225,109 +186,7 @@ class SymbolicPerfectAlgebra:
 
     def token(self, x) -> str:
         sx, cx = x
-        return sx + "(" + ",".join(str(c) for c in cx) + ")"
-
-    # vectorized ops: a batch is (sign: bool array, coords: int64 (n, rank))
-    def b_encode(self, elems):
-        sign = np.array([s == "pos" for s, _ in elems], dtype=bool)
-        coords = np.array([c for _, c in elems], dtype=np.int64).reshape(len(elems), self.rank)
-        return sign, coords
-
-    def b_take(self, batch, idx):
-        return batch[0][idx], batch[1][idx]
-
-    def b_const(self, x, count):
-        sx, cx = x
-        sign = np.full(count, sx == "pos", dtype=bool)
-        coords = np.tile(np.array(cx, dtype=np.int64), (count, 1))
-        return sign, coords
-
-    def b_times(self, a, b):
-        sa, ca = a
-        sb, cb = b
-        pospos = sa & sb
-        posneg = sa & ~sb
-        negpos = ~sa & sb
-        coords = np.where(
-            pospos[:, None],
-            ca + cb,
-            np.where(
-                posneg[:, None],
-                np.maximum(cb - ca, 0),
-                np.where(negpos[:, None], np.maximum(ca - cb, 0), 0),
-            ),
-        )
-        return pospos, coords
-
-    def b_impl(self, a, b):
-        sa, ca = a
-        sb, cb = b
-        pospos = sa & sb
-        posneg = sa & ~sb
-        negneg = ~sa & ~sb
-        sign = ~posneg
-        coords = np.where(
-            pospos[:, None],
-            np.maximum(cb - ca, 0),
-            np.where(
-                posneg[:, None],
-                ca + cb,
-                np.where(negneg[:, None], np.maximum(ca - cb, 0), 0),
-            ),
-        )
-        return sign, coords
-
-    def b_meet(self, a, b):
-        sa, ca = a
-        sb, cb = b
-        pospos = sa & sb
-        negneg = ~sa & ~sb
-        posneg = sa & ~sb
-        coords = np.where(
-            pospos[:, None],
-            np.maximum(ca, cb),
-            np.where(
-                negneg[:, None],
-                np.minimum(ca, cb),
-                np.where(posneg[:, None], cb, ca),
-            ),
-        )
-        return pospos, coords
-
-    def b_join(self, a, b):
-        sa, ca = a
-        sb, cb = b
-        pospos = sa & sb
-        negneg = ~sa & ~sb
-        posneg = sa & ~sb
-        coords = np.where(
-            pospos[:, None],
-            np.minimum(ca, cb),
-            np.where(
-                negneg[:, None],
-                np.maximum(ca, cb),
-                np.where(posneg[:, None], ca, cb),
-            ),
-        )
-        return sa | sb, coords
-
-    def b_neg(self, a):
-        sa, ca = a
-        return ~sa, ca
-
-    def b_leq(self, a, b):
-        sa, ca = a
-        sb, cb = b
-        pospos = sa & sb
-        negneg = ~sa & ~sb
-        return np.where(
-            pospos,
-            np.all(ca >= cb, axis=1),
-            np.where(negneg, np.all(cb >= ca, axis=1), ~sa & sb),
-        )
-
-    def b_eq(self, a, b):
-        return (a[0] == b[0]) & np.all(a[1] == b[1], axis=1)
+        return sx + self.core.token(cx)
 
 
 class ProductAlgebra:
@@ -371,48 +230,6 @@ class ProductAlgebra:
 
     def token(self, x) -> str:
         return "(" + "|".join(f.token(a) for f, a in zip(self.factors, x)) + ")"
-
-    # vectorized ops: a batch is a tuple of factor batches
-    def b_encode(self, elems):
-        return tuple(f.b_encode([e[i] for e in elems]) for i, f in enumerate(self.factors))
-
-    def b_take(self, batch, idx):
-        return tuple(f.b_take(b, idx) for f, b in zip(self.factors, batch))
-
-    def b_const(self, x, count):
-        return tuple(f.b_const(a, count) for f, a in zip(self.factors, x))
-
-    def _b_cw(self, op: str, a, b):
-        return tuple(getattr(f, op)(x, y) for f, x, y in zip(self.factors, a, b))
-
-    def b_times(self, a, b):
-        return self._b_cw("b_times", a, b)
-
-    def b_impl(self, a, b):
-        return self._b_cw("b_impl", a, b)
-
-    def b_meet(self, a, b):
-        return self._b_cw("b_meet", a, b)
-
-    def b_join(self, a, b):
-        return self._b_cw("b_join", a, b)
-
-    def b_neg(self, a):
-        return tuple(f.b_neg(x) for f, x in zip(self.factors, a))
-
-    def b_leq(self, a, b):
-        out = None
-        for f, x, y in zip(self.factors, a, b):
-            part = f.b_leq(x, y)
-            out = part if out is None else out & part
-        return out
-
-    def b_eq(self, a, b):
-        out = None
-        for f, x, y in zip(self.factors, a, b):
-            part = f.b_eq(x, y)
-            out = part if out is None else out & part
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -592,7 +409,7 @@ def _radical(A, window: int) -> RadicalView:
 
     if isinstance(A, SymbolicPerfectAlgebra):
         elements = [("pos", m) for m in A.core.carrier(window)]
-        hoop = SymbolicConeHoop(rank=A.rank)
+        hoop = A.core
         to_hoop = lambda a: a[1]
         from_hoop = lambda m: ("pos", m)
     elif isinstance(A, ProductAlgebra):
@@ -610,12 +427,8 @@ def _radical(A, window: int) -> RadicalView:
             return tuple(v.from_hoop(x) for v, x in zip(subviews, h))
     else:
         elements = [a for a in A.carrier(window) if A.leq(A.neg(a), a) and A.neg(a) != a]
-        order = {a: i for i, a in enumerate(elements)}
-        n = len(elements)
-        times = [[order[A.times(x, y)] for y in elements] for x in elements]
-        impl = [[order[A.impl(x, y)] for y in elements] for x in elements]
-        meet = [[order[A.meet(x, y)] for y in elements] for x in elements]
-        hoop = FiniteSemihoop(times, impl, meet, top=order[A.top])
+        order, tables = tabulate(A, elements, ("times", "impl", "meet"))
+        hoop = FiniteSemihoop(**tables, top=order[A.top])
         to_hoop = lambda a: order[a]
         from_hoop = lambda i: elements[i]
 
@@ -699,58 +512,15 @@ def decompose_element(A, a) -> Decomposition:
 # Constructors
 
 
-def _rotation_tables(H: FiniteSemihoop):
-    """Tables of the disconnected rotation of a finite semihoop.
+def rotated_hoop(H: FiniteSemihoop) -> FiniteMTL:
+    """Rotation tables of a finite semihoop, without the validation pass of
+    :func:`rotate`.
 
     Index layout: neg-x at x, pos-x at n + x.
     """
-    n = H.size
-
-    def enc(sign: str, x: int) -> int:
-        return x if sign == "neg" else n + x
-
-    def times(p, q):
-        (sp, x), (sq, y) = p, q
-        if sp == "pos" and sq == "pos":
-            return ("pos", H.times(x, y))
-        if sp == "pos":
-            return ("neg", H.impl(x, y))
-        if sq == "pos":
-            return ("neg", H.impl(y, x))
-        return ("neg", H.top)
-
-    def impl(p, q):
-        (sp, x), (sq, y) = p, q
-        if sp == "pos" and sq == "pos":
-            return ("pos", H.impl(x, y))
-        if sp == "pos":
-            return ("neg", H.times(x, y))
-        if sq == "pos":
-            return ("pos", H.top)
-        return ("pos", H.impl(y, x))
-
-    def meet(p, q):
-        (sp, x), (sq, y) = p, q
-        if sp == "pos" and sq == "pos":
-            return ("pos", H.meet(x, y))
-        if sp == "neg" and sq == "neg":
-            return ("neg", pseudo_join(H, x, y))
-        return p if sp == "neg" else q
-
-    def join(p, q):
-        (sp, x), (sq, y) = p, q
-        if sp == "pos" and sq == "pos":
-            return ("pos", pseudo_join(H, x, y))
-        if sp == "neg" and sq == "neg":
-            return ("neg", H.meet(x, y))
-        return p if sp == "pos" else q
-
-    signed = [("neg", x) for x in range(n)] + [("pos", x) for x in range(n)]
-    t = [[enc(*times(p, q)) for q in signed] for p in signed]
-    i = [[enc(*impl(p, q)) for q in signed] for p in signed]
-    m = [[enc(*meet(p, q)) for q in signed] for p in signed]
-    j = [[enc(*join(p, q)) for q in signed] for p in signed]
-    return t, i, m, j, enc("neg", H.top), enc("pos", H.top)
+    R = SymbolicPerfectAlgebra(H)
+    index, tables = tabulate(R, R.carrier(0), ("times", "impl", "meet", "join"))
+    return FiniteMTL(**tables, bot=index[R.bot], top=index[R.top])
 
 
 def rotate(H, window: int = 8):
@@ -762,8 +532,7 @@ def rotate(H, window: int = 8):
     if isinstance(H, SymbolicConeHoop):
         A: Any = SymbolicPerfectAlgebra(H)
     elif isinstance(H, FiniteSemihoop):
-        t, i, m, j, bot, top = _rotation_tables(H)
-        A = FiniteMTL(t, i, m, j, bot=bot, top=top)
+        A = rotated_hoop(H)
     else:
         raise MalformedInputError("rotation needs a finite semihoop or a cone hoop")
     report = validate_ibp0(A, window)

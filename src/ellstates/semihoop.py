@@ -202,8 +202,10 @@ def pseudo_join(H, x, y):
     return H.meet(H.impl(H.impl(x, y), y), H.impl(H.impl(y, x), x))
 
 
-# Semihoop carriers have scalar ops only, so these terms may use Python's
-# "==" and "not" on elements and booleans.
+# Terms run both on a carrier's scalar ops (witnesses, reference tests) and
+# on the engine's id arrays, so they use only ops, "==" for element
+# equality and "<=" for implication between truth values.  "== o.top" is
+# element equality: leq(top, ·) differs from it on broken tables.
 SEMIHOOP_AXIOMS = [
     # (i) meet-semilattice with the unit on top
     Axiom("meet-commutative", 2, lambda o, x, y: (o.meet(x, y), o.meet(y, x))),
@@ -214,7 +216,7 @@ SEMIHOOP_AXIOMS = [
     Axiom("times-commutative", 2, lambda o, x, y: (o.times(x, y), o.times(y, x))),
     Axiom("times-associative", 3, lambda o, x, y, z: (o.times(o.times(x, y), z), o.times(x, o.times(y, z)))),
     Axiom("times-unit", 1, lambda o, x: (o.times(x, o.top), x)),
-    Axiom("times-isotone", 3, lambda o, x, y, z: (not o.leq(x, y) or o.leq(o.times(x, z), o.times(y, z)), True)),
+    Axiom("times-isotone", 3, lambda o, x, y, z: (o.leq(x, y) <= o.leq(o.times(x, z), o.times(y, z)), True)),
     # (iii) the residuum reflects the order
     Axiom("order-reflection", 2, lambda o, x, y: (o.impl(x, y) == o.top, o.leq(x, y))),
     # (iv) exchange, and the residuation law it gives together with (iii)

@@ -1,10 +1,14 @@
 """Command-line front end: file formats, verbs, exit statuses, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
+
+import ellstates.cli
 
 from ellstates.cli import (
     algebra_from_json,
@@ -17,10 +21,10 @@ from ellstates.cli import (
     state_from_json,
     state_to_json,
 )
-from ellstates.corpus import chang_algebra, godel_hoop
+from ellstates.corpus import chang_algebra, godel_hoop, trunc_monoid
 from ellstates.ibp0 import SymbolicPerfectAlgebra
 from ellstates.reports import MalformedInputError
-from ellstates.semihoop import ConeState, SymbolicConeHoop
+from ellstates.semihoop import ConeState, ProductHoop, SymbolicConeHoop
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +67,12 @@ class TestFileForms:
         s = hyperstate_from_json(obj, C, window=8)
         assert str(s.value(("pos", (3,)))) == "1+e-6"
         assert hyperstate_to_json(s, C) == obj
+
+    def test_product_of_semihoops_roundtrip(self):
+        obj = {"kind": "product", "factors": [{"kind": "cone", "rank": 1}, algebra_to_json(godel_hoop(3))]}
+        P = algebra_from_json(obj)
+        assert isinstance(P, ProductHoop)
+        assert algebra_to_json(P) == obj
 
     def test_rotation_descriptor(self):
         A = algebra_from_json({"kind": "rotation", "rank": 2})
@@ -138,10 +148,30 @@ class TestExitContract:
         assert code == 2 and "bounded algebra" in err
 
     def test_precondition_failures_are_check_failures(self, corpus_dir, capsys):
-        code, body, _ = run(capsys, "skeleton", str(corpus_dir / "fixture-lukasiewicz-3.json"))
+        for verb in ("skeleton", "radical", "decompose"):
+            code, body, _ = run(capsys, verb, str(corpus_dir / "fixture-lukasiewicz-3.json"))
+            assert code == 1, verb
+            assert [c["axiom"] for c in body["checks"]] == ["precondition"], verb
+            assert "doubling-law" in body["checks"][0]["witnesses"][0]["error"], verb
+
+    def test_split_validates_the_hyperstate_first(self, corpus_dir, capsys):
+        args = [str(corpus_dir / "algebra-chang-1.json"), str(corpus_dir / "fixture-deficient-measure.json")]
+        code, body, _ = run(capsys, "hyperstate", "split", *args)
         assert code == 1
-        assert body["checks"][0]["axiom"] == "precondition"
-        assert "doubling-law" in body["checks"][0]["witnesses"][0]["error"]
+        failed = [c["axiom"] for c in body["checks"] if not c["passed"]]
+        assert failed == ["boundary-values"]
+        assert "split-identity" not in [c["axiom"] for c in body["checks"]]
+        _, validated, _ = run(capsys, "hyperstate", "validate", *args)
+        assert body["checks"] == validated["checks"]
+
+    def test_mixed_product_names_the_field(self, tmp_path, capsys):
+        mixed = {"kind": "product", "factors": [{"kind": "cone", "rank": 1}, {"kind": "rotation", "rank": 1}]}
+        monoid = {"kind": "product", "factors": [algebra_to_json(trunc_monoid(2))]}
+        for obj in (mixed, monoid):
+            path = tmp_path / "mixed.json"
+            path.write_text(json.dumps(obj))
+            code, out, err = run(capsys, "validate", str(path))
+            assert code == 2 and "'factors'" in err and out == ""
 
 
 class TestVerbs:
@@ -173,6 +203,19 @@ class TestVerbs:
         rows = {r["x"]: r for r in body["result"]["elements"]}
         assert rows["neg(5)"] == {"x": "neg(5)", "b": "neg(0)", "c": "pos(5)"}
         assert rows["pos(5)"] == {"x": "pos(5)", "b": "pos(0)", "c": "pos(5)"}
+
+    def test_product_of_semihoops(self, tmp_path, capsys):
+        path = tmp_path / "hoops.json"
+        path.write_text(json.dumps({"kind": "product", "factors": [{"kind": "cone", "rank": 1}, {"kind": "cone", "rank": 1}]}))
+        code, body, _ = run(capsys, "validate", str(path))
+        assert code == 0
+        assert body["subject"] == "semihoop" and body["result"]["kind"] == "ProductHoop"
+        assert body["result"]["flags"]["cancellative"] is True
+        code, body, _ = run(capsys, "states", str(path))
+        assert code == 0 and body["result"]["rank"] == 2
+        for argv in (["validate", "--ibp0"], ["skeleton"]):
+            code, _, err = run(capsys, *argv, str(path))
+            assert code == 2 and err
 
     def test_grothendieck_trivial_envelope(self, corpus_dir, capsys):
         code, body, _ = run(
@@ -249,10 +292,13 @@ class TestOutputContract:
         assert exc.value.code == 2
 
     def test_console_module_invocation(self, corpus_dir):
+        # The child imports the same package as this test, installed or not.
+        src = str(Path(ellstates.cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-m", "ellstates.cli", "validate",
              str(corpus_dir / "algebra-boolean-2.json")],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env=env,
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True

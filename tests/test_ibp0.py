@@ -4,10 +4,14 @@ The small finite oracles (skeleton contents, decomposition pairs, rotation
 tables) were computed by hand and are asserted literally.
 """
 
+import hashlib
+import json
 from itertools import product as iterproduct
 
 import pytest
 
+from ellstates._scan import tables
+from ellstates.cli import algebra_to_json
 from ellstates.corpus import (
     boolean_algebra,
     chang_algebra,
@@ -16,6 +20,7 @@ from ellstates.corpus import (
     lukasiewicz_mtl,
     pairwise_products,
     rotated_hoop,
+    semihoop_corpus,
 )
 from ellstates.ibp0 import (
     FiniteMTL,
@@ -84,24 +89,20 @@ class TestValidate:
         assert all(c.witnesses for c in report.failures())
 
     def test_scalar_and_batch_ops_agree(self):
+        # The engine's id tables, filled on demand, give back the scalar ops.
         A = chang_algebra(2)
         elems = A.carrier(3)
-        E = A.b_encode(elems)
-        n = len(elems)
-        import numpy as np
-
-        I = np.repeat(np.arange(n), n)
-        J = np.tile(np.arange(n), n)
-        X, Y = A.b_take(E, I), A.b_take(E, J)
-        for opname in ("times", "impl", "meet", "join"):
-            batch = getattr(A, "b_" + opname)(X, Y)
-            for k in range(n * n):
-                got = ("pos" if batch[0][k] else "neg", tuple(int(v) for v in batch[1][k]))
-                want = getattr(A, opname)(elems[I[k]], elems[J[k]])
-                assert got == want, (opname, elems[I[k]], elems[J[k]])
-        leq = A.b_leq(X, Y)
-        for k in range(n * n):
-            assert bool(leq[k]) == A.leq(elems[I[k]], elems[J[k]])
+        ops = tables(A)
+        ids = ops.encode(elems)
+        X, Y = ids[:, None], ids[None, :]
+        for opname in ("times", "impl", "meet", "join", "oplus"):
+            got = getattr(ops, opname)(X, Y)
+            want = [list(ops.encode([getattr(A, opname)(x, y) for y in elems])) for x in elems]
+            assert got.tolist() == want, opname
+        leq = ops.leq(X, Y)
+        assert leq.dtype == bool
+        assert [[bool(v) for v in row] for row in leq] == [[A.leq(x, y) for y in elems] for x in elems]
+        assert list(ops.neg(ids)) == list(ops.encode([A.neg(x) for x in elems]))
 
     def test_product_identity_pairs(self):
         # x·y = (x∧y)·(x∨y) and x⊕y = (x∧y)⊕(x∨y) across window pairs.
@@ -222,6 +223,30 @@ class TestConstructors:
         A = rotate(godel_hoop(3))
         assert A.size == 6
         assert validate_ibp0(A).ok
+
+    @pytest.mark.parametrize("name", sorted(semihoop_corpus()))
+    def test_tabulated_rotation_agrees_with_the_symbolic_one(self, name):
+        H = semihoop_corpus()[name]
+        R, T = SymbolicPerfectAlgebra(H), rotated_hoop(H)
+        signed = [("neg", x) for x in range(H.size)] + [("pos", x) for x in range(H.size)]
+        assert T.size == len(signed)
+        assert (signed[T.bot], signed[T.top]) == (R.bot, R.top)
+        for i, p in enumerate(signed):
+            assert signed[T.neg(i)] == R.neg(p)
+            for j, q in enumerate(signed):
+                for op in ("times", "impl", "meet", "join"):
+                    assert signed[getattr(T, op)(i, j)] == getattr(R, op)(p, q), (op, p, q)
+                assert T.leq(i, j) == R.leq(p, q)
+
+    @pytest.mark.parametrize("name, digest", [
+        ("rot-godel-3", "467589376934c3f16fb84844397f79c072842b7c502e209a609b77d3e816aa4d"),
+        ("rot-godel-4", "85be1e20bae79ee08c31720a0e5cedf927528dff75a5e80c9cf483e4689ec7d1"),
+    ])
+    def test_rotation_file_form_is_unchanged(self, name, digest):
+        # sha256 of the canonical file form, recorded before the rotation
+        # was rebuilt on the symbolic one.
+        text = json.dumps(algebra_to_json(ibp0_corpus()[name]), sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_rotating_a_cone_gives_the_symbolic_form(self):
         A = rotate(SymbolicConeHoop(rank=1))

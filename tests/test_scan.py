@@ -1,9 +1,12 @@
-"""The scan engine: batch and scalar evaluation of one axiom declaration agree.
+"""The scan engine against a reference loop over the scalar terms.
 
-Each axiom's terms are written once and run either through a carrier's
-numpy ``b_*`` ops or through its scalar ops.  These tests pin the two
-paths to each other instance by instance, on valid algebras and on a
-planted table fault, so that neither can drift.
+Each axiom's terms are written once.  The engine runs them as numpy
+gathers over id tables that it fills from the carrier's scalar ops; the
+reference below runs them through the scalar ops themselves, one
+``itertools.product`` instance at a time.  These tests pin the two to each
+other, instance by instance and check by check (pass/fail, violation count
+and witnesses, full and sampled), on valid carriers, on products and on
+planted table faults.
 """
 
 from itertools import product
@@ -11,24 +14,44 @@ from itertools import product
 import numpy as np
 import pytest
 
-from ellstates._scan import _BatchOps, scan_axioms
-from ellstates.corpus import boolean_algebra, chang_algebra, godel_hoop, rotated_hoop
+from ellstates._scan import scan_axioms, stride_select, tables
+from ellstates.corpus import (
+    boolean_algebra,
+    chang_algebra,
+    cone_hoop,
+    godel_hoop,
+    lukasiewicz_hoop,
+    rotated_hoop,
+    trunc_monoid,
+)
 from ellstates.ibp0 import IBP0_AXIOMS, SAMPLED_NOTE, FiniteMTL, ProductAlgebra
+from ellstates.lmonoid import LMONOID_AXIOMS, FiniteLMonoid
 from ellstates.reports import MAX_WITNESSES
+from ellstates.semihoop import SEMIHOOP_AXIOMS, FiniteSemihoop, ProductHoop
 
 WINDOW = 3
 
 
-class ScalarOnly:
-    """The same carrier with its batch ops hidden, so the engine goes scalar."""
-
-    def __init__(self, A):
-        self._A = A
-
-    def __getattr__(self, name):
-        if name.startswith("b_"):
-            raise AttributeError(name)
-        return getattr(self._A, name)
+def reference_scan(A, axioms, elems, caps) -> list[tuple]:
+    """Per axiom: name, passed, violation count and the first witnesses."""
+    out = []
+    for axiom in axioms:
+        base = [elems[i] for i in stride_select(range(len(elems)), caps.get(axiom.arity, len(elems)))]
+        failing = []
+        for inst in product(base, repeat=axiom.arity):
+            lhs, rhs = axiom.terms(A, *inst)
+            if lhs != rhs:
+                failing.append((inst, lhs, rhs))
+        witnesses = [
+            {
+                "witness": {name: A.token(v) for name, v in zip("xyz", inst)},
+                "lhs": lhs if isinstance(lhs, bool) else A.token(lhs),
+                "rhs": rhs if isinstance(rhs, bool) else A.token(rhs),
+            }
+            for inst, lhs, rhs in failing[:MAX_WITNESSES]
+        ]
+        out.append((axiom.name, not failing, len(failing), witnesses))
+    return out
 
 
 def planted_fault() -> FiniteMTL:
@@ -36,6 +59,20 @@ def planted_fault() -> FiniteMTL:
     times = [list(r) for r in A.times_table]
     times[3][6] = times[6][3] = 7  # neg(3)·pos(2) is no longer neg(3)
     return FiniteMTL(times, A.impl_table, A.meet_table, A.join_table, bot=A.bot, top=A.top)
+
+
+def planted_hoop_fault() -> FiniteSemihoop:
+    H = godel_hoop(4)
+    times = [list(r) for r in H.times_table]
+    times[1][2] = times[2][1] = 0  # 1·2 is no longer min(1, 2)
+    return FiniteSemihoop(times, H.impl_table, H.meet_table, top=H.top)
+
+
+def broken_monoid() -> FiniteLMonoid:
+    add = [[(x * y + 1) % 6 for y in range(6)] for x in range(6)]
+    meet = [[min(x, y) for y in range(6)] for x in range(6)]
+    join = [[max(x, y) for y in range(6)] for x in range(6)]
+    return FiniteLMonoid(add, meet, join, unit=0)
 
 
 ALGEBRAS = {
@@ -47,32 +84,57 @@ ALGEBRAS = {
     "planted-fault": planted_fault,
 }
 
-
-@pytest.fixture(scope="module", params=sorted(ALGEBRAS))
-def algebra(request):
-    return ALGEBRAS[request.param]()
+# name: (builder, axioms, the window of the built carrier)
+CASES = {name: (build, IBP0_AXIOMS, lambda A: A.carrier(WINDOW)) for name, build in ALGEBRAS.items()}
+CASES.update({
+    f"semihoop-{name}": (build, SEMIHOOP_AXIOMS, lambda H: H.carrier(WINDOW))
+    for name, build in {
+        "godel-4": lambda: godel_hoop(4),
+        "lukasiewicz-5": lambda: lukasiewicz_hoop(5),
+        "cone-2": lambda: cone_hoop(2),
+        "cone-1*godel-3": lambda: ProductHoop([cone_hoop(1), godel_hoop(3)]),
+        "planted-fault": planted_hoop_fault,
+    }.items()
+})
+CASES.update({
+    f"lmonoid-{name}": (build, LMONOID_AXIOMS, lambda M: list(M.elements()))
+    for name, build in {"trunc-4": lambda: trunc_monoid(4), "broken": broken_monoid}.items()
+})
 
 
 @pytest.mark.parametrize("axiom", IBP0_AXIOMS, ids=lambda ax: ax.name)
-def test_batch_and_scalar_terms_agree_instance_by_instance(algebra, axiom):
-    A = algebra
+@pytest.mark.parametrize("name", sorted(ALGEBRAS))
+def test_batch_and_scalar_terms_agree_instance_by_instance(name, axiom):
+    A = ALGEBRAS[name]()
+    ops = tables(A)
     instances = list(product(A.carrier(WINDOW), repeat=axiom.arity))
-    columns = [A.b_encode([inst[k] for inst in instances]) for k in range(axiom.arity)]
-    batch_sides = axiom.terms(_BatchOps(A, len(instances)), *columns)
+    columns = [ops.encode([inst[k] for inst in instances]) for k in range(axiom.arity)]
+    batch_sides = axiom.terms(ops, *columns)
     scalar_sides = list(zip(*(axiom.terms(A, *inst) for inst in instances)))
     for batch, scalar in zip(batch_sides, scalar_sides):
         if isinstance(scalar[0], bool):
             assert list(np.broadcast_to(batch, len(instances))) == list(scalar)
         else:
-            assert np.all(A.b_eq(batch, A.b_encode(list(scalar))))
+            assert np.all(np.broadcast_to(batch == ops.encode(list(scalar)), len(instances)))
 
 
 @pytest.mark.parametrize("caps", [{}, {2: 7, 3: 5}], ids=["full", "sampled"])
-def test_batch_scan_equals_scalar_scan(algebra, caps):
-    elems = algebra.carrier(WINDOW)
-    batch = scan_axioms(algebra, IBP0_AXIOMS, elems, caps, "m", SAMPLED_NOTE)
-    scalar = scan_axioms(ScalarOnly(algebra), IBP0_AXIOMS, elems, caps, "m", SAMPLED_NOTE)
-    assert [c.to_json() for c in batch] == [c.to_json() for c in scalar]
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_batch_scan_equals_scalar_scan(name, caps):
+    build, axioms, window = CASES[name]
+    A = build()
+    elems = window(A)
+    checks = scan_axioms(A, axioms, elems, caps, "m", SAMPLED_NOTE)
+    got = [(c.axiom, c.passed, c.violations, c.witnesses) for c in checks]
+    assert got == reference_scan(A, axioms, elems, caps)
+
+
+@pytest.mark.parametrize("name", ["planted-fault", "semihoop-planted-fault", "lmonoid-broken"])
+def test_planted_faults_fail_a_required_check(name):
+    # Keeps the scan comparisons above from passing on clean inputs only.
+    build, axioms, window = CASES[name]
+    A = build()
+    assert any(c.required and not c.passed for c in scan_axioms(A, axioms, window(A), {}, "m", ""))
 
 
 def test_planted_fault_lists_the_first_witnesses_in_product_order():
