@@ -15,6 +15,13 @@ parse -> serialize -> parse is the identity on canonical files.
   hyperstate        {"measure": {"<atom index>": "<fraction>"}, "lambda": [...]}
                     or {"table": {"<index>": "<r+es>", ...}}
 
+The "lambda" form is the weight vector of a state of a hoop built from cones
+and finite factors (of the radical, in a hyperstate file): one entry per cone
+axis, in factor order, and none for a finite factor, whose only state is
+zero.  Weight λ_i is minus the state's value at the generator of axis i.
+`hyperstate split` writes its radical state w in this form, and `states`
+writes the zero state of a finite product as {"lambda": []}.
+
 Tables are row-major arrays of element indices.  All numbers in reports are
 exact fraction strings.
 
@@ -33,7 +40,7 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 from ._scan import scan_mode
 from .corpus import (
@@ -41,6 +48,7 @@ from .corpus import (
     ibp0_corpus,
     lmonoid_corpus,
     lukasiewicz_mtl,
+    materialize_hoop,
     semihoop_corpus,
 )
 from .ibp0 import (
@@ -54,6 +62,7 @@ from .ibp0 import (
     validate_ibp0,
     validate_mtl,
 )
+from .hypernum import format_dual, parse_dual
 from .lmonoid import FiniteLMonoid, envelope_summary, k_envelope, validate_lmonoid
 from .reports import (
     Check,
@@ -71,15 +80,16 @@ from .semihoop import (
     TableState,
     enumerate_states_finite,
     state_properties,
+    state_weights,
+    symbolic_rank,
     validate_semihoop,
     validate_state,
-    zero_state,
+    weighted_state,
 )
 from .states import (
     FormulaHyperstate,
     ProbabilityMeasure,
     TableHyperstate,
-    _pair_token,
     hyperstate_properties,
     split_hyperstate,
     validate_hyperstate,
@@ -90,21 +100,31 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _fraction(value: Any, where: str) -> Fraction:
+def _exact(value: Any, where: str, parse: Callable[[str], Any] = Fraction) -> Any:
+    """``parse`` applied to an exact value written as an int or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise MalformedInputError(f"{where}: expected an exact fraction, got {value!r}")
+        raise MalformedInputError(f"{where}: expected an exact value, got {value!r}")
     try:
-        return Fraction(value)
+        return parse(str(value))
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInputError(f"{where}: {exc}") from exc
 
 
+# What a field's JSON type is called in errors; a bool is not an integer here.
+JSON_TYPES = {int: "an integer", list: "an array", dict: "an object"}
+
+
+def _field(obj: dict, name: str, what: str, kind: type) -> Any:
+    value = obj[name]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise MalformedInputError(f"{what}: field {name!r} must be {JSON_TYPES[kind]}, got {value!r}")
+    return value
+
+
 def _lambda_field(obj: dict, what: str) -> list[Fraction]:
     """The weight vector under "lambda" (absent means no weights)."""
-    lam = obj.get("lambda", [])
-    if not isinstance(lam, list):
-        raise MalformedInputError(f"{what}: field 'lambda' must be an array, got {lam!r}")
-    return [_fraction(v, "lambda") for v in lam]
+    lam = _field(obj, "lambda", what, list) if "lambda" in obj else []
+    return [_exact(v, "lambda") for v in lam]
 
 
 def _index_key(key: str, where: str) -> int:
@@ -137,12 +157,10 @@ def algebra_from_json(obj: Any):
         raise MalformedInputError("algebra file must hold a JSON object")
     if "kind" in obj:
         kind = obj["kind"]
-        if kind == "rotation":
-            _require_fields(obj, {"kind", "rank"}, "rotation")
-            return SymbolicPerfectAlgebra(SymbolicConeHoop(rank=obj["rank"]))
-        if kind == "cone":
-            _require_fields(obj, {"kind", "rank"}, "cone")
-            return SymbolicConeHoop(rank=obj["rank"])
+        if kind in ("rotation", "cone"):
+            _require_fields(obj, {"kind", "rank"}, kind)
+            cone = SymbolicConeHoop(rank=_field(obj, "rank", kind, int))
+            return SymbolicPerfectAlgebra(cone) if kind == "rotation" else cone
         if kind == "product":
             _require_fields(obj, {"kind", "factors"}, "product")
             factors = obj["factors"]
@@ -157,6 +175,8 @@ def algebra_from_json(obj: Any):
                 "product: 'factors' must be all semihoops or all bounded algebras"
             )
         raise MalformedInputError(f"unknown kind {kind!r}")
+    if "size" in obj:
+        _field(obj, "size", "algebra", int)
     if "add" in obj:
         _require_fields(obj, {"size", "add", "meet", "join", "unit"}, "lattice monoid")
         return FiniteLMonoid(
@@ -219,48 +239,18 @@ def state_from_json(obj: Any, hoop):
         raise MalformedInputError("state file must hold a JSON object")
     if "lambda" in obj:
         _require_fields(obj, {"lambda"}, "state")
-        return _radical_state(hoop, _lambda_field(obj, "state"), window=8)
+        return weighted_state(hoop, _lambda_field(obj, "state"))
     return TableState(
-        {_index_key(k, "state") : _fraction(v, f"state[{k}]") for k, v in obj.items()}
+        {_index_key(k, "state") : _exact(v, f"state[{k}]") for k, v in obj.items()}
     )
 
 
 def state_to_json(w) -> dict[str, Any]:
-    if isinstance(w, ConeState):
-        return {"lambda": [str(v) for v in w.lam]}
     if isinstance(w, TableState):
         return {str(k): str(v) for k, v in sorted(w.values.items())}
-    if isinstance(w, ProductState):
-        return {"parts": [state_to_json(p) for p in w.parts]}
+    if isinstance(w, (ConeState, ProductState)):
+        return {"lambda": [str(v) for v in state_weights(w)]}
     raise MalformedInputError(f"no file form for {type(w).__name__}")
-
-
-def _symbolic_rank(hoop) -> int:
-    if isinstance(hoop, SymbolicConeHoop):
-        return hoop.rank
-    if isinstance(hoop, ProductHoop):
-        return sum(_symbolic_rank(f) for f in hoop.factors)
-    return 0
-
-
-def _radical_state(hoop, lam: list[Fraction], window: int):
-    """Distribute a flat weight vector over the symbolic axes of a radical
-    hoop; finite axes admit only the zero state and consume no entries."""
-    rank = _symbolic_rank(hoop)
-    if len(lam) != rank:
-        raise MalformedInputError(
-            f"lambda has {len(lam)} entries for a radical of symbolic rank {rank}"
-        )
-    if isinstance(hoop, SymbolicConeHoop):
-        return ConeState(lam)
-    if isinstance(hoop, ProductHoop):
-        parts, used = [], 0
-        for f in hoop.factors:
-            r = _symbolic_rank(f)
-            parts.append(_radical_state(f, lam[used : used + r], window))
-            used += r
-        return ProductState(parts)
-    return zero_state(hoop, window)
 
 
 def hyperstate_from_json(obj: Any, A, window: int):
@@ -272,8 +262,9 @@ def hyperstate_from_json(obj: Any, A, window: int):
         _require_fields(obj, {"table"}, "hyperstate")
         if not A.is_finite:
             raise MalformedInputError("the table form requires a finite algebra")
+        table = _field(obj, "table", "hyperstate", dict)
         return TableHyperstate(
-            {_index_key(k, "table"): v for k, v in obj["table"].items()}
+            {_index_key(k, "table"): _exact(v, f"table[{k}]", parse_dual) for k, v in table.items()}
         )
     if "measure" not in obj:
         raise MalformedInputError("hyperstate: missing field 'measure'")
@@ -282,11 +273,11 @@ def hyperstate_from_json(obj: Any, A, window: int):
         raise MalformedInputError(f"hyperstate: unexpected field {sorted(extra)[0]!r}")
     sk = boolean_skeleton(A, window)
     weights = {
-        _index_key(k, "measure"): _fraction(v, f"measure[{k}]")
-        for k, v in obj["measure"].items()
+        _index_key(k, "measure"): _exact(v, f"measure[{k}]")
+        for k, v in _field(obj, "measure", "hyperstate", dict).items()
     }
     p = ProbabilityMeasure(sk, weights)
-    w = _radical_state(radical(A, window).hoop, _lambda_field(obj, "hyperstate"), window)
+    w = weighted_state(radical(A, window).hoop, _lambda_field(obj, "hyperstate"), window)
     return FormulaHyperstate(A, p, w, window)
 
 
@@ -296,18 +287,10 @@ def hyperstate_to_json(s, A) -> dict[str, Any]:
     out: dict[str, Any] = {
         "measure": {str(i): str(v) for i, v in enumerate(s.measure.weights) if v != 0}
     }
-    lam = _lambda_of(s.state)
+    lam = state_weights(s.state)
     if lam:
         out["lambda"] = [str(v) for v in lam]
     return out
-
-
-def _lambda_of(w) -> list[Fraction]:
-    if isinstance(w, ConeState):
-        return list(w.lam)
-    if hasattr(w, "parts"):
-        return [v for p in w.parts for v in _lambda_of(p)]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +341,8 @@ def _load(path: str) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise MalformedInputError(f"{path}: {exc}") from exc
+    except RecursionError:
+        raise MalformedInputError(f"{path}: JSON nested too deeply") from None
 
 
 def _bounded(A, verb: str):
@@ -451,15 +436,18 @@ def _run_states(args) -> tuple[str, list[Check], dict]:
     report = validate_semihoop(H, args.window)
     checks = list(report.checks)
     if args.state is None:
-        if isinstance(H, FiniteSemihoop):
-            found = enumerate_states_finite(H)
+        if H.is_finite:
+            # Elimination on one flat table proves the zero state is the only
+            # one; a product writes it in its weight-vector form, [].
+            flat = H if isinstance(H, FiniteSemihoop) else materialize_hoop(H)
+            found = [w if flat is H else weighted_state(H, []) for w in enumerate_states_finite(flat)]
             result: dict[str, Any] = {
                 "count": len(found),
                 "states": [state_to_json(w) for w in found],
             }
         else:
             result = {
-                "rank": _symbolic_rank(H),
+                "rank": symbolic_rank(H),
                 "note": "states are the nonnegative weight vectors; pass a state file to check one",
             }
         return "states", checks, result
@@ -474,7 +462,7 @@ def _run_hyperstate(args) -> tuple[str, list[Check], dict]:
     A = _bounded(algebra_from_json(_load(args.algebra)), "hyperstate")
     s = hyperstate_from_json(_load(args.hyperstate), A, args.window)
     values = {
-        A.token(a): _pair_token(s.raw_value(a)) for a in A.carrier(args.window)
+        A.token(a): format_dual(s.raw_value(a)) for a in A.carrier(args.window)
     }
 
     if args.action == "validate":

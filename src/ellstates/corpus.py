@@ -21,14 +21,12 @@ from .ibp0 import (
 )
 from .lmonoid import FiniteLMonoid
 from .semihoop import (
-    ConeState,
     FiniteSemihoop,
     ProductHoop,
-    ProductState,
     RationalNegativeFragment,
     SymbolicConeHoop,
-    enumerate_states_finite,
-    zero_state,
+    symbolic_rank,
+    weighted_state,
 )
 from .states import ProbabilityMeasure
 
@@ -222,21 +220,17 @@ def _compositions(total: int, parts: int):
 
 
 def state_family(hoop, lambdas=LAMBDA_MENU, window: int = 8) -> list:
-    """All radical states with weights drawn from the menu.
+    """The weighted state of every weight vector drawn from the menu.
 
-    Cone hoops contribute one state per weight vector; finite hoops have only
-    the zero state (derived, not assumed: the finite enumerator proves it);
-    product hoops combine their factors' families.
+    One state per vector in ``itertools.product`` order over the cone axes,
+    factor by factor; finite axes take the zero state, which
+    enumerate_states_finite proves is their only one, so a finite hoop has
+    exactly one state here.
     """
-    if isinstance(hoop, SymbolicConeHoop):
-        vectors = iterproduct([Fraction(l) for l in lambdas], repeat=hoop.rank)
-        return [ConeState(v) for v in vectors]
-    if isinstance(hoop, ProductHoop):
-        per_factor = [state_family(f, lambdas, window) for f in hoop.factors]
-        return [ProductState(combo) for combo in iterproduct(*per_factor)]
-    if isinstance(hoop, FiniteSemihoop):
-        return enumerate_states_finite(hoop)
-    return [zero_state(hoop, window)]
+    return [
+        weighted_state(hoop, lam, window)
+        for lam in iterproduct([Fraction(l) for l in lambdas], repeat=symbolic_rank(hoop))
+    ]
 
 
 def hyperstate_family(A, window: int = 8, max_denominator: int = 6,

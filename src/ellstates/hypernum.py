@@ -134,9 +134,11 @@ def mv_neg(x: DualRational) -> DualRational:
     return DualRational(1 - x.std, -x.inf)
 
 
-def format_dual(x: DualRational) -> str:
-    """Render as ``"r+es"`` with exact fraction strings, e.g. ``"1/2+e-3/4"``."""
-    return f"{x.std}+e{x.inf}"
+def format_dual(x: DualRational | tuple[Fraction, Fraction]) -> str:
+    """Render as ``"r+es"`` with exact fraction strings, e.g. ``"1/2+e-3/4"``;
+    also a raw (std, inf) pair, such as a sum that left the interval."""
+    std, inf = parts(x) if isinstance(x, DualRational) else x
+    return f"{std}+e{inf}"
 
 
 def parse_dual(text: str) -> DualRational:

@@ -315,6 +315,55 @@ def zero_state(H, window: int = 8) -> TableState:
     return TableState({x: Fraction(0) for x in H.carrier(window)})
 
 
+def symbolic_rank(H) -> int:
+    """The length of H's weight vectors: a state of a hoop built from cones
+    and finite factors has one weight per cone axis, in factor order, and
+    none for a finite factor, whose only state is zero."""
+    if isinstance(H, SymbolicConeHoop):
+        return H.rank
+    if isinstance(H, ProductHoop):
+        return sum(symbolic_rank(f) for f in H.factors)
+    return 0
+
+
+def weighted_state(H, lam: Sequence[Fraction], window: int = 8):
+    """The state with weight vector ``lam``: w(g_i) = −λ_i at the
+    :func:`weight_generators`, and the zero state on every finite axis."""
+    rank = symbolic_rank(H)
+    if len(lam) != rank:
+        raise MalformedInputError(f"lambda has {len(lam)} entries for a hoop of symbolic rank {rank}")
+    if isinstance(H, SymbolicConeHoop):
+        return ConeState(lam)
+    if isinstance(H, ProductHoop):
+        parts, used = [], 0
+        for f in H.factors:
+            r = symbolic_rank(f)
+            parts.append(weighted_state(f, lam[used : used + r], window))
+            used += r
+        return ProductState(parts)
+    return zero_state(H, window)
+
+
+def state_weights(w) -> list[Fraction]:
+    """The weight vector of a state built by :func:`weighted_state`."""
+    if isinstance(w, ConeState):
+        return list(w.lam)
+    if isinstance(w, ProductState):
+        return [v for p in w.parts for v in state_weights(p)]
+    return []
+
+
+def weight_generators(H) -> list:
+    """The elements g_i with λ_i = −w(g_i): the unit tuple of each cone
+    axis, with every other factor at its top."""
+    if isinstance(H, SymbolicConeHoop):
+        return [tuple(int(j == i) for j in range(H.rank)) for i in range(H.rank)]
+    if isinstance(H, ProductHoop):
+        top = H.top
+        return [top[:k] + (g,) + top[k + 1 :] for k, f in enumerate(H.factors) for g in weight_generators(f)]
+    return []
+
+
 def validate_state(H, w, window: int = 8) -> ValidationReport:
     """Check codomain, (v1), (v2), (v3) exactly over the (windowed) carrier.
 
@@ -532,23 +581,16 @@ def state_to_kgroup_state(H, w, window: int = 8) -> KGroupState:
 def kgroup_state_to_state(H, sigma, window: int = 8):
     """Pull an envelope-group state back along h; returns (w, report).
 
-    ``sigma`` is a KGroupState or, for a cone hoop, a weight tuple.  A
+    ``sigma`` is a KGroupState or a weight vector (see weighted_state).  A
     non-positive sigma is not an error here: the pulled-back map simply
     fails validation and the report names the witnesses.
     """
-    if isinstance(sigma, KGroupState):
-        if isinstance(H, SymbolicConeHoop):
-            lam = []
-            for i in range(H.rank):
-                gen = tuple(1 if j == i else 0 for j in range(H.rank))
-                lam.append(-sigma.value(sigma.h(gen)))
-            w: Any = ConeState(lam)
-        else:
-            w = TableState({x: sigma.value(sigma.h(x)) for x in H.carrier(window)})
+    if not isinstance(sigma, KGroupState):
+        w: Any = weighted_state(H, sigma, window)
+    elif isinstance(H, SymbolicConeHoop):
+        w = weighted_state(H, [-sigma.value(sigma.h(g)) for g in weight_generators(H)], window)
     else:
-        if not isinstance(H, SymbolicConeHoop):
-            raise MalformedInputError("weight-tuple form needs a cone hoop")
-        w = ConeState(sigma)
+        w = TableState({x: sigma.value(sigma.h(x)) for x in H.carrier(window)})
     return w, validate_state(H, w, window)
 
 

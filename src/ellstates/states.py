@@ -23,7 +23,7 @@ from itertools import product as iterproduct
 from typing import Any, Mapping
 
 from ._scan import memo, sampled_note, scan_mode, stride_select
-from .hypernum import DualRational, _rat, interval_defect, mv_otimes, parse_dual
+from .hypernum import DualRational, _rat, format_dual, interval_defect, mv_otimes, parse_dual
 from .ibp0 import (
     Skeleton,
     boolean_skeleton,
@@ -32,7 +32,6 @@ from .ibp0 import (
     radical,
     require_ibp0,
 )
-from .lmonoid import KElement
 from .reports import (
     InternalConsistencyError,
     MalformedInputError,
@@ -42,24 +41,16 @@ from .reports import (
 )
 from .semihoop import (
     SAMPLED_NOTE,
-    ConeState,
-    ProductHoop,
-    ProductState,
-    SymbolicConeHoop,
     TableState,
     state_to_kgroup_state,
     validate_state,
+    weight_generators,
+    weighted_state,
 )
 
 # Pair scans over hyperstate values reuse each value many times, so the axis
 # cap can sit below the semihoop one without losing much coverage.
 HYPER_PAIR_CAP = 96
-
-
-def _pair_token(pair: tuple[Fraction, Fraction]) -> str:
-    """Render a raw (standard, infinitesimal) pair; sums during checks may
-    leave the unit interval, so this must not go through DualRational."""
-    return f"{pair[0]}+e{pair[1]}"
 
 
 class ProbabilityMeasure:
@@ -219,7 +210,7 @@ class FormulaHyperstate:
         if interval_defect(std, inf):
             raise MalformedInputError(
                 f"formula value escapes the interval at {self.algebra.token(a)}: "
-                f"{_pair_token((std, inf))}"
+                f"{format_dual((std, inf))}"
             )
         return DualRational(std, inf)
 
@@ -284,7 +275,7 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
     raws = [s.raw_value(a) for a in carrier]
 
     bad = [
-        {"witness": {"x": A.token(a)}, "value": _pair_token(r)}
+        {"witness": {"x": A.token(a)}, "value": format_dual(r)}
         for a, r in zip(carrier, raws)
         if interval_defect(*r)
     ]
@@ -297,8 +288,8 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
             bad.append(
                 {
                     "witness": {"x": A.token(element)},
-                    "lhs": _pair_token(got),
-                    "rhs": _pair_token((expected, Fraction(0))),
+                    "lhs": format_dual(got),
+                    "rhs": format_dual((expected, Fraction(0))),
                 }
             )
     report.add(verdict("boundary-values", bad, mode=mode))
@@ -315,8 +306,8 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
             bad.append(
                 {
                     "witness": {"x": A.token(carrier[i]), "y": A.token(carrier[j])},
-                    "lhs": _pair_token(lhs),
-                    "rhs": _pair_token(rhs),
+                    "lhs": format_dual(lhs),
+                    "rhs": format_dual(rhs),
                 }
             )
     note = _scan_note(ctx, skipped)
@@ -324,7 +315,7 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
 
     sk = boolean_skeleton(A, window)
     bad = [
-        {"witness": {"x": A.token(b)}, "value": _pair_token(s.raw_value(b))}
+        {"witness": {"x": A.token(b)}, "value": format_dual(s.raw_value(b))}
         for b in sk.elements
         if s.raw_value(b)[1] != 0
     ]
@@ -363,8 +354,8 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
             bad.append(
                 {
                     "witness": {"x": A.token(a)},
-                    "lhs": _pair_token(raws[k]),
-                    "rhs": _pair_token((1 - std, -inf)),
+                    "lhs": format_dual(raws[k]),
+                    "rhs": format_dual((1 - std, -inf)),
                 }
             )
     note = f"{skipped} negations left the window" if skipped else ""
@@ -376,8 +367,8 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
             bad.append(
                 {
                     "witness": {"x": A.token(carrier[i]), "y": A.token(carrier[j])},
-                    "lhs": _pair_token(raws[i]),
-                    "rhs": _pair_token(raws[j]),
+                    "lhs": format_dual(raws[i]),
+                    "rhs": format_dual(raws[j]),
                 }
             )
     report.add(verdict("monotone", bad, mode=mode, note=ctx["note"]))
@@ -395,8 +386,8 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
             bad.append(
                 {
                     "witness": {"x": A.token(carrier[i]), "y": A.token(carrier[j])},
-                    "lhs": _pair_token(raws[ko]),
-                    "rhs": _pair_token(rhs),
+                    "lhs": format_dual(raws[ko]),
+                    "rhs": format_dual(rhs),
                 }
             )
     note = _scan_note(ctx, skipped)
@@ -434,8 +425,8 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
             bad.append(
                 {
                     "witness": {"x": A.token(carrier[i]), "y": A.token(carrier[j])},
-                    "lhs": _pair_token(lhs),
-                    "rhs": _pair_token(rhs),
+                    "lhs": format_dual(lhs),
+                    "rhs": format_dual(rhs),
                 }
             )
     note = _scan_note(ctx, skipped)
@@ -447,8 +438,8 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     bad = [
         {
             "witness": {"x": A.token(b)},
-            "lhs": _pair_token(s.raw_value(b)),
-            "rhs": _pair_token((restriction.value(b), Fraction(0))),
+            "lhs": format_dual(s.raw_value(b)),
+            "rhs": format_dual((restriction.value(b), Fraction(0))),
         }
         for b in sk.elements
         if s.raw_value(b) != (restriction.value(b), Fraction(0))
@@ -457,13 +448,13 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
 
     rad = radical(A, window)
     bad = [
-        {"witness": {"x": A.token(x)}, "value": _pair_token(s.raw_value(x))}
+        {"witness": {"x": A.token(x)}, "value": format_dual(s.raw_value(x))}
         for x in rad.elements
         if s.raw_value(x)[0] != 1
     ]
     report.add(verdict("radical-standard-part", bad, mode=mode))
     bad = [
-        {"witness": {"x": A.token(x)}, "value": _pair_token(s.raw_value(x))}
+        {"witness": {"x": A.token(x)}, "value": format_dual(s.raw_value(x))}
         for x in coradical(A, window)
         if s.raw_value(x)[0] != 0
     ]
@@ -490,35 +481,11 @@ class SplitResult:
     residuals: dict[str, str]
 
 
-def _state_from_parts(hoop, eval_inf, window: int):
-    """Rebuild a state of the radical hoop from infinitesimal parts.
-
-    Cone hoops get the linear form read off the generators, products recurse
-    per axis against the top of the other axes, and anything finite falls
-    back to an explicit table.  Any disagreement with the actual parts is
-    caught by the identity check that follows every reconstruction.
-    """
-    if isinstance(hoop, SymbolicConeHoop):
-        lam = []
-        for i in range(hoop.rank):
-            unit = tuple(1 if j == i else 0 for j in range(hoop.rank))
-            lam.append(-eval_inf(unit))
-        return ConeState(lam)
-    if isinstance(hoop, ProductHoop):
-        tops = tuple(f.top for f in hoop.factors)
-        parts = []
-        for axis, factor in enumerate(hoop.factors):
-            def eval_axis(x, axis=axis):
-                return eval_inf(tops[:axis] + (x,) + tops[axis + 1:])
-
-            parts.append(_state_from_parts(factor, eval_axis, window))
-        return ProductState(parts)
-    return TableState({x: eval_inf(x) for x in hoop.carrier(window)})
-
-
 def split_hyperstate(A, s, window: int = 8) -> SplitResult:
-    """Read p off the skeleton atoms and w off the radical, then verify
-    s(a) = p(b) + ε·(w(¬b ∨ c) − w(b ∨ c)) at every window element.
+    """Read p off the skeleton atoms and the weights of w off the radical's
+    weight generators, then verify that s agrees with the split identity,
+    evaluated by FormulaHyperstate, at every window element.  A finite
+    radical axis takes the zero state, its only state.
 
     A violation raises: for a map that passed validation this identity is
     forced, so a nonzero residual means the input lied about its structure
@@ -538,26 +505,20 @@ def split_hyperstate(A, s, window: int = 8) -> SplitResult:
         weights.append(std)
     p = ProbabilityMeasure(sk, weights)
 
-    w = _state_from_parts(
-        rad.hoop, lambda h: s.raw_value(rad.from_hoop(h))[1], window
-    )
+    lam = [-s.raw_value(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)]
+    w = weighted_state(rad.hoop, lam, window)
+    formula = FormulaHyperstate(A, p, w, window)
 
     residuals: dict[str, str] = {}
     for a in A.carrier(window):
         got = s.raw_value(a)
-        d = decompose_element(A, a)
-        lo = rad.to_hoop(A.join(A.neg(d.b), d.c))
-        hi = rad.to_hoop(A.join(d.b, d.c))
-        want = (
-            p.value(d.b),
-            _rat(w.value(lo)) - _rat(w.value(hi)),
-        )
+        want = formula.raw_value(a)
         if got != want:
             raise InternalConsistencyError(
                 f"split identity fails at {A.token(a)}: "
-                f"s = {_pair_token(got)}, split gives {_pair_token(want)}"
+                f"s = {format_dual(got)}, split gives {format_dual(want)}"
             )
-        residuals[A.token(a)] = _pair_token((got[0] - want[0], got[1] - want[1]))
+        residuals[A.token(a)] = format_dual((got[0] - want[0], got[1] - want[1]))
     return SplitResult(p=p, w=w, residuals=residuals)
 
 
@@ -576,9 +537,10 @@ def join_hyperstate(A, p: ProbabilityMeasure, w, window: int = 8):
 def cancellative_form(A, s, window: int = 8):
     """Express the infinitesimal layer through the envelope group.
 
-    Requires a cancellative radical.  Returns (p, σ) with σ a group state;
-    σ applied to [¬b ∨ c, b ∨ c] recovers exactly the infinitesimal part
-    of s, re-verified here at every window element.
+    Requires a cancellative radical.  Returns (p, σ) with σ the envelope
+    state induced from the split's w.  σ([¬b ∨ c, b ∨ c]) is w(¬b ∨ c) −
+    w(b ∨ c) by definition, so the split identity gives the infinitesimal
+    part of s.
     """
     require_ibp0(A, window)
     rad = radical(A, window)
@@ -587,19 +549,4 @@ def cancellative_form(A, s, window: int = 8):
             "the radical is not cancellative, so it has no envelope-group form"
         )
     split = split_hyperstate(A, s, window)
-    sigma = state_to_kgroup_state(rad.hoop, split.w, window)
-
-    for a in A.carrier(window):
-        got = s.raw_value(a)
-        d = decompose_element(A, a)
-        bracket = KElement(
-            pos=rad.to_hoop(A.join(A.neg(d.b), d.c)),
-            neg=rad.to_hoop(A.join(d.b, d.c)),
-        )
-        want = (split.p.value(d.b), sigma.value(bracket))
-        if got != want:
-            raise InternalConsistencyError(
-                f"envelope form fails at {A.token(a)}: "
-                f"s = {_pair_token(got)}, form gives {_pair_token(want)}"
-            )
-    return split.p, sigma
+    return split.p, state_to_kgroup_state(rad.hoop, split.w, window)

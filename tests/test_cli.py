@@ -21,8 +21,8 @@ from ellstates.cli import (
     state_from_json,
     state_to_json,
 )
-from ellstates.corpus import chang_algebra, godel_hoop, trunc_monoid
-from ellstates.ibp0 import SymbolicPerfectAlgebra
+from ellstates.corpus import chang_algebra, godel_hoop, hyperstate_product_corpus, state_family, trunc_monoid
+from ellstates.ibp0 import SymbolicPerfectAlgebra, radical
 from ellstates.reports import MalformedInputError
 from ellstates.semihoop import ConeState, ProductHoop, SymbolicConeHoop
 
@@ -67,6 +67,12 @@ class TestFileForms:
         s = hyperstate_from_json(obj, C, window=8)
         assert str(s.value(("pos", (3,)))) == "1+e-6"
         assert hyperstate_to_json(s, C) == obj
+
+    def test_product_radical_states_roundtrip(self):
+        for name, A in hyperstate_product_corpus().items():
+            hoop = radical(A).hoop
+            for w in state_family(hoop):
+                assert state_from_json(state_to_json(w), hoop) == w, name
 
     def test_product_of_semihoops_roundtrip(self):
         obj = {"kind": "product", "factors": [{"kind": "cone", "rank": 1}, algebra_to_json(godel_hoop(3))]}
@@ -164,6 +170,32 @@ class TestExitContract:
         _, validated, _ = run(capsys, "hyperstate", "validate", *args)
         assert body["checks"] == validated["checks"]
 
+    @pytest.mark.parametrize(
+        "verb, text, named",
+        [
+            ("algebra", '{"kind": "cone", "rank": "2"}', "'rank'"),
+            ("algebra", '{"kind": "rotation", "rank": 2.5}', "'rank'"),
+            ("algebra", '{"kind": "cone", "rank": true}', "'rank'"),
+            ("algebra", json.dumps(dict(algebra_to_json(godel_hoop(3)), size="3")), "'size'"),
+            ("hyperstate", '{"table": [1, 2]}', "'table'"),
+            ("hyperstate", '{"table": {"0": 1}}', "table[0]"),
+            ("hyperstate", '{"measure": ["1"]}', "'measure'"),
+            ("hyperstate", '{"table": {"0": "bad"}}', "table[0]"),
+            ("hyperstate", '{"table": {"0": "2+e0"}}', "table[0]"),
+            ("algebra", "[" * 100000, "input.json"),
+        ],
+        ids=lambda v: v[:40] if isinstance(v, str) else v,
+    )
+    def test_malformed_fields_exit_2(self, corpus_dir, tmp_path, capsys, verb, text, named):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        if verb == "algebra":
+            argv = ["validate", str(path)]
+        else:
+            argv = ["hyperstate", "validate", str(corpus_dir / "algebra-boolean-4.json"), str(path)]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and named in err and out == ""
+
     def test_mixed_product_names_the_field(self, tmp_path, capsys):
         mixed = {"kind": "product", "factors": [{"kind": "cone", "rank": 1}, {"kind": "rotation", "rank": 1}]}
         monoid = {"kind": "product", "factors": [algebra_to_json(trunc_monoid(2))]}
@@ -216,6 +248,17 @@ class TestVerbs:
         for argv in (["validate", "--ibp0"], ["skeleton"]):
             code, _, err = run(capsys, *argv, str(path))
             assert code == 2 and err
+
+    def test_states_of_a_finite_product(self, tmp_path, capsys):
+        path = tmp_path / "hoops.json"
+        path.write_text(json.dumps({"kind": "product", "factors": [algebra_to_json(godel_hoop(n)) for n in (2, 3)]}))
+        code, body, _ = run(capsys, "states", str(path))
+        assert code == 0
+        assert body["result"] == {"count": 1, "states": [{"lambda": []}]}
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(body["result"]["states"][0]))
+        code, body, _ = run(capsys, "states", str(path), str(state))
+        assert code == 0 and "v2-additive" in [c["axiom"] for c in body["checks"]]
 
     def test_grothendieck_trivial_envelope(self, corpus_dir, capsys):
         code, body, _ = run(

@@ -231,6 +231,18 @@ class TestSplit:
             assert all(s.raw_value(a)[1] == 0 for a in A.carrier(8)), name
             assert all(v == 0 for v in split.w.values.values()), name
 
+    def test_finite_radical_split_takes_the_zero_state(self):
+        # Moving ε-weight onto a radical element r and its negation keeps the
+        # split identity true for the table of ε-parts along the radical, but
+        # that table is not a state: a finite radical has only the zero one.
+        A = rotated_hoop(godel_hoop(3))
+        rad = radical(A)
+        values = dict(skeleton_table(A, ProbabilityMeasure(boolean_skeleton(A), [F(1)])).items())
+        r = next(x for x in rad.elements if x != A.top)
+        values[r], values[A.neg(r)] = dual(1, -1), dual(0, 1)
+        with pytest.raises(InternalConsistencyError, match="split identity"):
+            split_hyperstate(A, TableHyperstate(values))
+
     def test_product_roundtrip_both_directions(self):
         P = ProductAlgebra([boolean_algebra(2), chang_algebra(1)])
         sk = boolean_skeleton(P)
