@@ -135,14 +135,6 @@ def _witness(A, axiom: Axiom, inst: tuple) -> dict[str, Any]:
     }
 
 
-def tabulate(A, elems: Sequence, names: Sequence[str]) -> tuple[dict, dict[str, list[list[int]]]]:
-    """Full tables of the binary ops ``names`` of ``A`` over ``elems``, which
-    they must not leave; ``elems[i]`` becomes index i, and the index map
-    comes back with the tables."""
-    index = {x: i for i, x in enumerate(elems)}
-    return index, {name: [[index[getattr(A, name)(x, y)] for y in elems] for x in elems] for name in names}
-
-
 def tables(A):
     """The ops namespace of ``A`` over int ids, with empty tables."""
     if hasattr(A, "factors"):
@@ -215,11 +207,14 @@ class _ProductTables:
         return _Parts([f.encode([x[k] for x in elems]) for k, f in enumerate(self._factors)])
 
     def __getattr__(self, name: str):
-        if not callable(getattr(self._factors[0], name)):
-            return _Parts([getattr(f, name) for f in self._factors])
+        # Each factor's attribute is read once: on a nested product, a second
+        # read per level would double the reads at every level.
+        attrs = [getattr(f, name) for f in self._factors]
+        if not callable(attrs[0]):
+            return _Parts(attrs)
 
         def op(*args):
-            parts = [getattr(f, name)(*(a.parts[k] for a in args)) for k, f in enumerate(self._factors)]
+            parts = [f(*(a.parts[k] for a in args)) for k, f in enumerate(attrs)]
             return reduce(operator.and_, parts) if name in PREDICATES else _Parts(parts)
 
         return op

@@ -22,8 +22,9 @@ zero.  Weight λ_i is minus the state's value at the generator of axis i.
 `hyperstate split` writes its radical state w in this form, and `states`
 writes the zero state of a finite product as {"lambda": []}.
 
-Tables are row-major arrays of element indices.  All numbers in reports are
-exact fraction strings.
+Tables are row-major arrays of element indices, and constants are element
+indices.  Products nest at most 32 deep.  All numbers in reports are exact
+fraction strings.
 
 Exit status: 0 when every required check passed, 1 when some check failed
 (the report carries witnesses), 2 when an input could not be parsed at all.
@@ -63,7 +64,7 @@ from .ibp0 import (
     validate_mtl,
 )
 from .hypernum import format_dual, parse_dual
-from .lmonoid import FiniteLMonoid, envelope_summary, k_envelope, validate_lmonoid
+from .lmonoid import FiniteLMonoid, TableAlgebra, envelope_summary, k_envelope, validate_lmonoid
 from .reports import (
     Check,
     InternalConsistencyError,
@@ -149,10 +150,14 @@ def _require_fields(obj: dict, required: set[str], what: str) -> None:
 # The file forms of semihoops and of bounded algebras; a product holds one kind.
 HOOPS = (FiniteSemihoop, SymbolicConeHoop, ProductHoop)
 BOUNDED = (FiniteMTL, SymbolicPerfectAlgebra, ProductAlgebra)
+# Scans and ops recurse through every product level, so a nesting as deep as
+# the interpreter's recursion limit would end in a RecursionError.
+MAX_PRODUCT_DEPTH = 32
 
 
-def algebra_from_json(obj: Any):
-    """Dispatch on the key shape; constructors do the table checking."""
+def algebra_from_json(obj: Any, depth: int = 0):
+    """Dispatch on the key shape; constructors do the table checking.
+    ``depth`` counts the products around ``obj``."""
     if not isinstance(obj, dict):
         raise MalformedInputError("algebra file must hold a JSON object")
     if "kind" in obj:
@@ -166,7 +171,9 @@ def algebra_from_json(obj: Any):
             factors = obj["factors"]
             if not isinstance(factors, list) or not factors:
                 raise MalformedInputError("product: 'factors' must be a non-empty array")
-            parsed = [algebra_from_json(f) for f in factors]
+            if depth == MAX_PRODUCT_DEPTH:
+                raise MalformedInputError(f"product: 'factors' nested more than {MAX_PRODUCT_DEPTH} products deep")
+            parsed = [algebra_from_json(f, depth + 1) for f in factors]
             if all(isinstance(f, HOOPS) for f in parsed):
                 return ProductHoop(parsed)
             if all(isinstance(f, BOUNDED) for f in parsed):
@@ -177,54 +184,18 @@ def algebra_from_json(obj: Any):
         raise MalformedInputError(f"unknown kind {kind!r}")
     if "size" in obj:
         _field(obj, "size", "algebra", int)
-    if "add" in obj:
-        _require_fields(obj, {"size", "add", "meet", "join", "unit"}, "lattice monoid")
-        return FiniteLMonoid(
-            obj["add"], obj["meet"], obj["join"], unit=obj["unit"], size=obj["size"]
-        )
-    if "bot" in obj or "join" in obj:
-        _require_fields(
-            obj, {"size", "times", "impl", "meet", "join", "bot", "top"}, "bounded algebra"
-        )
-        return FiniteMTL(
-            obj["times"], obj["impl"], obj["meet"], obj["join"],
-            bot=obj["bot"], top=obj["top"], size=obj["size"],
-        )
-    _require_fields(obj, {"size", "times", "impl", "meet", "top"}, "semihoop")
-    return FiniteSemihoop(obj["times"], obj["impl"], obj["meet"], top=obj["top"], size=obj["size"])
-
-
-def _rows(table) -> list[list[int]]:
-    return [list(row) for row in table]
+    kind = FiniteLMonoid if "add" in obj else FiniteMTL if "bot" in obj or "join" in obj else FiniteSemihoop
+    fields = kind.TABLES + kind.CONSTANTS
+    _require_fields(obj, {"size", *fields}, kind.KIND)
+    return kind(**{f: obj[f] for f in fields}, size=obj["size"])
 
 
 def algebra_to_json(A) -> dict[str, Any]:
-    if isinstance(A, FiniteLMonoid):
-        return {
-            "size": A.size,
-            "add": _rows(A.add_table),
-            "meet": _rows(A.meet_table),
-            "join": _rows(A.join_table),
-            "unit": A.unit,
-        }
-    if isinstance(A, FiniteMTL):
-        return {
-            "size": A.size,
-            "times": _rows(A.times_table),
-            "impl": _rows(A.impl_table),
-            "meet": _rows(A.meet_table),
-            "join": _rows(A.join_table),
-            "bot": A.bot,
-            "top": A.top,
-        }
-    if isinstance(A, FiniteSemihoop):
-        return {
-            "size": A.size,
-            "times": _rows(A.times_table),
-            "impl": _rows(A.impl_table),
-            "meet": _rows(A.meet_table),
-            "top": A.top,
-        }
+    if isinstance(A, TableAlgebra):
+        out: dict[str, Any] = {"size": A.size}
+        out.update((op, [list(row) for row in getattr(A, f"{op}_table")]) for op in A.TABLES)
+        out.update((name, getattr(A, name)) for name in A.CONSTANTS)
+        return out
     if isinstance(A, SymbolicPerfectAlgebra):
         return {"kind": "rotation", "rank": A.rank}
     if isinstance(A, SymbolicConeHoop):

@@ -10,7 +10,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product as iterproduct
 
-from ._scan import tabulate
 from .ibp0 import (
     FiniteMTL,
     ProductAlgebra,
@@ -106,8 +105,7 @@ def cone_hoop(rank: int) -> SymbolicConeHoop:
 
 def materialize_hoop(P: ProductHoop) -> FiniteSemihoop:
     """Flatten a finite product hoop into one indexed table."""
-    index, tables = tabulate(P, P.carrier(0), ("times", "impl", "meet"))
-    return FiniteSemihoop(**tables, top=index[P.top])
+    return FiniteSemihoop.tabulated(P, P.carrier(0))
 
 
 def negative_rationals_hoop(denominator: int = 1) -> RationalNegativeFragment:

@@ -31,7 +31,8 @@ from itertools import product as iterproduct
 from math import prod
 from typing import Any, Callable, Sequence
 
-from ._scan import Axiom, capped_cartesian, memo, scan_axioms, scan_mode, stride_select, tabulate
+from ._scan import Axiom, capped_cartesian, memo, scan_axioms, scan_mode, stride_select
+from .lmonoid import TableAlgebra
 from .reports import (
     InternalConsistencyError,
     MalformedInputError,
@@ -40,6 +41,7 @@ from .reports import (
     verdict,
 )
 from .semihoop import (
+    Componentwise,
     FiniteSemihoop,
     ProductHoop,
     SymbolicConeHoop,
@@ -57,39 +59,21 @@ PRODUCT_TRIPLE_CAP = 48
 SAMPLED_NOTE = "each axis sampled {m} of {n} window elements"
 
 
-class FiniteMTL:
+class FiniteMTL(TableAlgebra):
     """A bounded residuated-lattice algebra on indices 0..n-1."""
 
-    is_finite = True
+    KIND = "bounded algebra"
+    TABLES = ("times", "impl", "meet", "join")
+    CONSTANTS = ("bot", "top")
 
     def __init__(self, times, impl, meet, join, bot: int, top: int, size: int | None = None):
-        from .lmonoid import check_table
-
-        n = size if size is not None else len(times)
-        if n < 1:
-            raise MalformedInputError("size must be at least 1")
-        self.size = n
-        self.times_table = check_table("times", times, n, n)
-        self.impl_table = check_table("impl", impl, n, n)
-        self.meet_table = check_table("meet", meet, n, n)
-        self.join_table = check_table("join", join, n, n)
-        for name, idx in (("bot", bot), ("top", top)):
-            if not isinstance(idx, int) or not 0 <= idx < n:
-                raise MalformedInputError(f"{name} = {idx!r} is not an index in 0..{n - 1}")
-        self.bot = bot
-        self.top = top
-
-    def carrier(self, window: int) -> list[int]:
-        return list(range(self.size))
+        super().__init__((times, impl, meet, join), (bot, top), size)
 
     def times(self, x, y):
         return self.times_table[x][y]
 
     def impl(self, x, y):
         return self.impl_table[x][y]
-
-    def meet(self, x, y):
-        return self.meet_table[x][y]
 
     def join(self, x, y):
         return self.join_table[x][y]
@@ -99,12 +83,6 @@ class FiniteMTL:
 
     def oplus(self, x, y):
         return self.impl_table[self.neg(x)][y]
-
-    def leq(self, x, y) -> bool:
-        return self.meet_table[x][y] == x
-
-    def token(self, x) -> str:
-        return str(x)
 
 
 class SymbolicPerfectAlgebra:
@@ -189,47 +167,25 @@ class SymbolicPerfectAlgebra:
         return sx + self.core.token(cx)
 
 
-class ProductAlgebra:
+class ProductAlgebra(Componentwise):
     """Componentwise product of validated algebras."""
 
     def __init__(self, factors: Sequence[Any]):
-        if not factors:
-            raise MalformedInputError("a product needs at least one factor")
-        self.factors = tuple(factors)
-        self.is_finite = all(f.is_finite for f in self.factors)
+        super().__init__(factors)
         self.bot = tuple(f.bot for f in self.factors)
-        self.top = tuple(f.top for f in self.factors)
 
     def carrier(self, window: int) -> list[tuple]:
         axes = [f.carrier(window) for f in self.factors]
         return capped_cartesian(axes, PRODUCT_ELEMENT_CAP, forced=(self.bot, self.top))
 
-    def _cw(self, op: str, x, y):
-        return tuple(getattr(f, op)(a, b) for f, a, b in zip(self.factors, x, y))
-
-    def times(self, x, y):
-        return self._cw("times", x, y)
-
-    def impl(self, x, y):
-        return self._cw("impl", x, y)
-
-    def meet(self, x, y):
-        return self._cw("meet", x, y)
-
     def join(self, x, y):
         return self._cw("join", x, y)
 
     def neg(self, x):
-        return tuple(f.neg(a) for f, a in zip(self.factors, x))
+        return self._cw("neg", x)
 
     def oplus(self, x, y):
         return self._cw("oplus", x, y)
-
-    def leq(self, x, y) -> bool:
-        return all(f.leq(a, b) for f, a, b in zip(self.factors, x, y))
-
-    def token(self, x) -> str:
-        return "(" + "|".join(f.token(a) for f, a in zip(self.factors, x)) + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -427,8 +383,8 @@ def _radical(A, window: int) -> RadicalView:
             return tuple(v.from_hoop(x) for v, x in zip(subviews, h))
     else:
         elements = [a for a in A.carrier(window) if A.leq(A.neg(a), a) and A.neg(a) != a]
-        order, tables = tabulate(A, elements, ("times", "impl", "meet"))
-        hoop = FiniteSemihoop(**tables, top=order[A.top])
+        order = {a: i for i, a in enumerate(elements)}
+        hoop = FiniteSemihoop.tabulated(A, elements)
         to_hoop = lambda a: order[a]
         from_hoop = lambda i: elements[i]
 
@@ -519,8 +475,7 @@ def rotated_hoop(H: FiniteSemihoop) -> FiniteMTL:
     Index layout: neg-x at x, pos-x at n + x.
     """
     R = SymbolicPerfectAlgebra(H)
-    index, tables = tabulate(R, R.carrier(0), ("times", "impl", "meet", "join"))
-    return FiniteMTL(**tables, bot=index[R.bot], top=index[R.top])
+    return FiniteMTL.tabulated(R, R.carrier(0))
 
 
 def rotate(H, window: int = 8):

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Sequence
 
 from ._scan import Axiom, scan_axioms
 from .reports import MalformedInputError, ValidationReport
@@ -39,53 +39,97 @@ from .reports import MalformedInputError, ValidationReport
 Element = Any  # int index (finite) or tuple of ints (symbolic)
 
 
-def check_table(name: str, table: Any, rows: int, entries: int) -> tuple[tuple[int, ...], ...]:
-    """Shape-check a Cayley table; raises MalformedInputError naming the cell."""
-    if len(table) != rows:
-        raise MalformedInputError(f"{name}: expected {rows} rows, got {len(table)}")
+def _is_index(v: Any, n: int) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool) and 0 <= v < n
+
+
+def _array(where: str, value: Any, n: int) -> Sequence:
+    if not isinstance(value, (list, tuple)):
+        raise MalformedInputError(f"{where}: expected an array of {n} entries, got {value!r}")
+    if len(value) != n:
+        raise MalformedInputError(f"{where}: expected {n} entries, got {len(value)}")
+    return value
+
+
+def check_table(name: str, table: Any, n: int) -> tuple[tuple[int, ...], ...]:
+    """Shape-check an n x n Cayley table; raises MalformedInputError naming
+    the row or cell."""
     out = []
-    for i, row in enumerate(table):
-        if len(row) != rows:
-            raise MalformedInputError(f"{name} row {i}: expected {rows} entries, got {len(row)}")
-        for j, v in enumerate(row):
-            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < entries:
-                raise MalformedInputError(f"{name}[{i}][{j}] = {v!r} is not an index in 0..{entries - 1}")
+    for i, row in enumerate(_array(name, table, n)):
+        for j, v in enumerate(_array(f"{name} row {i}", row, n)):
+            if not _is_index(v, n):
+                raise MalformedInputError(f"{name}[{i}][{j}] = {v!r} is not an index in 0..{n - 1}")
         out.append(tuple(row))
     return tuple(out)
 
 
-class FiniteLMonoid:
-    """A lattice-ordered monoid given by n x n tables over indices 0..n-1."""
+class TableAlgebra:
+    """A finite carrier on indices 0..n-1, declared by its tables.
 
-    def __init__(self, add, meet, join, unit: int, size: int | None = None):
-        n = size if size is not None else len(add)
+    A kind declares ``KIND`` (its name in error messages), ``TABLES`` (its
+    binary ops in constructor order; op ``o`` keeps its table as ``o_table``)
+    and ``CONSTANTS`` (its named elements, after the tables in the
+    constructor), and writes its scalar ops against the tables.  Every kind
+    has a meet, which the base supplies and reads the order from.
+    """
+
+    is_finite = True
+    KIND: str
+    TABLES: tuple[str, ...]
+    CONSTANTS: tuple[str, ...]
+
+    def __init__(self, tables: Sequence, constants: Sequence, size: int | None):
+        n = size if size is not None else len(tables[0])
         if n < 1:
             raise MalformedInputError("size must be at least 1")
         self.size = n
-        self.add_table = check_table("add", add, n, n)
-        self.meet_table = check_table("meet", meet, n, n)
-        self.join_table = check_table("join", join, n, n)
-        if not isinstance(unit, int) or not 0 <= unit < n:
-            raise MalformedInputError(f"unit = {unit!r} is not an index in 0..{n - 1}")
-        self.unit = unit
+        for op, table in zip(self.TABLES, tables):
+            setattr(self, f"{op}_table", check_table(op, table, n))
+        for name, v in zip(self.CONSTANTS, constants):
+            if not _is_index(v, n):
+                raise MalformedInputError(f"{name} = {v!r} is not an index in 0..{n - 1}")
+            setattr(self, name, v)
+
+    @classmethod
+    def tabulated(cls, A, elems: Sequence):
+        """The kind's tables of the ops of ``A`` over ``elems``, which they must
+        not leave; ``elems[i]`` becomes index i."""
+        index = {x: i for i, x in enumerate(elems)}
+        fields = {op: [[index[getattr(A, op)(x, y)] for y in elems] for x in elems] for op in cls.TABLES}
+        fields.update((name, index[getattr(A, name)]) for name in cls.CONSTANTS)
+        return cls(**fields, size=len(elems))
 
     def elements(self) -> range:
         return range(self.size)
 
-    def add(self, x: int, y: int) -> int:
-        return self.add_table[x][y]
+    def carrier(self, window: int) -> list[int]:
+        return list(range(self.size))
 
     def meet(self, x: int, y: int) -> int:
         return self.meet_table[x][y]
-
-    def join(self, x: int, y: int) -> int:
-        return self.join_table[x][y]
 
     def leq(self, x: int, y: int) -> bool:
         return self.meet_table[x][y] == x
 
     def token(self, x: int) -> str:
         return str(x)
+
+
+class FiniteLMonoid(TableAlgebra):
+    """A lattice-ordered monoid given by n x n tables over indices 0..n-1."""
+
+    KIND = "lattice monoid"
+    TABLES = ("add", "meet", "join")
+    CONSTANTS = ("unit",)
+
+    def __init__(self, add, meet, join, unit: int, size: int | None = None):
+        super().__init__((add, meet, join), (unit,), size)
+
+    def add(self, x: int, y: int) -> int:
+        return self.add_table[x][y]
+
+    def join(self, x: int, y: int) -> int:
+        return self.join_table[x][y]
 
 
 @dataclass(frozen=True)

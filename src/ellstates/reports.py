@@ -11,7 +11,7 @@ because there is nothing meaningful to scan yet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 
@@ -108,18 +108,7 @@ class ValidationReport:
         return check
 
     def merge(self, other: "ValidationReport", prefix: str = "") -> None:
-        for c in other.checks:
-            self.checks.append(
-                Check(
-                    axiom=prefix + c.axiom,
-                    passed=c.passed,
-                    mode=c.mode,
-                    witnesses=c.witnesses,
-                    violations=c.violations,
-                    note=c.note,
-                    required=c.required,
-                )
-            )
+        self.checks.extend(replace(c, axiom=prefix + c.axiom) for c in other.checks)
 
     def check(self, axiom: str) -> Check:
         for c in self.checks:

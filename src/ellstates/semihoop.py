@@ -32,7 +32,7 @@ from .lmonoid import (
     KElement,
     KGroup,
     SymbolicCancellativeMonoid,
-    check_table,
+    TableAlgebra,
     k_add,
     k_envelope,
     k_leq,
@@ -51,43 +51,21 @@ SAMPLED_NOTE = "axis sampled {m} of {n} window elements"
 SIGMA_BASE_CAP = 32
 
 
-class FiniteSemihoop:
+class FiniteSemihoop(TableAlgebra):
     """A semihoop on indices 0..n-1 given by times/impl/meet tables."""
 
-    is_finite = True
+    KIND = "semihoop"
+    TABLES = ("times", "impl", "meet")
+    CONSTANTS = ("top",)
 
     def __init__(self, times, impl, meet, top: int, size: int | None = None):
-        n = size if size is not None else len(times)
-        if n < 1:
-            raise MalformedInputError("size must be at least 1")
-        self.size = n
-        self.times_table = check_table("times", times, n, n)
-        self.impl_table = check_table("impl", impl, n, n)
-        self.meet_table = check_table("meet", meet, n, n)
-        if not isinstance(top, int) or not 0 <= top < n:
-            raise MalformedInputError(f"top = {top!r} is not an index in 0..{n - 1}")
-        self.top = top
-
-    def elements(self) -> range:
-        return range(self.size)
-
-    def carrier(self, window: int) -> list[int]:
-        return list(range(self.size))
+        super().__init__((times, impl, meet), (top,), size)
 
     def times(self, x: int, y: int) -> int:
         return self.times_table[x][y]
 
     def impl(self, x: int, y: int) -> int:
         return self.impl_table[x][y]
-
-    def meet(self, x: int, y: int) -> int:
-        return self.meet_table[x][y]
-
-    def leq(self, x: int, y: int) -> bool:
-        return self.meet_table[x][y] == x
-
-    def token(self, x: int) -> str:
-        return str(x)
 
 
 @dataclass(frozen=True)
@@ -131,8 +109,9 @@ class SymbolicConeHoop:
         return "(" + ",".join(str(c) for c in x) + ")"
 
 
-class ProductHoop:
-    """Direct product of semihoops, all operations componentwise."""
+class Componentwise:
+    """A direct product: its elements are tuples, one entry per factor, and
+    every op is taken factor by factor."""
 
     def __init__(self, factors: Sequence[Any]):
         if not factors:
@@ -141,23 +120,30 @@ class ProductHoop:
         self.is_finite = all(f.is_finite for f in self.factors)
         self.top = tuple(f.top for f in self.factors)
 
+    def _cw(self, op: str, *args: tuple) -> tuple:
+        return tuple([getattr(f, op)(*xs) for f, xs in zip(self.factors, zip(*args))])
+
     def times(self, x: tuple, y: tuple) -> tuple:
-        return tuple(f.times(a, b) for f, a, b in zip(self.factors, x, y))
+        return self._cw("times", x, y)
 
     def impl(self, x: tuple, y: tuple) -> tuple:
-        return tuple(f.impl(a, b) for f, a, b in zip(self.factors, x, y))
+        return self._cw("impl", x, y)
 
     def meet(self, x: tuple, y: tuple) -> tuple:
-        return tuple(f.meet(a, b) for f, a, b in zip(self.factors, x, y))
+        return self._cw("meet", x, y)
 
     def leq(self, x: tuple, y: tuple) -> bool:
         return all(f.leq(a, b) for f, a, b in zip(self.factors, x, y))
 
-    def carrier(self, window: int) -> list[tuple]:
-        return [tuple(t) for t in product(*(f.carrier(window) for f in self.factors))]
-
     def token(self, x: tuple) -> str:
         return "(" + "|".join(f.token(a) for f, a in zip(self.factors, x)) + ")"
+
+
+class ProductHoop(Componentwise):
+    """Direct product of semihoops."""
+
+    def carrier(self, window: int) -> list[tuple]:
+        return [tuple(t) for t in product(*(f.carrier(window) for f in self.factors))]
 
 
 class RationalNegativeFragment:
@@ -518,12 +504,7 @@ def monoid_reduct(H):
     if isinstance(H, FiniteSemihoop):
         n = H.size
         join = [[pseudo_join(H, x, y) for y in range(n)] for x in range(n)]
-        return FiniteLMonoid(
-            [list(r) for r in H.times_table],
-            [list(r) for r in H.meet_table],
-            join,
-            unit=H.top,
-        )
+        return FiniteLMonoid(H.times_table, H.meet_table, join, unit=H.top)
     raise MalformedInputError("envelope correspondence supports finite tables and symbolic cones")
 
 

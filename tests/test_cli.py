@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -21,10 +22,18 @@ from ellstates.cli import (
     state_from_json,
     state_to_json,
 )
-from ellstates.corpus import chang_algebra, godel_hoop, hyperstate_product_corpus, state_family, trunc_monoid
-from ellstates.ibp0 import SymbolicPerfectAlgebra, radical
+from ellstates.corpus import (
+    boolean_algebra,
+    chang_algebra,
+    godel_hoop,
+    hyperstate_product_corpus,
+    state_family,
+    trunc_monoid,
+)
+from ellstates.ibp0 import FiniteMTL, SymbolicPerfectAlgebra, radical
+from ellstates.lmonoid import FiniteLMonoid
 from ellstates.reports import MalformedInputError
-from ellstates.semihoop import ConeState, ProductHoop, SymbolicConeHoop
+from ellstates.semihoop import ConeState, FiniteSemihoop, ProductHoop, SymbolicConeHoop
 
 
 @pytest.fixture(scope="module")
@@ -32,6 +41,12 @@ def corpus_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("corpus")
     assert main(["corpus", "--out", str(out)]) == 0
     return out
+
+
+def nested_products(obj: dict, depth: int) -> dict:
+    for _ in range(depth):
+        obj = {"kind": "product", "factors": [obj]}
+    return obj
 
 
 def run(capsys, *argv):
@@ -97,6 +112,13 @@ class TestFileForms:
             hyperstate_from_json({"weights": {}}, chang_algebra(1), window=8)
         with pytest.raises(MalformedInputError, match="table form"):
             hyperstate_from_json({"table": {"0": "0+e0"}}, chang_algebra(1), window=8)
+
+    @pytest.mark.parametrize("kind", [FiniteLMonoid, FiniteSemihoop, FiniteMTL], ids=lambda k: k.KIND)
+    def test_module_doc_lists_the_fields_of_each_finite_kind(self, kind):
+        # The module docstring is the file-format reference the README points to.
+        line = re.search(rf"^ +{kind.KIND} +(\{{.*\}})$", ellstates.cli.__doc__, re.MULTILINE)
+        assert line is not None, kind.KIND
+        assert set(re.findall(r'"(\w+)"', line.group(1))) == {"size", *kind.TABLES, *kind.CONSTANTS}
 
     def test_fraction_values_must_be_exact(self):
         with pytest.raises(MalformedInputError, match="lambda"):
@@ -183,6 +205,12 @@ class TestExitContract:
             ("hyperstate", '{"table": {"0": "bad"}}', "table[0]"),
             ("hyperstate", '{"table": {"0": "2+e0"}}', "table[0]"),
             ("algebra", "[" * 100000, "input.json"),
+            ("algebra", json.dumps(dict(algebra_to_json(godel_hoop(3)), top=True)), "top"),
+            ("algebra", json.dumps(dict(algebra_to_json(trunc_monoid(2)), unit=False)), "unit"),
+            ("algebra", json.dumps(dict(algebra_to_json(boolean_algebra(1)), bot=True)), "bot"),
+            ("algebra", json.dumps(dict(algebra_to_json(godel_hoop(2)), times=5)), "times"),
+            ("algebra", json.dumps(dict(algebra_to_json(godel_hoop(2)), times=[0, 1])), "times"),
+            ("algebra", json.dumps(nested_products({"kind": "cone", "rank": 1}, 250)), "'factors'"),
         ],
         ids=lambda v: v[:40] if isinstance(v, str) else v,
     )

@@ -27,7 +27,7 @@ from ellstates.corpus import (
 from ellstates.ibp0 import IBP0_AXIOMS, SAMPLED_NOTE, FiniteMTL, ProductAlgebra
 from ellstates.lmonoid import LMONOID_AXIOMS, FiniteLMonoid
 from ellstates.reports import MAX_WITNESSES
-from ellstates.semihoop import SEMIHOOP_AXIOMS, FiniteSemihoop, ProductHoop
+from ellstates.semihoop import SEMIHOOP_AXIOMS, FiniteSemihoop, ProductHoop, SymbolicConeHoop
 
 WINDOW = 3
 
@@ -150,3 +150,22 @@ def test_planted_fault_lists_the_first_witnesses_in_product_order():
     assert check.violations == len(failing)
     shown = [tuple(int(w["witness"][v]) for v in "xyz") for w in check.witnesses]
     assert shown == failing[:MAX_WITNESSES]
+
+
+
+def test_nested_product_reads_each_factor_constant_once():
+    reads = []
+
+    class CountingCone(SymbolicConeHoop):
+        @property
+        def top(self):
+            reads.append(self)
+            return super().top
+
+    depth = 12
+    H = CountingCone(rank=1)
+    for _ in range(depth):
+        H = ProductHoop([H])
+    reads.clear()
+    tables(H).top
+    assert len(reads) <= depth
