@@ -17,6 +17,10 @@ order (the last variable varies fastest), violations are counted in full,
 and the first :data:`~.reports.MAX_WITNESSES` are rendered as witnesses
 through the scalar terms.
 
+Value laws (of states and hyperstates) read each map once into exact
+integer tables (:func:`exact_table`) and compare sums of its values as
+gathers over index columns (:func:`pair_columns`).
+
 Symbolic carriers are infinite, and cartesian products of windows can be
 huge, so quantified checks sometimes run over a reduced deterministic
 subset.  Reduction is always by even striding over a fixed enumeration
@@ -30,11 +34,13 @@ import operator
 from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
-from math import prod
+from math import lcm, prod
+from types import SimpleNamespace
 from typing import Any, Callable, Hashable, Mapping, Sequence, TypeVar
 
 import numpy as np
 
+from .hypernum import _rat
 from .reports import MAX_WITNESSES, Check, verdict
 
 T = TypeVar("T")
@@ -44,6 +50,7 @@ PREDICATES = frozenset({"leq"})
 # Instances evaluated per numpy pass: large enough that the per-call cost
 # vanishes, small enough that a term's temporaries stay well under a megabyte.
 CHUNK = 1 << 16
+INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,60 @@ def scan_axioms(
             )
         )
     return checks
+
+
+def exact_table(rows: Sequence[Sequence], terms: int = 2) -> tuple[np.ndarray, int]:
+    """Rows of exact rationals as integer numerators over one denominator,
+    returned with it: int64 while a sum of ``terms`` entries or of the
+    denominator can't overflow, else Python ints in an object array."""
+    fracs = [[_rat(v) for v in row] for row in rows]
+    den = lcm(*(f.denominator for row in fracs for f in row))
+    nums = [[f.numerator * (den // f.denominator) for f in row] for row in fracs]
+    widest = max([den] + [abs(n) for row in nums for n in row])
+    return np.array(nums, dtype=np.int64 if terms * widest <= INT64_MAX else object), den
+
+
+def masked_verdict(axiom: str, bad: np.ndarray, witness: Callable[[int], dict], mode: str, note: str = "") -> Check:
+    """The check for ``axiom`` over instances whose failures ``bad`` marks:
+    every failure is counted, and the first MAX_WITNESSES are rendered by
+    ``witness(k)`` in instance order."""
+    hits = np.flatnonzero(bad)
+    return verdict(axiom, [witness(k) for k in hits[:MAX_WITNESSES].tolist()], mode=mode, note=note,
+                   violations=len(hits))
+
+
+def pair_columns(A, elems: Sequence, cap: int, wording: str, ops: Sequence[str]) -> SimpleNamespace:
+    """The pairs a value law scans: x and y over the ``cap``-strided
+    ``elems`` in ``itertools.product`` order, one column entry per pair.
+    ``x``, ``y`` and each op's result are positions in ``elems``, -1 where a
+    result lands outside them (symbolic products can leave any finite
+    window); ``leq`` is a truth value.  ``note`` is the sampling note."""
+    index = {a: i for i, a in enumerate(elems)}
+    base = stride_select(range(len(elems)), cap)
+    x, y = np.array(list(product(base, repeat=2)), dtype=np.intp).reshape(-1, 2).T
+    pairs = [(elems[i], elems[j]) for i, j in zip(x.tolist(), y.tolist())]
+    cols = {}
+    for name in ops:
+        out = [getattr(A, name)(a, b) for a, b in pairs]
+        cols[name] = np.array(out if name in PREDICATES else [index.get(r, -1) for r in out],
+                              dtype=bool if name in PREDICATES else np.intp)
+    return SimpleNamespace(elems=elems, index=index, x=x, y=y, note=sampled_note(wording, base, elems), **cols)
+
+
+def pair_verdict(A, ctx: SimpleNamespace, axiom: str, bad: np.ndarray, lhs, rhs, render: Callable,
+                 mode: str, skipped: np.ndarray | None = None) -> Check:
+    """:func:`masked_verdict` for a law over the pairs of ``ctx`` (see
+    :func:`pair_columns`) whose sides, one row per pair, are lhs and rhs.
+    The note adds how many pairs ``skipped`` marks as left the window."""
+    bits = [ctx.note] if ctx.note else []
+    if skipped is not None and skipped.any():
+        bits.append(f"{np.count_nonzero(skipped)} pairs left the window")
+
+    def witness(k: int) -> dict:
+        x, y = ctx.elems[ctx.x[k]], ctx.elems[ctx.y[k]]
+        return {"witness": {"x": A.token(x), "y": A.token(y)}, "lhs": render(lhs[k]), "rhs": render(rhs[k])}
+
+    return masked_verdict(axiom, bad, witness, mode, "; ".join(bits))
 
 
 def _witness(A, axiom: Axiom, inst: tuple) -> dict[str, Any]:

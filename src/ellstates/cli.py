@@ -40,6 +40,7 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from pathlib import Path
 from typing import Any, Callable
 
@@ -153,6 +154,12 @@ BOUNDED = (FiniteMTL, SymbolicPerfectAlgebra, ProductAlgebra)
 # Scans and ops recurse through every product level, so a nesting as deep as
 # the interpreter's recursion limit would end in a RecursionError.
 MAX_PRODUCT_DEPTH = 32
+# The most elements a carrier may span at the chosen window.  Scans tabulate
+# ops over element ids, so memory grows with the square of this: a rank-2
+# rotation of 4050 elements ran out of 1.5 GB, and one of 2888 took 139 s and
+# 1.1 GB.  The largest corpus input, chang-1 x chang-2 at the default window,
+# spans 18 x 162 = 2916.
+MAX_WINDOW_ELEMENTS = 3000
 
 
 def algebra_from_json(obj: Any, depth: int = 0):
@@ -188,6 +195,29 @@ def algebra_from_json(obj: Any, depth: int = 0):
     fields = kind.TABLES + kind.CONSTANTS
     _require_fields(obj, {"size", *fields}, kind.KIND)
     return kind(**{f: obj[f] for f in fields}, size=obj["size"])
+
+
+def window_size(A, window: int) -> int:
+    """The elements A spans at ``window``, counted without building them:
+    (window+1)^rank for a cone, twice that for a rotation, and the product of
+    the factors' for a product."""
+    if isinstance(A, SymbolicConeHoop):
+        return (window + 1) ** A.rank
+    if isinstance(A, SymbolicPerfectAlgebra):
+        return 2 * window_size(A.core, window)
+    return prod(window_size(f, window) for f in A.factors) if hasattr(A, "factors") else A.size
+
+
+def _algebra(path: str, window: int):
+    """The algebra in ``path``, refused before any carrier is built when it
+    spans more than MAX_WINDOW_ELEMENTS at ``window``."""
+    A = algebra_from_json(_load(path))
+    n = window_size(A, window)
+    if n > MAX_WINDOW_ELEMENTS:
+        field = "factors" if hasattr(A, "factors") else "rank" if hasattr(A, "rank") else "size"
+        raise MalformedInputError(f"{path}: {field!r} spans {n} elements at --window {window}, "
+                                  f"more than {MAX_WINDOW_ELEMENTS}")
+    return A
 
 
 def algebra_to_json(A) -> dict[str, Any]:
@@ -335,7 +365,7 @@ def _describe(A) -> dict[str, Any]:
 
 
 def _run_validate(args) -> tuple[str, list[Check], dict]:
-    A = algebra_from_json(_load(args.algebra))
+    A = _algebra(args.algebra, args.window)
     if isinstance(A, FiniteLMonoid):
         if args.ibp0:
             raise MalformedInputError("--ibp0 applies to bounded algebra files")
@@ -355,7 +385,7 @@ def _run_validate(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_skeleton(args) -> tuple[str, list[Check], dict]:
-    A = _bounded(algebra_from_json(_load(args.algebra)), "skeleton")
+    A = _bounded(_algebra(args.algebra, args.window), "skeleton")
     sk = boolean_skeleton(A, args.window)
     result = {
         "elements": [A.token(b) for b in sk.elements],
@@ -365,7 +395,7 @@ def _run_skeleton(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_radical(args) -> tuple[str, list[Check], dict]:
-    A = _bounded(algebra_from_json(_load(args.algebra)), "radical")
+    A = _bounded(_algebra(args.algebra, args.window), "radical")
     rad = radical(A, args.window)
     result = {
         "elements": [A.token(x) for x in rad.elements],
@@ -376,7 +406,7 @@ def _run_radical(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_decompose(args) -> tuple[str, list[Check], dict]:
-    A = _bounded(algebra_from_json(_load(args.algebra)), "decompose")
+    A = _bounded(_algebra(args.algebra, args.window), "decompose")
     require_ibp0(A, args.window)
     rows = []
     for a in A.carrier(args.window):
@@ -401,7 +431,7 @@ def _run_grothendieck(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_states(args) -> tuple[str, list[Check], dict]:
-    H = algebra_from_json(_load(args.hoop))
+    H = _algebra(args.hoop, args.window)
     if not isinstance(H, HOOPS):
         raise MalformedInputError("states expects a semihoop file")
     report = validate_semihoop(H, args.window)
@@ -430,7 +460,7 @@ def _run_states(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_hyperstate(args) -> tuple[str, list[Check], dict]:
-    A = _bounded(algebra_from_json(_load(args.algebra)), "hyperstate")
+    A = _bounded(_algebra(args.algebra, args.window), "hyperstate")
     s = hyperstate_from_json(_load(args.hyperstate), A, args.window)
     values = {
         A.token(a): format_dual(s.raw_value(a)) for a in A.carrier(args.window)

@@ -24,16 +24,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from math import lcm
 from typing import Any, Callable, Mapping, Sequence
 
-from ._scan import Axiom, sampled_note, scan_axioms, scan_mode, stride_select
+import numpy as np
+
+from ._scan import (Axiom, exact_table, masked_verdict, memo, pair_columns, pair_verdict, scan_axioms, scan_mode,
+                    stride_select)
 from .lmonoid import (
     FiniteLMonoid,
     KElement,
     KGroup,
     SymbolicCancellativeMonoid,
     TableAlgebra,
-    k_add,
     k_envelope,
     k_leq,
 )
@@ -268,15 +271,22 @@ class TableState:
 
 
 class ConeState:
-    """w(m) = -<lam, m> on a cone hoop; nonnegative lam gives a valid state."""
+    """w(m) = -<lam, m> on a cone hoop; nonnegative lam gives a valid state.
+
+    ``lam`` is kept as given; values are evaluated on its integer numerators
+    over their common denominator, so each value is one integer dot product
+    and one Fraction.
+    """
 
     def __init__(self, lam: Sequence[Fraction | int | str]):
         self.lam = tuple(Fraction(v) for v in lam)
+        self._den = lcm(*(l.denominator for l in self.lam))
+        self._nums = tuple(l.numerator * (self._den // l.denominator) for l in self.lam)
 
     def value(self, m: tuple) -> Fraction:
         if len(m) != len(self.lam):
             raise MalformedInputError(f"weight tuple has rank {len(self.lam)}, element has rank {len(m)}")
-        return -sum((l * c for l, c in zip(self.lam, m)), Fraction(0))
+        return Fraction(-sum(n * c for n, c in zip(self._nums, m)), self._den)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConeState) and self.lam == other.lam
@@ -357,47 +367,30 @@ def validate_state(H, w, window: int = 8) -> ValidationReport:
     axiom failure, and raises.
     """
     report = ValidationReport(subject="state")
-    elems = H.carrier(window)
+    ctx = memo(H, ("state-pairs", window),
+               lambda: pair_columns(H, H.carrier(window), PAIR_BASE_CAP, SAMPLED_NOTE, ("times", "leq")))
+    elems = ctx.elems
     mode = scan_mode(H, window)
-    values = {}
-    for x in elems:
-        values[x] = Fraction(w.value(x))  # raises MalformedInputError if partial
+    # w.value raises MalformedInputError if the state is partial.
+    table, den = exact_table([(w.value(x),) for x in elems])
+    V = table[:, 0]
 
-    bad = [{"witness": {"x": H.token(x)}, "value": str(v)} for x, v in values.items() if v > 0]
-    report.add(verdict("codomain-nonpositive", bad, mode=mode))
+    def frac(n) -> str:
+        return str(Fraction(int(n), den))
 
-    top_val = values[H.top]
-    bad = [] if top_val == 0 else [{"witness": {"x": H.token(H.top)}, "value": str(top_val)}]
+    report.add(masked_verdict(
+        "codomain-nonpositive", V > 0, lambda k: {"witness": {"x": H.token(elems[k])}, "value": frac(V[k])}, mode
+    ))
+
+    top_val = V[ctx.index[H.top]]
+    bad = [] if top_val == 0 else [{"witness": {"x": H.token(H.top)}, "value": frac(top_val)}]
     report.add(verdict("v1-unit", bad, mode=mode))
 
-    base = stride_select(elems, PAIR_BASE_CAP)
-    note = sampled_note(SAMPLED_NOTE, base, elems)
-    bad = []
-    for x, y in product(base, repeat=2):
-        xy = H.times(x, y)
-        if xy not in values:
-            continue  # product escaped the window; nothing to compare
-        if values[xy] != values[x] + values[y]:
-            bad.append(
-                {
-                    "witness": {"x": H.token(x), "y": H.token(y)},
-                    "lhs": str(values[xy]),
-                    "rhs": str(values[x] + values[y]),
-                }
-            )
-    report.add(verdict("v2-additive", bad, mode=mode, note=note))
-
-    bad = []
-    for x, y in product(base, repeat=2):
-        if H.leq(x, y) and values[x] > values[y]:
-            bad.append(
-                {
-                    "witness": {"x": H.token(x), "y": H.token(y)},
-                    "lhs": str(values[x]),
-                    "rhs": str(values[y]),
-                }
-            )
-    report.add(verdict("v3-monotone", bad, mode=mode, note=note))
+    # A product that left the window has nothing to compare.
+    Vx, Vy, Vxy = V[ctx.x], V[ctx.y], V[ctx.times]
+    bad = (ctx.times >= 0) & (Vxy != Vx + Vy)
+    report.add(pair_verdict(H, ctx, "v2-additive", bad, Vxy, Vx + Vy, frac, mode))
+    report.add(pair_verdict(H, ctx, "v3-monotone", ctx.leq & (Vx > Vy), Vx, Vy, frac, mode))
     return report
 
 
@@ -530,32 +523,49 @@ def state_to_kgroup_state(H, w, window: int = 8) -> KGroupState:
     Verified on the (windowed) carrier: equal classes get equal values,
     σ̂ ∘ h = w, additivity, and positivity for the envelope order.  Any
     failure is an internal consistency error, since each is a theorem for a
-    valid w.
+    valid w.  w is read once at each element the checks reach, into an
+    integer table (see exact_table), and the checks compare sums of it.
     """
     M = monoid_reduct(H)
     K, h = k_envelope(M)
     sigma = KGroupState(K=K, h=h, state=w)
 
+    elems = H.carrier(window)
+    base = stride_select(elems, SIGMA_BASE_CAP)
+    doubles = [M.add(x, x) for x in elems]
+    # Candidate [base[a], base[b]] is added to its mirror in reversed order,
+    # [base[-1-a], base[-1-b]]; the sum is [sums[a], sums[b]].
+    sums = [M.add(a, b) for a, b in zip(base, reversed(base))]
+    at = {x: i for i, x in enumerate(dict.fromkeys([*elems, *doubles, *sums]))}
+    # A σ̂ sum below adds four values of w.
+    W = exact_table([(w.value(x),) for x in at], terms=4)[0][:, 0]
+
+    def values(xs: list) -> np.ndarray:
+        return W[[at[x] for x in xs]]
+
     if K.mode == "finite-quotient":
         for members in K.class_members:
-            vals = {KElement(*p): sigma.value(KElement(*p)) for p in members}
-            if len(set(vals.values())) > 1:
+            diffs = values([x for x, _ in members]) - values([y for _, y in members])
+            if (diffs != diffs[0]).any():
+                vals = {KElement(*p): sigma.value(KElement(*p)) for p in members}
                 raise InternalConsistencyError(f"σ̂ not constant on a class: {vals}")
 
-    elems = H.carrier(window)
-    for x in elems:
-        if sigma.value(h(x)) != Fraction(w.value(x)):
-            raise InternalConsistencyError(f"σ̂(h(x)) != w(x) at x = {H.token(x)}")
+    wx = values(elems)
+    bad = np.flatnonzero(values(doubles) - wx != wx)
+    if len(bad):
+        raise InternalConsistencyError(f"σ̂(h(x)) != w(x) at x = {H.token(elems[bad[0]])}")
 
-    base = stride_select(elems, SIGMA_BASE_CAP)
-    candidates = [KElement(a, b) for a, b in product(base, repeat=2)]
+    pairs = list(product(base, repeat=2))
+    wb, ws = values(base), values(sums)
+    sig = (wb[:, None] - wb[None, :]).ravel()
     zero = K.zero()
-    for e in candidates:
-        if k_leq(K, zero, e) and sigma.value(e) < 0:
-            raise InternalConsistencyError(f"σ̂ negative on a positive element [{H.token(e.pos)},{H.token(e.neg)}]")
-    for e1, e2 in zip(candidates, reversed(candidates)):
-        if sigma.value(k_add(K, e1, e2)) != sigma.value(e1) + sigma.value(e2):
-            raise InternalConsistencyError("σ̂ not additive")
+    positive = np.array([k_leq(K, zero, KElement(a, b)) for a, b in pairs], dtype=bool)
+    bad = np.flatnonzero(positive & (sig < 0))
+    if len(bad):
+        a, b = pairs[bad[0]]
+        raise InternalConsistencyError(f"σ̂ negative on a positive element [{H.token(a)},{H.token(b)}]")
+    if ((ws[:, None] - ws[None, :]).ravel() != sig + sig[::-1]).any():
+        raise InternalConsistencyError("σ̂ not additive")
     return sigma
 
 

@@ -19,11 +19,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as iterproduct
+from types import SimpleNamespace
 from typing import Any, Mapping
 
-from ._scan import memo, sampled_note, scan_mode, stride_select
-from .hypernum import DualRational, _rat, format_dual, interval_defect, mv_otimes, parse_dual
+import numpy as np
+
+from ._scan import exact_table, masked_verdict, memo, pair_columns, pair_verdict, scan_mode
+from .hypernum import DualRational, _rat, format_dual, interval_defect, parse_dual
 from .ibp0 import (
     Skeleton,
     boolean_skeleton,
@@ -125,21 +127,13 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
         bad = [{"witness": {"x": A.token(A.top)}, "lhs": str(total), "rhs": "1"}]
     report.add(verdict("normalization", bad))
 
-    bad = []
-    for b1, b2 in iterproduct(B.elements, repeat=2):
-        if A.meet(b1, b2) != A.bot:
-            continue
-        lhs = vals[A.join(b1, b2)]
-        rhs = vals[b1] + vals[b2]
-        if lhs != rhs:
-            bad.append(
-                {
-                    "witness": {"x": A.token(b1), "y": A.token(b2)},
-                    "lhs": str(lhs),
-                    "rhs": str(rhs),
-                }
-            )
-    report.add(verdict("additivity", bad))
+    # Every pair of the finite skeleton, whose joins stay in it.
+    ctx = memo(B, "pairs", lambda: pair_columns(A, B.elements, len(B.elements), "", ("meet", "join")))
+    table, den = exact_table([(v,) for v in vals.values()])
+    V = table[:, 0]
+    lhs, rhs = V[ctx.join], V[ctx.x] + V[ctx.y]
+    bad = (ctx.meet == ctx.index[A.bot]) & (lhs != rhs)
+    report.add(pair_verdict(A, ctx, "additivity", bad, lhs, rhs, lambda n: str(Fraction(int(n), den)), "exhaustive"))
     return report
 
 
@@ -177,8 +171,10 @@ class FormulaHyperstate:
     """A (measure, radical state) pair evaluated through the split identity.
 
     Evaluation is total on the whole algebra, not just a window, because the
-    decomposition maps and both components are.  Values are memoized; the
-    validation scans below revisit the same elements thousands of times.
+    decomposition maps and both components are.  Values are memoized, since
+    the validators, the split and the CLI each read the whole window; a
+    validator reads it once into an integer table, (std, inf) numerators
+    over one common denominator, and checks every law on that table.
     """
 
     def __init__(self, A, p: ProbabilityMeasure, w, window: int = 8):
@@ -218,46 +214,44 @@ class FormulaHyperstate:
 # ---------------------------------------------------------------------------
 # Validation and the property suite
 
-# Rows are (i, j, times, oplus, meet, join, leq, orthogonal, complementary)
-# with element positions in the carrier, or None where an operation lands
-# outside it (symbolic products can leave any finite window).
+def _pair_context(A, window: int) -> SimpleNamespace:
+    """The pairs the pair laws scan, with the positions of x·y, x ⊕ y, x ∧ y
+    and x ∨ y and the truth of x ≤ y (see pair_columns), once per window."""
+    return memo(A, ("hyper-pairs", window), lambda: pair_columns(
+        A, A.carrier(window), HYPER_PAIR_CAP, SAMPLED_NOTE, ("times", "oplus", "meet", "join", "leq")))
 
 
-def _pair_context(A, window: int) -> dict[str, Any]:
-    return memo(A, ("hyper-pairs", window), lambda: _build_pair_context(A, window))
+def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise lexicographic a < b on (std, inf) numerator rows."""
+    return (a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] < b[:, 1]))
 
 
-def _build_pair_context(A, window: int) -> dict[str, Any]:
-    carrier = A.carrier(window)
-    index = {a: i for i, a in enumerate(carrier)}
-    base = stride_select(carrier, HYPER_PAIR_CAP)
-    rows = []
-    for x in base:
-        for y in base:
-            times = A.times(x, y)
-            oplus = A.oplus(x, y)
-            rows.append(
-                (
-                    index[x],
-                    index[y],
-                    index.get(times),
-                    index.get(oplus),
-                    index.get(A.meet(x, y)),
-                    index.get(A.join(x, y)),
-                    A.leq(x, y),
-                    times == A.bot,
-                    oplus == A.top,
-                )
-            )
-    note = sampled_note(SAMPLED_NOTE, base, carrier)
-    return {"carrier": carrier, "index": index, "rows": rows, "note": note}
+def _differ(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    return (lhs != rhs).any(axis=1)
 
 
-def _scan_note(ctx: dict[str, Any], skipped: int) -> str:
-    bits = [ctx["note"]] if ctx["note"] else []
-    if skipped:
-        bits.append(f"{skipped} pairs left the window")
-    return "; ".join(bits)
+class _Values:
+    """s over the window: one (std, inf) row of integer numerators per
+    element, over the common denominator ``den``."""
+
+    def __init__(self, s, elems):
+        self.rows, self.den = exact_table([s.raw_value(a) for a in elems])
+
+    def dual(self, row) -> str:
+        return format_dual((Fraction(int(row[0]), self.den), Fraction(int(row[1]), self.den)))
+
+    def defects(self) -> np.ndarray:
+        """Where a value lies outside the interval (see interval_defect)."""
+        std, inf = self.rows[:, 0], self.rows[:, 1]
+        return (std < 0) | (std > self.den) | ((std == 0) & (inf < 0)) | ((std == self.den) & (inf > 0))
+
+
+def _part_law(A, s, axiom: str, elements, part: int, want, mode: str):
+    """The check that part ``part`` of s (0 standard, 1 infinitesimal) is
+    ``want`` at each of ``elements``."""
+    bad = [{"witness": {"x": A.token(x)}, "value": format_dual(s.raw_value(x))}
+           for x in elements if s.raw_value(x)[part] != want]
+    return verdict(axiom, bad, mode=mode)
 
 
 def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
@@ -271,55 +265,25 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
     report = ValidationReport(subject="hyperstate")
     mode = scan_mode(A, window)
     ctx = _pair_context(A, window)
-    carrier = ctx["carrier"]
-    raws = [s.raw_value(a) for a in carrier]
+    elems = ctx.elems
+    v = _Values(s, elems)
+    V = v.rows
 
-    bad = [
-        {"witness": {"x": A.token(a)}, "value": format_dual(r)}
-        for a, r in zip(carrier, raws)
-        if interval_defect(*r)
-    ]
-    report.add(verdict("codomain", bad, mode=mode))
+    report.add(masked_verdict(
+        "codomain", v.defects(), lambda k: {"witness": {"x": A.token(elems[k])}, "value": v.dual(V[k])}, mode
+    ))
 
-    bad = []
-    for element, expected in ((A.top, Fraction(1)), (A.bot, Fraction(0))):
-        got = s.raw_value(element)
-        if got != (expected, Fraction(0)):
-            bad.append(
-                {
-                    "witness": {"x": A.token(element)},
-                    "lhs": format_dual(got),
-                    "rhs": format_dual((expected, Fraction(0))),
-                }
-            )
+    ends = ((A.top, (Fraction(1), Fraction(0))), (A.bot, (Fraction(0), Fraction(0))))
+    bad = [{"witness": {"x": A.token(e)}, "lhs": format_dual(s.raw_value(e)), "rhs": format_dual(want)}
+           for e, want in ends if s.raw_value(e) != want]
     report.add(verdict("boundary-values", bad, mode=mode))
 
-    bad = []
-    skipped = 0
-    for i, j, kt, ko, _, _, _, _, _ in ctx["rows"]:
-        if kt is None or ko is None:
-            skipped += 1
-            continue
-        lhs = (raws[ko][0] + raws[kt][0], raws[ko][1] + raws[kt][1])
-        rhs = (raws[i][0] + raws[j][0], raws[i][1] + raws[j][1])
-        if lhs != rhs:
-            bad.append(
-                {
-                    "witness": {"x": A.token(carrier[i]), "y": A.token(carrier[j])},
-                    "lhs": format_dual(lhs),
-                    "rhs": format_dual(rhs),
-                }
-            )
-    note = _scan_note(ctx, skipped)
-    report.add(verdict("pair-additivity", bad, mode=mode, note=note))
+    inside = (ctx.times >= 0) & (ctx.oplus >= 0)
+    lhs, rhs = V[ctx.oplus] + V[ctx.times], V[ctx.x] + V[ctx.y]
+    bad = inside & _differ(lhs, rhs)
+    report.add(pair_verdict(A, ctx, "pair-additivity", bad, lhs, rhs, v.dual, mode, ~inside))
 
-    sk = boolean_skeleton(A, window)
-    bad = [
-        {"witness": {"x": A.token(b)}, "value": format_dual(s.raw_value(b))}
-        for b in sk.elements
-        if s.raw_value(b)[1] != 0
-    ]
-    report.add(verdict("skeleton-standard", bad, mode=mode))
+    report.add(_part_law(A, s, "skeleton-standard", boolean_skeleton(A, window).elements, 1, 0, mode))
     return report
 
 
@@ -335,102 +299,46 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     report = ValidationReport(subject="hyperstate-properties")
     mode = scan_mode(A, window)
     ctx = _pair_context(A, window)
-    carrier = ctx["carrier"]
-    index = ctx["index"]
-    raws = [s.raw_value(a) for a in carrier]
-    try:
-        duals = [DualRational(r, i) for r, i in raws]
-    except ValueError as exc:
-        raise PreconditionError(f"not a hyperstate on this window: {exc}") from exc
+    elems = ctx.elems
+    v = _Values(s, elems)
+    V, den = v.rows, v.den
+    outside = np.flatnonzero(v.defects())
+    if len(outside):
+        defect = interval_defect(*s.raw_value(elems[outside[0]]))
+        raise PreconditionError(f"not a hyperstate on this window: {defect}")
 
-    bad = []
-    skipped = 0
-    for a, (std, inf) in zip(carrier, raws):
-        k = index.get(A.neg(a))
-        if k is None:
-            skipped += 1
-            continue
-        if raws[k] != (1 - std, -inf):
-            bad.append(
-                {
-                    "witness": {"x": A.token(a)},
-                    "lhs": format_dual(raws[k]),
-                    "rhs": format_dual((1 - std, -inf)),
-                }
-            )
-    note = f"{skipped} negations left the window" if skipped else ""
-    report.add(verdict("negation-law", bad, mode=mode, note=note))
+    # Every value lies in the interval now, so each expression below stays
+    # within twice the denominator, inside exact_table's int64 bound.
+    neg = np.array([ctx.index.get(A.neg(a), -1) for a in elems], dtype=np.intp)
+    got, want = V[neg], np.stack([den - V[:, 0], -V[:, 1]], axis=1)
+    skipped = np.count_nonzero(neg < 0)
+    report.add(masked_verdict(
+        "negation-law", (neg >= 0) & _differ(got, want),
+        lambda k: {"witness": {"x": A.token(elems[k])}, "lhs": v.dual(got[k]), "rhs": v.dual(want[k])},
+        mode, f"{skipped} negations left the window" if skipped else "",
+    ))
 
-    bad = []
-    for i, j, _, _, _, _, leq, _, _ in ctx["rows"]:
-        if leq and raws[i] > raws[j]:
-            bad.append(
-                {
-                    "witness": {"x": A.token(carrier[i]), "y": A.token(carrier[j])},
-                    "lhs": format_dual(raws[i]),
-                    "rhs": format_dual(raws[j]),
-                }
-            )
-    report.add(verdict("monotone", bad, mode=mode, note=ctx["note"]))
+    Vx, Vy = V[ctx.x], V[ctx.y]
+    report.add(pair_verdict(A, ctx, "monotone", ctx.leq & _lex_less(Vy, Vx), Vx, Vy, v.dual, mode))
 
-    bad = []
-    skipped = 0
-    for i, j, _, ko, _, _, _, orthogonal, _ in ctx["rows"]:
-        if not orthogonal:
-            continue
-        if ko is None:
-            skipped += 1
-            continue
-        rhs = (raws[i][0] + raws[j][0], raws[i][1] + raws[j][1])
-        if raws[ko] != rhs:
-            bad.append(
-                {
-                    "witness": {"x": A.token(carrier[i]), "y": A.token(carrier[j])},
-                    "lhs": format_dual(raws[ko]),
-                    "rhs": format_dual(rhs),
-                }
-            )
-    note = _scan_note(ctx, skipped)
-    report.add(verdict("orthogonal-additivity", bad, mode=mode, note=note))
+    orthogonal, inside = ctx.times == ctx.index[A.bot], ctx.oplus >= 0
+    got, rhs = V[ctx.oplus], Vx + Vy
+    bad = orthogonal & inside & _differ(got, rhs)
+    report.add(pair_verdict(A, ctx, "orthogonal-additivity", bad, got, rhs, v.dual, mode, orthogonal & ~inside))
 
-    bad = []
-    skipped = 0
-    for i, j, kt, _, _, _, _, _, complementary in ctx["rows"]:
-        if not complementary:
-            continue
-        if kt is None:
-            skipped += 1
-            continue
-        want = mv_otimes(duals[i], duals[j])
-        if duals[kt] != want:
-            bad.append(
-                {
-                    "witness": {"x": A.token(carrier[i]), "y": A.token(carrier[j])},
-                    "lhs": str(duals[kt]),
-                    "rhs": str(want),
-                }
-            )
-    note = _scan_note(ctx, skipped)
-    report.add(verdict("complementary-multiplicativity", bad, mode=mode, note=note))
+    # x ⊙ y in the interval: (x + y − 1) ∨ 0, lexicographically.
+    complementary, inside = ctx.oplus == ctx.index[A.top], ctx.times >= 0
+    want = np.stack([Vx[:, 0] + Vy[:, 0] - den, Vx[:, 1] + Vy[:, 1]], axis=1)
+    want[_lex_less(want, np.zeros_like(want))] = 0
+    got = V[ctx.times]
+    bad = complementary & inside & _differ(got, want)
+    skipped = complementary & ~inside
+    report.add(pair_verdict(A, ctx, "complementary-multiplicativity", bad, got, want, v.dual, mode, skipped))
 
-    bad = []
-    skipped = 0
-    for i, j, _, _, km, kj, _, _, _ in ctx["rows"]:
-        if km is None or kj is None:
-            skipped += 1
-            continue
-        lhs = (raws[km][0] + raws[kj][0], raws[km][1] + raws[kj][1])
-        rhs = (raws[i][0] + raws[j][0], raws[i][1] + raws[j][1])
-        if lhs != rhs:
-            bad.append(
-                {
-                    "witness": {"x": A.token(carrier[i]), "y": A.token(carrier[j])},
-                    "lhs": format_dual(lhs),
-                    "rhs": format_dual(rhs),
-                }
-            )
-    note = _scan_note(ctx, skipped)
-    report.add(verdict("valuation", bad, mode=mode, note=note))
+    inside = (ctx.meet >= 0) & (ctx.join >= 0)
+    lhs, rhs = V[ctx.meet] + V[ctx.join], Vx + Vy
+    bad = inside & _differ(lhs, rhs)
+    report.add(pair_verdict(A, ctx, "valuation", bad, lhs, rhs, v.dual, mode, ~inside))
 
     sk = boolean_skeleton(A, window)
     restriction = ProbabilityMeasure(sk, [s.raw_value(atom)[0] for atom in sk.atoms])
@@ -447,18 +355,8 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     report.add(verdict("skeleton-restriction", bad, mode=mode))
 
     rad = radical(A, window)
-    bad = [
-        {"witness": {"x": A.token(x)}, "value": format_dual(s.raw_value(x))}
-        for x in rad.elements
-        if s.raw_value(x)[0] != 1
-    ]
-    report.add(verdict("radical-standard-part", bad, mode=mode))
-    bad = [
-        {"witness": {"x": A.token(x)}, "value": format_dual(s.raw_value(x))}
-        for x in coradical(A, window)
-        if s.raw_value(x)[0] != 0
-    ]
-    report.add(verdict("coradical-standard-part", bad, mode=mode))
+    report.add(_part_law(A, s, "radical-standard-part", rad.elements, 0, 1, mode))
+    report.add(_part_law(A, s, "coradical-standard-part", coradical(A, window), 0, 0, mode))
 
     induced = TableState(
         {h: s.raw_value(rad.from_hoop(h))[1] for h in rad.hoop.carrier(window)}

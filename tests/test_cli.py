@@ -12,6 +12,7 @@ import pytest
 import ellstates.cli
 
 from ellstates.cli import (
+    MAX_WINDOW_ELEMENTS,
     algebra_from_json,
     algebra_to_json,
     canonical_json,
@@ -21,6 +22,7 @@ from ellstates.cli import (
     main,
     state_from_json,
     state_to_json,
+    window_size,
 )
 from ellstates.corpus import (
     boolean_algebra,
@@ -223,6 +225,29 @@ class TestExitContract:
             argv = ["hyperstate", "validate", str(corpus_dir / "algebra-boolean-4.json"), str(path)]
         code, out, err = run(capsys, *argv)
         assert code == 2 and named in err and out == ""
+
+    @pytest.mark.parametrize(
+        "argv, obj, named",
+        [
+            (["validate"], {"kind": "cone", "rank": 12}, "'rank'"),
+            (["states"], {"kind": "cone", "rank": 12}, "'rank'"),
+            (["validate", "--window", "40"], {"kind": "rotation", "rank": 3}, "--window 40"),
+            (["radical"], {"kind": "product", "factors": [{"kind": "rotation", "rank": 2}] * 3}, "'factors'"),
+        ],
+        ids=["cone-rank-12", "states-rank-12", "rotation-window-40", "product-of-three"],
+    )
+    def test_oversized_windows_exit_2(self, tmp_path, capsys, argv, obj, named):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        code, out, err = run(capsys, *argv, str(path))
+        lines = err.splitlines()
+        assert code == 2 and out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ") and named in lines[0] and "--window" in lines[0]
+
+    def test_window_ceiling_admits_the_largest_corpus_input(self, corpus_dir):
+        A = algebra_from_json(json.loads((corpus_dir / "product-chang-1xchang-2.json").read_text()))
+        assert window_size(A, 8) == 18 * 162 <= MAX_WINDOW_ELEMENTS
+        assert window_size(algebra_from_json({"kind": "rotation", "rank": 3}), 40) == 2 * 41**3
 
     def test_mixed_product_names_the_field(self, tmp_path, capsys):
         mixed = {"kind": "product", "factors": [{"kind": "cone", "rank": 1}, {"kind": "rotation", "rank": 1}]}

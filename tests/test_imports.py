@@ -1,4 +1,5 @@
-"""Import hygiene: every module-level import in the package is used."""
+"""Source hygiene: every module-level import in the package is used, and
+no floating point enters it, since every value it computes must be exact."""
 
 import ast
 from pathlib import Path
@@ -30,3 +31,42 @@ def test_no_unused_module_imports(path):
 def test_detects_an_unused_import():
     source = "from __future__ import annotations\nimport os\nfrom typing import Any, Mapping\nx: Any = 1\n"
     assert unused_imports(source) == ["os (line 2)", "Mapping (line 3)"]
+
+
+def inexact_uses(source: str) -> list[str]:
+    """Floating point in ``source``: the name ``float`` (so also
+    ``astype(float)``), numpy float types such as ``np.float64``, float dtype
+    strings, and the tolerance comparisons ``isclose`` and ``allclose``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name.rstrip("0123456789") == "float" or name in ("isclose", "allclose"):
+            found.append((node.lineno, node.col_offset, name))
+    return [f"{name} (line {line})" for line, _, name in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_floating_point(path):
+    assert inexact_uses(path.read_text()) == []
+
+
+def test_detects_floating_point():
+    source = (
+        "import numpy as np\n"
+        "a = np.zeros(3).astype(float)\n"
+        "b = np.float64(1) + np.asarray([1], dtype='float32')\n"
+        "c = np.isclose(a, b) or math.isclose(1, 1) or np.allclose(a, b)\n"
+        "d = float('1.5')\n"
+        "floats = 'never floats'\n"
+    )
+    assert inexact_uses(source) == [
+        "float (line 2)", "float64 (line 3)", "float32 (line 3)", "isclose (line 4)",
+        "isclose (line 4)", "allclose (line 4)", "float (line 5)",
+    ]
