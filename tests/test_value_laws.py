@@ -331,6 +331,16 @@ def test_generated_family_agrees(name, dtypes):
     assert dtypes and all(d == np.int64 for d in dtypes)
 
 
+class RawValues:
+    """A bare raw-value map, which may leave the interval."""
+
+    def __init__(self, raw):
+        self.raw = raw
+
+    def raw_value(self, a):
+        return self.raw[a]
+
+
 def perturbed(A, s, every: int) -> TableHyperstate:
     """s as a table, with every ``every``-th value moved inside the interval."""
     shift = F(1, 3)
@@ -359,19 +369,9 @@ def test_perturbed_tables_agree(name):
     raw = {a: s.raw_value(a) for a in A.carrier(WINDOW)}
     outside = dict(raw)
     outside[A.carrier(WINDOW)[-2]] = (F(3, 2), F(0))
-    t = FormulaHyperstateLike(outside)
+    t = RawValues(outside)
     assert not validate_hyperstate(A, t, WINDOW).check("codomain").passed
     assert_hyperstate_agrees(A, t)
-
-
-class FormulaHyperstateLike:
-    """A bare raw-value map, which may leave the interval."""
-
-    def __init__(self, raw):
-        self.raw = raw
-
-    def raw_value(self, a):
-        return self.raw[a]
 
 
 @pytest.mark.parametrize("rank, lam", [(1, [-1]), (1, [F(-1, 2)]), (2, [1, -2]), (2, [F(-1, 3), F(5, 2)])])
@@ -437,7 +437,7 @@ def test_denominators_past_int64_take_object_tables(dtypes):
     raw = {a: s.raw_value(a) for a in A.carrier(WINDOW)}
     victim = A.carrier(WINDOW)[-3]
     raw[victim] = (raw[victim][0], raw[victim][1] - F(1, (2**61 - 1) * (2**31 - 1)))
-    t = FormulaHyperstateLike(raw)
+    t = RawValues(raw)
     assert not validate_hyperstate(A, t, WINDOW).ok
     assert_hyperstate_agrees(A, t)
     assert all(d.kind != "f" for d in dtypes)
