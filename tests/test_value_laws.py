@@ -1,8 +1,8 @@
 """The state and hyperstate value laws against a reference Fraction loop.
 
-``validate_hyperstate``, ``hyperstate_properties``, ``validate_state`` and
-``state_to_kgroup_state`` read each map once into integer numerator tables
-and evaluate their laws as numpy gathers.  The reference below keeps the
+``validate_hyperstate``, ``hyperstate_properties``, ``validate_state``,
+``validate_probability`` and ``state_to_kgroup_state`` read each map once
+into integer numerator tables and evaluate their laws as numpy gathers.  The reference below keeps the
 plain loop: one ``Fraction`` comparison per pair, over the pairs the laws
 scan, in ``itertools.product`` order.  The two must agree check for check
 (name, verdict, violation count, witnesses, note, mode) on every generated
