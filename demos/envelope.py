@@ -20,6 +20,7 @@ from ellstates.lmonoid import (
     k_leq,
     k_meet,
 )
+from ellstates.semihoop import SymbolicConeHoop
 
 
 def main() -> None:
@@ -52,7 +53,7 @@ def main() -> None:
     print("h applied to the meet of the two coordinates works as the bound.")
     print("(here on the cone orientation, where larger exponents sit lower,")
     print("so the meet is the componentwise max)")
-    cone = SymbolicCancellativeMonoid(rank=2, reversed_order=True)
+    cone = SymbolicConeHoop(rank=2)
     K, h = k_envelope(cone)
     e = KElement(pos=(1, 0), neg=(4, 2))
     bound = image_bound(K, h, e)

@@ -61,7 +61,7 @@ def main() -> None:
     skp = boolean_skeleton(P, 4)
     away = next(a for a in skp.atoms if a[1] != ("pos", (0,)))
     q = ProbabilityMeasure(skp, {skp.atoms.index(away): Fraction(1)})
-    (w1,) = state_family(radical(P, 4).hoop, lambdas=(Fraction(1),), window=4)
+    (w1,) = state_family(radical(P, 4).hoop, lambdas=(Fraction(1),))
     bad, verdict = join_hyperstate(P, q, w1, window=4)
     failed = [c.axiom for c in verdict.failures()]
     print(f"  valid: {verdict.ok}, failing check: {failed}")

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -129,11 +130,18 @@ def _lambda_field(obj: dict, what: str) -> list[Fraction]:
     return [_exact(v, "lambda") for v in lam]
 
 
-def _index_key(key: str, where: str) -> int:
-    try:
+def _index_key(key: str, where: str, size: int | None = None) -> int:
+    """The index a canonical decimal ``key`` names, below ``size`` if given."""
+    if re.fullmatch("0|[1-9][0-9]*", key) and (size is None or int(key) < size):
         return int(key)
-    except ValueError:
-        raise MalformedInputError(f"{where}: key {key!r} is not an element index") from None
+    raise MalformedInputError(f"{where}: key {key!r} is not an element index")
+
+
+def _element_table(obj: dict, A, where: str, parse: Callable[[str], Any] = Fraction) -> dict[int, Any]:
+    """A table file's exact entries, keyed by elements of the finite table
+    algebra ``A``; no key names an element of any other carrier."""
+    size = A.size if isinstance(A, TableAlgebra) else 0
+    return {_index_key(k, where, size): _exact(v, f"{where}[{k}]", parse) for k, v in obj.items()}
 
 
 def _require_fields(obj: dict, required: set[str], what: str) -> None:
@@ -241,9 +249,7 @@ def state_from_json(obj: Any, hoop):
     if "lambda" in obj:
         _require_fields(obj, {"lambda"}, "state")
         return weighted_state(hoop, _lambda_field(obj, "state"))
-    return TableState(
-        {_index_key(k, "state") : _exact(v, f"state[{k}]") for k, v in obj.items()}
-    )
+    return TableState(_element_table(obj, hoop, "state"))
 
 
 def state_to_json(w) -> dict[str, Any]:
@@ -264,9 +270,7 @@ def hyperstate_from_json(obj: Any, A, window: int):
         if not A.is_finite:
             raise MalformedInputError("the table form requires a finite algebra")
         table = _field(obj, "table", "hyperstate", dict)
-        return TableHyperstate(
-            {_index_key(k, "table"): _exact(v, f"table[{k}]", parse_dual) for k, v in table.items()}
-        )
+        return TableHyperstate(_element_table(table, A, "table", parse_dual))
     if "measure" not in obj:
         raise MalformedInputError("hyperstate: missing field 'measure'")
     extra = obj.keys() - {"measure", "lambda"}
@@ -278,7 +282,7 @@ def hyperstate_from_json(obj: Any, A, window: int):
         for k, v in _field(obj, "measure", "hyperstate", dict).items()
     }
     p = ProbabilityMeasure(sk, weights)
-    w = weighted_state(radical(A, window).hoop, _lambda_field(obj, "hyperstate"), window)
+    w = weighted_state(radical(A, window).hoop, _lambda_field(obj, "hyperstate"))
     return FormulaHyperstate(A, p, w, window)
 
 
@@ -333,14 +337,24 @@ class RunReport:
         )
 
 
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object whose keys are distinct; json.loads would keep the last."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedInputError(f"duplicate key {key!r}")
+        obj[key] = value
+    return obj
+
+
 def _load(path: str) -> Any:
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise MalformedInputError(f"{path}: {exc}") from exc
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except (json.JSONDecodeError, MalformedInputError) as exc:
         raise MalformedInputError(f"{path}: {exc}") from exc
     except RecursionError:
         raise MalformedInputError(f"{path}: JSON nested too deeply") from None
@@ -366,13 +380,11 @@ def _describe(A) -> dict[str, Any]:
 
 def _run_validate(args) -> tuple[str, list[Check], dict]:
     A = _algebra(args.algebra, args.window)
+    if args.ibp0 and not isinstance(A, BOUNDED):
+        raise MalformedInputError("--ibp0 applies to bounded algebra files")
     if isinstance(A, FiniteLMonoid):
-        if args.ibp0:
-            raise MalformedInputError("--ibp0 applies to bounded algebra files")
         report = validate_lmonoid(A)
     elif isinstance(A, HOOPS):
-        if args.ibp0:
-            raise MalformedInputError("--ibp0 applies to bounded algebra files")
         report = validate_semihoop(A, args.window)
     elif args.ibp0:
         report = validate_ibp0(A, args.window)

@@ -22,7 +22,6 @@ from .lmonoid import FiniteLMonoid
 from .semihoop import (
     FiniteSemihoop,
     ProductHoop,
-    RationalNegativeFragment,
     SymbolicConeHoop,
     symbolic_rank,
     weighted_state,
@@ -106,10 +105,6 @@ def cone_hoop(rank: int) -> SymbolicConeHoop:
 def materialize_hoop(P: ProductHoop) -> FiniteSemihoop:
     """Flatten a finite product hoop into one indexed table."""
     return FiniteSemihoop.tabulated(P, P.carrier(0))
-
-
-def negative_rationals_hoop(denominator: int = 1) -> RationalNegativeFragment:
-    return RationalNegativeFragment(denominator)
 
 
 def semihoop_corpus() -> dict[str, FiniteSemihoop]:
@@ -217,7 +212,7 @@ def _compositions(total: int, parts: int):
             yield (head,) + rest
 
 
-def state_family(hoop, lambdas=LAMBDA_MENU, window: int = 8) -> list:
+def state_family(hoop, lambdas=LAMBDA_MENU) -> list:
     """The weighted state of every weight vector drawn from the menu.
 
     One state per vector in ``itertools.product`` order over the cone axes,
@@ -226,7 +221,7 @@ def state_family(hoop, lambdas=LAMBDA_MENU, window: int = 8) -> list:
     exactly one state here.
     """
     return [
-        weighted_state(hoop, lam, window)
+        weighted_state(hoop, lam)
         for lam in iterproduct([Fraction(l) for l in lambdas], repeat=symbolic_rank(hoop))
     ]
 
@@ -243,7 +238,7 @@ def hyperstate_family(A, window: int = 8, max_denominator: int = 6,
     return [
         (p, w)
         for p in measure_family(sk, max_denominator)
-        for w in state_family(rad.hoop, lambdas, window)
+        for w in state_family(rad.hoop, lambdas)
     ]
 
 

@@ -27,11 +27,14 @@ which splits every element into a skeleton part and a radical part.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import product as iterproduct
 from math import prod
 from typing import Any, Callable, Sequence
 
-from ._scan import Axiom, capped_cartesian, memo, scan_axioms, scan_mode, stride_select
+import numpy as np
+
+from ._scan import Axiom, capped_cartesian, masked_verdict, memo, pair_columns, scan_axioms, scan_mode, stride_select
 from .lmonoid import TableAlgebra
 from .reports import (
     InternalConsistencyError,
@@ -267,17 +270,27 @@ class Skeleton:
 
     The ambient algebra rides along because the skeleton has no tables of
     its own: its meet, join and order are the ambient ones, restricted.
+    ``pairs`` holds every pair of elements with their ·, ⊕, ∧ and ∨ as
+    positions in ``elements`` (see :func:`._scan.pair_columns`).
     """
 
     elements: list
     atoms: list
     report: ValidationReport
+    pairs: Any
     algebra: Any = None
 
 
 def boolean_skeleton(A, window: int = 8) -> Skeleton:
     require_ibp0(A, window)
     return memo(A, ("skeleton", window), lambda: _boolean_skeleton(A, window))
+
+
+SKELETON_AXIOMS = [
+    Axiom("times-is-meet", 2, lambda o, x, y: (o.times(x, y), o.meet(x, y))),
+    Axiom("oplus-is-join", 2, lambda o, x, y: (o.oplus(x, y), o.join(x, y))),
+    Axiom("complement-meet", 1, lambda o, x: (o.meet(x, o.neg(x)), o.bot)),
+]
 
 
 def _boolean_skeleton(A, window: int) -> Skeleton:
@@ -289,36 +302,17 @@ def _boolean_skeleton(A, window: int) -> Skeleton:
 
     report = ValidationReport(subject="skeleton")
     mode = scan_mode(A, window)
-    member = set(elements)
+    # Every pair of the finite skeleton; a result of -1 has left it.
+    pairs = pair_columns(A, elements, len(elements), "", ("times", "oplus", "meet", "join"))
+    negs = np.array([pairs.index.get(A.neg(b), -1) for b in elements], dtype=np.intp)
 
-    closure_bad = {"times": [], "oplus": [], "neg": []}
-    square_bad = []
-    join_bad = []
-    for b in elements:
-        if A.neg(b) not in member:
-            closure_bad["neg"].append({"witness": {"x": A.token(b)}})
-    for b, c in iterproduct(elements, repeat=2):
-        if A.times(b, c) not in member:
-            closure_bad["times"].append({"witness": {"x": A.token(b), "y": A.token(c)}})
-        if A.oplus(b, c) not in member:
-            closure_bad["oplus"].append({"witness": {"x": A.token(b), "y": A.token(c)}})
-        if A.times(b, c) != A.meet(b, c):
-            square_bad.append({"witness": {"x": A.token(b), "y": A.token(c)},
-                               "lhs": A.token(A.times(b, c)), "rhs": A.token(A.meet(b, c))})
-        if A.oplus(b, c) != A.join(b, c):
-            join_bad.append({"witness": {"x": A.token(b), "y": A.token(c)},
-                             "lhs": A.token(A.oplus(b, c)), "rhs": A.token(A.join(b, c))})
-    for op, bad in closure_bad.items():
-        report.add(verdict(f"closure-{op}", bad, mode=mode))
-    report.add(verdict("times-is-meet", square_bad, mode=mode))
-    report.add(verdict("oplus-is-join", join_bad, mode=mode))
+    def pair(k: int) -> dict:
+        return {"witness": {"x": A.token(elements[pairs.x[k]]), "y": A.token(elements[pairs.y[k]])}}
 
-    bad = [
-        {"witness": {"x": A.token(b)}, "lhs": A.token(A.meet(b, A.neg(b))), "rhs": A.token(A.bot)}
-        for b in elements
-        if A.meet(b, A.neg(b)) != A.bot
-    ]
-    report.add(verdict("complement-meet", bad, mode=mode))
+    report.add(masked_verdict("closure-times", pairs.times < 0, pair, mode))
+    report.add(masked_verdict("closure-oplus", pairs.oplus < 0, pair, mode))
+    report.add(masked_verdict("closure-neg", negs < 0, lambda k: {"witness": {"x": A.token(elements[k])}}, mode))
+    report.checks += scan_axioms(A, SKELETON_AXIOMS, elements, {}, mode, "")
 
     nonzero = [b for b in elements if b != A.bot]
     atoms = [
@@ -326,16 +320,18 @@ def _boolean_skeleton(A, window: int) -> Skeleton:
         for b in nonzero
         if not any(c != b and A.leq(c, b) for c in nonzero)
     ]
-    bad = []
-    for b in elements:
-        below = [a for a in atoms if A.leq(a, b)]
-        acc = A.bot
-        for a in below:
-            acc = A.join(acc, a)
-        if acc != b:
-            bad.append({"witness": {"x": A.token(b)}, "lhs": A.token(acc), "rhs": A.token(b)})
-    report.add(verdict("atomic-decomposition", bad, mode=mode))
-    return Skeleton(elements=elements, atoms=atoms, report=report, algebra=A)
+    joins = [reduce(A.join, [a for a in atoms if A.leq(a, b)], A.bot) for b in elements]
+    report.add(masked_verdict(
+        "atomic-decomposition", np.array([j != b for j, b in zip(joins, elements)], dtype=bool),
+        lambda k: {"witness": {"x": A.token(elements[k])}, "lhs": A.token(joins[k]), "rhs": A.token(elements[k])},
+        mode,
+    ))
+    return Skeleton(elements=elements, atoms=atoms, report=report, algebra=A, pairs=pairs)
+
+
+def in_radical(A, x) -> bool:
+    """Whether x lies in the radical: x > ¬x."""
+    return A.leq(A.neg(x), x) and A.neg(x) != x
 
 
 @dataclass
@@ -382,18 +378,14 @@ def _radical(A, window: int) -> RadicalView:
         def from_hoop(h):
             return tuple(v.from_hoop(x) for v, x in zip(subviews, h))
     else:
-        elements = [a for a in A.carrier(window) if A.leq(A.neg(a), a) and A.neg(a) != a]
+        elements = [a for a in A.carrier(window) if in_radical(A, a)]
         order = {a: i for i, a in enumerate(elements)}
         hoop = FiniteSemihoop.tabulated(A, elements)
         to_hoop = lambda a: order[a]
         from_hoop = lambda i: elements[i]
 
     # Membership sanity plus closure of the radical under the hoop signature.
-    member_bad = [
-        {"witness": {"x": A.token(a)}}
-        for a in elements
-        if not (A.leq(A.neg(a), a) and A.neg(a) != a)
-    ]
+    member_bad = [{"witness": {"x": A.token(a)}} for a in elements if not in_radical(A, a)]
     report.add(verdict("membership", member_bad, mode=mode))
 
     base = stride_select(elements, 64)
@@ -401,7 +393,7 @@ def _radical(A, window: int) -> RadicalView:
     for x, y in iterproduct(base, repeat=2):
         for opname in ("times", "impl", "meet"):
             r = getattr(A, opname)(x, y)
-            if not (A.leq(A.neg(r), r) and A.neg(r) != r):
+            if not in_radical(A, r):
                 bad.append({"witness": {"x": A.token(x), "y": A.token(y)}, "op": opname, "result": A.token(r)})
     report.add(verdict("closure", bad, mode=mode))
 
@@ -416,7 +408,7 @@ def _radical(A, window: int) -> RadicalView:
     for b in skeleton.elements:
         for c in base:
             r = A.join(b, c)
-            if not (A.leq(A.neg(r), r) and A.neg(r) != r):
+            if not in_radical(A, r):
                 bad.append({"witness": {"b": A.token(b), "c": A.token(c)}, "result": A.token(r)})
     report.add(verdict("skeleton-join-closure", bad, mode=mode))
 
@@ -454,7 +446,7 @@ def decompose_element(A, a) -> Decomposition:
     c = A.join(a, A.neg(a))
     if A.join(b, A.neg(b)) != A.top:
         raise InternalConsistencyError(f"b_a not complemented for a = {A.token(a)}")
-    if not (A.leq(A.neg(c), c) and A.neg(c) != c):
+    if not in_radical(A, c):
         raise InternalConsistencyError(f"c_a not in the radical for a = {A.token(a)}")
     recomposed = A.meet(A.join(b, A.neg(c)), A.join(A.neg(b), c))
     if recomposed != a:

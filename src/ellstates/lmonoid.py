@@ -19,12 +19,11 @@ and the order, join and meet of classes are
 The monoid embeds via h(x) = [x + x, x]; h is injective exactly when M is
 cancellative.
 
-A symbolic cone may carry either lattice orientation.  The natural one has
-meet = componentwise min.  Multiplicative cones (hoop reducts) are ordered
-the other way around -- the unit is the top -- and order-sensitive facts
-about K(M), such as the lower-bound guarantee of image_bound, only come out
-right when the monoid's own orientation is used.  Hence the
-``reversed_order`` flag.
+A symbolic cone is an ell-monoid in either orientation, one subclass of
+Cone each: SymbolicCancellativeMonoid has the natural one (meet = min), and
+the cone hoop semihoop.SymbolicConeHoop is its own reduct, unit on top.
+Order-sensitive facts about K(M), such as the lower bound of image_bound,
+hold only in M's own orientation, so everything here reads it off M.
 """
 
 from __future__ import annotations
@@ -133,16 +132,13 @@ class FiniteLMonoid(TableAlgebra):
 
 
 @dataclass(frozen=True)
-class SymbolicCancellativeMonoid:
-    """The cone N^rank under componentwise addition.
-
-    ``reversed_order=False`` gives the natural lattice (meet = min);
-    ``reversed_order=True`` gives the hoop-reduct orientation (meet = max,
-    the zero tuple on top).  Cancellative by construction either way.
-    """
+class Cone:
+    """The carrier N^rank under componentwise addition, with the zero tuple
+    as unit.  Each subclass puts one lattice order on it."""
 
     rank: int
-    reversed_order: bool = False
+
+    is_finite = False
 
     def __post_init__(self) -> None:
         if self.rank < 1:
@@ -155,26 +151,25 @@ class SymbolicCancellativeMonoid:
     def add(self, x: tuple, y: tuple) -> tuple:
         return tuple(a + b for a, b in zip(x, y))
 
-    def meet(self, x: tuple, y: tuple) -> tuple:
-        if self.reversed_order:
-            return tuple(max(a, b) for a, b in zip(x, y))
-        return tuple(min(a, b) for a, b in zip(x, y))
-
-    def join(self, x: tuple, y: tuple) -> tuple:
-        if self.reversed_order:
-            return tuple(min(a, b) for a, b in zip(x, y))
-        return tuple(max(a, b) for a, b in zip(x, y))
-
-    def leq(self, x: tuple, y: tuple) -> bool:
-        if self.reversed_order:
-            return all(a >= b for a, b in zip(x, y))
-        return all(a <= b for a, b in zip(x, y))
-
-    def window(self, bound: int) -> list[tuple[int, ...]]:
-        return [tuple(t) for t in product(range(bound + 1), repeat=self.rank)]
+    def carrier(self, window: int) -> list[tuple[int, ...]]:
+        return [tuple(t) for t in product(range(window + 1), repeat=self.rank)]
 
     def token(self, x: tuple) -> str:
         return "(" + ",".join(str(c) for c in x) + ")"
+
+
+class SymbolicCancellativeMonoid(Cone):
+    """The cone in the natural lattice order (meet = min).  Cancellative by
+    construction."""
+
+    def meet(self, x: tuple, y: tuple) -> tuple:
+        return tuple(min(a, b) for a, b in zip(x, y))
+
+    def join(self, x: tuple, y: tuple) -> tuple:
+        return tuple(max(a, b) for a, b in zip(x, y))
+
+    def leq(self, x: tuple, y: tuple) -> bool:
+        return all(a <= b for a, b in zip(x, y))
 
 
 @dataclass(frozen=True)
@@ -190,7 +185,7 @@ class KGroup:
 
     def __init__(self, base):
         self.base = base
-        if isinstance(base, SymbolicCancellativeMonoid):
+        if not base.is_finite:
             self.mode = "symbolic"
             self.pairs = None
             self.class_ids = None
@@ -284,10 +279,8 @@ def k_equal(K: KGroup, e1: KElement, e2: KElement) -> bool:
 
 def k_leq(K: KGroup, e1: KElement, e2: KElement) -> bool:
     if K.mode == "symbolic":
-        c1, c2 = K.canonical(e1), K.canonical(e2)
-        if K.base.reversed_order:
-            return all(a >= b for a, b in zip(c1, c2))
-        return all(a <= b for a, b in zip(c1, c2))
+        M = K.base
+        return M.leq(M.add(e1.pos, e2.neg), M.add(e1.neg, e2.pos))
     return leq_witness(K.base, (e1.pos, e1.neg), (e2.pos, e2.neg)) is not None
 
 
@@ -322,7 +315,7 @@ def image_bound(K: KGroup, h: Callable[[Element], KElement], e: KElement) -> KEl
 
 
 def is_cancellative(M) -> bool:
-    if isinstance(M, SymbolicCancellativeMonoid):
+    if not M.is_finite:
         return True
     for a, b, c in product(M.elements(), repeat=3):
         if M.add(a, c) == M.add(b, c) and a != b:

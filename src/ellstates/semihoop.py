@@ -32,10 +32,10 @@ import numpy as np
 from ._scan import (Axiom, exact_table, masked_verdict, memo, pair_columns, pair_verdict, scan_axioms, scan_mode,
                     stride_select)
 from .lmonoid import (
+    Cone,
     FiniteLMonoid,
     KElement,
     KGroup,
-    SymbolicCancellativeMonoid,
     TableAlgebra,
     k_envelope,
     k_leq,
@@ -71,30 +71,21 @@ class FiniteSemihoop(TableAlgebra):
         return self.impl_table[x][y]
 
 
-@dataclass(frozen=True)
-class SymbolicConeHoop:
+class SymbolicConeHoop(Cone):
     """The cancellative hoop on k-tuples of nonnegative integers.
 
     Multiplication is addition of tuples, so accumulating more makes an
     element smaller: m ≤ n iff m ≥ n componentwise, the unit (the empty
     product, the zero tuple) is the top, and the residuum is truncated
     difference.
+
+    The cone hoop is its own multiplicative ell-monoid reduct (see
+    :func:`monoid_reduct`): ``add`` is ``times``, ``unit`` is ``top``, and
+    ``join`` is the pseudo-join, the componentwise min.
     """
 
-    rank: int
-
-    is_finite = False
-
-    def __post_init__(self) -> None:
-        if self.rank < 1:
-            raise MalformedInputError("rank must be at least 1")
-
-    @property
-    def top(self) -> tuple[int, ...]:
-        return (0,) * self.rank
-
-    def times(self, x: tuple, y: tuple) -> tuple:
-        return tuple(a + b for a, b in zip(x, y))
+    top = Cone.unit
+    times = Cone.add
 
     def impl(self, x: tuple, y: tuple) -> tuple:
         return tuple(max(b - a, 0) for a, b in zip(x, y))
@@ -102,14 +93,11 @@ class SymbolicConeHoop:
     def meet(self, x: tuple, y: tuple) -> tuple:
         return tuple(max(a, b) for a, b in zip(x, y))
 
+    def join(self, x: tuple, y: tuple) -> tuple:
+        return tuple(min(a, b) for a, b in zip(x, y))
+
     def leq(self, x: tuple, y: tuple) -> bool:
         return all(a >= b for a, b in zip(x, y))
-
-    def carrier(self, window: int) -> list[tuple[int, ...]]:
-        return [tuple(t) for t in product(range(window + 1), repeat=self.rank)]
-
-    def token(self, x: tuple) -> str:
-        return "(" + ",".join(str(c) for c in x) + ")"
 
 
 class Componentwise:
@@ -147,44 +135,6 @@ class ProductHoop(Componentwise):
 
     def carrier(self, window: int) -> list[tuple]:
         return [tuple(t) for t in product(*(f.carrier(window) for f in self.factors))]
-
-
-class RationalNegativeFragment:
-    """A finitely generated piece of the semihoop on ℝ⁻.
-
-    Carrier: nonpositive multiples of 1/denominator, · = +,
-    x → y = min{0, y − x}, the numeric order.  The identity map into ℝ⁻ is
-    a hoop homomorphism, hence a state.
-    """
-
-    is_finite = False
-
-    def __init__(self, denominator: int = 1):
-        if denominator < 1:
-            raise MalformedInputError("denominator must be positive")
-        self.denominator = denominator
-
-    @property
-    def top(self) -> Fraction:
-        return Fraction(0)
-
-    def times(self, x: Fraction, y: Fraction) -> Fraction:
-        return x + y
-
-    def impl(self, x: Fraction, y: Fraction) -> Fraction:
-        return min(Fraction(0), y - x)
-
-    def meet(self, x: Fraction, y: Fraction) -> Fraction:
-        return min(x, y)
-
-    def leq(self, x: Fraction, y: Fraction) -> bool:
-        return x <= y
-
-    def carrier(self, window: int) -> list[Fraction]:
-        return [Fraction(-k, self.denominator) for k in range(window + 1)]
-
-    def token(self, x: Fraction) -> str:
-        return str(x)
 
 
 def pseudo_join(H, x, y):
@@ -322,7 +272,7 @@ def symbolic_rank(H) -> int:
     return 0
 
 
-def weighted_state(H, lam: Sequence[Fraction], window: int = 8):
+def weighted_state(H, lam: Sequence[Fraction]):
     """The state with weight vector ``lam``: w(g_i) = −λ_i at the
     :func:`weight_generators`, and the zero state on every finite axis."""
     rank = symbolic_rank(H)
@@ -334,10 +284,10 @@ def weighted_state(H, lam: Sequence[Fraction], window: int = 8):
         parts, used = [], 0
         for f in H.factors:
             r = symbolic_rank(f)
-            parts.append(weighted_state(f, lam[used : used + r], window))
+            parts.append(weighted_state(f, lam[used : used + r]))
             used += r
         return ProductState(parts)
-    return zero_state(H, window)
+    return zero_state(H)
 
 
 def state_weights(w) -> list[Fraction]:
@@ -491,9 +441,10 @@ def enumerate_states_finite(H: FiniteSemihoop) -> list[TableState]:
 
 
 def monoid_reduct(H):
-    """The multiplicative ell-monoid (H, ·, ∧, ∨, 1) of a prelinear semihoop."""
+    """The multiplicative ell-monoid (H, ·, ∧, ∨, 1) of a prelinear semihoop;
+    a cone hoop is its own."""
     if isinstance(H, SymbolicConeHoop):
-        return SymbolicCancellativeMonoid(rank=H.rank, reversed_order=True)
+        return H
     if isinstance(H, FiniteSemihoop):
         n = H.size
         join = [[pseudo_join(H, x, y) for y in range(n)] for x in range(n)]
@@ -577,9 +528,9 @@ def kgroup_state_to_state(H, sigma, window: int = 8):
     fails validation and the report names the witnesses.
     """
     if not isinstance(sigma, KGroupState):
-        w: Any = weighted_state(H, sigma, window)
+        w: Any = weighted_state(H, sigma)
     elif isinstance(H, SymbolicConeHoop):
-        w = weighted_state(H, [-sigma.value(sigma.h(g)) for g in weight_generators(H)], window)
+        w = weighted_state(H, [-sigma.value(sigma.h(g)) for g in weight_generators(H)])
     else:
         w = TableState({x: sigma.value(sigma.h(x)) for x in H.carrier(window)})
     return w, validate_state(H, w, window)

@@ -128,7 +128,7 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
     report.add(verdict("normalization", bad))
 
     # Every pair of the finite skeleton, whose joins stay in it.
-    ctx = memo(B, "pairs", lambda: pair_columns(A, B.elements, len(B.elements), "", ("meet", "join")))
+    ctx = B.pairs
     table, den = exact_table([(v,) for v in vals.values()])
     V = table[:, 0]
     lhs, rhs = V[ctx.join], V[ctx.x] + V[ctx.y]
@@ -404,7 +404,7 @@ def split_hyperstate(A, s, window: int = 8) -> SplitResult:
     p = ProbabilityMeasure(sk, weights)
 
     lam = [-s.raw_value(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)]
-    w = weighted_state(rad.hoop, lam, window)
+    w = weighted_state(rad.hoop, lam)
     formula = FormulaHyperstate(A, p, w, window)
 
     residuals: dict[str, str] = {}

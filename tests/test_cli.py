@@ -227,6 +227,29 @@ class TestExitContract:
         assert code == 2 and named in err and out == ""
 
     @pytest.mark.parametrize(
+        "argv, text, key",
+        [
+            (["states", "hoop-godel-3.json"], '{"0": "0", "1": "0", "2": "0", "-4": "-3"}', "-4"),
+            (["states", "hoop-godel-3.json"], '{"0": "0", "1": "0", "2": "0", "1_0": "-3"}', "1_0"),
+            (["states", "hoop-godel-3.json"], '{"0": "0", "1": "0", "2": "0", "01": "-3"}', "01"),
+            (["states", "hoop-godel-3.json"], '{"0": "0", "1": "-1", "1": "0", "2": "0"}', "1"),
+            (["hyperstate", "validate", "algebra-boolean-2.json"],
+             '{"table": {"0": "0+e0", "1": "1+e0", "7": "1/2+e0"}}', "7"),
+            (["hyperstate", "validate", "algebra-chang-1.json"],
+             '{"measure": {"0": "1/2", "00": "1/2"}, "lambda": ["1"]}', "00"),
+        ],
+        ids=["negative", "underscore", "leading-zero", "duplicate", "no-such-element", "measure-leading-zero"],
+    )
+    def test_malformed_keys_exit_2(self, corpus_dir, tmp_path, capsys, argv, text, key):
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        *verb, algebra = argv
+        code, out, err = run(capsys, *verb, str(corpus_dir / algebra), str(path))
+        lines = err.splitlines()
+        assert code == 2 and out == "" and len(lines) == 1
+        assert lines[0].startswith("error: ") and f"key {key!r}" in lines[0]
+
+    @pytest.mark.parametrize(
         "argv, obj, named",
         [
             (["validate"], {"kind": "cone", "rank": 12}, "'rank'"),

@@ -27,6 +27,7 @@ from ellstates.lmonoid import (
     validate_lmonoid,
 )
 from ellstates.reports import MAX_WITNESSES, MalformedInputError
+from ellstates.semihoop import SymbolicConeHoop
 
 
 def trunc_monoid(n: int) -> FiniteLMonoid:
@@ -199,11 +200,11 @@ class TestSymbolicEnvelope:
             "cancellative": True,
         }
 
-    @pytest.mark.parametrize("reversed_order", [False, True])
-    def test_h_is_a_lattice_and_monoid_homomorphism(self, reversed_order):
-        M = SymbolicCancellativeMonoid(rank=2, reversed_order=reversed_order)
+    @pytest.mark.parametrize("hoop_order", [False, True])
+    def test_h_is_a_lattice_and_monoid_homomorphism(self, hoop_order):
+        M = (SymbolicConeHoop if hoop_order else SymbolicCancellativeMonoid)(rank=2)
         K, h = k_envelope(M)
-        for x, y in product(M.window(2), repeat=2):
+        for x, y in product(M.carrier(2), repeat=2):
             assert k_equal(K, h(M.add(x, y)), k_add(K, h(x), h(y)))
             assert k_equal(K, h(M.meet(x, y)), k_meet(K, h(x), h(y)))
             assert k_equal(K, h(M.join(x, y)), k_join(K, h(x), h(y)))
@@ -241,7 +242,7 @@ class TestImageBound:
         assert not k_leq(K, bound, e)
 
     def test_reversed_orientation_bound_holds(self):
-        M = SymbolicCancellativeMonoid(rank=1, reversed_order=True)
+        M = SymbolicConeHoop(rank=1)
         K, h = k_envelope(M)
         e = KElement((1,), (4,))
         bound = image_bound(K, h, e)
@@ -249,9 +250,9 @@ class TestImageBound:
         assert k_leq(K, bound, e)
 
     def test_reversed_orientation_bound_holds_on_window(self):
-        M = SymbolicCancellativeMonoid(rank=2, reversed_order=True)
+        M = SymbolicConeHoop(rank=2)
         K, h = k_envelope(M)
-        for a, b in product(M.window(3), repeat=2):
+        for a, b in product(M.carrier(3), repeat=2):
             e = KElement(a, b)
             assert k_leq(K, image_bound(K, h, e), e)
 
