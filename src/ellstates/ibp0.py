@@ -271,13 +271,15 @@ class Skeleton:
     The ambient algebra rides along because the skeleton has no tables of
     its own: its meet, join and order are the ambient ones, restricted.
     ``pairs`` holds every pair of elements with their ·, ⊕, ∧ and ∨ as
-    positions in ``elements`` (see :func:`._scan.pair_columns`).
+    positions in ``elements`` (see :func:`._scan.pair_columns`), and
+    ``below`` maps each element to the indices of the atoms below it.
     """
 
     elements: list
     atoms: list
     report: ValidationReport
     pairs: Any
+    below: dict
     algebra: Any = None
 
 
@@ -320,13 +322,14 @@ def _boolean_skeleton(A, window: int) -> Skeleton:
         for b in nonzero
         if not any(c != b and A.leq(c, b) for c in nonzero)
     ]
-    joins = [reduce(A.join, [a for a in atoms if A.leq(a, b)], A.bot) for b in elements]
+    below = {b: [i for i, a in enumerate(atoms) if A.leq(a, b)] for b in elements}
+    joins = [reduce(A.join, [atoms[i] for i in below[b]], A.bot) for b in elements]
     report.add(masked_verdict(
         "atomic-decomposition", np.array([j != b for j, b in zip(joins, elements)], dtype=bool),
         lambda k: {"witness": {"x": A.token(elements[k])}, "lhs": A.token(joins[k]), "rhs": A.token(elements[k])},
         mode,
     ))
-    return Skeleton(elements=elements, atoms=atoms, report=report, algebra=A, pairs=pairs)
+    return Skeleton(elements=elements, atoms=atoms, report=report, algebra=A, pairs=pairs, below=below)
 
 
 def in_radical(A, x) -> bool:

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm
+from types import SimpleNamespace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
@@ -468,19 +469,12 @@ class KGroupState:
         return self.state.lam if isinstance(self.state, ConeState) else None
 
 
-def state_to_kgroup_state(H, w, window: int = 8) -> KGroupState:
-    """Induce σ̂ from a state and verify it is a state of the envelope.
-
-    Verified on the (windowed) carrier: equal classes get equal values,
-    σ̂ ∘ h = w, additivity, and positivity for the envelope order.  Any
-    failure is an internal consistency error, since each is a theorem for a
-    valid w.  w is read once at each element the checks reach, into an
-    integer table (see exact_table), and the checks compare sums of it.
-    """
+def _sigma_frame(H, window: int) -> SimpleNamespace:
+    """What state_to_kgroup_state checks that does not depend on w: the
+    envelope, the elements whose values it reads, and which candidate pairs
+    [a, b] over the strided base are positive."""
     M = monoid_reduct(H)
     K, h = k_envelope(M)
-    sigma = KGroupState(K=K, h=h, state=w)
-
     elems = H.carrier(window)
     base = stride_select(elems, SIGMA_BASE_CAP)
     doubles = [M.add(x, x) for x in elems]
@@ -488,6 +482,26 @@ def state_to_kgroup_state(H, w, window: int = 8) -> KGroupState:
     # [base[-1-a], base[-1-b]]; the sum is [sums[a], sums[b]].
     sums = [M.add(a, b) for a, b in zip(base, reversed(base))]
     at = {x: i for i, x in enumerate(dict.fromkeys([*elems, *doubles, *sums]))}
+    pairs = list(product(base, repeat=2))
+    zero = K.zero()
+    positive = np.array([k_leq(K, zero, KElement(a, b)) for a, b in pairs], dtype=bool)
+    return SimpleNamespace(K=K, h=h, elems=elems, base=base, doubles=doubles, sums=sums, at=at, pairs=pairs,
+                           positive=positive)
+
+
+def state_to_kgroup_state(H, w, window: int = 8) -> KGroupState:
+    """Induce σ̂ from a state and verify it is a state of the envelope.
+
+    Verified on the (windowed) carrier: equal classes get equal values,
+    σ̂ ∘ h = w, additivity, and positivity for the envelope order.  Any
+    failure is an internal consistency error, since each is a theorem for a
+    valid w.  The envelope and the checked elements and pairs are kept once
+    per (H, window); each call reads w once at each element the checks
+    reach, into an integer table (see exact_table), and compares sums of it.
+    """
+    f = memo(H, ("sigma-frame", window), lambda: _sigma_frame(H, window))
+    K, elems, at = f.K, f.elems, f.at
+    sigma = KGroupState(K=K, h=f.h, state=w)
     # A σ̂ sum below adds four values of w.
     W = exact_table([(w.value(x),) for x in at], terms=4)[0][:, 0]
 
@@ -502,18 +516,15 @@ def state_to_kgroup_state(H, w, window: int = 8) -> KGroupState:
                 raise InternalConsistencyError(f"σ̂ not constant on a class: {vals}")
 
     wx = values(elems)
-    bad = np.flatnonzero(values(doubles) - wx != wx)
+    bad = np.flatnonzero(values(f.doubles) - wx != wx)
     if len(bad):
         raise InternalConsistencyError(f"σ̂(h(x)) != w(x) at x = {H.token(elems[bad[0]])}")
 
-    pairs = list(product(base, repeat=2))
-    wb, ws = values(base), values(sums)
+    wb, ws = values(f.base), values(f.sums)
     sig = (wb[:, None] - wb[None, :]).ravel()
-    zero = K.zero()
-    positive = np.array([k_leq(K, zero, KElement(a, b)) for a, b in pairs], dtype=bool)
-    bad = np.flatnonzero(positive & (sig < 0))
+    bad = np.flatnonzero(f.positive & (sig < 0))
     if len(bad):
-        a, b = pairs[bad[0]]
+        a, b = f.pairs[bad[0]]
         raise InternalConsistencyError(f"σ̂ negative on a positive element [{H.token(a)},{H.token(b)}]")
     if ((ws[:, None] - ws[None, :]).ravel() != sig + sig[::-1]).any():
         raise InternalConsistencyError("σ̂ not additive")

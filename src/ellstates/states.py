@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from types import SimpleNamespace
 from typing import Any, Mapping
 
@@ -56,7 +57,11 @@ HYPER_PAIR_CAP = 96
 
 
 class ProbabilityMeasure:
-    """Atom weights over a Boolean skeleton; p(b) sums the atoms below b."""
+    """Atom weights over a Boolean skeleton; p(b) sums the atoms below b.
+
+    The atoms below each skeleton element are kept once per skeleton
+    (``Skeleton.below``), so a value is a sum of weights with no order test.
+    """
 
     def __init__(self, skeleton: Skeleton, weights):
         self.skeleton = skeleton
@@ -77,12 +82,11 @@ class ProbabilityMeasure:
         self.weights = tuple(vec)
 
     def value(self, b) -> Fraction:
-        A = self.skeleton.algebra
-        total = Fraction(0)
-        for atom, weight in zip(self.skeleton.atoms, self.weights):
-            if A.leq(atom, b):
-                total += weight
-        return total
+        sk = self.skeleton
+        below = sk.below.get(b)
+        if below is None:
+            below = [i for i, atom in enumerate(sk.atoms) if sk.algebra.leq(atom, b)]
+        return sum((self.weights[i] for i in below), Fraction(0))
 
     def __eq__(self, other) -> bool:
         return (
@@ -171,9 +175,15 @@ class FormulaHyperstate:
     """A (measure, radical state) pair evaluated through the split identity.
 
     Evaluation is total on the whole algebra, not just a window, because the
-    decomposition maps and both components are.  Values are memoized, since
-    the validators, the split and the CLI each read the whole window; a
-    validator reads it once into an integer table, (std, inf) numerators
+    decomposition maps and both components are.  What depends on the algebra
+    alone is kept once per (A, window) and shared by every pair: each
+    element's triple (b_a, h(¬b_a ∨ c_a), h(b_a ∨ c_a)), with h the map into
+    the radical's hoop, stored the first time any instance reads the
+    element.  An element whose decomposition raises is never stored, so it
+    raises on every read.  Each instance evaluates p once per skeleton
+    element and w once per hoop element it reads, and memoizes its values,
+    since the validators, the split and the CLI each read the whole window;
+    a validator reads it once into an integer table, (std, inf) numerators
     over one common denominator, and checks every law on that table.
     """
 
@@ -184,21 +194,21 @@ class FormulaHyperstate:
         self.measure = p
         self.state = w
         self._rad = radical(A, window)
+        self._parts: dict[Any, tuple] = memo(A, ("split-parts", window), dict)
+        self._p = cache(p.value)
+        self._w = cache(lambda h: _rat(w.value(h)))
         self._memo: dict[Any, tuple[Fraction, Fraction]] = {}
 
     def raw_value(self, a) -> tuple[Fraction, Fraction]:
         got = self._memo.get(a)
         if got is None:
-            A = self.algebra
-            d = decompose_element(A, a)
-            to_hoop = self._rad.to_hoop
-            lo = to_hoop(A.join(A.neg(d.b), d.c))
-            hi = to_hoop(A.join(d.b, d.c))
-            got = (
-                self.measure.value(d.b),
-                _rat(self.state.value(lo)) - _rat(self.state.value(hi)),
-            )
-            self._memo[a] = got
+            parts = self._parts.get(a)
+            if parts is None:
+                A, to_hoop = self.algebra, self._rad.to_hoop
+                d = decompose_element(A, a)
+                parts = self._parts[a] = (d.b, to_hoop(A.join(A.neg(d.b), d.c)), to_hoop(A.join(d.b, d.c)))
+            b, lo, hi = parts
+            got = self._memo[a] = (self._p(b), self._w(lo) - self._w(hi))
         return got
 
     def value(self, a) -> DualRational:
@@ -249,9 +259,11 @@ class _Values:
 def _part_law(A, s, axiom: str, elements, part: int, want, mode: str):
     """The check that part ``part`` of s (0 standard, 1 infinitesimal) is
     ``want`` at each of ``elements``."""
-    bad = [{"witness": {"x": A.token(x)}, "value": format_dual(s.raw_value(x))}
-           for x in elements if s.raw_value(x)[part] != want]
-    return verdict(axiom, bad, mode=mode)
+    raws = [s.raw_value(x) for x in elements]
+    return masked_verdict(
+        axiom, np.array([r[part] != want for r in raws], dtype=bool),
+        lambda k: {"witness": {"x": A.token(elements[k])}, "value": format_dual(raws[k])}, mode,
+    )
 
 
 def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
