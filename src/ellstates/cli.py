@@ -207,10 +207,10 @@ def algebra_from_json(obj: Any, depth: int = 0):
 
 def window_size(A, window: int) -> int:
     """The elements A spans at ``window``, counted without building them:
-    (window+1)^rank for a cone, twice that for a rotation, and the product of
-    the factors' for a product."""
+    (window+1)^min(rank, 12) for a cone, as every larger rank is over the
+    ceiling too, twice that for a rotation, and the factors' product for a product."""
     if isinstance(A, SymbolicConeHoop):
-        return (window + 1) ** A.rank
+        return (window + 1) ** min(A.rank, MAX_WINDOW_ELEMENTS.bit_length())
     if isinstance(A, SymbolicPerfectAlgebra):
         return 2 * window_size(A.core, window)
     return prod(window_size(f, window) for f in A.factors) if hasattr(A, "factors") else A.size
@@ -223,8 +223,8 @@ def _algebra(path: str, window: int):
     n = window_size(A, window)
     if n > MAX_WINDOW_ELEMENTS:
         field = "factors" if hasattr(A, "factors") else "rank" if hasattr(A, "rank") else "size"
-        raise MalformedInputError(f"{path}: {field!r} spans {n} elements at --window {window}, "
-                                  f"more than {MAX_WINDOW_ELEMENTS}")
+        raise MalformedInputError(f"{path}: {field!r} spans more than {MAX_WINDOW_ELEMENTS} elements at "
+                                  f"--window {window}")
     return A
 
 
@@ -354,7 +354,7 @@ def _load(path: str) -> Any:
         raise MalformedInputError(f"{path}: {exc}") from exc
     try:
         return json.loads(text, object_pairs_hook=_unique_keys)
-    except (json.JSONDecodeError, MalformedInputError) as exc:
+    except ValueError as exc:  # bad JSON, a repeated key, or an integer too long to convert
         raise MalformedInputError(f"{path}: {exc}") from exc
     except RecursionError:
         raise MalformedInputError(f"{path}: JSON nested too deeply") from None
@@ -467,7 +467,7 @@ def _run_states(args) -> tuple[str, list[Check], dict]:
     w = state_from_json(_load(args.state), H)
     if report.ok:
         checks += validate_state(H, w, args.window).checks
-        checks += state_properties(H, w, args.window, flags=report.flags).checks
+        checks += state_properties(H, w, args.window).checks
     return "state", checks, {"state": state_to_json(w)}
 
 

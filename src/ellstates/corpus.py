@@ -183,8 +183,8 @@ def pairwise_products() -> dict[str, ProductAlgebra]:
 LAMBDA_MENU = (Fraction(0), Fraction(1), Fraction(1, 2), Fraction(2))
 
 
-def measure_family(skeleton, max_denominator: int = 6) -> list[ProbabilityMeasure]:
-    """Every atom-weight vector whose common denominator is at most the bound.
+def measure_family(skeleton) -> list[ProbabilityMeasure]:
+    """Every atom-weight vector whose common denominator is at most 6.
 
     Enumeration is by denominator, then lexicographically by numerators, with
     vectors already seen at a smaller denominator dropped; the order is
@@ -193,7 +193,7 @@ def measure_family(skeleton, max_denominator: int = 6) -> list[ProbabilityMeasur
     k = len(skeleton.atoms)
     seen = set()
     out = []
-    for d in range(1, max_denominator + 1):
+    for d in range(1, 7):
         for comp in _compositions(d, k):
             vec = tuple(Fraction(c, d) for c in comp)
             if vec in seen:
@@ -226,20 +226,16 @@ def state_family(hoop, lambdas=LAMBDA_MENU) -> list:
     ]
 
 
-def hyperstate_family(A, window: int = 8, max_denominator: int = 6,
-                      lambdas=LAMBDA_MENU) -> list[tuple[ProbabilityMeasure, object]]:
-    """The (p, w) grid behind the generated hyperstate family.
+def hyperstate_family(A, window: int = 8) -> list[tuple[ProbabilityMeasure, object]]:
+    """The (p, w) grid behind the generated hyperstate family: every measure
+    of measure_family and every state of state_family on the radical.
 
     Not every pair need join to a valid hyperstate; callers read the verdict
     off join_hyperstate's report.
     """
     sk = boolean_skeleton(A, window)
     rad = radical(A, window)
-    return [
-        (p, w)
-        for p in measure_family(sk, max_denominator)
-        for w in state_family(rad.hoop, lambdas)
-    ]
+    return [(p, w) for p in measure_family(sk) for w in state_family(rad.hoop)]
 
 
 def hyperstate_product_corpus() -> dict[str, ProductAlgebra]:

@@ -27,14 +27,15 @@ which splits every element into a skeleton part and a radical part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import product as iterproduct
 from math import prod
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from ._scan import Axiom, capped_cartesian, masked_verdict, memo, pair_columns, scan_axioms, scan_mode, stride_select
+from ._scan import (Axiom, capped_cartesian, masked_verdict, memo, pair_columns, scan_axioms, scan_mode, stride_select,
+                    tables)
 from .lmonoid import TableAlgebra
 from .reports import (
     InternalConsistencyError,
@@ -100,8 +101,10 @@ class SymbolicPerfectAlgebra:
     def __init__(self, core):
         self.core = core
         self.is_finite = core.is_finite
-        self.bot = ("neg", core.top)
-        self.top = ("pos", core.top)
+
+    # Built on first use, after the CLI's size guard has refused a huge rank.
+    bot = cached_property(lambda self: ("neg", self.core.top))
+    top = cached_property(lambda self: ("pos", self.core.top))
 
     @property
     def rank(self) -> int:
@@ -173,9 +176,7 @@ class SymbolicPerfectAlgebra:
 class ProductAlgebra(Componentwise):
     """Componentwise product of validated algebras."""
 
-    def __init__(self, factors: Sequence[Any]):
-        super().__init__(factors)
-        self.bot = tuple(f.bot for f in self.factors)
+    bot = cached_property(lambda self: tuple(f.bot for f in self.factors))
 
     def carrier(self, window: int) -> list[tuple]:
         axes = [f.carrier(window) for f in self.factors]
@@ -333,8 +334,9 @@ def _boolean_skeleton(A, window: int) -> Skeleton:
 
 
 def in_radical(A, x) -> bool:
-    """Whether x lies in the radical: x > ¬x."""
-    return A.leq(A.neg(x), x) and A.neg(x) != x
+    """Whether x lies in the radical: x > ¬x, that is ¬x ≤ x and ¬x ≠ x, written with
+    ``>`` ("and not") on truth values so that it also runs on the engine's id arrays."""
+    return A.leq(A.neg(x), x) > (A.neg(x) == x)
 
 
 @dataclass
@@ -373,13 +375,8 @@ def _radical(A, window: int) -> RadicalView:
         elements = [tuple(c) for c in capped_cartesian(
             [v.elements for v in views], PRODUCT_ELEMENT_CAP, forced=(A.top,)
         )]
-        subviews = views
-
-        def to_hoop(a):
-            return tuple(v.to_hoop(x) for v, x in zip(subviews, a))
-
-        def from_hoop(h):
-            return tuple(v.from_hoop(x) for v, x in zip(subviews, h))
+        to_hoop = lambda a: tuple(v.to_hoop(x) for v, x in zip(views, a))
+        from_hoop = lambda h: tuple(v.from_hoop(x) for v, x in zip(views, h))
     else:
         elements = [a for a in A.carrier(window) if in_radical(A, a)]
         order = {a: i for i, a in enumerate(elements)}
@@ -387,18 +384,23 @@ def _radical(A, window: int) -> RadicalView:
         to_hoop = lambda a: order[a]
         from_hoop = lambda i: elements[i]
 
-    # Membership sanity plus closure of the radical under the hoop signature.
-    member_bad = [{"witness": {"x": A.token(a)}} for a in elements if not in_radical(A, a)]
-    report.add(verdict("membership", member_bad, mode=mode))
+    # Membership and closure, as masks over one ops namespace: it interns
+    # the results that leave the window, which closure has to see.
+    o = tables(A)
+    report.add(masked_verdict("membership", ~in_radical(o, o.encode(elements)),
+                              lambda k: {"witness": {"x": A.token(elements[k])}}, mode))
 
     base = stride_select(elements, 64)
-    bad = []
-    for x, y in iterproduct(base, repeat=2):
-        for opname in ("times", "impl", "meet"):
-            r = getattr(A, opname)(x, y)
-            if not in_radical(A, r):
-                bad.append({"witness": {"x": A.token(x), "y": A.token(y)}, "op": opname, "result": A.token(r)})
-    report.add(verdict("closure", bad, mode=mode))
+    m, ops = len(base), ("times", "impl", "meet")
+    column = o.encode(base).reshape((1, m))
+    # One row per pair in itertools.product order, one column per op.
+    left = ~np.stack([in_radical(o, getattr(o, op)(column.reshape((m, 1)), column)).ravel() for op in ops], axis=1)
+
+    def closure(k: int) -> dict:
+        x, y, op = base[k // 3 // m], base[k // 3 % m], ops[k % 3]
+        return {"witness": {"x": A.token(x), "y": A.token(y)}, "op": op, "result": A.token(getattr(A, op)(x, y))}
+
+    report.add(masked_verdict("closure", left.ravel(), closure, mode))
 
     # The induced structure must be a prelinear semihoop.
     hoop_report = validate_semihoop(hoop, window)
@@ -406,14 +408,14 @@ def _radical(A, window: int) -> RadicalView:
     report.flags.update(hoop_report.flags)
 
     # The join of a complemented element and a radical element stays radical.
-    skeleton = boolean_skeleton(A, window)
-    bad = []
-    for b in skeleton.elements:
-        for c in base:
-            r = A.join(b, c)
-            if not in_radical(A, r):
-                bad.append({"witness": {"b": A.token(b), "c": A.token(c)}, "result": A.token(r)})
-    report.add(verdict("skeleton-join-closure", bad, mode=mode))
+    bs = boolean_skeleton(A, window).elements
+    joins = o.join(o.encode(bs).reshape((len(bs), 1)), column)
+
+    def joined(k: int) -> dict:
+        b, c = bs[k // m], base[k % m]
+        return {"witness": {"b": A.token(b), "c": A.token(c)}, "result": A.token(A.join(b, c))}
+
+    report.add(masked_verdict("skeleton-join-closure", ~in_radical(o, joins).ravel(), joined, mode))
 
     # Translation maps must be mutually inverse on the window.
     bad = [

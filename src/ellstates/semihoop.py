@@ -22,9 +22,10 @@ the two side by side on image elements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, partial
 from fractions import Fraction
 from itertools import product
-from math import lcm
+from math import isqrt, lcm
 from types import SimpleNamespace
 from typing import Any, Callable, Mapping, Sequence
 
@@ -110,7 +111,8 @@ class Componentwise:
             raise MalformedInputError("a product needs at least one factor")
         self.factors = tuple(factors)
         self.is_finite = all(f.is_finite for f in self.factors)
-        self.top = tuple(f.top for f in self.factors)
+
+    top = cached_property(lambda self: tuple(f.top for f in self.factors))
 
     def _cw(self, op: str, *args: tuple) -> tuple:
         return tuple([getattr(f, op)(*xs) for f, xs in zip(self.factors, zip(*args))])
@@ -183,22 +185,27 @@ def validate_semihoop(H, window: int = 8) -> ValidationReport:
 
     The classification scans are reported with pass/fail and witnesses like
     everything else but are not required for validity, so a Gödel chain
-    (not cancellative) still yields an ok report.
+    (not cancellative) still yields an ok report.  The report is memoized
+    per (H, window) and shared, so callers must not change it.
     """
-    caps = {2: PAIR_BASE_CAP, 3: TRIPLE_BASE_CAP}
-    checks = scan_axioms(H, SEMIHOOP_AXIOMS, H.carrier(window), caps, scan_mode(H, window), SAMPLED_NOTE)
-    report = ValidationReport(subject="semihoop", checks=checks)
-    pre, pj, div, canc = (
-        report.check(name).passed
-        for name in ("prelinearity", "pseudo-join-associative", "divisibility", "cancellativity")
-    )
-    report.flags = {
-        "prelinear": pre and pj,
-        "divisible": div,
-        "basic": pre and pj and div,
-        "cancellative": pre and pj and div and canc,
-    }
-    return report
+
+    def classify() -> ValidationReport:
+        caps = {2: PAIR_BASE_CAP, 3: TRIPLE_BASE_CAP}
+        checks = scan_axioms(H, SEMIHOOP_AXIOMS, H.carrier(window), caps, scan_mode(H, window), SAMPLED_NOTE)
+        report = ValidationReport(subject="semihoop", checks=checks)
+        pre, pj, div, canc = (
+            report.check(name).passed
+            for name in ("prelinearity", "pseudo-join-associative", "divisibility", "cancellativity")
+        )
+        report.flags = {
+            "prelinear": pre and pj,
+            "divisible": div,
+            "basic": pre and pj and div,
+            "cancellative": pre and pj and div and canc,
+        }
+        return report
+
+    return memo(H, ("semihoop", window), classify)
 
 
 # ---------------------------------------------------------------------------
@@ -345,50 +352,44 @@ def validate_state(H, w, window: int = 8) -> ValidationReport:
     return report
 
 
-def state_properties(H, w, window: int = 8, flags: Mapping[str, bool] | None = None, pairs=None) -> ValidationReport:
+def state_properties(H, w, window: int = 8) -> ValidationReport:
     """Verify the valuation identity, the Bosbach identity, and that for a
     divisible hoop monotonicity already follows from the other axioms.
 
-    ``pairs`` overrides the scanned pair set (used for randomized sweeps);
-    ``flags`` skips re-running the semihoop classifier when already known.
+    Which laws apply (validate_semihoop's flags) and the pairs they scan are
+    kept per (H, window); w is read once into an integer table (see
+    exact_table), and a pair with a result outside the window is skipped.
     """
-    if flags is None:
-        flags = validate_semihoop(H, window).flags
+    flags = validate_semihoop(H, window).flags
     report = ValidationReport(subject="state-properties", flags=dict(flags))
     mode = scan_mode(H, window)
-    if pairs is None:
-        base = stride_select(H.carrier(window), PAIR_BASE_CAP)
-        pairs = list(product(base, repeat=2))
+    # The pairs validate_state scans; these checks carry no sampling note.
+    ops = SimpleNamespace(impl=H.impl, meet=H.meet, join=partial(pseudo_join, H), leq=H.leq)
+    ctx = memo(H, ("state-property-pairs", window),
+               lambda: pair_columns(ops, H.carrier(window), PAIR_BASE_CAP, "", ("impl", "meet", "join", "leq")))
+    table, den = exact_table([(w.value(x),) for x in ctx.elems])
+    V = table[:, 0]
+    Vx, Vy = V[ctx.x], V[ctx.y]
 
-    def wv(x) -> Fraction:
-        return Fraction(w.value(x))
+    def frac(n) -> str:
+        return str(Fraction(int(n), den))
 
-    if flags.get("prelinear"):
-        bad = []
-        for x, y in pairs:
-            lhs = wv(H.meet(x, y)) + wv(pseudo_join(H, x, y))
-            rhs = wv(x) + wv(y)
-            if lhs != rhs:
-                bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(lhs), "rhs": str(rhs)})
-        report.add(verdict("valuation", bad, mode=mode))
-
-    if flags.get("basic"):
-        bad = []
-        for x, y in pairs:
-            lhs = wv(x) + wv(H.impl(x, y))
-            rhs = wv(y) + wv(H.impl(y, x))
-            if lhs != rhs:
-                bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(lhs), "rhs": str(rhs)})
-        report.add(verdict("bosbach", bad, mode=mode))
-
-    if flags.get("divisible"):
+    # -1 marks a result outside the window: such pairs are masked out, so V[-1] never counts.
+    if flags["prelinear"]:
+        inside = (ctx.meet >= 0) & (ctx.join >= 0)
+        lhs, rhs = V[ctx.meet] + V[ctx.join], Vx + Vy
+        report.add(pair_verdict(H, ctx, "valuation", inside & (lhs != rhs), lhs, rhs, frac, mode))
+    if flags["basic"]:
+        # y → x is x → y at the transposed pair.
+        m = isqrt(len(ctx.x))
+        yx = ctx.impl.reshape(m, m).T.ravel()
+        inside = (ctx.impl >= 0) & (yx >= 0)
+        lhs, rhs = Vx + V[ctx.impl], Vy + V[yx]
+        report.add(pair_verdict(H, ctx, "bosbach", inside & (lhs != rhs), lhs, rhs, frac, mode))
+    if flags["divisible"]:
         # v1 + v2 + nonpositive codomain already force monotonicity here;
         # confirm by direct scan.
-        bad = []
-        for x, y in pairs:
-            if H.leq(x, y) and wv(x) > wv(y):
-                bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(wv(x)), "rhs": str(wv(y))})
-        report.add(verdict("monotone-derived", bad, mode=mode))
+        report.add(pair_verdict(H, ctx, "monotone-derived", ctx.leq & (Vx > Vy), Vx, Vy, frac, mode))
     return report
 
 

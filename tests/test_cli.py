@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -266,6 +267,29 @@ class TestExitContract:
         lines = err.splitlines()
         assert code == 2 and out == "" and len(lines) == 1
         assert lines[0].startswith("error: ") and named in lines[0] and "--window" in lines[0]
+
+    @pytest.mark.parametrize(
+        "verb, obj",
+        [
+            ("states", {"kind": "cone", "rank": 10**9}),
+            ("validate", {"kind": "cone", "rank": 10**5}),
+            ("validate", {"kind": "cone", "rank": 10**30}),
+            ("validate", {"kind": "rotation", "rank": 10**9}),
+            ("validate", {"kind": "rotation", "rank": 10**30}),
+        ],
+        ids=["states-cone-1e9", "cone-1e5", "cone-1e30", "rotation-1e9", "rotation-1e30"],
+    )
+    def test_large_ranks_exit_2_at_once(self, tmp_path, capsys, verb, obj):
+        # Each once hung in the size count, or ended in a traceback building
+        # the rotation's top or formatting the count.
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(obj))
+        started = time.monotonic()
+        code, out, err = run(capsys, verb, str(path))
+        assert time.monotonic() - started < 1
+        lines = err.splitlines()
+        assert code == 2 and out == "" and len(lines) == 1 and len(lines[0]) < 200
+        assert lines[0].startswith("error: ") and "'rank'" in lines[0] and "--window" in lines[0]
 
     def test_window_ceiling_admits_the_largest_corpus_input(self, corpus_dir):
         A = algebra_from_json(json.loads((corpus_dir / "product-chang-1xchang-2.json").read_text()))

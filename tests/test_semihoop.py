@@ -165,8 +165,10 @@ class TestStateProperties:
         H = cone_hoop(3)
         w = ConeState([Fraction(1, 3), 0, Fraction(7, 2)])
         pairs = [((1, 2, 3), (4, 0, 1)), ((9, 9, 9), (0, 1, 0))]
-        report = state_properties(H, w, pairs=pairs, flags={"prelinear": True, "basic": True, "divisible": True})
+        assert {x for pair in pairs for x in pair} <= set(H.carrier(9))
+        report = state_properties(H, w, window=9)
         assert report.ok
+        assert [c.axiom for c in report.checks] == ["valuation", "bosbach", "monotone-derived"]
 
 
 class TestEnumerateStates:

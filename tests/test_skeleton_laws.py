@@ -1,4 +1,4 @@
-"""The Boolean skeleton's checks against a reference hand loop.
+"""The Boolean skeleton's and the radical's checks against reference hand loops.
 
 ``ibp0._boolean_skeleton`` reads closure off one ``pair_columns`` over the
 skeleton and scans ``SKELETON_AXIOMS`` with the axiom engine.  The reference
@@ -8,6 +8,12 @@ instance, in ``itertools.product`` order.  The two must agree check for check
 and atoms, on the corpus singles, on the product corpus, and on seeded
 perturbations of the finite corpus tables, which the variety gate would
 refuse, so they go to ``_boolean_skeleton`` directly.
+
+``ibp0._radical`` computes membership, closure and skeleton-join closure as
+masks over one ops namespace; its reference is the plain loop over the
+radical's strided pairs, with ``in_radical`` as a scalar test.  Closure is a
+theorem in the variety, so a planted failure goes through an algebra whose
+ops leave the radical, past a disabled variety gate.
 """
 
 import random
@@ -15,9 +21,10 @@ from itertools import product
 
 import pytest
 
-from ellstates._scan import scan_mode
-from ellstates.corpus import hyperstate_product_corpus, ibp0_corpus
-from ellstates.ibp0 import FiniteMTL, ProductAlgebra, _boolean_skeleton, boolean_skeleton
+from ellstates import ibp0
+from ellstates._scan import scan_mode, stride_select
+from ellstates.corpus import cone_hoop, hyperstate_product_corpus, ibp0_corpus
+from ellstates.ibp0 import FiniteMTL, ProductAlgebra, SymbolicPerfectAlgebra, _boolean_skeleton, boolean_skeleton, radical
 from ellstates.reports import ValidationReport, verdict
 
 WINDOW = 8
@@ -123,3 +130,82 @@ def test_perturbed_tables_agree():
             failed[name] += not sk.report.check(name).passed
     # The closure checks are exercised on failing inputs, not only on passing ones.
     assert all(failed.values()), failed
+
+
+# ---------------------------------------------------------------------------
+# The radical
+
+
+def ref_in_radical(A, x):
+    return A.leq(A.neg(x), x) and A.neg(x) != x
+
+
+def ref_radical_checks(A, elements, skeleton, window=WINDOW):
+    """membership, closure and skeleton-join-closure by the plain loop."""
+    mode = scan_mode(A, window)
+    checks = [verdict("membership", [{"witness": {"x": A.token(a)}} for a in elements if not ref_in_radical(A, a)],
+                      mode=mode)]
+    base = stride_select(elements, 64)
+    bad = []
+    for x, y in product(base, repeat=2):
+        for opname in ("times", "impl", "meet"):
+            r = getattr(A, opname)(x, y)
+            if not ref_in_radical(A, r):
+                bad.append({"witness": {"x": A.token(x), "y": A.token(y)}, "op": opname, "result": A.token(r)})
+    checks.append(verdict("closure", bad, mode=mode))
+    bad = []
+    for b in skeleton:
+        for c in base:
+            r = A.join(b, c)
+            if not ref_in_radical(A, r):
+                bad.append({"witness": {"b": A.token(b), "c": A.token(c)}, "result": A.token(r)})
+    checks.append(verdict("skeleton-join-closure", bad, mode=mode))
+    return ValidationReport(subject="radical", checks=checks)
+
+
+RADICAL_LAWS = ("membership", "closure", "skeleton-join-closure")
+
+
+def assert_radical_agrees(A):
+    """The radical's checks agree with the reference, in today's order."""
+    rad = radical(A, WINDOW)
+    names = [c.axiom for c in rad.report.checks]
+    assert names[:2] == ["membership", "closure"] and names[-2:] == ["skeleton-join-closure", "translation-roundtrip"]
+    assert all(name.startswith("hoop-") for name in names[2:-2])
+    ours = ValidationReport(subject="radical", checks=[rad.report.check(name) for name in RADICAL_LAWS])
+    assert rows(ours) == rows(ref_radical_checks(A, rad.elements, boolean_skeleton(A, WINDOW).elements))
+    return ours
+
+
+@pytest.mark.parametrize("corpus", [ibp0_corpus, hyperstate_product_corpus])
+def test_radical_closure_agrees_on_the_corpus(corpus):
+    for A in corpus().values():
+        assert assert_radical_agrees(A).ok
+
+
+class LeakyRotation(SymbolicPerfectAlgebra):
+    """The rank-1 rotation with some products, meets and joins moved to the
+    negative copy, and pos-(6) no longer above its negation."""
+
+    def times(self, x, y):
+        r = super().times(x, y)
+        return self.neg(r) if x[0] == y[0] == "pos" and x[1][0] + y[1][0] == 5 else r
+
+    def meet(self, x, y):
+        r = super().meet(x, y)
+        return self.neg(r) if x[0] == y[0] == "pos" and x[1][0] == 3 else r
+
+    def join(self, x, y):
+        r = super().join(x, y)
+        return self.neg(r) if r[0] == "pos" and r[1][0] == 7 else r
+
+    def leq(self, x, y):
+        return super().leq(x, y) and (x, y) != (("neg", (6,)), ("pos", (6,)))
+
+
+def test_radical_closure_agrees_on_a_planted_leak(monkeypatch):
+    monkeypatch.setattr(ibp0, "require_ibp0", lambda A, window=8: None)
+    ours = assert_radical_agrees(LeakyRotation(cone_hoop(1)))
+    # Each of the three checks fails, so the masks and witnesses are compared on failures.
+    assert not any(c.passed for c in ours.checks)
+    assert {w["op"] for w in ours.check("closure").witnesses} == {"times", "impl", "meet"}

@@ -1,13 +1,16 @@
 """The state and hyperstate value laws against a reference Fraction loop.
 
 ``validate_hyperstate``, ``hyperstate_properties``, ``validate_state``,
-``validate_probability`` and ``state_to_kgroup_state`` read each map once
-into integer numerator tables and evaluate their laws as numpy gathers.  The reference below keeps the
-plain loop: one ``Fraction`` comparison per pair, over the pairs the laws
-scan, in ``itertools.product`` order.  The two must agree check for check
-(name, verdict, violation count, witnesses, note, mode) on every generated
-hyperstate of the single corpus algebras, on planted failures, and on values
-whose numerators do not fit int64.
+``state_properties``, ``validate_probability`` and ``state_to_kgroup_state``
+read each map once into integer numerator tables and evaluate their laws as
+numpy gathers.  The reference below keeps the plain loop: one ``Fraction``
+comparison per pair, over the pairs the laws scan, in ``itertools.product``
+order.  The two must agree check for check (name, verdict, violation count,
+witnesses, note, mode) on every generated hyperstate of the single corpus
+algebras, on planted failures, and on values whose numerators do not fit
+int64; ``state_properties`` also on the semihoop corpus, on cones and on
+the radical hoops of the product corpus, and on windows that its op
+results leave.
 """
 
 from fractions import Fraction as F
@@ -23,9 +26,11 @@ from ellstates.corpus import (
     chang_algebra,
     cone_hoop,
     hyperstate_family,
+    hyperstate_product_corpus,
     ibp0_corpus,
     lukasiewicz_hoop,
     measure_family,
+    semihoop_corpus,
 )
 from ellstates.hypernum import DualRational, format_dual, interval_defect, mv_otimes
 from ellstates.ibp0 import boolean_skeleton, coradical, radical, require_ibp0
@@ -39,8 +44,14 @@ from ellstates.semihoop import (
     KGroupState,
     TableState,
     monoid_reduct,
+    pseudo_join,
+    state_properties,
     state_to_kgroup_state,
+    symbolic_rank,
+    validate_semihoop,
     validate_state,
+    weighted_state,
+    zero_state,
 )
 from ellstates.states import (
     HYPER_PAIR_CAP,
@@ -245,6 +256,42 @@ def ref_validate_state(H, w, window=WINDOW):
     return report
 
 
+def ref_state_properties(H, w, window=WINDOW):
+    flags = validate_semihoop(H, window).flags
+    report = ValidationReport(subject="state-properties", flags=dict(flags))
+    mode = scan_mode(H, window)
+    base = stride_select(H.carrier(window), PAIR_BASE_CAP)
+    pairs = list(product(base, repeat=2))
+
+    @cache
+    def wv(x):
+        return F(w.value(x))
+
+    if flags.get("prelinear"):
+        bad = []
+        for x, y in pairs:
+            lhs = wv(H.meet(x, y)) + wv(pseudo_join(H, x, y))
+            rhs = wv(x) + wv(y)
+            if lhs != rhs:
+                bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(lhs), "rhs": str(rhs)})
+        report.add(verdict("valuation", bad, mode=mode))
+    if flags.get("basic"):
+        bad = []
+        for x, y in pairs:
+            lhs = wv(x) + wv(H.impl(x, y))
+            rhs = wv(y) + wv(H.impl(y, x))
+            if lhs != rhs:
+                bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(lhs), "rhs": str(rhs)})
+        report.add(verdict("bosbach", bad, mode=mode))
+    if flags.get("divisible"):
+        bad = []
+        for x, y in pairs:
+            if H.leq(x, y) and wv(x) > wv(y):
+                bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(wv(x)), "rhs": str(wv(y))})
+        report.add(verdict("monotone-derived", bad, mode=mode))
+    return report
+
+
 def ref_state_to_kgroup_state(H, w, window=WINDOW):
     M = monoid_reduct(H)
     K, h = k_envelope(M)
@@ -293,6 +340,13 @@ def assert_hyperstate_agrees(A, s):
 
 def assert_state_agrees(H, w, window=WINDOW):
     assert rows(validate_state(H, w, window)) == rows(ref_validate_state(H, w, window))
+
+
+def assert_properties_agree(H, w, window=WINDOW):
+    """The two reports agree, and how many of their checks failed."""
+    new, ref = state_properties(H, w, window), ref_state_properties(H, w, window)
+    assert (rows(new), new.flags) == (rows(ref), ref.flags)
+    return len(new.failures())
 
 
 def assert_sigma_agrees(H, w, window=WINDOW):
@@ -398,6 +452,68 @@ def test_shifted_table_states_agree():
             assert_state_agrees(H, w, window)
             if H.is_finite:
                 assert_sigma_agrees(H, w, window)
+
+
+def shifted(H, w, window, victim):
+    """w as a table over the window, moved by 1/7 at ``victim``."""
+    values = {x: F(w.value(x)) for x in H.carrier(window)}
+    values[victim] += F(1, 7)
+    return TableState(values)
+
+
+def test_state_properties_agree_on_the_semihoop_corpus():
+    failed = 0
+    for H in semihoop_corpus().values():
+        elems = H.carrier(WINDOW)
+        for w in (zero_state(H), shifted(H, zero_state(H), WINDOW, elems[len(elems) // 2])):
+            failed += assert_properties_agree(H, w)
+    assert failed
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+@pytest.mark.parametrize("window", [3, 8])
+def test_state_properties_agree_on_cones(rank, window):
+    H = cone_hoop(rank)
+    valid = ConeState([F(k + 1, 2) for k in range(rank)])
+    wrong = ConeState([-1] + [F(1, 3)] * (rank - 1))
+    assert assert_properties_agree(H, valid, window) == 0
+    assert assert_properties_agree(H, wrong, window) > 0
+
+
+@pytest.mark.parametrize("name", list(hyperstate_product_corpus()))
+def test_state_properties_agree_on_product_radicals(name):
+    H = radical(hyperstate_product_corpus()[name], WINDOW).hoop
+    rank = symbolic_rank(H)
+    if rank:
+        states = [weighted_state(H, [F(k + 1, 3) for k in range(rank)]),
+                  weighted_state(H, [F(-1, 2)] + [F(2)] * (rank - 1))]
+    else:
+        states = [zero_state(H), shifted(H, zero_state(H), WINDOW, H.carrier(WINDOW)[1])]
+    assert assert_properties_agree(H, states[0]) == 0
+    assert assert_properties_agree(H, states[1]) > 0
+
+
+class Gapped(semihoop.FiniteSemihoop):
+    """A finite hoop whose window leaves out some of its elements."""
+
+    def __init__(self, H, window):
+        super().__init__(H.times_table, H.impl_table, H.meet_table, H.top)
+        self.window = window
+
+    def carrier(self, window):
+        return self.window
+
+
+def test_results_outside_the_window_are_never_compared():
+    # In Lukasiewicz-5 seen as {0, 1, 4}, 1 → 0 = 3 leaves the window; in
+    # godel-2x3 seen as {0, 1, 3, 5}, 1 ∨ 3 = 4 does, and seen as {1, 3, 4, 5},
+    # 1 ∧ 3 = 0.  Read at position -1, each would be w(top) = 0 and fail its law.
+    godel = semihoop_corpus()["godel-2x3"]
+    for H, window, law in ((lukasiewicz_hoop(5), [0, 1, 4], "bosbach"), (godel, [0, 1, 3, 5], "valuation"),
+                           (godel, [1, 3, 4, 5], "valuation")):
+        G = Gapped(H, window)
+        w = TableState({x: F(x - H.top, H.top) for x in range(H.size)})
+        assert state_properties(G, w).check(law).passed
 
 
 def test_valid_states_agree_through_sigma():
