@@ -65,7 +65,7 @@ from .ibp0 import (
     validate_ibp0,
     validate_mtl,
 )
-from .hypernum import format_dual, parse_dual
+from .hypernum import format_dual, parse_dual, parse_exact
 from .lmonoid import FiniteLMonoid, TableAlgebra, envelope_summary, k_envelope, validate_lmonoid
 from .reports import (
     Check,
@@ -103,7 +103,7 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _exact(value: Any, where: str, parse: Callable[[str], Any] = Fraction) -> Any:
+def _exact(value: Any, where: str, parse: Callable[[str], Any] = parse_exact) -> Any:
     """``parse`` applied to an exact value written as an int or a string."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise MalformedInputError(f"{where}: expected an exact value, got {value!r}")
@@ -137,7 +137,7 @@ def _index_key(key: str, where: str, size: int | None = None) -> int:
     raise MalformedInputError(f"{where}: key {key!r} is not an element index")
 
 
-def _element_table(obj: dict, A, where: str, parse: Callable[[str], Any] = Fraction) -> dict[int, Any]:
+def _element_table(obj: dict, A, where: str, parse: Callable[[str], Any] = parse_exact) -> dict[int, Any]:
     """A table file's exact entries, keyed by elements of the finite table
     algebra ``A``; no key names an element of any other carrier."""
     size = A.size if isinstance(A, TableAlgebra) else 0

@@ -17,13 +17,12 @@ equality below is exact; there is no floating point anywhere in this module.
 
 from __future__ import annotations
 
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Union
-
-#: Exact rational scalar used throughout the package.
-Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
 
@@ -40,6 +39,16 @@ def _rat(value: RationalLike) -> Fraction:
     return Fraction(value)
 
 
+def parse_exact(text: str) -> Fraction:
+    """The Fraction that ``text`` writes, such as "7/3" or "1.5e3".  A decimal
+    exponent above Python's digit limit for integer literals in magnitude is
+    refused, since its power of ten would take unbounded time to build."""
+    exponent, limit = re.search(r"[eE]([-+]?[\d_]+)\s*\Z", text), sys.get_int_max_str_digits()
+    if exponent and abs(int(exponent[1])) > limit:
+        raise ValueError(f"decimal exponent above {limit} in magnitude: {text[:40]!r}")
+    return Fraction(text)
+
+
 def interval_defect(std: Fraction, inf: Fraction) -> str:
     """Why the pair ``std + eps*inf`` lies outside the interval, or "" when
     it lies inside."""
@@ -52,14 +61,15 @@ def interval_defect(std: Fraction, inf: Fraction) -> str:
     return ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class DualRational:
     """One element of the interval: ``std + eps*inf``.
 
     Membership in the interval [(0,0), (1,0)] of the lexicographic product
     is enforced at construction: the standard part lies in [0, 1], and the
     infinitesimal coefficient may not push the value below (0,0) or above
-    (1,0) at the boundary.
+    (1,0) at the boundary.  The order is the dataclass one on the fields,
+    (std, inf) as a tuple, which is the lexicographic order.
     """
 
     std: Fraction
@@ -71,22 +81,6 @@ class DualRational:
         defect = interval_defect(self.std, self.inf)
         if defect:
             raise ValueError(defect)
-
-    # Order is lexicographic; equality is the componentwise dataclass one.
-    def _key(self) -> tuple[Fraction, Fraction]:
-        return (self.std, self.inf)
-
-    def __lt__(self, other: "DualRational") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "DualRational") -> bool:
-        return self._key() <= other._key()
-
-    def __gt__(self, other: "DualRational") -> bool:
-        return self._key() > other._key()
-
-    def __ge__(self, other: "DualRational") -> bool:
-        return self._key() >= other._key()
 
     def __str__(self) -> str:
         return format_dual(self)
@@ -107,9 +101,9 @@ def parts(x: DualRational) -> tuple[Fraction, Fraction]:
 
 
 def lex_compare(x: DualRational, y: DualRational) -> Ordering:
-    if x._key() < y._key():
+    if x < y:
         return Ordering.LT
-    if x._key() == y._key():
+    if x == y:
         return Ordering.EQ
     return Ordering.GT
 
@@ -147,6 +141,6 @@ def parse_dual(text: str) -> DualRational:
     if not sep or not head or not tail:
         raise ValueError(f"not a dual-rational literal: {text!r}")
     try:
-        return DualRational(Fraction(head), Fraction(tail))
+        return DualRational(parse_exact(head), parse_exact(tail))
     except ZeroDivisionError as exc:
         raise ValueError(f"zero denominator in {text!r}") from exc

@@ -73,15 +73,6 @@ class FiniteMTL(TableAlgebra):
     def __init__(self, times, impl, meet, join, bot: int, top: int, size: int | None = None):
         super().__init__((times, impl, meet, join), (bot, top), size)
 
-    def times(self, x, y):
-        return self.times_table[x][y]
-
-    def impl(self, x, y):
-        return self.impl_table[x][y]
-
-    def join(self, x, y):
-        return self.join_table[x][y]
-
     def neg(self, x):
         return self.impl_table[x][self.bot]
 
@@ -379,6 +370,8 @@ def _radical(A, window: int) -> RadicalView:
         from_hoop = lambda h: tuple(v.from_hoop(x) for v, x in zip(views, h))
     else:
         elements = [a for a in A.carrier(window) if in_radical(A, a)]
+        if not elements:
+            raise PreconditionError("the radical is empty: no element lies above its negation")
         order = {a: i for i, a in enumerate(elements)}
         hoop = FiniteSemihoop.tabulated(A, elements)
         to_hoop = lambda a: order[a]

@@ -66,10 +66,11 @@ class TableAlgebra:
     """A finite carrier on indices 0..n-1, declared by its tables.
 
     A kind declares ``KIND`` (its name in error messages), ``TABLES`` (its
-    binary ops in constructor order; op ``o`` keeps its table as ``o_table``)
-    and ``CONSTANTS`` (its named elements, after the tables in the
-    constructor), and writes its scalar ops against the tables.  Every kind
-    has a meet, which the base supplies and reads the order from.
+    binary ops in constructor order) and ``CONSTANTS`` (its named elements,
+    after the tables in the constructor).  Each op ``o`` in ``TABLES`` keeps
+    its checked table as ``o_table`` and is bound to the lookup in it, so a
+    kind writes only the ops it derives.  Every kind has a meet table, which
+    the order is read from.
     """
 
     is_finite = True
@@ -83,7 +84,9 @@ class TableAlgebra:
             raise MalformedInputError("size must be at least 1")
         self.size = n
         for op, table in zip(self.TABLES, tables):
-            setattr(self, f"{op}_table", check_table(op, table, n))
+            table = check_table(op, table, n)
+            setattr(self, f"{op}_table", table)
+            setattr(self, op, lambda x, y, t=table: t[x][y])
         for name, v in zip(self.CONSTANTS, constants):
             if not _is_index(v, n):
                 raise MalformedInputError(f"{name} = {v!r} is not an index in 0..{n - 1}")
@@ -104,9 +107,6 @@ class TableAlgebra:
     def carrier(self, window: int) -> list[int]:
         return list(range(self.size))
 
-    def meet(self, x: int, y: int) -> int:
-        return self.meet_table[x][y]
-
     def leq(self, x: int, y: int) -> bool:
         return self.meet_table[x][y] == x
 
@@ -123,12 +123,6 @@ class FiniteLMonoid(TableAlgebra):
 
     def __init__(self, add, meet, join, unit: int, size: int | None = None):
         super().__init__((add, meet, join), (unit,), size)
-
-    def add(self, x: int, y: int) -> int:
-        return self.add_table[x][y]
-
-    def join(self, x: int, y: int) -> int:
-        return self.join_table[x][y]
 
 
 @dataclass(frozen=True)

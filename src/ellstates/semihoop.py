@@ -66,12 +66,6 @@ class FiniteSemihoop(TableAlgebra):
     def __init__(self, times, impl, meet, top: int, size: int | None = None):
         super().__init__((times, impl, meet), (top,), size)
 
-    def times(self, x: int, y: int) -> int:
-        return self.times_table[x][y]
-
-    def impl(self, x: int, y: int) -> int:
-        return self.impl_table[x][y]
-
 
 class SymbolicConeHoop(Cone):
     """The cancellative hoop on k-tuples of nonnegative integers.

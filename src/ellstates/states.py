@@ -212,13 +212,13 @@ class FormulaHyperstate:
         return got
 
     def value(self, a) -> DualRational:
-        std, inf = self.raw_value(a)
-        if interval_defect(std, inf):
+        raw = self.raw_value(a)
+        try:
+            return DualRational(*raw)
+        except ValueError:
             raise MalformedInputError(
-                f"formula value escapes the interval at {self.algebra.token(a)}: "
-                f"{format_dual((std, inf))}"
-            )
-        return DualRational(std, inf)
+                f"formula value escapes the interval at {self.algebra.token(a)}: {format_dual(raw)}"
+            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +383,9 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
 
 @dataclass
 class SplitResult:
-    """Measure, radical state, and the per-element identity residuals
-    (rendered pairs; all exactly "0+e0" or the split would have raised)."""
+    """Measure, radical state, and the per-element identity residuals,
+    written as the "0+e0" that the split's check proved: at the first
+    element where s and the split differ, the split raises instead."""
 
     p: ProbabilityMeasure
     w: Any
@@ -428,7 +429,7 @@ def split_hyperstate(A, s, window: int = 8) -> SplitResult:
                 f"split identity fails at {A.token(a)}: "
                 f"s = {format_dual(got)}, split gives {format_dual(want)}"
             )
-        residuals[A.token(a)] = format_dual((got[0] - want[0], got[1] - want[1]))
+        residuals[A.token(a)] = "0+e0"
     return SplitResult(p=p, w=w, residuals=residuals)
 
 

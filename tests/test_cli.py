@@ -52,6 +52,20 @@ def nested_products(obj: dict, depth: int) -> dict:
     return obj
 
 
+def run_child(*argv, cwd=None):
+    """Invoke in a child process that imports the same package as this test,
+    installed or not; a child still running after 20 s fails the test."""
+    src = str(Path(ellstates.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "ellstates.cli", *argv],
+                          capture_output=True, text=True, env=env, cwd=cwd, timeout=20)
+
+
+# A bounded algebra with top = bot: it passes validate --ibp0, but no element
+# lies above its negation, so its radical is empty.
+ONE_ELEMENT = {"size": 1, "times": [[0]], "impl": [[0]], "meet": [[0]], "join": [[0]], "bot": 0, "top": 0}
+
+
 def run(capsys, *argv):
     """Invoke in process and hand back (exit status, parsed stdout, stderr)."""
     code = main(list(argv))
@@ -291,6 +305,46 @@ class TestExitContract:
         assert code == 2 and out == "" and len(lines) == 1 and len(lines[0]) < 200
         assert lines[0].startswith("error: ") and "'rank'" in lines[0] and "--window" in lines[0]
 
+    @pytest.mark.parametrize(
+        "argv, data",
+        [
+            (["radical"], None),
+            (["hyperstate", "properties"], {"table": {"0": "0+e0"}}),
+            (["hyperstate", "properties"], {"measure": {}}),
+            (["hyperstate", "validate"], {"measure": {}}),
+            (["hyperstate", "split"], {"measure": {}}),
+        ],
+        ids=["radical", "properties-table", "properties-measure", "validate-measure", "split-measure"],
+    )
+    def test_empty_radical_is_a_precondition_failure(self, tmp_path, argv, data):
+        # Each once ended in a KeyError traceback while tabulating the radical.
+        (tmp_path / "one.json").write_text(json.dumps(ONE_ELEMENT))
+        (tmp_path / "data.json").write_text(json.dumps(data))
+        proc = run_child(*argv, "one.json", *(["data.json"] if data else []), cwd=tmp_path)
+        assert proc.returncode == 1 and proc.stderr == ""
+        checks = json.loads(proc.stdout)["checks"]
+        assert [c["axiom"] for c in checks] == ["precondition"]
+        assert "radical is empty" in checks[0]["witnesses"][0]["error"]
+        assert run_child("validate", "--ibp0", "one.json", cwd=tmp_path).returncode == 0
+
+    @pytest.mark.parametrize(
+        "argv, text, field",
+        [
+            (["states", "hoop-cone-1.json"], '{"lambda": ["1e999999999"]}', "lambda"),
+            (["hyperstate", "validate", "algebra-boolean-4.json"],
+             '{"table": {"0": "0+e0", "1": "1e999999999+e0", "2": "1/2+e0", "3": "1+e0"}}', "table[1]"),
+        ],
+        ids=["lambda", "hyperstate-table"],
+    )
+    def test_huge_exponents_exit_2_at_once(self, corpus_dir, tmp_path, argv, text, field):
+        # Each once hung building the power of ten.
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        proc = run_child(*argv, str(path), cwd=corpus_dir)
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 2 and proc.stdout == "" and len(lines) == 1
+        assert lines[0].startswith(f"error: {field}: decimal exponent above ")
+
     def test_window_ceiling_admits_the_largest_corpus_input(self, corpus_dir):
         A = algebra_from_json(json.loads((corpus_dir / "product-chang-1xchang-2.json").read_text()))
         assert window_size(A, 8) == 18 * 162 <= MAX_WINDOW_ELEMENTS
@@ -435,14 +489,7 @@ class TestOutputContract:
         assert exc.value.code == 2
 
     def test_console_module_invocation(self, corpus_dir):
-        # The child imports the same package as this test, installed or not.
-        src = str(Path(ellstates.cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run(
-            [sys.executable, "-m", "ellstates.cli", "validate",
-             str(corpus_dir / "algebra-boolean-2.json")],
-            capture_output=True, text=True, env=env,
-        )
+        proc = run_child("validate", str(corpus_dir / "algebra-boolean-2.json"))
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
 

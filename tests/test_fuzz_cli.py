@@ -128,6 +128,9 @@ LARGE_RANKS = [
     (["validate", "{}"], '{"kind": "rotation", "rank": 1000000000000000000000000000000}'),
 ]
 
+# A bounded algebra whose radical is empty: top = bot.
+ONE_ELEMENT = {"size": 1, "times": [[0]], "impl": [[0]], "meet": [[0]], "join": [[0]], "bot": 0, "top": 0}
+
 
 @settings(derandomize=True, max_examples=300, deadline=None, database=None,
           suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large])
@@ -139,6 +142,10 @@ LARGE_RANKS = [
 @example(case=LARGE_RANKS[4])
 @example(case=(["validate", "{}"], '{"kind": "product", "factors": [{"kind": "rotation", "rank": 1000000000}]}'))
 @example(case=(["validate", "{}"], '{"kind": "cone", "rank": ' + HUGE_TEXT + "}"))
+@example(case=(["radical", "{}"], json.dumps(ONE_ELEMENT)))
+@example(case=(["states", "hoop-cone-1.json", "{}"], '{"lambda": ["1e999999999"]}'))
+@example(case=(["hyperstate", "validate", "algebra-boolean-4.json", "{}"],
+               '{"table": {"0": "0+e0", "1": "1e999999999+e0", "2": "1/2+e0", "3": "1+e0"}}'))
 def test_mutated_files_keep_the_exit_contract(corpus_dir, case):
     argv, text = case
     path = corpus_dir / "mutated.json"

@@ -17,6 +17,7 @@ from ellstates.hypernum import (
     mv_oplus,
     mv_otimes,
     parse_dual,
+    parse_exact,
     parts,
 )
 
@@ -55,6 +56,29 @@ def test_lex_compare_examples():
     assert lex_compare(dual("1/2", 5), dual("1/2", 5)) is Ordering.EQ
     assert lex_compare(dual("1/2", -100), dual("1/3", 100)) is Ordering.GT
     assert lex_compare(dual("1/2", 1), dual("1/2", 0)) is Ordering.GT
+
+
+@given(st.lists(duals(), min_size=2, max_size=6))
+def test_order_is_the_order_of_std_inf_tuples(xs):
+    key = lambda v: (v.std, v.inf)
+    assert [key(v) for v in sorted(xs)] == sorted(map(key, xs))
+    for x in xs:
+        for y in xs:
+            kx, ky = key(x), key(y)
+            assert (x < y, x <= y, x > y, x >= y, x == y) == (kx < ky, kx <= ky, kx > ky, kx >= ky, kx == ky)
+            assert lex_compare(x, y) is (Ordering.LT if kx < ky else Ordering.EQ if kx == ky else Ordering.GT)
+
+
+def test_parse_exact_refuses_huge_exponents():
+    assert parse_exact("1e3") == 1000 and parse_exact("2.5E-2") == F(1, 40)
+    assert parse_dual("0+e5000") == dual(0, 5000)
+    for text in ("1e999999999", "1e-4301", "1.5E+4301"):
+        with pytest.raises(ValueError, match="exponent"):
+            parse_exact(text)
+    with pytest.raises(ValueError, match="exponent"):
+        parse_dual("1e999999999+e0")
+    with pytest.raises(ValueError, match="exponent"):
+        parse_dual("1/2+e1e999999999")
 
 
 def test_oplus_examples():

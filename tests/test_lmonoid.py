@@ -8,9 +8,12 @@ from itertools import product
 
 import pytest
 
+from ellstates.corpus import ibp0_corpus, lmonoid_corpus, semihoop_corpus
+from ellstates.ibp0 import FiniteMTL
 from ellstates.lmonoid import (
     FiniteLMonoid,
     KElement,
+    TableAlgebra,
     SymbolicCancellativeMonoid,
     envelope_summary,
     eq_witness,
@@ -27,7 +30,7 @@ from ellstates.lmonoid import (
     validate_lmonoid,
 )
 from ellstates.reports import MAX_WITNESSES, MalformedInputError
-from ellstates.semihoop import SymbolicConeHoop
+from ellstates.semihoop import FiniteSemihoop, SymbolicConeHoop
 
 
 def trunc_monoid(n: int) -> FiniteLMonoid:
@@ -262,3 +265,24 @@ class TestImageBound:
             for a, b in product(M.elements(), repeat=2):
                 e = KElement(a, b)
                 assert k_leq(K, image_bound(K, h, e), e)
+
+
+FINITE_KINDS = (FiniteLMonoid, FiniteSemihoop, FiniteMTL, TableAlgebra)
+
+
+def finite_corpus():
+    corpora = {"lmonoid": lmonoid_corpus(), "hoop": semihoop_corpus(), "algebra": ibp0_corpus()}
+    return {f"{k}-{n}": A for k, c in corpora.items() for n, A in c.items() if isinstance(A, TableAlgebra)}
+
+
+class TestTableOps:
+    @pytest.mark.parametrize("name", sorted(finite_corpus()))
+    def test_each_table_op_looks_up_its_table(self, name):
+        A = finite_corpus()[name]
+        for op in A.TABLES:
+            table = getattr(A, f"{op}_table")
+            assert all(getattr(A, op)(x, y) == table[x][y] for x, y in product(A.elements(), repeat=2)), op
+
+    def test_no_kind_restates_a_table_lookup(self):
+        assert {type(A) for A in finite_corpus().values()} == set(FINITE_KINDS[:3])
+        assert [op for K in FINITE_KINDS for op in ("times", "impl", "join", "add", "meet") if op in vars(K)] == []

@@ -186,8 +186,9 @@ class TestFormulaHyperstate:
             "witness": {"x": "(0|pos(1))"},
             "value": "0+e-1",
         }
-        with pytest.raises(MalformedInputError, match="escapes the interval"):
+        with pytest.raises(MalformedInputError) as exc:
             s.value((0, ("pos", (1,))))
+        assert str(exc.value) == "formula value escapes the interval at (0|pos(1)): 0+e-1"
 
     def test_foreign_measure_rejected(self):
         C = chang_algebra(1)
