@@ -74,8 +74,8 @@ def sampled_note(wording: str, base: Sequence, elems: Sequence) -> str:
 
 
 def memo(obj: Any, key: Hashable, build: Callable[[], T]) -> T:
-    """``build()``, computed once per ``key`` and kept on ``obj`` itself, so a
-    cached scan or structure lives exactly as long as its algebra."""
+    """``build()``, computed once per ``key`` and kept in ``obj._memo``, on an
+    algebra or a hyperstate, so a cache lives exactly as long as its owner."""
     cache = vars(obj).setdefault("_memo", {})
     if key not in cache:
         cache[key] = build()

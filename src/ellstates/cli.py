@@ -24,7 +24,9 @@ writes the zero state of a finite product as {"lambda": []}.
 
 Tables are row-major arrays of element indices, and constants are element
 indices.  Products nest at most 32 deep.  All numbers in reports are exact
-fraction strings.
+fraction strings, written in full even past the 4300 digits that Python
+converts from a string; a file that holds such a value exits 2 when it is
+read back, at that parse limit.
 
 Exit status: 0 when every required check passed, 1 when some check failed
 (the report carries witnesses), 2 when an input could not be parsed at all.
@@ -65,7 +67,7 @@ from .ibp0 import (
     validate_ibp0,
     validate_mtl,
 )
-from .hypernum import format_dual, parse_dual, parse_exact
+from .hypernum import format_dual, format_exact, parse_dual, parse_exact
 from .lmonoid import FiniteLMonoid, TableAlgebra, envelope_summary, k_envelope, validate_lmonoid
 from .reports import (
     Check,
@@ -254,9 +256,9 @@ def state_from_json(obj: Any, hoop):
 
 def state_to_json(w) -> dict[str, Any]:
     if isinstance(w, TableState):
-        return {str(k): str(v) for k, v in sorted(w.values.items())}
+        return {str(k): format_exact(v) for k, v in sorted(w.values.items())}
     if isinstance(w, (ConeState, ProductState)):
-        return {"lambda": [str(v) for v in state_weights(w)]}
+        return {"lambda": [format_exact(v) for v in state_weights(w)]}
     raise MalformedInputError(f"no file form for {type(w).__name__}")
 
 
@@ -288,13 +290,13 @@ def hyperstate_from_json(obj: Any, A, window: int):
 
 def hyperstate_to_json(s, A) -> dict[str, Any]:
     if isinstance(s, TableHyperstate):
-        return {"table": {A.token(k): str(v) for k, v in sorted(s.items())}}
+        return {"table": {A.token(k): format_dual(v) for k, v in sorted(s.items())}}
     out: dict[str, Any] = {
-        "measure": {str(i): str(v) for i, v in enumerate(s.measure.weights) if v != 0}
+        "measure": {str(i): format_exact(v) for i, v in enumerate(s.measure.weights) if v != 0}
     }
     lam = state_weights(s.state)
     if lam:
-        out["lambda"] = [str(v) for v in lam]
+        out["lambda"] = [format_exact(v) for v in lam]
     return out
 
 
@@ -494,12 +496,12 @@ def _run_hyperstate(args) -> tuple[str, list[Check], dict]:
         "split-identity",
         [],
         mode=scan_mode(A, args.window),
-        note=f"{len(split.residuals)} elements, zero residual",
+        note=f"{split.scanned} elements, zero residual",
     )
     result = {
-        "p": {A.token(b): str(split.p.value(b)) for b in split.p.skeleton.atoms},
+        "p": {A.token(b): format_exact(split.p.value(b)) for b in split.p.skeleton.atoms},
         "w": state_to_json(split.w),
-        "residuals": split.residuals,
+        "residuals": dict.fromkeys(values, "0+e0"),
     }
     return "split", [check], result
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from enum import Enum
 from fractions import Fraction
 from typing import Union
@@ -49,15 +50,25 @@ def parse_exact(text: str) -> Fraction:
     return Fraction(text)
 
 
+def format_exact(q: Fraction) -> str:
+    """``str(q)``, or past Python's digit limit for integer strings the same
+    digits written through Decimal, which is exact and has no such limit."""
+    try:
+        return str(q)
+    except ValueError:
+        num = str(Decimal(q.numerator))
+        return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+
 def interval_defect(std: Fraction, inf: Fraction) -> str:
     """Why the pair ``std + eps*inf`` lies outside the interval, or "" when
     it lies inside."""
     if not 0 <= std <= 1:
-        return f"standard part {std} outside [0, 1]"
+        return f"standard part {format_exact(std)} outside [0, 1]"
     if std == 0 and inf < 0:
-        return f"0 + eps*{inf} lies below (0, 0)"
+        return f"0 + eps*{format_exact(inf)} lies below (0, 0)"
     if std == 1 and inf > 0:
-        return f"1 + eps*{inf} lies above (1, 0)"
+        return f"1 + eps*{format_exact(inf)} lies above (1, 0)"
     return ""
 
 
@@ -132,7 +143,7 @@ def format_dual(x: DualRational | tuple[Fraction, Fraction]) -> str:
     """Render as ``"r+es"`` with exact fraction strings, e.g. ``"1/2+e-3/4"``;
     also a raw (std, inf) pair, such as a sum that left the interval."""
     std, inf = parts(x) if isinstance(x, DualRational) else x
-    return f"{std}+e{inf}"
+    return f"{format_exact(std)}+e{format_exact(inf)}"
 
 
 def parse_dual(text: str) -> DualRational:

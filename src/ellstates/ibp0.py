@@ -49,7 +49,6 @@ from .semihoop import (
     FiniteSemihoop,
     ProductHoop,
     SymbolicConeHoop,
-    pseudo_join,
     validate_semihoop,
 )
 
@@ -133,14 +132,14 @@ class SymbolicPerfectAlgebra:
         if sx == "pos" and sy == "pos":
             return ("pos", self.core.meet(cx, cy))
         if sx == "neg" and sy == "neg":
-            return ("neg", pseudo_join(self.core, cx, cy))
+            return ("neg", self.core.join(cx, cy))
         return x if sx == "neg" else y
 
     def join(self, x, y):
         sx, cx = x
         sy, cy = y
         if sx == "pos" and sy == "pos":
-            return ("pos", pseudo_join(self.core, cx, cy))
+            return ("pos", self.core.join(cx, cy))
         if sx == "neg" and sy == "neg":
             return ("neg", self.core.meet(cx, cy))
         return x if sx == "pos" else y
@@ -172,9 +171,6 @@ class ProductAlgebra(Componentwise):
     def carrier(self, window: int) -> list[tuple]:
         axes = [f.carrier(window) for f in self.factors]
         return capped_cartesian(axes, PRODUCT_ELEMENT_CAP, forced=(self.bot, self.top))
-
-    def join(self, x, y):
-        return self._cw("join", x, y)
 
     def neg(self, x):
         return self._cw("neg", x)
@@ -272,7 +268,7 @@ class Skeleton:
     report: ValidationReport
     pairs: Any
     below: dict
-    algebra: Any = None
+    algebra: Any
 
 
 def boolean_skeleton(A, window: int = 8) -> Skeleton:

@@ -20,10 +20,10 @@ The monoid embeds via h(x) = [x + x, x]; h is injective exactly when M is
 cancellative.
 
 A symbolic cone is an ell-monoid in either orientation, one subclass of
-Cone each: SymbolicCancellativeMonoid has the natural one (meet = min), and
-the cone hoop semihoop.SymbolicConeHoop is its own reduct, unit on top.
-Order-sensitive facts about K(M), such as the lower bound of image_bound,
-hold only in M's own orientation, so everything here reads it off M.
+Cone each: SymbolicCancellativeMonoid has the natural one (meet = min).  A
+semihoop, finite or a cone hoop unit on top, is its own reduct: add = times,
+unit = top, join = the pseudo-join.  Order-sensitive facts about K(M), such as
+image_bound's lower bound, hold only in M's own orientation, read off M.
 """
 
 from __future__ import annotations

@@ -118,13 +118,3 @@ class ValidationReport:
 
     def failures(self) -> list[Check]:
         return [c for c in self.checks if not c.passed]
-
-    def to_json(self) -> dict[str, Any]:
-        out: dict[str, Any] = {
-            "subject": self.subject,
-            "ok": self.ok,
-            "checks": [c.to_json() for c in self.checks],
-        }
-        if self.flags:
-            out["flags"] = dict(sorted(self.flags.items()))
-        return out

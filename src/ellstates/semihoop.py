@@ -33,9 +33,9 @@ import numpy as np
 
 from ._scan import (Axiom, exact_table, masked_verdict, memo, pair_columns, pair_verdict, scan_axioms, scan_mode,
                     stride_select)
+from .hypernum import format_exact
 from .lmonoid import (
     Cone,
-    FiniteLMonoid,
     KElement,
     KGroup,
     TableAlgebra,
@@ -57,7 +57,9 @@ SIGMA_BASE_CAP = 32
 
 
 class FiniteSemihoop(TableAlgebra):
-    """A semihoop on indices 0..n-1 given by times/impl/meet tables."""
+    """A semihoop on indices 0..n-1 given by times/impl/meet tables, and its own
+    multiplicative ell-monoid reduct (H, ·, ∧, ∨, 1): each instance binds ``add``
+    to ``times``, ``unit`` to ``top`` and ``join`` to the pseudo-join."""
 
     KIND = "semihoop"
     TABLES = ("times", "impl", "meet")
@@ -65,6 +67,7 @@ class FiniteSemihoop(TableAlgebra):
 
     def __init__(self, times, impl, meet, top: int, size: int | None = None):
         super().__init__((times, impl, meet), (top,), size)
+        self.add, self.unit, self.join = self.times, self.top, partial(pseudo_join, self)
 
 
 class SymbolicConeHoop(Cone):
@@ -75,9 +78,9 @@ class SymbolicConeHoop(Cone):
     product, the zero tuple) is the top, and the residuum is truncated
     difference.
 
-    The cone hoop is its own multiplicative ell-monoid reduct (see
-    :func:`monoid_reduct`): ``add`` is ``times``, ``unit`` is ``top``, and
-    ``join`` is the pseudo-join, the componentwise min.
+    The cone hoop is its own multiplicative ell-monoid reduct (H, ·, ∧, ∨,
+    1): ``add`` is ``times``, ``unit`` is ``top``, and ``join`` is the
+    pseudo-join, the componentwise min.
     """
 
     top = Cone.unit
@@ -119,6 +122,9 @@ class Componentwise:
 
     def meet(self, x: tuple, y: tuple) -> tuple:
         return self._cw("meet", x, y)
+
+    def join(self, x: tuple, y: tuple) -> tuple:
+        return self._cw("join", x, y)
 
     def leq(self, x: tuple, y: tuple) -> bool:
         return all(f.leq(a, b) for f, a, b in zip(self.factors, x, y))
@@ -328,7 +334,7 @@ def validate_state(H, w, window: int = 8) -> ValidationReport:
     V = table[:, 0]
 
     def frac(n) -> str:
-        return str(Fraction(int(n), den))
+        return format_exact(Fraction(int(n), den))
 
     report.add(masked_verdict(
         "codomain-nonpositive", V > 0, lambda k: {"witness": {"x": H.token(elems[k])}, "value": frac(V[k])}, mode
@@ -358,15 +364,14 @@ def state_properties(H, w, window: int = 8) -> ValidationReport:
     report = ValidationReport(subject="state-properties", flags=dict(flags))
     mode = scan_mode(H, window)
     # The pairs validate_state scans; these checks carry no sampling note.
-    ops = SimpleNamespace(impl=H.impl, meet=H.meet, join=partial(pseudo_join, H), leq=H.leq)
     ctx = memo(H, ("state-property-pairs", window),
-               lambda: pair_columns(ops, H.carrier(window), PAIR_BASE_CAP, "", ("impl", "meet", "join", "leq")))
+               lambda: pair_columns(H, H.carrier(window), PAIR_BASE_CAP, "", ("impl", "meet", "join", "leq")))
     table, den = exact_table([(w.value(x),) for x in ctx.elems])
     V = table[:, 0]
     Vx, Vy = V[ctx.x], V[ctx.y]
 
     def frac(n) -> str:
-        return str(Fraction(int(n), den))
+        return format_exact(Fraction(int(n), den))
 
     # -1 marks a result outside the window: such pairs are masked out, so V[-1] never counts.
     if flags["prelinear"]:
@@ -436,18 +441,6 @@ def enumerate_states_finite(H: FiniteSemihoop) -> list[TableState]:
 # Correspondence with envelope-group states
 
 
-def monoid_reduct(H):
-    """The multiplicative ell-monoid (H, ·, ∧, ∨, 1) of a prelinear semihoop;
-    a cone hoop is its own."""
-    if isinstance(H, SymbolicConeHoop):
-        return H
-    if isinstance(H, FiniteSemihoop):
-        n = H.size
-        join = [[pseudo_join(H, x, y) for y in range(n)] for x in range(n)]
-        return FiniteLMonoid(H.times_table, H.meet_table, join, unit=H.top)
-    raise MalformedInputError("envelope correspondence supports finite tables and symbolic cones")
-
-
 @dataclass(frozen=True)
 class KGroupState:
     """σ̂ on the subgroup generated by the image of h, σ̂([x,y]) = w(x) − w(y)."""
@@ -468,14 +461,15 @@ def _sigma_frame(H, window: int) -> SimpleNamespace:
     """What state_to_kgroup_state checks that does not depend on w: the
     envelope, the elements whose values it reads, and which candidate pairs
     [a, b] over the strided base are positive."""
-    M = monoid_reduct(H)
-    K, h = k_envelope(M)
+    if not isinstance(H, (FiniteSemihoop, SymbolicConeHoop)):
+        raise MalformedInputError("envelope correspondence supports finite tables and symbolic cones")
+    K, h = k_envelope(H)
     elems = H.carrier(window)
     base = stride_select(elems, SIGMA_BASE_CAP)
-    doubles = [M.add(x, x) for x in elems]
+    doubles = [H.add(x, x) for x in elems]
     # Candidate [base[a], base[b]] is added to its mirror in reversed order,
     # [base[-1-a], base[-1-b]]; the sum is [sums[a], sums[b]].
-    sums = [M.add(a, b) for a, b in zip(base, reversed(base))]
+    sums = [H.add(a, b) for a, b in zip(base, reversed(base))]
     at = {x: i for i, x in enumerate(dict.fromkeys([*elems, *doubles, *sums]))}
     pairs = list(product(base, repeat=2))
     zero = K.zero()
@@ -548,7 +542,7 @@ def sign_convention_diagnostic(H, w, x) -> dict[str, str]:
     wxx = Fraction(w.value(H.times(x, x)))
     return {
         "element": H.token(x),
-        "w": str(wx),
-        "adopted": str(wxx - wx),
-        "mirrored": str(wx - wxx),
+        "w": format_exact(wx),
+        "adopted": format_exact(wxx - wx),
+        "mirrored": format_exact(wx - wxx),
     }

@@ -26,7 +26,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ._scan import exact_table, masked_verdict, memo, pair_columns, pair_verdict, scan_mode
-from .hypernum import DualRational, _rat, format_dual, interval_defect, parse_dual
+from .hypernum import DualRational, _rat, format_dual, format_exact, interval_defect, parse_dual
 from .ibp0 import (
     Skeleton,
     boolean_skeleton,
@@ -96,7 +96,7 @@ class ProbabilityMeasure:
         )
 
     def __repr__(self) -> str:
-        return f"ProbabilityMeasure({', '.join(str(w) for w in self.weights)})"
+        return f"ProbabilityMeasure({', '.join(format_exact(w) for w in self.weights)})"
 
 
 def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport:
@@ -105,8 +105,6 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
     Skeletons are finite even when the ambient algebra is not, so every
     check here is exhaustive.
     """
-    if B.algebra is None:
-        raise MalformedInputError("skeleton carries no ambient algebra")
     if p.skeleton.atoms != B.atoms:
         raise MalformedInputError("measure was built over a different skeleton")
     A = B.algebra
@@ -114,12 +112,12 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
     vals = {b: p.value(b) for b in B.elements}
 
     bad = [
-        {"witness": {"atom": A.token(a)}, "value": str(w)}
+        {"witness": {"atom": A.token(a)}, "value": format_exact(w)}
         for a, w in zip(B.atoms, p.weights)
         if w < 0
     ]
     bad += [
-        {"witness": {"x": A.token(b)}, "value": str(v)}
+        {"witness": {"x": A.token(b)}, "value": format_exact(v)}
         for b, v in vals.items()
         if not 0 <= v <= 1
     ]
@@ -128,7 +126,7 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
     total = sum(p.weights, Fraction(0))
     bad = []
     if total != 1 or vals[A.top] != 1:
-        bad = [{"witness": {"x": A.token(A.top)}, "lhs": str(total), "rhs": "1"}]
+        bad = [{"witness": {"x": A.token(A.top)}, "lhs": format_exact(total), "rhs": "1"}]
     report.add(verdict("normalization", bad))
 
     # Every pair of the finite skeleton, whose joins stay in it.
@@ -137,7 +135,8 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
     V = table[:, 0]
     lhs, rhs = V[ctx.join], V[ctx.x] + V[ctx.y]
     bad = (ctx.meet == ctx.index[A.bot]) & (lhs != rhs)
-    report.add(pair_verdict(A, ctx, "additivity", bad, lhs, rhs, lambda n: str(Fraction(int(n), den)), "exhaustive"))
+    report.add(pair_verdict(A, ctx, "additivity", bad, lhs, rhs, lambda n: format_exact(Fraction(int(n), den)),
+                            "exhaustive"))
     return report
 
 
@@ -197,10 +196,10 @@ class FormulaHyperstate:
         self._parts: dict[Any, tuple] = memo(A, ("split-parts", window), dict)
         self._p = cache(p.value)
         self._w = cache(lambda h: _rat(w.value(h)))
-        self._memo: dict[Any, tuple[Fraction, Fraction]] = {}
+        self._raw: dict[Any, tuple[Fraction, Fraction]] = {}
 
     def raw_value(self, a) -> tuple[Fraction, Fraction]:
-        got = self._memo.get(a)
+        got = self._raw.get(a)
         if got is None:
             parts = self._parts.get(a)
             if parts is None:
@@ -208,7 +207,7 @@ class FormulaHyperstate:
                 d = decompose_element(A, a)
                 parts = self._parts[a] = (d.b, to_hoop(A.join(A.neg(d.b), d.c)), to_hoop(A.join(d.b, d.c)))
             b, lo, hi = parts
-            got = self._memo[a] = (self._p(b), self._w(lo) - self._w(hi))
+            got = self._raw[a] = (self._p(b), self._w(lo) - self._w(hi))
         return got
 
     def value(self, a) -> DualRational:
@@ -241,8 +240,8 @@ def _differ(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 class _Values:
-    """s over the window: one (std, inf) row of integer numerators per
-    element, over the common denominator ``den``."""
+    """s over the window: one (std, inf) row of integer numerators per element,
+    over the common denominator ``den``; the validators keep it on s per window."""
 
     def __init__(self, s, elems):
         self.rows, self.den = exact_table([s.raw_value(a) for a in elems])
@@ -278,7 +277,7 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
     mode = scan_mode(A, window)
     ctx = _pair_context(A, window)
     elems = ctx.elems
-    v = _Values(s, elems)
+    v = memo(s, ("values", A, window), lambda: _Values(s, elems))
     V = v.rows
 
     report.add(masked_verdict(
@@ -312,7 +311,7 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     mode = scan_mode(A, window)
     ctx = _pair_context(A, window)
     elems = ctx.elems
-    v = _Values(s, elems)
+    v = memo(s, ("values", A, window), lambda: _Values(s, elems))
     V, den = v.rows, v.den
     outside = np.flatnonzero(v.defects())
     if len(outside):
@@ -383,13 +382,13 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
 
 @dataclass
 class SplitResult:
-    """Measure, radical state, and the per-element identity residuals,
-    written as the "0+e0" that the split's check proved: at the first
+    """Measure, radical state, and how many window elements the identity was
+    checked at; its residual is zero at each of them, since at the first
     element where s and the split differ, the split raises instead."""
 
     p: ProbabilityMeasure
     w: Any
-    residuals: dict[str, str]
+    scanned: int
 
 
 def split_hyperstate(A, s, window: int = 8) -> SplitResult:
@@ -400,9 +399,15 @@ def split_hyperstate(A, s, window: int = 8) -> SplitResult:
 
     A violation raises: for a map that passed validation this identity is
     forced, so a nonzero residual means the input lied about its structure
-    or there is a bug on this side.
+    or there is a bug on this side.  A split is kept on s once per (A,
+    window) and shared, so callers must not change it; one that raised is
+    not kept, and raises again on the next call.
     """
     require_ibp0(A, window)
+    return memo(s, ("split", A, window), lambda: _split(A, s, window))
+
+
+def _split(A, s, window: int) -> SplitResult:
     sk = boolean_skeleton(A, window)
     rad = radical(A, window)
 
@@ -411,7 +416,7 @@ def split_hyperstate(A, s, window: int = 8) -> SplitResult:
         std, inf = s.raw_value(atom)
         if inf != 0:
             raise InternalConsistencyError(
-                f"skeleton atom {A.token(atom)} carries infinitesimal part {inf}"
+                f"skeleton atom {A.token(atom)} carries infinitesimal part {format_exact(inf)}"
             )
         weights.append(std)
     p = ProbabilityMeasure(sk, weights)
@@ -419,9 +424,8 @@ def split_hyperstate(A, s, window: int = 8) -> SplitResult:
     lam = [-s.raw_value(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)]
     w = weighted_state(rad.hoop, lam)
     formula = FormulaHyperstate(A, p, w, window)
-
-    residuals: dict[str, str] = {}
-    for a in A.carrier(window):
+    carrier = A.carrier(window)
+    for a in carrier:
         got = s.raw_value(a)
         want = formula.raw_value(a)
         if got != want:
@@ -429,8 +433,7 @@ def split_hyperstate(A, s, window: int = 8) -> SplitResult:
                 f"split identity fails at {A.token(a)}: "
                 f"s = {format_dual(got)}, split gives {format_dual(want)}"
             )
-        residuals[A.token(a)] = "0+e0"
-    return SplitResult(p=p, w=w, residuals=residuals)
+    return SplitResult(p=p, w=w, scanned=len(carrier))
 
 
 def join_hyperstate(A, p: ProbabilityMeasure, w, window: int = 8):
@@ -451,7 +454,7 @@ def cancellative_form(A, s, window: int = 8):
     Requires a cancellative radical.  Returns (p, σ) with σ the envelope
     state induced from the split's w.  σ([¬b ∨ c, b ∨ c]) is w(¬b ∨ c) −
     w(b ∨ c) by definition, so the split identity gives the infinitesimal
-    part of s.
+    part of s.  The split is the one split_hyperstate keeps on s.
     """
     require_ibp0(A, window)
     rad = radical(A, window)

@@ -345,6 +345,30 @@ class TestExitContract:
         assert proc.returncode == 2 and proc.stdout == "" and len(lines) == 1
         assert lines[0].startswith(f"error: {field}: decimal exponent above ")
 
+    @pytest.mark.parametrize(
+        "argv, text, code",
+        [
+            (["states", "hoop-cone-1.json"], '{"lambda": ["1e4300"]}', 0),
+            (["states", "hoop-cone-1.json"], '{"lambda": ["-9e4299"]}', 1),
+            (["hyperstate", "split", "algebra-chang-1.json"], '{"measure": {"0": "1"}, "lambda": ["1e4300"]}', 0),
+        ],
+        ids=["state", "state-witnesses", "split"],
+    )
+    def test_values_past_4300_digits_are_rendered(self, corpus_dir, tmp_path, argv, text, code):
+        # Each once ended in a ValueError traceback from Fraction.__str__.
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        proc = run_child(*argv, str(path), cwd=corpus_dir)
+        assert proc.returncode == code and proc.stderr == ""
+        assert json.loads(proc.stdout)["ok"] == (code == 0)
+        assert max(len(digits) for digits in re.findall(r"\d+", proc.stdout)) > 4300
+
+    def test_rendered_values_past_4300_digits_exit_2_when_read(self, corpus_dir, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"lambda": ["1" + "0" * 4300]}))
+        proc = run_child("states", "hoop-cone-1.json", str(path), cwd=corpus_dir)
+        assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("error: lambda: ")
+
     def test_window_ceiling_admits_the_largest_corpus_input(self, corpus_dir):
         A = algebra_from_json(json.loads((corpus_dir / "product-chang-1xchang-2.json").read_text()))
         assert window_size(A, 8) == 18 * 162 <= MAX_WINDOW_ELEMENTS

@@ -146,6 +146,9 @@ ONE_ELEMENT = {"size": 1, "times": [[0]], "impl": [[0]], "meet": [[0]], "join": 
 @example(case=(["states", "hoop-cone-1.json", "{}"], '{"lambda": ["1e999999999"]}'))
 @example(case=(["hyperstate", "validate", "algebra-boolean-4.json", "{}"],
                '{"table": {"0": "0+e0", "1": "1e999999999+e0", "2": "1/2+e0", "3": "1+e0"}}'))
+@example(case=(["states", "hoop-cone-1.json", "{}"], '{"lambda": ["1e4300"]}'))
+@example(case=(["states", "hoop-cone-1.json", "{}"], '{"lambda": ["-9e4299"]}'))
+@example(case=(["hyperstate", "split", "algebra-chang-1.json", "{}"], '{"measure": {"0": "1"}, "lambda": ["1e4300"]}'))
 def test_mutated_files_keep_the_exit_contract(corpus_dir, case):
     argv, text = case
     path = corpus_dir / "mutated.json"

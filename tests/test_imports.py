@@ -70,3 +70,8 @@ def test_detects_floating_point():
         "float (line 2)", "float64 (line 3)", "float32 (line 3)", "isclose (line 4)",
         "isclose (line 4)", "allclose (line 4)", "float (line 5)",
     ]
+
+
+def test_only_semihoop_spells_the_pseudo_join():
+    # Every semihoop carries its own join, so no other module needs the term.
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "pseudo_join" in p.read_text()] == ["semihoop.py"]

@@ -110,6 +110,15 @@ class TestPseudoJoin:
             assert pseudo_join(H, x, y) == tuple(min(a, b) for a, b in zip(x, y))
         assert validate_semihoop(H).check("pseudo-join-associative").passed
 
+    @pytest.mark.parametrize("name", [*sorted(semihoop_corpus()), "cone-1", "cone-2", "cone-3", "godel-2*cone-1"])
+    def test_join_is_the_pseudo_join(self, name):
+        # Every semihoop is its own ell-monoid reduct: its join is the pseudo-join.
+        hoops = {**semihoop_corpus(), **{f"cone-{k}": cone_hoop(k) for k in (1, 2, 3)},
+                 "godel-2*cone-1": ProductHoop([godel_hoop(2), cone_hoop(1)])}
+        H = hoops[name]
+        for x, y in product(H.carrier(4), repeat=2):
+            assert H.join(x, y) == pseudo_join(H, x, y), (x, y)
+
 
 class TestValidateState:
     def test_zero_state_is_valid_everywhere(self):
@@ -184,6 +193,11 @@ class TestEnumerateStates:
 
 
 class TestEnvelopeCorrespondence:
+    @pytest.mark.parametrize("H, w", [(godel_hoop(3), TableState({0: 0, 1: 0, 2: 0})), (cone_hoop(2), ConeState([1, 2]))],
+                             ids=["godel-3", "cone-2"])
+    def test_envelope_is_built_on_the_hoop_itself(self, H, w):
+        assert state_to_kgroup_state(H, w).K.base is H
+
     def test_zero_state_induces_zero_sigma(self):
         H = godel_hoop(3)
         sigma = state_to_kgroup_state(H, zero_state(H))

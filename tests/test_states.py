@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellstates import states
 from ellstates.corpus import (
     boolean_algebra,
     chang_algebra,
@@ -215,8 +216,7 @@ class TestSplit:
         split = split_hyperstate(C, s)
         assert split.p == p
         assert split.w == w
-        assert set(split.residuals.values()) == {"0+e0"}
-        assert len(split.residuals) == len(C.carrier(8))
+        assert split.scanned == len(C.carrier(8))
 
     def test_finite_algebras_have_standard_hyperstates(self):
         # The radical of a finite algebra only carries the zero state, so
@@ -260,8 +260,23 @@ class TestSplit:
     def test_non_additive_table_raises(self):
         B = boolean_algebra(2)
         s = TableHyperstate({0: dual(0), 1: dual(F(1, 2)), 2: dual(F(1, 3)), 3: dual(1)})
-        with pytest.raises(InternalConsistencyError, match="split identity fails at 3"):
-            split_hyperstate(B, s)
+        # A split that raised is not kept: the next call raises again.
+        for _ in range(2):
+            with pytest.raises(InternalConsistencyError, match="split identity fails at 3"):
+                split_hyperstate(B, s)
+
+    def test_split_reads_every_window_element(self):
+        # A table off a valid hyperstate at the last window element only.
+        P = ProductAlgebra([boolean_algebra(2), chang_algebra(1)])
+        p = ProbabilityMeasure(boolean_skeleton(P), [F(1, 2), F(1, 4), F(1, 4)])
+        s, report = join_hyperstate(P, p, ProductState([TableState({0: 0}), ConeState([F(1, 2)])]))
+        assert report.ok
+        values = {a: s.value(a) for a in P.carrier(8)}
+        assert split_hyperstate(P, TableHyperstate(values)).scanned == len(values)
+        last = P.carrier(8)[-1]
+        values[last] = dual(values[last].std, values[last].inf + 1)
+        with pytest.raises(InternalConsistencyError, match=r"split identity fails at \(3\|pos\(8\)\): s = 1\+e-3"):
+            split_hyperstate(P, TableHyperstate(values))
 
     def test_infinitesimal_atom_raises(self):
         B = boolean_algebra(2)
@@ -335,6 +350,21 @@ class TestProperties:
 
 
 class TestCancellativeForm:
+    def test_reuses_the_split_kept_on_the_hyperstate(self, monkeypatch):
+        C = chang_algebra(1)
+        s, _ = join_hyperstate(C, ProbabilityMeasure(boolean_skeleton(C), [F(1)]), ConeState([F(2)]))
+        split = split_hyperstate(C, s)
+        built = []
+
+        class Counting(FormulaHyperstate):
+            def __init__(self, *args):
+                built.append(args)
+                super().__init__(*args)
+
+        monkeypatch.setattr(states, "FormulaHyperstate", Counting)
+        p, _ = cancellative_form(C, s)
+        assert built == [] and p is split.p
+
     def test_chang_rank_one(self):
         C = chang_algebra(1)
         p = ProbabilityMeasure(boolean_skeleton(C), [F(1)])

@@ -43,7 +43,6 @@ from ellstates.semihoop import (
     ConeState,
     KGroupState,
     TableState,
-    monoid_reduct,
     pseudo_join,
     state_properties,
     state_to_kgroup_state,
@@ -293,8 +292,7 @@ def ref_state_properties(H, w, window=WINDOW):
 
 
 def ref_state_to_kgroup_state(H, w, window=WINDOW):
-    M = monoid_reduct(H)
-    K, h = k_envelope(M)
+    K, h = k_envelope(H)
     sigma = KGroupState(K=K, h=h, state=w)
     if K.mode == "finite-quotient":
         for members in K.class_members:
