@@ -363,11 +363,11 @@ class TestExitContract:
         assert json.loads(proc.stdout)["ok"] == (code == 0)
         assert max(len(digits) for digits in re.findall(r"\d+", proc.stdout)) > 4300
 
-    def test_rendered_values_past_4300_digits_exit_2_when_read(self, corpus_dir, tmp_path):
+    def test_rendered_values_past_4300_digits_exit_2_when_read(self, corpus_dir, tmp_path, capsys):
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"lambda": ["1" + "0" * 4300]}))
-        proc = run_child("states", "hoop-cone-1.json", str(path), cwd=corpus_dir)
-        assert proc.returncode == 2 and proc.stdout == "" and proc.stderr.startswith("error: lambda: ")
+        code, out, err = run(capsys, "states", str(corpus_dir / "hoop-cone-1.json"), str(path))
+        assert code == 2 and out == "" and err.startswith("error: lambda: ")
 
     def test_window_ceiling_admits_the_largest_corpus_input(self, corpus_dir):
         A = algebra_from_json(json.loads((corpus_dir / "product-chang-1xchang-2.json").read_text()))
