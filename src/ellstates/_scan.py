@@ -64,7 +64,15 @@ class Axiom:
 
 
 def scan_mode(A, window: int) -> str:
-    return "exhaustive" if A.is_finite else f"window-verified (N={window})"
+    """The mode of a scan over A's window: exhaustive only when the window
+    holds all of a finite A, which a capped product window does not."""
+    whole = A.is_finite and len(A.carrier(window)) == _span(A, window)
+    return "exhaustive" if whole else f"window-verified (N={window})"
+
+
+def _span(A, window: int) -> int:
+    """How many elements a finite A has: a product's factors' spans multiplied."""
+    return prod(_span(f, window) for f in A.factors) if hasattr(A, "factors") else len(A.carrier(window))
 
 
 def sampled_note(wording: str, base: Sequence, elems: Sequence) -> str:

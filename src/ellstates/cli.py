@@ -13,7 +13,7 @@ parse -> serialize -> parse is the identity on canonical files.
                     {"kind": "product", "factors": [<algebra>, ...]}
   state             {"<index>": "<fraction>", ...} or {"lambda": ["<fraction>", ...]}
   hyperstate        {"measure": {"<atom index>": "<fraction>"}, "lambda": [...]}
-                    or {"table": {"<index>": "<r+es>", ...}}
+                    or {"table": {"<index>": "<r+es>", ...}} on a table algebra
 
 The "lambda" form is the weight vector of a state of a hoop built from cones
 and finite factors (of the radical, in a hyperstate file): one entry per cone
@@ -269,8 +269,8 @@ def hyperstate_from_json(obj: Any, A, window: int):
         raise MalformedInputError("hyperstate file must hold a JSON object")
     if "table" in obj:
         _require_fields(obj, {"table"}, "hyperstate")
-        if not A.is_finite:
-            raise MalformedInputError("the table form requires a finite algebra")
+        if not isinstance(A, TableAlgebra):
+            raise MalformedInputError("the table form needs an algebra given by tables")
         table = _field(obj, "table", "hyperstate", dict)
         return TableHyperstate(_element_table(table, A, "table", parse_dual))
     if "measure" not in obj:

@@ -87,8 +87,6 @@ class DualRational:
     inf: Fraction = Fraction(0)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "std", _rat(self.std))
-        object.__setattr__(self, "inf", _rat(self.inf))
         defect = interval_defect(self.std, self.inf)
         if defect:
             raise ValueError(defect)

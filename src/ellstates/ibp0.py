@@ -221,7 +221,6 @@ def _validate(A, window: int, axioms: list[Axiom], subject: str) -> ValidationRe
     if isinstance(A, ProductAlgebra):
         triple_cap = PRODUCT_TRIPLE_CAP
         if len(elems) < prod(len(f.carrier(window)) for f in A.factors):
-            mode = f"window-verified (N={window})"
             report.flags["window_capped"] = True
     report.checks = scan_axioms(A, axioms, elems, {3: triple_cap}, mode, SAMPLED_NOTE)
     return report
@@ -486,8 +485,6 @@ def rotate(H, window: int = 8):
 
 def product(factors: Sequence[Any], window: int = 8) -> ProductAlgebra:
     """Componentwise product; every factor must pass the validator."""
-    if not factors:
-        raise MalformedInputError("a product needs at least one factor")
     for f in factors:
         require_ibp0(f, window)
     return ProductAlgebra(factors)

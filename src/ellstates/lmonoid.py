@@ -331,17 +331,9 @@ def h_is_injective(K: KGroup) -> bool:
 
 
 def envelope_summary(K: KGroup) -> dict[str, Any]:
-    if K.mode == "symbolic":
-        return {
-            "mode": "symbolic",
-            "classes": f"free abelian of rank {K.base.rank}",
-            "trivial": False,
-            "h_injective": True,
-            "cancellative": True,
-        }
-    count = len(K.class_members)
+    count = f"free abelian of rank {K.base.rank}" if K.mode == "symbolic" else len(K.class_members)
     return {
-        "mode": "finite-quotient",
+        "mode": K.mode,
         "classes": count,
         "trivial": count == 1,
         "h_injective": h_is_injective(K),

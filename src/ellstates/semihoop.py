@@ -270,14 +270,8 @@ def zero_state(H, window: int = 8) -> TableState:
 
 
 def symbolic_rank(H) -> int:
-    """The length of H's weight vectors: a state of a hoop built from cones
-    and finite factors has one weight per cone axis, in factor order, and
-    none for a finite factor, whose only state is zero."""
-    if isinstance(H, SymbolicConeHoop):
-        return H.rank
-    if isinstance(H, ProductHoop):
-        return sum(symbolic_rank(f) for f in H.factors)
-    return 0
+    """The length of H's weight vectors, one per :func:`weight_generators`."""
+    return len(weight_generators(H))
 
 
 def weighted_state(H, lam: Sequence[Fraction]):
@@ -308,8 +302,9 @@ def state_weights(w) -> list[Fraction]:
 
 
 def weight_generators(H) -> list:
-    """The elements g_i with λ_i = −w(g_i): the unit tuple of each cone
-    axis, with every other factor at its top."""
+    """The elements g_i with λ_i = −w(g_i), one per cone axis in factor order
+    and none for a finite factor, whose only state is zero: the unit tuple
+    of an axis, with every other factor at its top."""
     if isinstance(H, SymbolicConeHoop):
         return [tuple(int(j == i) for j in range(H.rank)) for i in range(H.rank)]
     if isinstance(H, ProductHoop):
@@ -451,10 +446,6 @@ class KGroupState:
 
     def value(self, e: KElement) -> Fraction:
         return Fraction(self.state.value(e.pos)) - Fraction(self.state.value(e.neg))
-
-    @property
-    def weights(self) -> tuple[Fraction, ...] | None:
-        return self.state.lam if isinstance(self.state, ConeState) else None
 
 
 def _sigma_frame(H, window: int) -> SimpleNamespace:

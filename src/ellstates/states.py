@@ -57,7 +57,7 @@ HYPER_PAIR_CAP = 96
 
 
 class ProbabilityMeasure:
-    """Atom weights over a Boolean skeleton; p(b) sums the atoms below b.
+    """Atom weights over a Boolean skeleton; p(b), for b in it, sums the atoms below b.
 
     The atoms below each skeleton element are kept once per skeleton
     (``Skeleton.below``), so a value is a sum of weights with no order test.
@@ -82,10 +82,9 @@ class ProbabilityMeasure:
         self.weights = tuple(vec)
 
     def value(self, b) -> Fraction:
-        sk = self.skeleton
-        below = sk.below.get(b)
+        below = self.skeleton.below.get(b)
         if below is None:
-            below = [i for i, atom in enumerate(sk.atoms) if sk.algebra.leq(atom, b)]
+            raise MalformedInputError(f"{self.skeleton.algebra.token(b)} is not a skeleton element")
         return sum((self.weights[i] for i in below), Fraction(0))
 
     def __eq__(self, other) -> bool:
@@ -165,9 +164,6 @@ class TableHyperstate:
 
     def items(self):
         return self._table.items()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, TableHyperstate) and self._table == other._table
 
 
 class FormulaHyperstate:
@@ -403,7 +399,6 @@ def split_hyperstate(A, s, window: int = 8) -> SplitResult:
     window) and shared, so callers must not change it; one that raised is
     not kept, and raises again on the next call.
     """
-    require_ibp0(A, window)
     return memo(s, ("split", A, window), lambda: _split(A, s, window))
 
 
@@ -456,7 +451,6 @@ def cancellative_form(A, s, window: int = 8):
     w(b ∨ c) by definition, so the split identity gives the infinitesimal
     part of s.  The split is the one split_hyperstate keeps on s.
     """
-    require_ibp0(A, window)
     rad = radical(A, window)
     if not rad.report.flags.get("cancellative"):
         raise PreconditionError(

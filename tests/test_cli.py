@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
@@ -30,10 +31,12 @@ from ellstates.corpus import (
     chang_algebra,
     godel_hoop,
     hyperstate_product_corpus,
+    ibp0_corpus,
     state_family,
     trunc_monoid,
 )
-from ellstates.ibp0 import FiniteMTL, SymbolicPerfectAlgebra, radical
+from ellstates.hypernum import format_dual
+from ellstates.ibp0 import FiniteMTL, ProductAlgebra, SymbolicPerfectAlgebra, radical
 from ellstates.lmonoid import FiniteLMonoid
 from ellstates.reports import MalformedInputError
 from ellstates.semihoop import ConeState, FiniteSemihoop, ProductHoop, SymbolicConeHoop
@@ -99,6 +102,17 @@ class TestFileForms:
         s = hyperstate_from_json(obj, C, window=8)
         assert str(s.value(("pos", (3,)))) == "1+e-6"
         assert hyperstate_to_json(s, C) == obj
+
+    @pytest.mark.parametrize("name", ["boolean-4", "rot-godel-3"])
+    def test_table_hyperstate_file_roundtrip(self, name):
+        A = ibp0_corpus()[name]
+        obj = {"table": {str(a): format_dual((F(a, A.size), F(-a, 7))) for a in range(A.size)}}
+        assert hyperstate_to_json(hyperstate_from_json(obj, A, window=8), A) == obj
+
+    def test_table_form_needs_an_algebra_given_by_tables(self):
+        B = boolean_algebra(1)
+        with pytest.raises(MalformedInputError, match="algebra given by tables"):
+            hyperstate_from_json({"table": {"0": "0+e0"}}, ProductAlgebra([B, B]), window=8)
 
     def test_product_radical_states_roundtrip(self):
         for name, A in hyperstate_product_corpus().items():
@@ -413,6 +427,23 @@ class TestVerbs:
         rows = {r["x"]: r for r in body["result"]["elements"]}
         assert rows["neg(5)"] == {"x": "neg(5)", "b": "neg(0)", "c": "pos(5)"}
         assert rows["pos(5)"] == {"x": "pos(5)", "b": "pos(0)", "c": "pos(5)"}
+
+    def test_capped_finite_product_is_window_verified(self, corpus_dir, tmp_path, capsys):
+        # The window holds 142 of the 256 elements of B16 x B16.
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps({"kind": "product", "factors": [algebra_to_json(boolean_algebra(4))] * 2}))
+        measure = tmp_path / "measure.json"
+        measure.write_text(json.dumps({"measure": {"0": "1"}}))
+        code, body, _ = run(capsys, "validate", "--ibp0", str(path))
+        assert code == 0 and body["result"]["flags"] == {"window_capped": True}
+        modes = {c["mode"] for c in body["checks"]}
+        for argv in (["skeleton"], ["decompose"], ["hyperstate", "validate"], ["hyperstate", "split"]):
+            code, body, _ = run(capsys, *argv, str(path), *([str(measure)] if "hyperstate" in argv else []))
+            assert code == 0, argv
+            modes |= {c["mode"] for c in body["checks"]}
+        assert modes == {"window-verified (N=8)"}
+        code, body, _ = run(capsys, "validate", "--ibp0", str(corpus_dir / "product-boolean-4xrot-godel-4.json"))
+        assert code == 0 and {c["mode"] for c in body["checks"]} == {"exhaustive"}
 
     def test_product_of_semihoops(self, tmp_path, capsys):
         path = tmp_path / "hoops.json"

@@ -261,7 +261,7 @@ class TestConstructors:
             rotate(broken)
 
     def test_product_requires_factors(self):
-        with pytest.raises(MalformedInputError):
+        with pytest.raises(MalformedInputError, match="at least one factor"):
             product([])
 
     def test_product_validates_factors(self):

@@ -203,6 +203,16 @@ class TestSymbolicEnvelope:
             "cancellative": True,
         }
 
+    def test_summary_of_a_cone_hoop_envelope(self):
+        K, _ = k_envelope(SymbolicConeHoop(rank=2))
+        assert envelope_summary(K) == {
+            "mode": "symbolic",
+            "classes": "free abelian of rank 2",
+            "trivial": False,
+            "h_injective": True,
+            "cancellative": True,
+        }
+
     @pytest.mark.parametrize("hoop_order", [False, True])
     def test_h_is_a_lattice_and_monoid_homomorphism(self, hoop_order):
         M = (SymbolicConeHoop if hoop_order else SymbolicCancellativeMonoid)(rank=2)

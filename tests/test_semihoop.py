@@ -20,6 +20,7 @@ from ellstates.semihoop import (
     FiniteSemihoop,
     ProductHoop,
     ProductState,
+    SymbolicConeHoop,
     TableState,
     enumerate_states_finite,
     kgroup_state_to_state,
@@ -27,6 +28,8 @@ from ellstates.semihoop import (
     sign_convention_diagnostic,
     state_properties,
     state_to_kgroup_state,
+    state_weights,
+    symbolic_rank,
     validate_semihoop,
     validate_state,
     zero_state,
@@ -244,7 +247,7 @@ class TestEnvelopeCorrespondence:
         H = cone_hoop(2)
         w = ConeState([2, 3])
         sigma = state_to_kgroup_state(H, w, window=6)
-        assert sigma.weights == (Fraction(2), Fraction(3))
+        assert state_weights(sigma.state) == [Fraction(2), Fraction(3)]
         back, report = kgroup_state_to_state(H, sigma, window=6)
         assert report.ok
         assert back == w
@@ -280,6 +283,26 @@ class TestEnvelopeCorrespondence:
         H = cone_hoop(1)
         diag = sign_convention_diagnostic(H, ConeState([1]), (3,))
         assert diag == {"element": "(3)", "w": "-3", "adopted": "-3", "mirrored": "3"}
+
+
+def reference_rank(H) -> int:
+    """The weight layout walked through the hoop's type tree: one weight per
+    cone axis, in factor order, and none for a finite factor."""
+    if isinstance(H, SymbolicConeHoop):
+        return H.rank
+    if isinstance(H, ProductHoop):
+        return sum(reference_rank(f) for f in H.factors)
+    return 0
+
+
+@pytest.mark.parametrize(
+    "H",
+    [*semihoop_corpus().values(), cone_hoop(1), cone_hoop(2), cone_hoop(3),
+     ProductHoop([godel_hoop(2), ProductHoop([cone_hoop(1), cone_hoop(2)])])],
+    ids=[*semihoop_corpus(), "cone-1", "cone-2", "cone-3", "godel-2*(cone-1*cone-2)"],
+)
+def test_symbolic_rank_counts_the_weight_generators(H):
+    assert symbolic_rank(H) == reference_rank(H)
 
 
 class TestNegativeRealsExample:

@@ -30,7 +30,7 @@ from ellstates.corpus import (
 )
 from ellstates.hypernum import _rat
 from ellstates.ibp0 import boolean_skeleton, radical
-from ellstates.reports import InternalConsistencyError
+from ellstates.reports import InternalConsistencyError, MalformedInputError
 from ellstates.semihoop import ConeState, TableState, state_to_kgroup_state, zero_state
 from ellstates.states import FormulaHyperstate
 
@@ -80,15 +80,18 @@ def test_formula_agrees_with_a_fresh_evaluation(name, monkeypatch):
     assert sorted(map(A.token, calls)) == sorted(map(A.token, elements))
 
 
-def test_measure_values_agree_off_the_skeleton():
-    # An element outside the skeleton has no stored atom list, and is summed
-    # through the order as before.
+def test_measure_values_agree_on_the_skeleton_and_refuse_the_rest():
+    # A skeleton element sums its stored atoms, as the order would; any other
+    # element has no value.
     A = SUBJECTS["boolean-4*chang-1"]
     sk = boolean_skeleton(A, WINDOW)
     for p in measure_family(sk):
         for a in A.carrier(WINDOW):
-            want = sum((wt for atom, wt in zip(sk.atoms, p.weights) if A.leq(atom, a)), F(0))
-            assert p.value(a) == want
+            if a in sk.below:
+                assert p.value(a) == sum((wt for atom, wt in zip(sk.atoms, p.weights) if A.leq(atom, a)), F(0))
+            else:
+                with pytest.raises(MalformedInputError, match="not a skeleton element"):
+                    p.value(a)
 
 
 def test_a_failed_decomposition_is_never_stored(monkeypatch):

@@ -14,12 +14,13 @@ from ellstates.corpus import (
     hyperstate_family,
     hyperstate_product_corpus,
     ibp0_corpus,
+    lukasiewicz_mtl,
     measure_family,
     rotated_hoop,
     state_family,
 )
 from ellstates.hypernum import dual
-from ellstates.ibp0 import ProductAlgebra, boolean_skeleton, decompose_element, radical
+from ellstates.ibp0 import ProductAlgebra, boolean_skeleton, decompose_element, radical, require_ibp0
 from ellstates.lmonoid import KElement
 from ellstates.reports import (
     InternalConsistencyError,
@@ -397,6 +398,16 @@ class TestCancellativeForm:
         assert report.ok
         with pytest.raises(PreconditionError, match="not cancellative"):
             cancellative_form(A, s)
+
+
+@pytest.mark.parametrize("construction", [split_hyperstate, cancellative_form], ids=lambda f: f.__name__)
+def test_outside_the_variety_raises_the_variety_precondition(construction):
+    A = lukasiewicz_mtl(3)
+    with pytest.raises(PreconditionError) as gate:
+        require_ibp0(A)
+    with pytest.raises(PreconditionError) as got:
+        construction(A, TableHyperstate({}))
+    assert str(got.value) == str(gate.value)
 
 
 class TestFamilies:
