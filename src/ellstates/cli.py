@@ -218,15 +218,15 @@ def window_size(A, window: int) -> int:
     return prod(window_size(f, window) for f in A.factors) if hasattr(A, "factors") else A.size
 
 
-def _algebra(path: str, window: int):
+def _algebra(path: str, window: int | None):
     """The algebra in ``path``, refused before any carrier is built when it
-    spans more than MAX_WINDOW_ELEMENTS at ``window``."""
+    spans more than MAX_WINDOW_ELEMENTS at ``window`` (at 1 for a verb with none)."""
     A = algebra_from_json(_load(path))
-    n = window_size(A, window)
+    n = window_size(A, window or 1)
     if n > MAX_WINDOW_ELEMENTS:
         field = "factors" if hasattr(A, "factors") else "rank" if hasattr(A, "rank") else "size"
-        raise MalformedInputError(f"{path}: {field!r} spans more than {MAX_WINDOW_ELEMENTS} elements at "
-                                  f"--window {window}")
+        at = f" at --window {window}" if window else ""
+        raise MalformedInputError(f"{path}: {field!r} spans more than {MAX_WINDOW_ELEMENTS} elements{at}")
     return A
 
 
@@ -432,7 +432,7 @@ def _run_decompose(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_grothendieck(args) -> tuple[str, list[Check], dict]:
-    M = algebra_from_json(_load(args.monoid))
+    M = _algebra(args.monoid, None)
     if not isinstance(M, FiniteLMonoid):
         raise MalformedInputError("grothendieck expects a lattice monoid file")
     report = validate_lmonoid(M)

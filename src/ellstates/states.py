@@ -162,6 +162,10 @@ class TableHyperstate:
         v = self.value(a)
         return (v.std, v.inf)
 
+    def table(self, A, window: int) -> tuple[np.ndarray, int]:
+        """One (std, inf) row per element of A's window, as exact_table gives it."""
+        return exact_table([self.raw_value(a) for a in A.carrier(window)])
+
     def items(self):
         return self._table.items()
 
@@ -174,12 +178,13 @@ class FormulaHyperstate:
     alone is kept once per (A, window) and shared by every pair: each
     element's triple (b_a, h(¬b_a ∨ c_a), h(b_a ∨ c_a)), with h the map into
     the radical's hoop, stored the first time any instance reads the
-    element.  An element whose decomposition raises is never stored, so it
-    raises on every read.  Each instance evaluates p once per skeleton
-    element and w once per hoop element it reads, and memoizes its values,
-    since the validators, the split and the CLI each read the whole window;
-    a validator reads it once into an integer table, (std, inf) numerators
-    over one common denominator, and checks every law on that table.
+    element, and the frame of the window (see _frame), which holds those
+    triples as positions.  An element whose decomposition raises is never
+    stored, so it raises on every read.  The window table is a gather: p is
+    read once on the frame's skeleton elements and w once on its hoop
+    elements, through one exact_table, and s's rows are (P[b], W[lo] −
+    W[hi]) over that table's denominator.  ``value`` and ``raw_value`` read
+    one element, evaluating p and w at most once per element of each.
     """
 
     def __init__(self, A, p: ProbabilityMeasure, w, window: int = 8):
@@ -188,23 +193,13 @@ class FormulaHyperstate:
         self.algebra = A
         self.measure = p
         self.state = w
-        self._rad = radical(A, window)
-        self._parts: dict[Any, tuple] = memo(A, ("split-parts", window), dict)
+        self._window = window
         self._p = cache(p.value)
         self._w = cache(lambda h: _rat(w.value(h)))
-        self._raw: dict[Any, tuple[Fraction, Fraction]] = {}
 
     def raw_value(self, a) -> tuple[Fraction, Fraction]:
-        got = self._raw.get(a)
-        if got is None:
-            parts = self._parts.get(a)
-            if parts is None:
-                A, to_hoop = self.algebra, self._rad.to_hoop
-                d = decompose_element(A, a)
-                parts = self._parts[a] = (d.b, to_hoop(A.join(A.neg(d.b), d.c)), to_hoop(A.join(d.b, d.c)))
-            b, lo, hi = parts
-            got = self._raw[a] = (self._p(b), self._w(lo) - self._w(hi))
-        return got
+        b, lo, hi = _split_parts(self.algebra, self._window, a)
+        return self._p(b), self._w(lo) - self._w(hi)
 
     def value(self, a) -> DualRational:
         raw = self.raw_value(a)
@@ -215,15 +210,53 @@ class FormulaHyperstate:
                 f"formula value escapes the interval at {self.algebra.token(a)}: {format_dual(raw)}"
             ) from None
 
+    def table(self, A, window: int) -> tuple[np.ndarray, int]:
+        """The window table, gathered; p and w are read with exact_table's bound
+        for four terms, so a sum of two differences stays within int64."""
+        f = _frame(A, window)
+        col, den = exact_table([(self._p(b),) for b in f.skeleton] + [(self._w(h),) for h in f.hoop], terms=4)
+        P, W = col[: len(f.skeleton), 0], col[len(f.skeleton):, 0]
+        return np.stack([P.take(f.b), W.take(f.lo) - W.take(f.hi)], axis=1), den
+
+
+def _split_parts(A, window: int, a) -> tuple:
+    """a's triple (b_a, h(¬b_a ∨ c_a), h(b_a ∨ c_a)), from the map kept per
+    (A, window), decomposed and stored on its first read."""
+    parts = memo(A, ("split-parts", window), dict)
+    if a not in parts:
+        to_hoop, d = radical(A, window).to_hoop, decompose_element(A, a)
+        parts[a] = (d.b, to_hoop(A.join(A.neg(d.b), d.c)), to_hoop(A.join(d.b, d.c)))
+    return parts[a]
+
+
+def _frame(A, window: int) -> SimpleNamespace:
+    """The window's triples as positions, once per (A, window): ``b`` into
+    ``skeleton`` and ``lo``, ``hi`` into ``hoop``, which hold the distinct
+    skeleton parts and hoop elements in the order first read."""
+    def build() -> SimpleNamespace:
+        sk, hoop = {}, {}
+        at = [(sk.setdefault(b, len(sk)), hoop.setdefault(lo, len(hoop)), hoop.setdefault(hi, len(hoop)))
+              for b, lo, hi in (_split_parts(A, window, a) for a in A.carrier(window))]
+        b, lo, hi = np.array(at, dtype=np.intp).reshape(-1, 3).T
+        return SimpleNamespace(skeleton=list(sk), hoop=list(hoop), b=b, lo=lo, hi=hi)
+
+    return memo(A, ("split-frame", window), build)
+
 
 # ---------------------------------------------------------------------------
 # Validation and the property suite
 
 def _pair_context(A, window: int) -> SimpleNamespace:
     """The pairs the pair laws scan, with the positions of x·y, x ⊕ y, x ∧ y
-    and x ∨ y and the truth of x ≤ y (see pair_columns), once per window."""
-    return memo(A, ("hyper-pairs", window), lambda: pair_columns(
-        A, A.carrier(window), HYPER_PAIR_CAP, SAMPLED_NOTE, ("times", "oplus", "meet", "join", "leq")))
+    and x ∨ y and the truth of x ≤ y (see pair_columns), and each element's
+    negation as a position, -1 outside the window; once per window."""
+    def build() -> SimpleNamespace:
+        ctx = pair_columns(A, A.carrier(window), HYPER_PAIR_CAP, SAMPLED_NOTE,
+                           ("times", "oplus", "meet", "join", "leq"))
+        ctx.neg = np.array([ctx.index.get(A.neg(a), -1) for a in ctx.elems], dtype=np.intp)
+        return ctx
+
+    return memo(A, ("hyper-pairs", window), build)
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -232,18 +265,34 @@ def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _differ(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return (lhs != rhs).any(axis=1)
+    return (lhs[:, 0] != rhs[:, 0]) | (lhs[:, 1] != rhs[:, 1])
 
 
 class _Values:
-    """s over the window: one (std, inf) row of integer numerators per element,
-    over the common denominator ``den``; the validators keep it on s per window."""
+    """s over the window: ``s.table``, one (std, inf) row of integer
+    numerators per element over one denominator ``den``, for the formula form
+    a gather over the frame.  The validators and the split keep it on s per
+    (A, window); an element outside the window is read from s itself."""
 
-    def __init__(self, s, elems):
-        self.rows, self.den = exact_table([s.raw_value(a) for a in elems])
+    def __init__(self, s, A, window: int):
+        self.s, self.index = s, _pair_context(A, window).index
+        self.rows, self.den = s.table(A, window)
+        # The rows as Python ints, for the laws that read a few elements each.
+        self.cells = self.rows.tolist()
 
     def dual(self, row) -> str:
         return format_dual((Fraction(int(row[0]), self.den), Fraction(int(row[1]), self.den)))
+
+    def raw(self, a) -> tuple[Fraction, Fraction]:
+        """s(a) as (std, inf), from its row when a is in the window."""
+        k = self.index.get(a)
+        return self.s.raw_value(a) if k is None else (Fraction(self.cells[k][0], self.den),
+                                                      Fraction(self.cells[k][1], self.den))
+
+    def differs(self, elements, part: int, want) -> np.ndarray:
+        """Where part ``part`` (0 standard, 1 infinitesimal) of s is not ``want``."""
+        return np.array([self.s.raw_value(a)[part] != want if (k := self.index.get(a)) is None
+                         else self.cells[k][part] != want * self.den for a in elements], dtype=bool)
 
     def defects(self) -> np.ndarray:
         """Where a value lies outside the interval (see interval_defect)."""
@@ -251,13 +300,15 @@ class _Values:
         return (std < 0) | (std > self.den) | ((std == 0) & (inf < 0)) | ((std == self.den) & (inf > 0))
 
 
-def _part_law(A, s, axiom: str, elements, part: int, want, mode: str):
-    """The check that part ``part`` of s (0 standard, 1 infinitesimal) is
-    ``want`` at each of ``elements``."""
-    raws = [s.raw_value(x) for x in elements]
+def _values(A, s, window: int) -> _Values:
+    return memo(s, ("values", A, window), lambda: _Values(s, A, window))
+
+
+def _part_law(A, v: _Values, axiom: str, elements, part: int, want, mode: str):
+    """The check that part ``part`` of s is ``want`` at each of ``elements``."""
     return masked_verdict(
-        axiom, np.array([r[part] != want for r in raws], dtype=bool),
-        lambda k: {"witness": {"x": A.token(elements[k])}, "value": format_dual(raws[k])}, mode,
+        axiom, v.differs(elements, part, want),
+        lambda k: {"witness": {"x": A.token(elements[k])}, "value": format_dual(v.raw(elements[k]))}, mode,
     )
 
 
@@ -273,7 +324,7 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
     mode = scan_mode(A, window)
     ctx = _pair_context(A, window)
     elems = ctx.elems
-    v = memo(s, ("values", A, window), lambda: _Values(s, elems))
+    v = _values(A, s, window)
     V = v.rows
 
     report.add(masked_verdict(
@@ -281,16 +332,17 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
     ))
 
     ends = ((A.top, (Fraction(1), Fraction(0))), (A.bot, (Fraction(0), Fraction(0))))
-    bad = [{"witness": {"x": A.token(e)}, "lhs": format_dual(s.raw_value(e)), "rhs": format_dual(want)}
-           for e, want in ends if s.raw_value(e) != want]
+    bad = [{"witness": {"x": A.token(e)}, "lhs": format_dual(v.raw(e)), "rhs": format_dual(want)}
+           for e, want in ends if v.raw(e) != want]
     report.add(verdict("boundary-values", bad, mode=mode))
 
     inside = (ctx.times >= 0) & (ctx.oplus >= 0)
-    lhs, rhs = V[ctx.oplus] + V[ctx.times], V[ctx.x] + V[ctx.y]
+    # Rows are gathered with take, far faster than fancy indexing on 2-D.
+    lhs, rhs = V.take(ctx.oplus, axis=0) + V.take(ctx.times, axis=0), V.take(ctx.x, axis=0) + V.take(ctx.y, axis=0)
     bad = inside & _differ(lhs, rhs)
     report.add(pair_verdict(A, ctx, "pair-additivity", bad, lhs, rhs, v.dual, mode, ~inside))
 
-    report.add(_part_law(A, s, "skeleton-standard", boolean_skeleton(A, window).elements, 1, 0, mode))
+    report.add(_part_law(A, v, "skeleton-standard", boolean_skeleton(A, window).elements, 1, 0, mode))
     return report
 
 
@@ -307,29 +359,28 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     mode = scan_mode(A, window)
     ctx = _pair_context(A, window)
     elems = ctx.elems
-    v = memo(s, ("values", A, window), lambda: _Values(s, elems))
+    v = _values(A, s, window)
     V, den = v.rows, v.den
     outside = np.flatnonzero(v.defects())
     if len(outside):
-        defect = interval_defect(*s.raw_value(elems[outside[0]]))
+        defect = interval_defect(*v.raw(elems[outside[0]]))
         raise PreconditionError(f"not a hyperstate on this window: {defect}")
 
     # Every value lies in the interval now, so each expression below stays
     # within twice the denominator, inside exact_table's int64 bound.
-    neg = np.array([ctx.index.get(A.neg(a), -1) for a in elems], dtype=np.intp)
-    got, want = V[neg], np.stack([den - V[:, 0], -V[:, 1]], axis=1)
-    skipped = np.count_nonzero(neg < 0)
+    got, want = V.take(ctx.neg, axis=0), np.stack([den - V[:, 0], -V[:, 1]], axis=1)
+    skipped = np.count_nonzero(ctx.neg < 0)
     report.add(masked_verdict(
-        "negation-law", (neg >= 0) & _differ(got, want),
+        "negation-law", (ctx.neg >= 0) & _differ(got, want),
         lambda k: {"witness": {"x": A.token(elems[k])}, "lhs": v.dual(got[k]), "rhs": v.dual(want[k])},
         mode, f"{skipped} negations left the window" if skipped else "",
     ))
 
-    Vx, Vy = V[ctx.x], V[ctx.y]
+    Vx, Vy = V.take(ctx.x, axis=0), V.take(ctx.y, axis=0)
     report.add(pair_verdict(A, ctx, "monotone", ctx.leq & _lex_less(Vy, Vx), Vx, Vy, v.dual, mode))
 
     orthogonal, inside = ctx.times == ctx.index[A.bot], ctx.oplus >= 0
-    got, rhs = V[ctx.oplus], Vx + Vy
+    got, rhs = V.take(ctx.oplus, axis=0), Vx + Vy
     bad = orthogonal & inside & _differ(got, rhs)
     report.add(pair_verdict(A, ctx, "orthogonal-additivity", bad, got, rhs, v.dual, mode, orthogonal & ~inside))
 
@@ -337,37 +388,31 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     complementary, inside = ctx.oplus == ctx.index[A.top], ctx.times >= 0
     want = np.stack([Vx[:, 0] + Vy[:, 0] - den, Vx[:, 1] + Vy[:, 1]], axis=1)
     want[_lex_less(want, np.zeros_like(want))] = 0
-    got = V[ctx.times]
+    got = V.take(ctx.times, axis=0)
     bad = complementary & inside & _differ(got, want)
     skipped = complementary & ~inside
     report.add(pair_verdict(A, ctx, "complementary-multiplicativity", bad, got, want, v.dual, mode, skipped))
 
     inside = (ctx.meet >= 0) & (ctx.join >= 0)
-    lhs, rhs = V[ctx.meet] + V[ctx.join], Vx + Vy
+    lhs, rhs = V.take(ctx.meet, axis=0) + V.take(ctx.join, axis=0), Vx + Vy
     bad = inside & _differ(lhs, rhs)
     report.add(pair_verdict(A, ctx, "valuation", bad, lhs, rhs, v.dual, mode, ~inside))
 
     sk = boolean_skeleton(A, window)
-    restriction = ProbabilityMeasure(sk, [s.raw_value(atom)[0] for atom in sk.atoms])
+    restriction = ProbabilityMeasure(sk, [v.raw(atom)[0] for atom in sk.atoms])
     report.merge(validate_probability(sk, restriction), prefix="measure-")
     bad = [
-        {
-            "witness": {"x": A.token(b)},
-            "lhs": format_dual(s.raw_value(b)),
-            "rhs": format_dual((restriction.value(b), Fraction(0))),
-        }
+        {"witness": {"x": A.token(b)}, "lhs": format_dual(got), "rhs": format_dual(want)}
         for b in sk.elements
-        if s.raw_value(b) != (restriction.value(b), Fraction(0))
+        if (got := v.raw(b)) != (want := (restriction.value(b), Fraction(0)))
     ]
     report.add(verdict("skeleton-restriction", bad, mode=mode))
 
     rad = radical(A, window)
-    report.add(_part_law(A, s, "radical-standard-part", rad.elements, 0, 1, mode))
-    report.add(_part_law(A, s, "coradical-standard-part", coradical(A, window), 0, 0, mode))
+    report.add(_part_law(A, v, "radical-standard-part", rad.elements, 0, 1, mode))
+    report.add(_part_law(A, v, "coradical-standard-part", coradical(A, window), 0, 0, mode))
 
-    induced = TableState(
-        {h: s.raw_value(rad.from_hoop(h))[1] for h in rad.hoop.carrier(window)}
-    )
+    induced = TableState({h: v.raw(rad.from_hoop(h))[1] for h in rad.hoop.carrier(window)})
     report.merge(validate_state(rad.hoop, induced, window), prefix="induced-")
     return report
 
@@ -390,8 +435,9 @@ class SplitResult:
 def split_hyperstate(A, s, window: int = 8) -> SplitResult:
     """Read p off the skeleton atoms and the weights of w off the radical's
     weight generators, then verify that s agrees with the split identity,
-    evaluated by FormulaHyperstate, at every window element.  A finite
-    radical axis takes the zero state, its only state.
+    evaluated by FormulaHyperstate, at every window element: s's window
+    table against the formula's, in one exact comparison.  A finite radical
+    axis takes the zero state, its only state.
 
     A violation raises: for a map that passed validation this identity is
     forced, so a nonzero residual means the input lied about its structure
@@ -405,29 +451,28 @@ def split_hyperstate(A, s, window: int = 8) -> SplitResult:
 def _split(A, s, window: int) -> SplitResult:
     sk = boolean_skeleton(A, window)
     rad = radical(A, window)
+    v = _values(A, s, window)
 
-    weights = []
-    for atom in sk.atoms:
-        std, inf = s.raw_value(atom)
+    raws = [v.raw(atom) for atom in sk.atoms]
+    for atom, (_, inf) in zip(sk.atoms, raws):
         if inf != 0:
-            raise InternalConsistencyError(
-                f"skeleton atom {A.token(atom)} carries infinitesimal part {format_exact(inf)}"
-            )
-        weights.append(std)
-    p = ProbabilityMeasure(sk, weights)
+            raise InternalConsistencyError(f"skeleton atom {A.token(atom)} carries infinitesimal part "
+                                           f"{format_exact(inf)}")
+    p = ProbabilityMeasure(sk, [std for std, _ in raws])
 
-    lam = [-s.raw_value(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)]
+    lam = [-v.raw(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)]
     w = weighted_state(rad.hoop, lam)
     formula = FormulaHyperstate(A, p, w, window)
+    got, (want, den) = v.rows, formula.table(A, window)
+    if den != v.den:
+        # Rows over two denominators are equal exactly when their cross products are.
+        got, want = got.astype(object) * den, want.astype(object) * v.den
+    bad = np.flatnonzero(_differ(got, want))
     carrier = A.carrier(window)
-    for a in carrier:
-        got = s.raw_value(a)
-        want = formula.raw_value(a)
-        if got != want:
-            raise InternalConsistencyError(
-                f"split identity fails at {A.token(a)}: "
-                f"s = {format_dual(got)}, split gives {format_dual(want)}"
-            )
+    if len(bad):
+        a = carrier[bad[0]]
+        raise InternalConsistencyError(f"split identity fails at {A.token(a)}: s = {format_dual(s.raw_value(a))}, "
+                                       f"split gives {format_dual(formula.raw_value(a))}")
     return SplitResult(p=p, w=w, scanned=len(carrier))
 
 

@@ -296,6 +296,17 @@ class TestExitContract:
         assert code == 2 and out == "" and len(lines) == 1
         assert lines[0].startswith("error: ") and named in lines[0] and "--window" in lines[0]
 
+    def test_grothendieck_keeps_the_element_ceiling(self, corpus_dir, capsys, monkeypatch):
+        # grothendieck has no --window, so the refusal names none.
+        monkeypatch.setattr(ellstates.cli, "MAX_WINDOW_ELEMENTS", 3)
+        path = corpus_dir / "lmonoid-trunc-4.json"
+        code, out, err = run(capsys, "grothendieck", str(path))
+        assert code == 2 and out == ""
+        assert err == f"error: {path}: 'size' spans more than 3 elements\n"
+        monkeypatch.setattr(ellstates.cli, "MAX_WINDOW_ELEMENTS", MAX_WINDOW_ELEMENTS)
+        code, body, _ = run(capsys, "grothendieck", str(path))
+        assert code == 0 and body["result"]["trivial"] is True
+
     @pytest.mark.parametrize(
         "verb, obj",
         [

@@ -12,6 +12,8 @@ from ellstates.hypernum import (
     Ordering,
     dual,
     format_dual,
+    format_exact,
+    interval_defect,
     lex_compare,
     mv_neg,
     mv_oplus,
@@ -79,6 +81,61 @@ def test_parse_exact_refuses_huge_exponents():
         parse_dual("1e999999999+e0")
     with pytest.raises(ValueError, match="exponent"):
         parse_dual("1/2+e1e999999999")
+
+
+def reference_defect(std: Fraction, inf: Fraction) -> str:
+    """interval_defect written with Fraction comparisons against ints."""
+    if not 0 <= std <= 1:
+        return f"standard part {format_exact(std)} outside [0, 1]"
+    if std == 0 and inf < 0:
+        return f"0 + eps*{format_exact(inf)} lies below (0, 0)"
+    if std == 1 and inf > 0:
+        return f"1 + eps*{format_exact(inf)} lies above (1, 0)"
+    return ""
+
+
+# Standard parts at and around the ends of [0, 1], and anywhere else.
+EDGE_STDS = st.sampled_from([F(0), F(1), F(-1), F(2), F(1, 2), F(-1, 7), F(8, 7), F(6, 7), F(1, 7)])
+
+
+@given(st.one_of(EDGE_STDS, frac()), st.one_of(st.sampled_from([F(0)]), frac()))
+def test_interval_defect_matches_the_fraction_comparisons(std, inf):
+    for sign in (1, -1):
+        assert interval_defect(std, sign * inf) == reference_defect(std, sign * inf)
+
+
+def test_interval_defect_reads_ints_and_huge_values():
+    for std, inf in ((0, -1), (1, 1), (0, 0), (1, 0), (2, 0), (-1, 5)):
+        assert interval_defect(std, inf) == reference_defect(F(std), F(inf))
+    big = F(10**30 + 1, 10**30)
+    assert interval_defect(big, F(0)) == reference_defect(big, F(0)) != ""
+    assert interval_defect(F(1), F(1, 10**40)) == "1 + eps*1/" + "1" + "0" * 40 + " lies above (1, 0)"
+
+
+def outcome(parse, text: str):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+# Integer and quotient literals, which parse_exact reads through int, and
+# short texts over their alphabet with the other characters Fraction reads.
+LITERALS = st.one_of(
+    st.integers(-(10**40), 10**40).map(str),
+    st.builds("{}/{}".format, st.integers(-(10**40), 10**40), st.integers(0, 10**40)),
+    st.text(alphabet="0123456789-+/ ._\u0663", max_size=8),
+)
+
+
+@given(LITERALS)
+def test_parse_exact_agrees_with_fraction(text):
+    assert outcome(parse_exact, text) == outcome(Fraction, text)
+
+
+def test_parse_exact_keeps_fractions_errors_past_the_digit_limit():
+    for text in ("9" * 5000, "9" * 5000 + "/3", "3/" + "9" * 5000, "-1/0", "--3", "3/", "/3"):
+        assert outcome(parse_exact, text) == outcome(Fraction, text)
 
 
 def test_oplus_examples():

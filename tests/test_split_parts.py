@@ -7,19 +7,24 @@ skeleton.  The reference below is the plain evaluation: a fresh
 ``decompose_element`` and an ``A.leq`` test per atom on every call.  The two
 must give the same (std, inf) at every element read, for the pairs of the
 generated family (one large family strided), with every pair of a family
-sharing one algebra object.
+sharing one algebra object.  The window table of each hyperstate form (a
+gather over the frame for the formula) must equal the reference read into
+exact_table, and the split, which compares two such tables, must report the
+first differing element as the per-element loop did.
 A failure must never be stored: a decomposition that raises raises on every
 read, and ``state_to_kgroup_state`` raises on a bad state however many good
 ones it has seen on the same hoop.
 """
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from ellstates import ibp0, states
-from ellstates._scan import stride_select
+from ellstates._scan import exact_table, stride_select
 from ellstates.corpus import (
+    boolean_algebra,
     chang_algebra,
     cone_hoop,
     hyperstate_family,
@@ -28,11 +33,26 @@ from ellstates.corpus import (
     lukasiewicz_hoop,
     measure_family,
 )
-from ellstates.hypernum import _rat
-from ellstates.ibp0 import boolean_skeleton, radical
+from ellstates.hypernum import DualRational, _rat, format_dual, interval_defect
+from ellstates.ibp0 import ProductAlgebra, boolean_skeleton, radical
 from ellstates.reports import InternalConsistencyError, MalformedInputError
-from ellstates.semihoop import ConeState, TableState, state_to_kgroup_state, zero_state
-from ellstates.states import FormulaHyperstate
+from ellstates.semihoop import (
+    ConeState,
+    TableState,
+    state_to_kgroup_state,
+    weight_generators,
+    weighted_state,
+    zero_state,
+)
+from ellstates.states import (
+    FormulaHyperstate,
+    ProbabilityMeasure,
+    TableHyperstate,
+    hyperstate_properties,
+    join_hyperstate,
+    split_hyperstate,
+    validate_hyperstate,
+)
 
 WINDOW = 8
 # This module's own algebra objects, so that the first FormulaHyperstate on
@@ -141,3 +161,162 @@ def test_the_sigma_frame_keeps_every_raise(case):
     assert sigma.state is good
     assert sigma_raise(H, bad, window) == before
     assert state_to_kgroup_state(H, good, window).K is sigma.K
+
+
+# ---------------------------------------------------------------------------
+# The window table against the reference
+
+
+def as_fractions(table: tuple) -> list:
+    rows, den = table
+    return [(F(int(std), den), F(int(inf), den)) for std, inf in rows.tolist()]
+
+
+def assert_tables_agree(A, p, w, window=WINDOW) -> FormulaHyperstate:
+    """Both forms' window tables equal the reference read into exact_table."""
+    carrier = A.carrier(window)
+    ref = [ref_raw_value(A, p, w, window, a) for a in carrier]
+    expected = as_fractions(exact_table(ref))
+    s = FormulaHyperstate(A, p, w, window)
+    assert as_fractions(s.table(A, window)) == expected
+    table = TableHyperstate({a: DualRational(*r) for a, r in zip(carrier, ref) if not interval_defect(*r)})
+    if len(table.items()) == len(carrier):
+        assert as_fractions(table.table(A, window)) == expected
+    return s
+
+
+@pytest.mark.parametrize("name", list(SUBJECTS))
+def test_window_tables_agree_with_a_fresh_evaluation(name):
+    A = SUBJECTS[name]
+    family = hyperstate_family(A, WINDOW)
+    for p, w in stride_select(family, 4):
+        assert_tables_agree(A, p, w)
+
+
+def capped_boolean_square():
+    """B16 x B16: the window holds 142 of its 256 elements, all complemented,
+    so the skeleton leaves the window."""
+    A = ProductAlgebra([boolean_algebra(4)] * 2)
+    sk = boolean_skeleton(A, WINDOW)
+    assert len(sk.elements) == 256 > len(A.carrier(WINDOW))
+    return A, sk
+
+
+def test_capped_finite_product_reads_outside_the_window():
+    A, sk = capped_boolean_square()
+    w = zero_state(radical(A, WINDOW).hoop)
+    for p in (ProbabilityMeasure(sk, {"0": 1}), ProbabilityMeasure(sk, [F(1, 8)] * 8)):
+        s = assert_tables_agree(A, p, w)
+        assert validate_hyperstate(A, s, WINDOW).ok and hyperstate_properties(A, s, WINDOW).ok
+        split = split_hyperstate(A, s, WINDOW)
+        assert split.p == p and split.scanned == len(A.carrier(WINDOW))
+
+
+def test_weights_past_int64_take_the_object_path():
+    A = chang_algebra(2)
+    p = measure_family(boolean_skeleton(A, WINDOW))[0]
+    w = ConeState([10**30, F(1, 3)])
+    s = assert_tables_agree(A, p, w)
+    assert s.table(A, WINDOW)[0].dtype == object
+    assert join_hyperstate(A, p, w, WINDOW)[1].ok
+    split = split_hyperstate(A, s, WINDOW)
+    assert (split.p, split.w) == (p, w)
+    t = TableHyperstate({a: s.value(a) for a in A.carrier(WINDOW)})
+    assert t.table(A, WINDOW)[0].dtype == object
+    assert split_hyperstate(A, t, WINDOW).w == w
+
+
+def reference_split_error(A, s, window=WINDOW) -> str:
+    """The message of the per-element split loop, or "" when it passes."""
+    sk, rad = boolean_skeleton(A, window), radical(A, window)
+    p = ProbabilityMeasure(sk, [s.raw_value(atom)[0] for atom in sk.atoms])
+    w = weighted_state(rad.hoop, [-s.raw_value(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)])
+    for a in A.carrier(window):
+        got, want = s.raw_value(a), ref_raw_value(A, p, w, window, a)
+        if got != want:
+            return f"split identity fails at {A.token(a)}: s = {format_dual(got)}, split gives {format_dual(want)}"
+    return ""
+
+
+@pytest.mark.parametrize("lam", [[F(3, 2)], [10**30]], ids=["small", "past-int64"])
+def test_a_split_that_fails_names_the_first_differing_element(lam):
+    A = chang_algebra(1)
+    p = measure_family(boolean_skeleton(A, WINDOW))[0]
+    s = FormulaHyperstate(A, p, ConeState(lam), WINDOW)
+    carrier = A.carrier(WINDOW)
+    values = {a: s.value(a) for a in carrier}
+    # Two elements off, neither an atom nor a weight generator: the earlier
+    # in window order is the one reported.
+    for a in (A.neg(("pos", (5,))), ("pos", (3,))):
+        v = values[a]
+        values[a] = DualRational(v.std, v.inf + (F(1, 3) if v.std == 0 else F(-1, 3)))
+    t = TableHyperstate(values)
+    # The shifted values need another denominator, so the split compares
+    # cross products, on object tables past int64.
+    (got, den), (formula, formula_den) = t.table(A, WINDOW), s.table(A, WINDOW)
+    assert den != formula_den and (got.dtype == formula.dtype == object) == (lam == [10**30])
+    want = reference_split_error(A, t)
+    assert want.startswith("split identity fails at ")
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError) as exc:
+            split_hyperstate(A, t, WINDOW)
+        assert str(exc.value) == want
+
+
+def test_a_failed_decomposition_raises_on_every_table_read(monkeypatch):
+    A = chang_algebra(1)
+    victim = A.carrier(WINDOW)[3]
+
+    def planted(B, a):
+        if a == victim:
+            raise InternalConsistencyError(f"planted failure at {B.token(a)}")
+        return ibp0.decompose_element(B, a)
+
+    monkeypatch.setattr(states, "decompose_element", planted)
+    p = measure_family(boolean_skeleton(A, WINDOW))[0]
+    s = FormulaHyperstate(A, p, ConeState([1]), WINDOW)
+    for read in (lambda: s.table(A, WINDOW), lambda: join_hyperstate(A, p, ConeState([1]), WINDOW),
+                 lambda: validate_hyperstate(A, s, WINDOW), lambda: hyperstate_properties(A, s, WINDOW),
+                 lambda: split_hyperstate(A, s, WINDOW)):
+        for _ in range(2):
+            with pytest.raises(InternalConsistencyError, match="planted failure"):
+                read()
+    monkeypatch.setattr(states, "decompose_element", ibp0.decompose_element)
+    assert validate_hyperstate(A, s, WINDOW).ok
+
+
+def test_join_split_properties_read_the_frame_not_each_element(monkeypatch):
+    # After one warm join, a new (p, w) reads no decomposition and no
+    # per-element value; w is read once per hoop element of the frame, by
+    # each of the two formulas (the join's and the split's), and the
+    # properties read only the table.  A fall-back to per-element
+    # evaluation would read raw_value at each of the 162 window elements.
+    A = chang_algebra(2)
+    family = hyperstate_family(A, WINDOW)
+    join_hyperstate(A, *family[0], WINDOW)
+    hoop = len(radical(A, WINDOW).hoop.carrier(WINDOW))
+    assert (len(A.carrier(WINDOW)), hoop) == (162, 81)
+
+    calls = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(FormulaHyperstate, "raw_value")
+    counted(states, "decompose_element")
+    counted(ConeState, "value")
+    p, w = family[-1]
+    s, report = join_hyperstate(A, p, w, WINDOW)
+    assert report.ok and calls == {"value": hoop}
+    calls.clear()
+    split_hyperstate(A, s, WINDOW)
+    assert calls == {"value": hoop}
+    calls.clear()
+    assert hyperstate_properties(A, s, WINDOW).ok
+    assert calls == {}

@@ -392,6 +392,9 @@ class RawValues:
     def raw_value(self, a):
         return self.raw[a]
 
+    # The window table of any raw-value map.
+    table = TableHyperstate.table
+
 
 def perturbed(A, s, every: int) -> TableHyperstate:
     """s as a table, with every ``every``-th value moved inside the interval."""
