@@ -18,8 +18,8 @@ and the first :data:`~.reports.MAX_WITNESSES` are rendered as witnesses
 through the scalar terms.
 
 Value laws (of states and hyperstates) read each map once into exact
-integer tables (:func:`exact_table`) and compare sums of its values as
-gathers over index columns (:func:`pair_columns`).
+integer tables (:func:`exact_table`, a state's ``table``) and compare sums
+of its values as gathers over index columns (:func:`pair_columns`).
 
 Symbolic carriers are infinite, and cartesian products of windows can be
 huge, so quantified checks sometimes run over a reduced deterministic
@@ -150,6 +150,20 @@ def exact_table(rows: Sequence[Sequence], terms: int = 2) -> tuple[np.ndarray, i
     nums = [[f.numerator * (den // f.denominator) for f in row] for row in fracs]
     widest = max([den] + [abs(n) for row in nums for n in row])
     return np.array(nums, dtype=np.int64 if terms * widest <= INT64_MAX else object), den
+
+
+def widest(a: np.ndarray) -> int:
+    """The largest magnitude in the integer array ``a``, 0 when it is empty."""
+    return max(int(a.max(initial=0)), -int(a.min(initial=0)))
+
+
+def over_lcm(cols: Sequence[tuple[np.ndarray, int]], terms: int = 2) -> tuple[list[np.ndarray], int]:
+    """Integer columns, each with its denominator, over the lcm of those:
+    int64 while ``terms`` times the larger of the lcm and the sum of the
+    columns' widest entries fits, as in exact_table, else Python ints."""
+    den = lcm(*(d for _, d in cols))
+    fits = terms * max(den, sum(widest(c) * (den // d) for c, d in cols)) <= INT64_MAX
+    return [c.astype(np.int64 if fits else object) * (den // d) for c, d in cols], den
 
 
 def masked_verdict(axiom: str, bad: np.ndarray, witness: Callable[[int], dict], mode: str, note: str = "") -> Check:

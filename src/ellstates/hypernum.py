@@ -115,11 +115,14 @@ def parts(x: DualRational) -> tuple[Fraction, Fraction]:
 
 
 def lex_compare(x: DualRational, y: DualRational) -> Ordering:
-    if x < y:
-        return Ordering.LT
-    if x == y:
-        return Ordering.EQ
-    return Ordering.GT
+    """The dataclass order of x and y, read from cross-multiplied numerators,
+    standard part first, which is faster than comparing Fractions."""
+    a, b = x.std, y.std
+    lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
+    if lhs == rhs:
+        a, b = x.inf, y.inf
+        lhs, rhs = a.numerator * b.denominator, b.numerator * a.denominator
+    return Ordering.EQ if lhs == rhs else Ordering.LT if lhs < rhs else Ordering.GT
 
 
 def mv_oplus(x: DualRational, y: DualRational) -> DualRational:

@@ -31,8 +31,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._scan import (Axiom, exact_table, masked_verdict, memo, pair_columns, pair_verdict, scan_axioms, scan_mode,
-                    stride_select)
+from ._scan import (INT64_MAX, Axiom, exact_table, masked_verdict, memo, over_lcm, pair_columns, pair_verdict,
+                    scan_axioms, scan_mode, stride_select, widest)
 from .hypernum import format_exact
 from .lmonoid import (
     Cone,
@@ -212,8 +212,17 @@ def validate_semihoop(H, window: int = 8) -> ValidationReport:
 # States
 
 
+def _read_each(w, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
+    """w at ``elems`` as one column of exact_table, whose dtype every state's
+    ``table(elems, terms)`` has, read one value at a time."""
+    table, den = exact_table([(w.value(x),) for x in elems], terms)
+    return table.reshape(-1), den
+
+
 class TableState:
     """A state given pointwise, as a map element -> Fraction."""
+
+    table = _read_each
 
     def __init__(self, values: Mapping[Any, Fraction | int | str]):
         self.values = {k: Fraction(v) for k, v in values.items()}
@@ -231,9 +240,9 @@ class TableState:
 class ConeState:
     """w(m) = -<lam, m> on a cone hoop; nonnegative lam gives a valid state.
 
-    ``lam`` is kept as given; values are evaluated on its integer numerators
-    over their common denominator, so each value is one integer dot product
-    and one Fraction.
+    ``lam`` is kept as given and read as integer numerators over their
+    common denominator: ``value`` is one integer dot product, and ``table``
+    reads a list of elements as one integer matrix product.
     """
 
     def __init__(self, lam: Sequence[Fraction | int | str]):
@@ -245,6 +254,17 @@ class ConeState:
         if len(m) != len(self.lam):
             raise MalformedInputError(f"weight tuple has rank {len(self.lam)}, element has rank {len(m)}")
         return Fraction(-sum(n * c for n, c in zip(self._nums, m)), self._den)
+
+    def table(self, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
+        """Coordinates times numerators in int64 while exact_table's bound holds
+        at the widest coordinate; else, or at another rank, one value each."""
+        try:
+            coords = np.array(elems, dtype=np.int64).reshape(len(elems), len(self.lam))
+        except (OverflowError, ValueError):
+            return _read_each(self, elems, terms)
+        if terms * max(self._den, max(1, widest(coords)) * sum(map(abs, self._nums))) > INT64_MAX:
+            return _read_each(self, elems, terms)
+        return -(coords @ np.array(self._nums, dtype=np.int64)), self._den
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConeState) and self.lam == other.lam
@@ -260,6 +280,14 @@ class ProductState:
         if len(xs) != len(self.parts):
             raise MalformedInputError(f"product state has {len(self.parts)} parts, element has {len(xs)}")
         return sum((p.value(x) for p, x in zip(self.parts, xs)), Fraction(0))
+
+    def table(self, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
+        """The parts' columns summed over their lcm while that fits int64;
+        else, or at an element of another length, one value each."""
+        if any(len(xs) != len(self.parts) for xs in elems):
+            return _read_each(self, elems, terms)
+        cols, den = over_lcm([p.table([xs[k] for xs in elems], terms) for k, p in enumerate(self.parts)], terms)
+        return (sum(cols), den) if cols[0].dtype == np.int64 else _read_each(self, elems, terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ProductState) and self.parts == other.parts
@@ -314,19 +342,23 @@ def weight_generators(H) -> list:
 
 
 def validate_state(H, w, window: int = 8) -> ValidationReport:
-    """Check codomain, (v1), (v2), (v3) exactly over the (windowed) carrier.
+    """Check codomain, (v1), (v2), (v3) exactly over the (windowed) carrier,
+    on w read once as an integer column, by state_laws.
 
     A state that is not total on the carrier is a structural defect, not an
     axiom failure, and raises.
     """
+    return state_laws(H, *w.table(H.carrier(window)), window)
+
+
+def state_laws(H, V: np.ndarray, den: int, window: int = 8) -> ValidationReport:
+    """validate_state's checks on a map given as its integer column ``V``
+    over ``den`` at H's window elements, in carrier order."""
     report = ValidationReport(subject="state")
     ctx = memo(H, ("state-pairs", window),
                lambda: pair_columns(H, H.carrier(window), PAIR_BASE_CAP, SAMPLED_NOTE, ("times", "leq")))
     elems = ctx.elems
     mode = scan_mode(H, window)
-    # w.value raises MalformedInputError if the state is partial.
-    table, den = exact_table([(w.value(x),) for x in elems])
-    V = table[:, 0]
 
     def frac(n) -> str:
         return format_exact(Fraction(int(n), den))
@@ -352,8 +384,8 @@ def state_properties(H, w, window: int = 8) -> ValidationReport:
     divisible hoop monotonicity already follows from the other axioms.
 
     Which laws apply (validate_semihoop's flags) and the pairs they scan are
-    kept per (H, window); w is read once into an integer table (see
-    exact_table), and a pair with a result outside the window is skipped.
+    kept per (H, window); w is read once into an integer column, and a pair
+    with a result outside the window is skipped.
     """
     flags = validate_semihoop(H, window).flags
     report = ValidationReport(subject="state-properties", flags=dict(flags))
@@ -361,8 +393,7 @@ def state_properties(H, w, window: int = 8) -> ValidationReport:
     # The pairs validate_state scans; these checks carry no sampling note.
     ctx = memo(H, ("state-property-pairs", window),
                lambda: pair_columns(H, H.carrier(window), PAIR_BASE_CAP, "", ("impl", "meet", "join", "leq")))
-    table, den = exact_table([(w.value(x),) for x in ctx.elems])
-    V = table[:, 0]
+    V, den = w.table(ctx.elems)
     Vx, Vy = V[ctx.x], V[ctx.y]
 
     def frac(n) -> str:
@@ -450,8 +481,9 @@ class KGroupState:
 
 def _sigma_frame(H, window: int) -> SimpleNamespace:
     """What state_to_kgroup_state checks that does not depend on w: the
-    envelope, the elements whose values it reads, and which candidate pairs
-    [a, b] over the strided base are positive."""
+    envelope, the elements it ``reads``, where each list and envelope class
+    it gathers lies in them, and which candidate pairs [a, b] over the
+    strided base are positive."""
     if not isinstance(H, (FiniteSemihoop, SymbolicConeHoop)):
         raise MalformedInputError("envelope correspondence supports finite tables and symbolic cones")
     K, h = k_envelope(H)
@@ -461,11 +493,15 @@ def _sigma_frame(H, window: int) -> SimpleNamespace:
     # Candidate [base[a], base[b]] is added to its mirror in reversed order,
     # [base[-1-a], base[-1-b]]; the sum is [sums[a], sums[b]].
     sums = [H.add(a, b) for a, b in zip(base, reversed(base))]
-    at = {x: i for i, x in enumerate(dict.fromkeys([*elems, *doubles, *sums]))}
+    index = {x: i for i, x in enumerate(dict.fromkeys([*elems, *doubles, *sums]))}
+    at = {name: np.array([index[x] for x in xs], dtype=np.intp)
+          for name, xs in (("elems", elems), ("doubles", doubles), ("base", base), ("sums", sums))}
+    classes = [(m, *(np.array([index[pair[i]] for pair in m], dtype=np.intp) for i in (0, 1)))
+               for m in K.class_members or []]
     pairs = list(product(base, repeat=2))
     zero = K.zero()
     positive = np.array([k_leq(K, zero, KElement(a, b)) for a, b in pairs], dtype=bool)
-    return SimpleNamespace(K=K, h=h, elems=elems, base=base, doubles=doubles, sums=sums, at=at, pairs=pairs,
+    return SimpleNamespace(K=K, h=h, elems=elems, reads=list(index), at=at, classes=classes, pairs=pairs,
                            positive=positive)
 
 
@@ -475,32 +511,28 @@ def state_to_kgroup_state(H, w, window: int = 8) -> KGroupState:
     Verified on the (windowed) carrier: equal classes get equal values,
     σ̂ ∘ h = w, additivity, and positivity for the envelope order.  Any
     failure is an internal consistency error, since each is a theorem for a
-    valid w.  The envelope and the checked elements and pairs are kept once
-    per (H, window); each call reads w once at each element the checks
-    reach, into an integer table (see exact_table), and compares sums of it.
+    valid w.  The envelope and the checked elements, pairs and positions
+    are kept once per (H, window); each call reads w once, as one integer
+    column, and compares sums of its entries gathered with take.
     """
     f = memo(H, ("sigma-frame", window), lambda: _sigma_frame(H, window))
-    K, elems, at = f.K, f.elems, f.at
+    K, at = f.K, f.at
     sigma = KGroupState(K=K, h=f.h, state=w)
     # A σ̂ sum below adds four values of w.
-    W = exact_table([(w.value(x),) for x in at], terms=4)[0][:, 0]
+    W = w.table(f.reads, terms=4)[0]
 
-    def values(xs: list) -> np.ndarray:
-        return W[[at[x] for x in xs]]
+    for members, xs, ys in f.classes:
+        diffs = W.take(xs) - W.take(ys)
+        if (diffs != diffs[0]).any():
+            vals = {KElement(*p): sigma.value(KElement(*p)) for p in members}
+            raise InternalConsistencyError(f"σ̂ not constant on a class: {vals}")
 
-    if K.mode == "finite-quotient":
-        for members in K.class_members:
-            diffs = values([x for x, _ in members]) - values([y for _, y in members])
-            if (diffs != diffs[0]).any():
-                vals = {KElement(*p): sigma.value(KElement(*p)) for p in members}
-                raise InternalConsistencyError(f"σ̂ not constant on a class: {vals}")
-
-    wx = values(elems)
-    bad = np.flatnonzero(values(f.doubles) - wx != wx)
+    wx = W.take(at["elems"])
+    bad = np.flatnonzero(W.take(at["doubles"]) - wx != wx)
     if len(bad):
-        raise InternalConsistencyError(f"σ̂(h(x)) != w(x) at x = {H.token(elems[bad[0]])}")
+        raise InternalConsistencyError(f"σ̂(h(x)) != w(x) at x = {H.token(f.elems[bad[0]])}")
 
-    wb, ws = values(f.base), values(f.sums)
+    wb, ws = W.take(at["base"]), W.take(at["sums"])
     sig = (wb[:, None] - wb[None, :]).ravel()
     bad = np.flatnonzero(f.positive & (sig < 0))
     if len(bad):

@@ -25,7 +25,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ._scan import exact_table, masked_verdict, memo, pair_columns, pair_verdict, scan_mode
+from ._scan import exact_table, masked_verdict, memo, over_lcm, pair_columns, pair_verdict, scan_mode
 from .hypernum import DualRational, _rat, format_dual, format_exact, interval_defect, parse_dual
 from .ibp0 import (
     Skeleton,
@@ -45,8 +45,8 @@ from .reports import (
 from .semihoop import (
     SAMPLED_NOTE,
     TableState,
+    state_laws,
     state_to_kgroup_state,
-    validate_state,
     weight_generators,
     weighted_state,
 )
@@ -181,10 +181,11 @@ class FormulaHyperstate:
     element, and the frame of the window (see _frame), which holds those
     triples as positions.  An element whose decomposition raises is never
     stored, so it raises on every read.  The window table is a gather: p is
-    read once on the frame's skeleton elements and w once on its hoop
-    elements, through one exact_table, and s's rows are (P[b], W[lo] −
-    W[hi]) over that table's denominator.  ``value`` and ``raw_value`` read
-    one element, evaluating p and w at most once per element of each.
+    read once on the frame's skeleton elements and w once, as one integer
+    column, on its hoop elements, and s's rows are (P[b], W[lo] − W[hi])
+    over one denominator.  ``value`` reads a's row, from the table kept on
+    s; ``raw_value``, and ``value`` outside the window, evaluate one element,
+    reading p and w at most once per element of each.
     """
 
     def __init__(self, A, p: ProbabilityMeasure, w, window: int = 8):
@@ -202,7 +203,7 @@ class FormulaHyperstate:
         return self._p(b), self._w(lo) - self._w(hi)
 
     def value(self, a) -> DualRational:
-        raw = self.raw_value(a)
+        raw = _values(self.algebra, self, self._window).raw(a)
         try:
             return DualRational(*raw)
         except ValueError:
@@ -214,8 +215,8 @@ class FormulaHyperstate:
         """The window table, gathered; p and w are read with exact_table's bound
         for four terms, so a sum of two differences stays within int64."""
         f = _frame(A, window)
-        col, den = exact_table([(self._p(b),) for b in f.skeleton] + [(self._w(h),) for h in f.hoop], terms=4)
-        P, W = col[: len(f.skeleton), 0], col[len(f.skeleton):, 0]
+        P, dp = exact_table([(self._p(b),) for b in f.skeleton], terms=4)
+        (P, W), den = over_lcm([(P.reshape(-1), dp), self.state.table(f.hoop, terms=4)], terms=4)
         return np.stack([P.take(f.b), W.take(f.lo) - W.take(f.hi)], axis=1), den
 
 
@@ -412,8 +413,17 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     report.add(_part_law(A, v, "radical-standard-part", rad.elements, 0, 1, mode))
     report.add(_part_law(A, v, "coradical-standard-part", coradical(A, window), 0, 0, mode))
 
-    induced = TableState({h: v.raw(rad.from_hoop(h))[1] for h in rad.hoop.carrier(window)})
-    report.merge(validate_state(rad.hoop, induced, window), prefix="induced-")
+    # The induced state is column 1 of the table at the radical's positions,
+    # kept per (A, window); it is read from s when one lies outside the window,
+    # and from an object table afresh, as its values alone may fit int64.
+    at = memo(A, ("radical-positions", window),
+              lambda: np.array([v.index.get(rad.from_hoop(h), -1) for h in rad.hoop.carrier(window)], dtype=np.intp))
+    if V.dtype == np.int64 and (at >= 0).all():
+        induced = V[:, 1].take(at), den
+    else:
+        hoop = rad.hoop.carrier(window)
+        induced = TableState({h: v.raw(rad.from_hoop(h))[1] for h in hoop}).table(hoop)
+    report.merge(state_laws(rad.hoop, *induced, window), prefix="induced-")
     return report
 
 

@@ -71,6 +71,41 @@ def test_order_is_the_order_of_std_inf_tuples(xs):
             assert lex_compare(x, y) is (Ordering.LT if kx < ky else Ordering.EQ if kx == ky else Ordering.GT)
 
 
+# Numerators and denominators past int64 and past the 4300-digit limit of
+# int-to-string conversion, next to small ones.  Hypothesis prints what it
+# draws, which such integers refuse, so it draws an offset and a scale name.
+SCALES = {"small": 0, "past-int64": 2**63, "past-4300-digits": 10**4400}
+WIDE = st.tuples(st.integers(0, 2**40), st.sampled_from(sorted(SCALES)))
+
+
+def wide(drawn) -> int:
+    offset, scale = drawn
+    return SCALES[scale] + offset
+
+
+def wide_dual(num, rest, inf, den, sign) -> DualRational:
+    num, rest, inf = wide(num), wide(rest), sign * F(wide(inf), wide(den) + 1)
+    std = F(num, num + rest) if num + rest else F(0)
+    return DualRational(std, -inf if interval_defect(std, inf) else inf)
+
+
+def dataclass_order(x, y) -> Ordering:
+    return Ordering.LT if x < y else Ordering.EQ if x == y else Ordering.GT
+
+
+WIDE_DUAL = st.tuples(WIDE, WIDE, WIDE, WIDE, st.sampled_from([-1, 1]))
+
+
+@given(WIDE_DUAL, WIDE_DUAL)
+def test_lex_compare_is_the_dataclass_order_on_wide_values(dx, dy):
+    x, y = wide_dual(*dx), wide_dual(*dy)
+    pairs = [(x, y), (y, x), (x, x)]
+    if not interval_defect(x.std, y.inf):
+        pairs.append((x, DualRational(x.std, y.inf)))
+    for a, b in pairs:
+        assert lex_compare(a, b) is dataclass_order(a, b)
+
+
 def test_parse_exact_refuses_huge_exponents():
     assert parse_exact("1e3") == 1000 and parse_exact("2.5E-2") == F(1, 40)
     assert parse_dual("0+e5000") == dual(0, 5000)

@@ -33,12 +33,21 @@ def test_detects_an_unused_import():
     assert unused_imports(source) == ["os (line 2)", "Mapping (line 3)"]
 
 
+# numpy constructors whose default dtype is float64, as in np.array([]).
+ARRAY_MAKERS = {"array", "asarray", "zeros", "ones", "empty", "full", "fromiter"}
+
+
 def inexact_uses(source: str) -> list[str]:
     """Floating point in ``source``: the name ``float`` (so also
     ``astype(float)``), numpy float types such as ``np.float64``, float dtype
-    strings, and the tolerance comparisons ``isclose`` and ``allclose``."""
+    strings, the tolerance comparisons ``isclose`` and ``allclose``, and an
+    array constructor called with no ``dtype=`` keyword."""
     found = []
     for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr in ARRAY_MAKERS:
+            if not any(k.arg == "dtype" for k in node.keywords):
+                found.append((node.lineno, node.col_offset, f"{node.func.attr} without dtype"))
+            continue
         if isinstance(node, ast.Name):
             name = node.id
         elif isinstance(node, ast.Attribute):
@@ -65,10 +74,14 @@ def test_detects_floating_point():
         "c = np.isclose(a, b) or math.isclose(1, 1) or np.allclose(a, b)\n"
         "d = float('1.5')\n"
         "floats = 'never floats'\n"
+        "e = np.array([]), np.asarray(e), np.ones(2, np.int64), np.full(3, 0), np.fromiter(iter(e), int)\n"
+        "f = np.empty(0, dtype=object), np.array([], dtype=np.intp), np.zeros_like(e), np.stack([e])\n"
     )
     assert inexact_uses(source) == [
-        "float (line 2)", "float64 (line 3)", "float32 (line 3)", "isclose (line 4)",
-        "isclose (line 4)", "allclose (line 4)", "float (line 5)",
+        "zeros without dtype (line 2)", "float (line 2)", "float64 (line 3)", "float32 (line 3)",
+        "isclose (line 4)", "isclose (line 4)", "allclose (line 4)", "float (line 5)",
+        "array without dtype (line 7)", "asarray without dtype (line 7)", "ones without dtype (line 7)",
+        "full without dtype (line 7)", "fromiter without dtype (line 7)",
     ]
 
 

@@ -1,18 +1,23 @@
 """Semihoop validation, states, and the envelope-state correspondence."""
 
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ellstates._scan import exact_table, stride_select
 from ellstates.corpus import (
     cone_hoop,
     godel_hoop,
+    hyperstate_product_corpus,
     lukasiewicz_hoop,
     semihoop_corpus,
 )
+from ellstates.ibp0 import radical
 from ellstates.lmonoid import k_add, k_leq
 from ellstates.reports import InternalConsistencyError, MalformedInputError
 from ellstates.semihoop import (
@@ -32,6 +37,7 @@ from ellstates.semihoop import (
     symbolic_rank,
     validate_semihoop,
     validate_state,
+    weighted_state,
     zero_state,
 )
 
@@ -332,3 +338,91 @@ def test_nonnegative_weights_always_validate(lam):
     sigma = state_to_kgroup_state(H, w, window=4)
     back, report = kgroup_state_to_state(H, sigma, window=4)
     assert report.ok and back == w
+
+
+# ---------------------------------------------------------------------------
+# Reading a state over a list of elements: w.table against w.value
+
+
+def as_rationals(col, den) -> list:
+    return [Fraction(int(n), den) for n in col.tolist()]
+
+
+def assert_table_reads_the_values(w, elems, terms=2):
+    """w.table(elems, terms) holds w.value at each element, as exact_table
+    reads them, and has exact_table's kind of dtype."""
+    col, den = w.table(elems, terms)
+    want, want_den = exact_table([(w.value(x),) for x in elems], terms)
+    assert col.shape == (len(elems),) and col.dtype.kind == want.dtype.kind
+    assert as_rationals(col, den) == as_rationals(want.reshape(-1), want_den)
+    return col
+
+
+WEIGHTS = st.one_of(
+    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+    st.integers(-(2**65), 2**65).map(Fraction),
+    st.integers(1, 2**65).map(lambda d: Fraction(1, d)),
+)
+COORDS = st.one_of(st.integers(0, 8), st.integers(0, 2**66))
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 3).flatmap(lambda r: st.tuples(
+    st.lists(WEIGHTS, min_size=r, max_size=r), st.lists(st.tuples(*[COORDS] * r), max_size=6))),
+    st.sampled_from([2, 4]))
+def test_cone_tables_read_the_values(drawn, terms):
+    lam, elems = drawn
+    w = ConeState(lam)
+    assert_table_reads_the_values(w, elems, terms)
+    assert_table_reads_the_values(w, cone_hoop(len(lam)).carrier(3), terms)
+
+
+def test_cone_weights_past_int64_take_the_object_path():
+    w = ConeState([10**30, Fraction(1, 3)])
+    assert assert_table_reads_the_values(w, cone_hoop(2).carrier(8)).dtype == object
+    assert assert_table_reads_the_values(ConeState([1, Fraction(1, 3)]), cone_hoop(2).carrier(8)).dtype == np.int64
+
+
+@cache
+def product_radical():
+    return radical(hyperstate_product_corpus()["chang-1*chang-2"], 8).hoop
+
+
+# The two examples reach 2^62: int64 for two terms, Python ints for four.
+@settings(deadline=None, max_examples=20)
+@given(st.lists(WEIGHTS, min_size=3, max_size=3), st.sampled_from([2, 4]))
+@example([2**59, 0, 0], 2)
+@example([2**59, 0, 0], 4)
+def test_product_tables_read_the_values(lam, terms):
+    H = product_radical()
+    assert symbolic_rank(H) == 3
+    w = weighted_state(H, lam)
+    assert isinstance(w, ProductState)
+    assert_table_reads_the_values(w, stride_select(H.carrier(8), 64), terms)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.lists(WEIGHTS, min_size=6, max_size=6), st.sampled_from([2, 4]))
+def test_table_state_tables_read_the_values(values, terms):
+    H = lukasiewicz_hoop(5)
+    w = TableState(dict(enumerate(values)))
+    assert_table_reads_the_values(w, H.carrier(8), terms)
+
+
+def test_table_reads_refuse_what_value_refuses():
+    for w, elems, message in (
+        (ConeState([1, 2]), [(1,)], "weight tuple has rank 2, element has rank 1"),
+        (ConeState([1, 2]), [(1, 2), (3,)], "weight tuple has rank 2, element has rank 1"),
+        (ConeState([1]), [(1, 2), (3, 4)], "weight tuple has rank 1, element has rank 2"),
+        (ProductState([ConeState([1]), zero_state(lukasiewicz_hoop(3))]), [((1,), 0, 1)], "product state has 2 parts"),
+        (TableState({0: 0, 1: -1}), [0, 1, 2], "state has no value for element 2"),
+    ):
+        with pytest.raises(MalformedInputError, match=message):
+            w.table(elems)
+
+
+def test_empty_tables_are_integer_columns():
+    for w in (ConeState([1, Fraction(1, 3)]), ConeState([10**30]), TableState({}),
+              ProductState([ConeState([1]), zero_state(lukasiewicz_hoop(3))])):
+        col, den = w.table([])
+        assert col.shape == (0,) and col.dtype == np.int64 and den >= 1

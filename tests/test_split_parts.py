@@ -48,6 +48,7 @@ from ellstates.states import (
     FormulaHyperstate,
     ProbabilityMeasure,
     TableHyperstate,
+    cancellative_form,
     hyperstate_properties,
     join_hyperstate,
     split_hyperstate,
@@ -287,10 +288,12 @@ def test_a_failed_decomposition_raises_on_every_table_read(monkeypatch):
 
 def test_join_split_properties_read_the_frame_not_each_element(monkeypatch):
     # After one warm join, a new (p, w) reads no decomposition and no
-    # per-element value; w is read once per hoop element of the frame, by
-    # each of the two formulas (the join's and the split's), and the
-    # properties read only the table.  A fall-back to per-element
-    # evaluation would read raw_value at each of the 162 window elements.
+    # per-element value: w is read as one column by each of the two
+    # formulas (the join's and the split's) and by the envelope state; the
+    # properties, the induced state among them, and s.value read only the
+    # table.  A fall-back to per-element evaluation would read raw_value at
+    # each of the 162 window elements, or w.value at each of the 81 hoop
+    # elements, or build the induced state as a TableState.
     A = chang_algebra(2)
     family = hyperstate_family(A, WINDOW)
     join_hyperstate(A, *family[0], WINDOW)
@@ -311,12 +314,15 @@ def test_join_split_properties_read_the_frame_not_each_element(monkeypatch):
     counted(FormulaHyperstate, "raw_value")
     counted(states, "decompose_element")
     counted(ConeState, "value")
+    counted(states, "TableState")
     p, w = family[-1]
     s, report = join_hyperstate(A, p, w, WINDOW)
-    assert report.ok and calls == {"value": hoop}
-    calls.clear()
+    assert report.ok and calls == {}
     split_hyperstate(A, s, WINDOW)
-    assert calls == {"value": hoop}
-    calls.clear()
-    assert hyperstate_properties(A, s, WINDOW).ok
+    assert calls == {}
+    assert hyperstate_properties(A, s, WINDOW).ok and calls == {}
+    cancellative_form(A, s, WINDOW)
+    assert calls == {}
+    for a in A.carrier(WINDOW):
+        s.value(a)
     assert calls == {}
