@@ -17,9 +17,10 @@ order (the last variable varies fastest), violations are counted in full,
 and the first :data:`~.reports.MAX_WITNESSES` are rendered as witnesses
 through the scalar terms.
 
-Value laws (of states and hyperstates) read each map once into exact
-integer tables (:func:`exact_table`, a state's ``table``) and compare sums
-of its values as gathers over index columns (:func:`pair_columns`).
+Value laws read each map once into an exact table, integer numerators in
+lowest terms over one denominator, typed here alone (:func:`width`, through
+:func:`exact_table` and :func:`lowest`), and compare sums of its values as
+gathers over index columns (:func:`pair_columns`).
 
 Symbolic carriers are infinite, and cartesian products of windows can be
 huge, so quantified checks sometimes run over a reduced deterministic
@@ -33,8 +34,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import product
-from math import lcm, prod
+from itertools import chain, product
+from math import gcd, lcm, prod
 from types import SimpleNamespace
 from typing import Any, Callable, Hashable, Mapping, Sequence, TypeVar
 
@@ -143,13 +144,17 @@ def scan_axioms(
 
 def exact_table(rows: Sequence[Sequence], terms: int = 2) -> tuple[np.ndarray, int]:
     """Rows of exact rationals as integer numerators over one denominator,
-    returned with it: int64 while a sum of ``terms`` entries or of the
-    denominator can't overflow, else Python ints in an object array."""
+    returned with it, in the one table form (see :func:`width`)."""
     fracs = [[_rat(v) for v in row] for row in rows]
     den = lcm(*(f.denominator for row in fracs for f in row))
     nums = [[f.numerator * (den // f.denominator) for f in row] for row in fracs]
-    widest = max([den] + [abs(n) for row in nums for n in row])
-    return np.array(nums, dtype=np.int64 if terms * widest <= INT64_MAX else object), den
+    wide = max([den] + [abs(n) for row in nums for n in row])
+    return np.array(nums, dtype=width(wide, terms)), den
+
+
+def width(wide: int, terms: int = 2) -> type:
+    """int64 while ``terms`` integers as wide as ``wide`` sum within it, else Python ints."""
+    return np.int64 if terms * wide <= INT64_MAX else object
 
 
 def widest(a: np.ndarray) -> int:
@@ -157,13 +162,29 @@ def widest(a: np.ndarray) -> int:
     return max(int(a.max(initial=0)), -int(a.min(initial=0)))
 
 
-def over_lcm(cols: Sequence[tuple[np.ndarray, int]], terms: int = 2) -> tuple[list[np.ndarray], int]:
-    """Integer columns, each with its denominator, over the lcm of those:
-    int64 while ``terms`` times the larger of the lcm and the sum of the
-    columns' widest entries fits, as in exact_table, else Python ints."""
+def lowest(nums: np.ndarray, den: int, terms: int = 2) -> tuple[np.ndarray, int]:
+    """The integer array ``nums`` over ``den`` in exact_table's form: divided
+    by the gcd of den and every entry, then typed by :func:`width`."""
+    g = gcd(den, int(np.gcd.reduce(nums, axis=None, initial=0)))
+    if g > 1:
+        nums, den = nums.astype(object) // g, den // g
+    return nums.astype(width(max(den, widest(nums)), terms), copy=False), den
+
+
+def dot(rows: Sequence[Sequence[int]], vec: Sequence[int]) -> np.ndarray:
+    """rows @ vec over the integers, each row as long as vec: int64 while the
+    widest row entry times the sum of vec's magnitudes fits, else Python ints."""
+    flat = list(chain.from_iterable(rows))
+    kind = width(max(1, max(map(abs, flat), default=0)) * sum(map(abs, vec)), 1)
+    return np.array(flat, dtype=kind).reshape(len(rows), len(vec)) @ np.array(vec, dtype=kind)
+
+
+def over_lcm(cols: Sequence[tuple[np.ndarray, int]]) -> tuple[list[np.ndarray], int]:
+    """Integer arrays, each with its denominator, over the lcm of those, typed
+    by :func:`width` at the lcm and the sum of the arrays' widest entries."""
     den = lcm(*(d for _, d in cols))
-    fits = terms * max(den, sum(widest(c) * (den // d) for c, d in cols)) <= INT64_MAX
-    return [c.astype(np.int64 if fits else object) * (den // d) for c, d in cols], den
+    kind = width(max(den, sum(widest(c) * (den // d) for c, d in cols)))
+    return [c.astype(kind, copy=False) * (den // d) for c, d in cols], den
 
 
 def masked_verdict(axiom: str, bad: np.ndarray, witness: Callable[[int], dict], mode: str, note: str = "") -> Check:

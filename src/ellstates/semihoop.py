@@ -31,8 +31,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._scan import (INT64_MAX, Axiom, exact_table, masked_verdict, memo, over_lcm, pair_columns, pair_verdict,
-                    scan_axioms, scan_mode, stride_select, widest)
+from ._scan import (Axiom, dot, exact_table, lowest, masked_verdict, memo, over_lcm, pair_columns, pair_verdict,
+                    scan_axioms, scan_mode, stride_select)
 from .hypernum import format_exact
 from .lmonoid import (
     Cone,
@@ -212,17 +212,8 @@ def validate_semihoop(H, window: int = 8) -> ValidationReport:
 # States
 
 
-def _read_each(w, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
-    """w at ``elems`` as one column of exact_table, whose dtype every state's
-    ``table(elems, terms)`` has, read one value at a time."""
-    table, den = exact_table([(w.value(x),) for x in elems], terms)
-    return table.reshape(-1), den
-
-
 class TableState:
-    """A state given pointwise, as a map element -> Fraction."""
-
-    table = _read_each
+    """A state given pointwise, as a map element -> Fraction, read into exact_table."""
 
     def __init__(self, values: Mapping[Any, Fraction | int | str]):
         self.values = {k: Fraction(v) for k, v in values.items()}
@@ -233,6 +224,10 @@ class TableState:
         except KeyError:
             raise MalformedInputError(f"state has no value for element {x!r}") from None
 
+    def table(self, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
+        col, den = exact_table([(self.value(x),) for x in elems], terms)
+        return col.reshape(-1), den
+
     def __eq__(self, other) -> bool:
         return isinstance(other, TableState) and self.values == other.values
 
@@ -242,7 +237,7 @@ class ConeState:
 
     ``lam`` is kept as given and read as integer numerators over their
     common denominator: ``value`` is one integer dot product, and ``table``
-    reads a list of elements as one integer matrix product.
+    one integer matrix product (_scan.dot) put in exact_table's form.
     """
 
     def __init__(self, lam: Sequence[Fraction | int | str]):
@@ -250,21 +245,16 @@ class ConeState:
         self._den = lcm(*(l.denominator for l in self.lam))
         self._nums = tuple(l.numerator * (self._den // l.denominator) for l in self.lam)
 
-    def value(self, m: tuple) -> Fraction:
+    def _ranked(self, m: tuple) -> tuple:
         if len(m) != len(self.lam):
             raise MalformedInputError(f"weight tuple has rank {len(self.lam)}, element has rank {len(m)}")
-        return Fraction(-sum(n * c for n, c in zip(self._nums, m)), self._den)
+        return m
+
+    def value(self, m: tuple) -> Fraction:
+        return Fraction(-sum(n * c for n, c in zip(self._nums, self._ranked(m))), self._den)
 
     def table(self, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
-        """Coordinates times numerators in int64 while exact_table's bound holds
-        at the widest coordinate; else, or at another rank, one value each."""
-        try:
-            coords = np.array(elems, dtype=np.int64).reshape(len(elems), len(self.lam))
-        except (OverflowError, ValueError):
-            return _read_each(self, elems, terms)
-        if terms * max(self._den, max(1, widest(coords)) * sum(map(abs, self._nums))) > INT64_MAX:
-            return _read_each(self, elems, terms)
-        return -(coords @ np.array(self._nums, dtype=np.int64)), self._den
+        return lowest(-dot([self._ranked(m) for m in elems], self._nums), self._den, terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConeState) and self.lam == other.lam
@@ -276,18 +266,18 @@ class ProductState:
     def __init__(self, parts: Sequence[Any]):
         self.parts = tuple(parts)
 
-    def value(self, xs: tuple) -> Fraction:
+    def _sized(self, xs: tuple) -> tuple:
         if len(xs) != len(self.parts):
             raise MalformedInputError(f"product state has {len(self.parts)} parts, element has {len(xs)}")
-        return sum((p.value(x) for p, x in zip(self.parts, xs)), Fraction(0))
+        return xs
+
+    def value(self, xs: tuple) -> Fraction:
+        return sum((p.value(x) for p, x in zip(self.parts, self._sized(xs))), Fraction(0))
 
     def table(self, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
-        """The parts' columns summed over their lcm while that fits int64;
-        else, or at an element of another length, one value each."""
-        if any(len(xs) != len(self.parts) for xs in elems):
-            return _read_each(self, elems, terms)
-        cols, den = over_lcm([p.table([xs[k] for xs in elems], terms) for k, p in enumerate(self.parts)], terms)
-        return (sum(cols), den) if cols[0].dtype == np.int64 else _read_each(self, elems, terms)
+        """The parts' columns summed over their lcm, put in exact_table's form."""
+        cols, den = over_lcm([p.table([self._sized(xs)[k] for xs in elems]) for k, p in enumerate(self.parts)])
+        return lowest(sum(cols), den, terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ProductState) and self.parts == other.parts

@@ -19,13 +19,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 from types import SimpleNamespace
 from typing import Any, Mapping
 
 import numpy as np
 
-from ._scan import exact_table, masked_verdict, memo, over_lcm, pair_columns, pair_verdict, scan_mode
+from ._scan import exact_table, lowest, masked_verdict, memo, over_lcm, pair_columns, pair_verdict, scan_mode
 from .hypernum import DualRational, _rat, format_dual, format_exact, interval_defect, parse_dual
 from .ibp0 import (
     Skeleton,
@@ -44,7 +43,6 @@ from .reports import (
 )
 from .semihoop import (
     SAMPLED_NOTE,
-    TableState,
     state_laws,
     state_to_kgroup_state,
     weight_generators,
@@ -182,10 +180,10 @@ class FormulaHyperstate:
     triples as positions.  An element whose decomposition raises is never
     stored, so it raises on every read.  The window table is a gather: p is
     read once on the frame's skeleton elements and w once, as one integer
-    column, on its hoop elements, and s's rows are (P[b], W[lo] − W[hi])
-    over one denominator.  ``value`` reads a's row, from the table kept on
-    s; ``raw_value``, and ``value`` outside the window, evaluate one element,
-    reading p and w at most once per element of each.
+    column, on its hoop elements, and s's rows (P[b], W[lo] − W[hi]) over
+    their common denominator are put in exact_table's form.  ``value`` reads
+    a's row, from the table kept on s; ``raw_value``, and ``value`` outside
+    the window, evaluate one element from p and w.
     """
 
     def __init__(self, A, p: ProbabilityMeasure, w, window: int = 8):
@@ -195,12 +193,10 @@ class FormulaHyperstate:
         self.measure = p
         self.state = w
         self._window = window
-        self._p = cache(p.value)
-        self._w = cache(lambda h: _rat(w.value(h)))
 
     def raw_value(self, a) -> tuple[Fraction, Fraction]:
         b, lo, hi = _split_parts(self.algebra, self._window, a)
-        return self._p(b), self._w(lo) - self._w(hi)
+        return self.measure.value(b), self.state.value(lo) - self.state.value(hi)
 
     def value(self, a) -> DualRational:
         raw = _values(self.algebra, self, self._window).raw(a)
@@ -212,12 +208,11 @@ class FormulaHyperstate:
             ) from None
 
     def table(self, A, window: int) -> tuple[np.ndarray, int]:
-        """The window table, gathered; p and w are read with exact_table's bound
-        for four terms, so a sum of two differences stays within int64."""
+        """The window table, gathered from p's and w's columns over their lcm."""
         f = _frame(A, window)
-        P, dp = exact_table([(self._p(b),) for b in f.skeleton], terms=4)
-        (P, W), den = over_lcm([(P.reshape(-1), dp), self.state.table(f.hoop, terms=4)], terms=4)
-        return np.stack([P.take(f.b), W.take(f.lo) - W.take(f.hi)], axis=1), den
+        P, dp = exact_table([(self.measure.value(b),) for b in f.skeleton])
+        (P, W), den = over_lcm([(P.reshape(-1), dp), self.state.table(f.hoop)])
+        return lowest(np.stack([P.take(f.b), W.take(f.lo) - W.take(f.hi)], axis=1), den)
 
 
 def _split_parts(A, window: int, a) -> tuple:
@@ -290,10 +285,14 @@ class _Values:
         return self.s.raw_value(a) if k is None else (Fraction(self.cells[k][0], self.den),
                                                       Fraction(self.cells[k][1], self.den))
 
-    def differs(self, elements, part: int, want) -> np.ndarray:
-        """Where part ``part`` (0 standard, 1 infinitesimal) of s is not ``want``."""
-        return np.array([self.s.raw_value(a)[part] != want if (k := self.index.get(a)) is None
-                         else self.cells[k][part] != want * self.den for a in elements], dtype=bool)
+    def column(self, elements, part: int) -> tuple[np.ndarray, int]:
+        """Part ``part`` (0 standard, 1 infinitesimal) of s at ``elements``, one
+        column of the rows, or of exact_table when one lies outside the window."""
+        at = np.array([self.index.get(a, -1) for a in elements], dtype=np.intp)
+        if (at >= 0).all():
+            return self.rows[:, part].take(at), self.den
+        col, den = exact_table([(self.raw(a)[part],) for a in elements])
+        return col.reshape(-1), den
 
     def defects(self) -> np.ndarray:
         """Where a value lies outside the interval (see interval_defect)."""
@@ -307,8 +306,9 @@ def _values(A, s, window: int) -> _Values:
 
 def _part_law(A, v: _Values, axiom: str, elements, part: int, want, mode: str):
     """The check that part ``part`` of s is ``want`` at each of ``elements``."""
+    col, den = v.column(elements, part)
     return masked_verdict(
-        axiom, v.differs(elements, part, want),
+        axiom, col != want * den,
         lambda k: {"witness": {"x": A.token(elements[k])}, "value": format_dual(v.raw(elements[k]))}, mode,
     )
 
@@ -413,16 +413,8 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     report.add(_part_law(A, v, "radical-standard-part", rad.elements, 0, 1, mode))
     report.add(_part_law(A, v, "coradical-standard-part", coradical(A, window), 0, 0, mode))
 
-    # The induced state is column 1 of the table at the radical's positions,
-    # kept per (A, window); it is read from s when one lies outside the window,
-    # and from an object table afresh, as its values alone may fit int64.
-    at = memo(A, ("radical-positions", window),
-              lambda: np.array([v.index.get(rad.from_hoop(h), -1) for h in rad.hoop.carrier(window)], dtype=np.intp))
-    if V.dtype == np.int64 and (at >= 0).all():
-        induced = V[:, 1].take(at), den
-    else:
-        hoop = rad.hoop.carrier(window)
-        induced = TableState({h: v.raw(rad.from_hoop(h))[1] for h in hoop}).table(hoop)
+    # The induced state is the infinitesimal part of s along the radical.
+    induced = v.column([rad.from_hoop(h) for h in rad.hoop.carrier(window)], 1)
     report.merge(state_laws(rad.hoop, *induced, window), prefix="induced-")
     return report
 
@@ -473,10 +465,7 @@ def _split(A, s, window: int) -> SplitResult:
     lam = [-v.raw(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)]
     w = weighted_state(rad.hoop, lam)
     formula = FormulaHyperstate(A, p, w, window)
-    got, (want, den) = v.rows, formula.table(A, window)
-    if den != v.den:
-        # Rows over two denominators are equal exactly when their cross products are.
-        got, want = got.astype(object) * den, want.astype(object) * v.den
+    (got, want), _ = over_lcm([(v.rows, v.den), formula.table(A, window)])
     bad = np.flatnonzero(_differ(got, want))
     carrier = A.carrier(window)
     if len(bad):

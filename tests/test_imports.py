@@ -88,3 +88,60 @@ def test_detects_floating_point():
 def test_only_semihoop_spells_the_pseudo_join():
     # Every semihoop carries its own join, so no other module needs the term.
     assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "pseudo_join" in p.read_text()] == ["semihoop.py"]
+
+
+# The names that pick an integer width for a table.
+WIDTH_NAMES = {"INT64_MAX", "int64", "object_"}
+
+
+def names_object_dtype(node) -> bool:
+    return (isinstance(node, ast.Name) and node.id == "object") or (
+        isinstance(node, ast.Constant) and node.value in ("O", "object"))
+
+
+def width_choices(source: str) -> list[str]:
+    """Where ``source`` picks an integer width: the names ``INT64_MAX`` and
+    ``int64`` (imported, as ``np.int64`` or as a dtype string), ``np.object_``,
+    and ``object`` as a dtype, that is a ``dtype=`` keyword or an argument of
+    a method or module function such as ``astype`` or ``np.array``."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.keyword) and node.arg == "dtype" and names_object_dtype(node.value):
+            found.append((node.value.lineno, node.value.col_offset, "dtype=object"))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            found += [(a.lineno, a.col_offset, f"{node.func.attr}(object)") for a in node.args if names_object_dtype(a)]
+        if isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in WIDTH_NAMES:
+            found.append((node.lineno, node.col_offset, name))
+    return [f"{name} (line {line})" for line, _, name in sorted(found)]
+
+
+def test_only_scan_chooses_the_integer_width():
+    # _scan alone decides int64 or Python ints for an exact table.
+    chooser = [p.name for p in sorted(PACKAGE.glob("*.py")) if width_choices(p.read_text())]
+    assert chooser == ["_scan.py"]
+
+
+def test_detects_an_integer_width_choice():
+    source = (
+        "import numpy as np\n"
+        "from ._scan import INT64_MAX, exact_table\n"
+        "a = np.zeros(3, dtype=np.int64).astype(object)\n"
+        "b = a.astype('O') if a.max() < INT64_MAX else np.array([], dtype=object)\n"
+        "c = np.array([], object), np.object_, np.dtype('int64'), a.astype(int)\n"
+        "d: list[object] = [isinstance(a, object), np.array([], dtype=np.intp), np.int32, 'an object']\n"
+    )
+    assert width_choices(source) == [
+        "INT64_MAX (line 2)", "int64 (line 3)", "astype(object) (line 3)", "astype(object) (line 4)",
+        "INT64_MAX (line 4)", "dtype=object (line 4)", "array(object) (line 5)", "object_ (line 5)",
+        "int64 (line 5)",
+    ]

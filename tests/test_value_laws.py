@@ -19,9 +19,11 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ellstates import semihoop, states
-from ellstates._scan import INT64_MAX, exact_table, sampled_note, scan_mode, stride_select
+from ellstates._scan import INT64_MAX, exact_table, lowest, sampled_note, scan_mode, stride_select
 from ellstates.corpus import (
     chang_algebra,
     cone_hoop,
@@ -360,7 +362,8 @@ def assert_sigma_agrees(H, w, window=WINDOW):
 
 @pytest.fixture
 def dtypes(monkeypatch):
-    """The dtype of every value table the validators build in the test."""
+    """The dtype of every table that exact_table reads for states and semihoop
+    in the test; a table put in form by lowest does not pass through it."""
     seen = []
 
     def spy(rows, terms=2):
@@ -547,9 +550,12 @@ def test_denominators_past_int64_take_object_tables(dtypes):
     assert_hyperstate_agrees(A, s)
     assert_state_agrees(rad.hoop, w)
     assert_sigma_agrees(rad.hoop, w)
-    # Every table holding values of w is an object table; only the
-    # measure's, with denominator 1, fits int64.
-    assert dtypes.count(object) >= 4
+    # Every table holding values of w is an object table: w's own column,
+    # read for two terms and for four, s's window table and the validators'.
+    hoop = rad.hoop.carrier(WINDOW)
+    assert w.table(hoop)[0].dtype == object and w.table(hoop, terms=4)[0].dtype == object
+    assert s.table(A, WINDOW)[0].dtype == object
+    assert states._values(A, s, WINDOW).rows.dtype == object
     # A planted failure is still seen exactly: 2^-92 off at one element.
     raw = {a: s.raw_value(a) for a in A.carrier(WINDOW)}
     victim = A.carrier(WINDOW)[-3]
@@ -589,3 +595,30 @@ def test_exact_table_bound():
     table, den = exact_table([(F(1, 2), F(-1, 3)), (2, F(5, 6))])
     assert den == 6
     assert table.tolist() == [[3, -2], [12, 5]]
+
+
+# Entries of either width, -2^63 among them, and denominators past int64.
+ENTRIES = st.one_of(st.integers(-9, 9), st.integers(-(2**63), INT64_MAX), st.just(-(2**63)),
+                    st.integers(-(2**70), 2**70))
+DENOMINATORS = st.one_of(st.integers(1, 12), st.integers(1, 2**70))
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.integers(1, 2).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.lists(ENTRIES, min_size=k, max_size=k),
+                                                                            max_size=6))),
+       DENOMINATORS, st.booleans(), st.sampled_from([2, 4]))
+# An empty column, and an all-zero one, over the denominator of Fraction(1, 2^63):
+# the gcd is the denominator itself, past int64.
+@example((1, []), 2**63, False, 2)
+@example((1, [[0], [0]]), 2**63, False, 2)
+def test_lowest_is_exact_tables_form(drawn, den, as_object, terms):
+    # lowest gives exact_table's numerators, denominator and dtype, from a
+    # 1-D or 2-D array of either width.
+    k, rows = drawn
+    fits = all(-(2**63) <= n <= INT64_MAX for row in rows for n in row)
+    nums = np.array(rows, dtype=np.int64 if fits and not as_object else object).reshape(len(rows), k)
+    want, want_den = exact_table([[F(n, den) for n in row] for row in rows], terms)
+    for given_nums in [nums, nums[:, 0]] if k == 1 else [nums]:
+        got, got_den = lowest(given_nums, den, terms)
+        assert (got.shape, got.dtype, got_den) == (given_nums.shape, want.dtype, want_den)
+        assert got.reshape(-1).tolist() == want.reshape(-1).tolist()
