@@ -175,8 +175,12 @@ def dot(rows: Sequence[Sequence[int]], vec: Sequence[int]) -> np.ndarray:
     """rows @ vec over the integers, each row as long as vec: int64 while the
     widest row entry times the sum of vec's magnitudes fits, else Python ints."""
     flat = list(chain.from_iterable(rows))
-    kind = width(max(1, max(map(abs, flat), default=0)) * sum(map(abs, vec)), 1)
-    return np.array(flat, dtype=kind).reshape(len(rows), len(vec)) @ np.array(vec, dtype=kind)
+    try:
+        coords = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        coords = np.array(flat, dtype=object)
+    kind = width(max(1, widest(coords)) * sum(map(abs, vec)), 1)
+    return coords.astype(kind, copy=False).reshape(len(rows), len(vec)) @ np.array(vec, dtype=kind)
 
 
 def over_lcm(cols: Sequence[tuple[np.ndarray, int]]) -> tuple[list[np.ndarray], int]:

@@ -245,16 +245,18 @@ class ConeState:
         self._den = lcm(*(l.denominator for l in self.lam))
         self._nums = tuple(l.numerator * (self._den // l.denominator) for l in self.lam)
 
-    def _ranked(self, m: tuple) -> tuple:
-        if len(m) != len(self.lam):
-            raise MalformedInputError(f"weight tuple has rank {len(self.lam)}, element has rank {len(m)}")
-        return m
+    def _ranked(self, elems: Sequence) -> Sequence:
+        rank = len(self.lam)
+        bad = [n for n in map(len, elems) if n != rank]
+        if bad:
+            raise MalformedInputError(f"weight tuple has rank {rank}, element has rank {bad[0]}")
+        return elems
 
     def value(self, m: tuple) -> Fraction:
-        return Fraction(-sum(n * c for n, c in zip(self._nums, self._ranked(m))), self._den)
+        return Fraction(-sum(n * c for n, c in zip(self._nums, self._ranked([m])[0])), self._den)
 
     def table(self, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
-        return lowest(-dot([self._ranked(m) for m in elems], self._nums), self._den, terms)
+        return lowest(-dot(self._ranked(elems), self._nums), self._den, terms)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConeState) and self.lam == other.lam

@@ -25,7 +25,7 @@ from typing import Any, Mapping
 import numpy as np
 
 from ._scan import exact_table, lowest, masked_verdict, memo, over_lcm, pair_columns, pair_verdict, scan_mode
-from .hypernum import DualRational, _rat, format_dual, format_exact, interval_defect, parse_dual
+from .hypernum import DualRational, _rat, canonical, format_dual, format_exact, interval_defect, parse_dual
 from .ibp0 import (
     Skeleton,
     boolean_skeleton,
@@ -182,8 +182,8 @@ class FormulaHyperstate:
     read once on the frame's skeleton elements and w once, as one integer
     column, on its hoop elements, and s's rows (P[b], W[lo] − W[hi]) over
     their common denominator are put in exact_table's form.  ``value`` reads
-    a's row, from the table kept on s; ``raw_value``, and ``value`` outside
-    the window, evaluate one element from p and w.
+    a's row, from the table kept on s, with no check of its own; ``raw_value``,
+    and ``value`` outside the window, evaluate one element from p and w.
     """
 
     def __init__(self, A, p: ProbabilityMeasure, w, window: int = 8):
@@ -199,7 +199,12 @@ class FormulaHyperstate:
         return self.measure.value(b), self.state.value(lo) - self.state.value(hi)
 
     def value(self, a) -> DualRational:
-        raw = _values(self.algebra, self, self._window).raw(a)
+        v = _values(self.algebra, self, self._window)
+        k = v.index.get(a)
+        # A window row's interval was checked with the whole table's.
+        if k is not None and not v.defects[k]:
+            return canonical(*v.cells[k], v.den)
+        raw = v.raw(a)
         try:
             return DualRational(*raw)
         except ValueError:
@@ -267,14 +272,17 @@ def _differ(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 class _Values:
     """s over the window: ``s.table``, one (std, inf) row of integer
     numerators per element over one denominator ``den``, for the formula form
-    a gather over the frame.  The validators and the split keep it on s per
-    (A, window); an element outside the window is read from s itself."""
+    a gather over the frame, and ``defects``, where a value lies outside the
+    interval (see interval_defect).  The validators and the split keep it on
+    s per (A, window); an element outside the window is read from s itself."""
 
     def __init__(self, s, A, window: int):
         self.s, self.index = s, _pair_context(A, window).index
         self.rows, self.den = s.table(A, window)
-        # The rows as Python ints, for the laws that read a few elements each.
+        # The rows as Python ints, for value and the laws that read a few elements each.
         self.cells = self.rows.tolist()
+        std, inf = self.rows[:, 0], self.rows[:, 1]
+        self.defects = (std < 0) | (std > self.den) | ((std == 0) & (inf < 0)) | ((std == self.den) & (inf > 0))
 
     def dual(self, row) -> str:
         return format_dual((Fraction(int(row[0]), self.den), Fraction(int(row[1]), self.den)))
@@ -293,11 +301,6 @@ class _Values:
             return self.rows[:, part].take(at), self.den
         col, den = exact_table([(self.raw(a)[part],) for a in elements])
         return col.reshape(-1), den
-
-    def defects(self) -> np.ndarray:
-        """Where a value lies outside the interval (see interval_defect)."""
-        std, inf = self.rows[:, 0], self.rows[:, 1]
-        return (std < 0) | (std > self.den) | ((std == 0) & (inf < 0)) | ((std == self.den) & (inf > 0))
 
 
 def _values(A, s, window: int) -> _Values:
@@ -329,7 +332,7 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
     V = v.rows
 
     report.add(masked_verdict(
-        "codomain", v.defects(), lambda k: {"witness": {"x": A.token(elems[k])}, "value": v.dual(V[k])}, mode
+        "codomain", v.defects, lambda k: {"witness": {"x": A.token(elems[k])}, "value": v.dual(V[k])}, mode
     ))
 
     ends = ((A.top, (Fraction(1), Fraction(0))), (A.bot, (Fraction(0), Fraction(0))))
@@ -362,7 +365,7 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     elems = ctx.elems
     v = _values(A, s, window)
     V, den = v.rows, v.den
-    outside = np.flatnonzero(v.defects())
+    outside = np.flatnonzero(v.defects)
     if len(outside):
         defect = interval_defect(*v.raw(elems[outside[0]]))
         raise PreconditionError(f"not a hyperstate on this window: {defect}")
@@ -465,7 +468,10 @@ def _split(A, s, window: int) -> SplitResult:
     lam = [-v.raw(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)]
     w = weighted_state(rad.hoop, lam)
     formula = FormulaHyperstate(A, p, w, window)
-    (got, want), _ = over_lcm([(v.rows, v.den), formula.table(A, window)])
+    got, (want, den) = v.rows, formula.table(A, window)
+    # Both tables are in lowest terms, so equal values have one denominator.
+    if den != v.den:
+        (got, want), _ = over_lcm([(got, v.den), (want, den)])
     bad = np.flatnonzero(_differ(got, want))
     carrier = A.carrier(window)
     if len(bad):

@@ -1,5 +1,6 @@
 """Exact arithmetic on the lexicographic unit interval."""
 
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,61 @@ def test_lex_compare_is_the_dataclass_order_on_wide_values(dx, dy):
         pairs.append((x, DualRational(x.std, y.inf)))
     for a, b in pairs:
         assert lex_compare(a, b) is dataclass_order(a, b)
+
+
+def reference_format(std: Fraction, inf: Fraction) -> str:
+    """format_dual written with str(Fraction), and through Decimal past the
+    digit limit of int-to-string conversion."""
+    def text(q: Fraction) -> str:
+        try:
+            return str(q)
+        except ValueError:
+            num = str(Decimal(q.numerator))
+            return num if q.denominator == 1 else f"{num}/{Decimal(q.denominator)}"
+
+    return f"{text(std)}+e{text(inf)}"
+
+
+def reference_parse(text: str):
+    head, _, tail = text.partition("+e")
+    return DualRational(Fraction(head), Fraction(tail))
+
+
+def reference_mv(x, y) -> dict:
+    """mv_oplus, mv_otimes and mv_neg on (std, inf) pairs of Fractions."""
+    r, s = x[0] + y[0], x[1] + y[1]
+    return {
+        "oplus": min((r, s), (F(1), F(0))),
+        "otimes": max((r - 1, s), (F(0), F(0))),
+        "neg": (1 - x[0], -x[1]),
+    }
+
+
+@given(WIDE_DUAL, WIDE_DUAL)
+def test_integer_form_agrees_with_fraction_pairs(dx, dy):
+    x, y = wide_dual(*dx), wide_dual(*dy)
+    refs = {x: (x.std, x.inf), y: (y.std, y.inf)}
+    for a in (x, y):
+        ref = refs[a]
+        same = DualRational(*ref)
+        assert same == a and hash(same) == hash(a) and mv_neg(mv_neg(a)) == a
+        text = format_dual(a)
+        assert text == reference_format(*ref)
+        assert outcome(parse_dual, text) == outcome(reference_parse, text)
+        for b in (x, y):
+            kx, ky = ref, refs[b]
+            assert (a < b, a <= b, a > b, a >= b, a == b) == (kx < ky, kx <= ky, kx > ky, kx >= ky, kx == ky)
+            assert a != b or hash(a) == hash(b)
+            got, want = {"oplus": mv_oplus(a, b), "otimes": mv_otimes(a, b), "neg": mv_neg(a)}, reference_mv(kx, ky)
+            assert {k: parts(v) for k, v in got.items()} == want
+            assert got == {k: DualRational(*v) for k, v in want.items()}
+
+
+def test_repr_and_str_keep_the_field_form():
+    x = dual("2/4", -3)
+    assert repr(x) == "DualRational(std=Fraction(1, 2), inf=Fraction(-3, 1))"
+    assert str(x) == "1/2+e-3" and str(DUAL_ZERO) == "0+e0"
+    assert (x.std, x.inf) == (F(1, 2), F(-3)) and type(x.std) is type(x.inf) is Fraction
 
 
 def test_parse_exact_refuses_huge_exponents():

@@ -22,7 +22,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from ellstates import ibp0, states
+from ellstates import hypernum, ibp0, states
 from ellstates._scan import exact_table, stride_select
 from ellstates.corpus import (
     boolean_algebra,
@@ -296,21 +296,22 @@ def test_join_split_properties_read_the_frame_not_each_element(monkeypatch):
     # properties, the induced state among them, and s.value read only the
     # table.  A fall-back to per-element evaluation would read raw_value at
     # each of the 162 window elements, or w.value at each of the 81 hoop
-    # elements, or build the induced state as a TableState.  Weights past
-    # int64 take the same path, in Python ints.
+    # elements, or build the induced state as a TableState.  s.value builds
+    # each value from its row, with no interval check of its own and no
+    # Fraction pair.  Weights past int64 take the same path, in Python ints.
     A = chang_algebra(2)
     family = hyperstate_family(A, WINDOW)
     join_hyperstate(A, *family[0], WINDOW)
     hoop = len(radical(A, WINDOW).hoop.carrier(WINDOW))
     assert (len(A.carrier(WINDOW)), hoop) == (162, 81)
 
-    calls = Counter()
+    calls, reads = Counter(), Counter()
 
-    def counted(owner, name):
+    def counted(owner, name, into=calls):
         real = getattr(owner, name)
 
         def spy(*args):
-            calls[name] += 1
+            into[name] += 1
             return real(*args)
 
         monkeypatch.setattr(owner, name, spy)
@@ -319,6 +320,9 @@ def test_join_split_properties_read_the_frame_not_each_element(monkeypatch):
     counted(states, "decompose_element")
     counted(ConeState, "value")
     counted(TableState, "__init__")
+    counted(hypernum, "_defect", reads)
+    counted(states, "interval_defect", reads)
+    counted(states._Values, "raw", reads)
     p, w = family[-1]
     for w in (w, ConeState([F(1, 2**61 - 1), F(1, 2**31 - 1)])):
         s, report = join_hyperstate(A, p, w, WINDOW)
@@ -328,7 +332,8 @@ def test_join_split_properties_read_the_frame_not_each_element(monkeypatch):
         assert hyperstate_properties(A, s, WINDOW).ok and calls == {}
         cancellative_form(A, s, WINDOW)
         assert calls == {}
+        reads.clear()
         for a in A.carrier(WINDOW):
             s.value(a)
-        assert calls == {}
+        assert calls == {} and reads == {}
     assert s.table(A, WINDOW)[0].dtype == object
