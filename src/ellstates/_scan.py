@@ -6,21 +6,23 @@ two sides ``(lhs, rhs)`` of the law, written once against an ops namespace
 ``o.oplus``, ``o.leq``, ``o.top``, ``o.bot``, ...).  An instance violates the
 axiom when its two sides differ; sides are elements or booleans.
 
-Carriers define scalar ops only, and :func:`scan_axioms` has one way to
-evaluate terms.  It interns the carrier's elements to int ids, window
-first, and fills each op's table from the scalar op for the id tuples that a
-scan actually reaches, results that leave the window included; the terms
-then run as numpy gathers over chunks of instances.  A product carrier is
-tabulated factor by factor, never over product ids, so its tables stay as
-small as its factors'.  Instances are visited in ``itertools.product``
-order (the last variable varies fastest), violations are counted in full,
-and the first :data:`~.reports.MAX_WITNESSES` are rendered as witnesses
-through the scalar terms.
+:func:`scan_axioms` has one way to evaluate terms.  It interns the
+carrier's elements to int ids, window first, each held as a row of integer
+coordinates, and fills each op's table for the id tuples that a scan
+actually reaches, results that leave the window included: a symbolic
+carrier fills all missing keys of a table in one call of its batch op on
+the operands' coordinate rows, a finite one from its scalar op (see
+:class:`_Tables`).  The terms then run as numpy gathers over chunks of
+instances.  A product carrier is tabulated factor by factor, never over
+product ids, so its tables stay as small as its factors'.  Instances are
+visited in ``itertools.product`` order (the last variable varies fastest),
+violations are counted in full, and the first :data:`~.reports.MAX_WITNESSES`
+are rendered as witnesses through the scalar terms.
 
 Value laws read each map once into an exact table, integer numerators in
 lowest terms over one denominator, typed here alone (:func:`width`, through
 :func:`exact_table` and :func:`lowest`), and compare sums of its values as
-gathers over index columns (:func:`pair_columns`).
+gathers over index columns read from the same id tables (:func:`pair_columns`).
 
 Symbolic carriers are infinite, and cartesian products of windows can be
 huge, so quantified checks sometimes run over a reduced deterministic
@@ -34,7 +36,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import partial, reduce
-from itertools import chain, product
+from itertools import product
 from math import gcd, lcm, prod
 from types import SimpleNamespace
 from typing import Any, Callable, Hashable, Mapping, Sequence, TypeVar
@@ -51,6 +53,7 @@ PREDICATES = frozenset({"leq"})
 # Instances evaluated per numpy pass: large enough that the per-call cost
 # vanishes, small enough that a term's temporaries stay well under a megabyte.
 CHUNK = 1 << 16
+FILL = CHUNK >> 4
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -171,16 +174,22 @@ def lowest(nums: np.ndarray, den: int, terms: int = 2) -> tuple[np.ndarray, int]
     return nums.astype(width(max(den, widest(nums)), terms), copy=False), den
 
 
+def integers(rows: Sequence, terms: int = 2) -> np.ndarray:
+    """Python ints, or equally long rows of them, as an integer array typed by
+    :func:`width` at its widest entry."""
+    try:
+        a = np.array(rows, dtype=np.int64)
+    except OverflowError:
+        a = np.array(rows, dtype=object)
+    return a.astype(width(widest(a), terms), copy=False)
+
+
 def dot(rows: Sequence[Sequence[int]], vec: Sequence[int]) -> np.ndarray:
     """rows @ vec over the integers, each row as long as vec: int64 while the
     widest row entry times the sum of vec's magnitudes fits, else Python ints."""
-    flat = list(chain.from_iterable(rows))
-    try:
-        coords = np.array(flat, dtype=np.int64)
-    except OverflowError:
-        coords = np.array(flat, dtype=object)
+    coords = integers(rows, 1).reshape(len(rows), len(vec))
     kind = width(max(1, widest(coords)) * sum(map(abs, vec)), 1)
-    return coords.astype(kind, copy=False).reshape(len(rows), len(vec)) @ np.array(vec, dtype=kind)
+    return coords.astype(kind, copy=False) @ np.array(vec, dtype=kind)
 
 
 def over_lcm(cols: Sequence[tuple[np.ndarray, int]]) -> tuple[list[np.ndarray], int]:
@@ -202,19 +211,19 @@ def masked_verdict(axiom: str, bad: np.ndarray, witness: Callable[[int], dict], 
 
 def pair_columns(A, elems: Sequence, cap: int, wording: str, ops: Sequence[str]) -> SimpleNamespace:
     """The pairs a value law scans: x and y over the ``cap``-strided
-    ``elems`` in ``itertools.product`` order, one column entry per pair.
-    ``x``, ``y`` and each op's result are positions in ``elems``, -1 where a
-    result lands outside them (symbolic products can leave any finite
-    window); ``leq`` is a truth value.  ``note`` is the sampling note."""
+    ``elems`` in ``itertools.product`` order, one column entry per pair, and
+    ``neg``, when asked for, one entry per element.  ``x``, ``y`` and each
+    op's result are positions in ``elems``, -1 where a result lands outside
+    them (symbolic products can leave any finite window); ``leq`` is a truth
+    value.  The results are gathered from ``tables(A)``.  ``note`` is the
+    sampling note."""
     index = {a: i for i, a in enumerate(elems)}
     base = stride_select(range(len(elems)), cap)
     x, y = np.array(list(product(base, repeat=2)), dtype=np.intp).reshape(-1, 2).T
-    pairs = [(elems[i], elems[j]) for i, j in zip(x.tolist(), y.tolist())]
-    cols = {}
-    for name in ops:
-        out = [getattr(A, name)(a, b) for a, b in pairs]
-        cols[name] = np.array(out if name in PREDICATES else [index.get(r, -1) for r in out],
-                              dtype=bool if name in PREDICATES else np.intp)
+    o = tables(A)
+    window = o.encode(elems)
+    cols = {name: getattr(o, name)(*((window,) if name == "neg" else (window[x], window[y]))) for name in ops}
+    cols.update((name, locate(o, col, window)) for name, col in cols.items() if name not in PREDICATES)
     return SimpleNamespace(elems=elems, index=index, x=x, y=y, note=sampled_note(wording, base, elems), **cols)
 
 
@@ -250,47 +259,123 @@ def tables(A):
     return _Tables(A)
 
 
+def locate(o, found, among) -> np.ndarray:
+    """The position of each value of ``found`` in ``among``, both encoded by
+    the ops namespace ``o``, -1 where it is absent."""
+    keys, find = o.key(among), o.key(found)
+    order = np.argsort(keys, kind="stable")
+    at = np.searchsorted(keys[order], find).clip(max=len(keys) - 1)
+    return np.where(keys[order][at] == find, order[at], -1)
+
+
+def distinct(o, *values) -> tuple[list[np.ndarray], list]:
+    """Each of the arrays ``values``, encoded by the ops namespace ``o``, as
+    positions into the distinct values of them all, and those as elements."""
+    keys = [o.key(v) for v in values]
+    uniq, first = _distinct(np.concatenate(keys))
+    elements = [x for v in values for x in o.decode(v)]
+    return [np.searchsorted(uniq, k) for k in keys], [elements[i] for i in first.tolist()]
+
+
+def _distinct(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct values of the non-empty 1-D array ``a``, and where
+    each first occurs.  Not np.unique: that imports numpy.ma on first use,
+    about 15 ms of every CLI process."""
+    order = np.argsort(a)
+    s = a[order]
+    starts = np.flatnonzero(np.concatenate(([True], s[1:] != s[:-1])))
+    return s[starts], np.minimum.reduceat(order, starts)
+
+
 class _Tables:
-    """One carrier's ops over int ids, each table filled from the scalar op.
+    """One carrier's ops over dense int ids, and an id -> coordinates matrix.
+
+    Each id's element is held as a row of integer coordinates (``A.row``,
+    read back by ``A.element``), typed by :func:`width` so that two entries
+    sum within it, and rows are interned by their mixed-radix codes over the
+    bounding box of every row seen.  An op fills all missing keys of its
+    table in one call: on a symbolic carrier through its batch op
+    ``<op>_rows`` on the operands' rows, unless the carrier's class
+    overrides a scalar op without its batch op, and otherwise through the
+    scalar op on the operands' elements, which are built only there and in
+    :meth:`decode`.
 
     An element op returns an int32 id array, ``leq`` a bool array, and a
     constant such as ``top`` is its id.  A table is sized to the largest
-    operand id it has been asked about, -1 marking an entry not yet filled.
+    operand id asked about, -1 marking an entry not yet filled.
     """
 
     def __init__(self, A):
-        self._A = A
-        self._elems: list = []
-        self._ids: dict = {}
-        self._tables: dict[str, np.ndarray] = {}
+        self._A, self._coords, self._tables = A, None, {}
+        mro = type(A).__mro__
+        owner = lambda name: next(c for c in mro if name in vars(c))
+        self._bulk = not A.is_finite and all(
+            owner(n) is owner(n.removesuffix("_rows")) for n in dir(A) if n.endswith("_rows"))
 
-    def _intern(self, x) -> int:
-        i = self._ids.get(x)
-        if i is None:
-            i = self._ids[x] = len(self._elems)
-            self._elems.append(x)
-        return i
+    @property
+    def span(self) -> int:
+        return len(self._coords)
+
+    def key(self, ids: np.ndarray) -> np.ndarray:
+        return ids
 
     def encode(self, elems: Sequence) -> np.ndarray:
-        return np.array([self._intern(x) for x in elems], dtype=np.int32)
+        return self._intern(integers([self._A.row(x) for x in elems])) if elems else np.zeros(0, dtype=np.int32)
+
+    def decode(self, ids: np.ndarray) -> list:
+        return [self._A.element(r) for r in self._coords[ids].tolist()]
+
+    def _intern(self, rows: np.ndarray) -> np.ndarray:
+        """The ids of coordinate rows, each new one appended.  Known rows come
+        first among the coded rows, so a code's first row is its id if known."""
+        known = 0 if self._coords is None else self.span
+        coords = rows if self._coords is None else np.concatenate([self._coords, rows])
+        offsets = coords - coords.min(axis=0)
+        radix = (offsets.max(axis=0) + 1).tolist()
+        kind = width(prod(radix), 1)
+        codes = offsets.astype(kind) @ np.array([prod(radix[k + 1:]) for k in range(len(radix))], dtype=kind)
+        uniq, first = _distinct(codes)
+        at = first[np.searchsorted(uniq, codes[known:])]
+        fresh = np.sort(first[first >= known])
+        coords = np.concatenate([coords[:known], coords[fresh]])
+        self._coords = coords.astype(width(widest(coords)), copy=False)
+        return np.where(at < known, at, known + np.searchsorted(fresh, at)).astype(np.int32)
 
     def __getattr__(self, name: str):
         attr = getattr(self._A, name)
-        return partial(self._apply, name, attr) if callable(attr) else self._intern(attr)
+        if not callable(attr):
+            return memo(self, name, lambda: int(self.encode([attr])[0]))
+        return partial(self._apply, name, attr)
 
     def _apply(self, name: str, op: Callable, *args):
-        table = self._table(name, [int(np.max(a)) + 1 for a in args])
-        out = table[args]
-        missing = out < 0
-        if missing.any():
-            flat = np.ravel_multi_index([np.broadcast_to(a, missing.shape)[missing] for a in args], table.shape)
-            # dict.fromkeys, not np.unique: that imports numpy.ma on first
-            # use, about 15 ms of every CLI process.
-            keys = np.unravel_index(list(dict.fromkeys(flat.tolist())), table.shape)
-            results = map(op, *([self._elems[i] for i in k.tolist()] for k in keys))
-            table[keys] = list(results) if name in PREDICATES else [self._intern(r) for r in results]
-            out = table[args]
-        return out.astype(bool) if name in PREDICATES else out
+        table = self._table(name, [int(np.max(a, initial=-1)) + 1 for a in args])
+        # One take at flat indices: twice as fast as indexing by the id arrays.
+        flat = np.asarray(reduce(lambda f, an: f * an[1] + an[0], zip(args[1:], table.shape[1:]),
+                                 np.asarray(args[0], dtype=np.intp)), dtype=np.intp)
+        out = np.asarray(table.ravel().take(flat), dtype=table.dtype)
+        if out.size and out.min() < 0:
+            missing = out < 0
+            # The distinct keys, by a sort: no first occurrence is needed here,
+            # and np.sort takes a third of _distinct's argsort.
+            keys = np.sort(flat[missing])
+            keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+            table.ravel()[keys] = self._fill(name, op, np.unravel_index(keys, table.shape))
+            out[missing] = table.ravel().take(flat[missing])
+        return out.view(bool) if name in PREDICATES else out
+
+    def _fill(self, name: str, op: Callable, keys: tuple) -> Any:
+        """The op's results at ``keys``, one id array per operand, as ids or truth values."""
+        batch = getattr(self._A, f"{name}_rows", None) if self._bulk else None
+        if batch is None:
+            results = list(map(op, *(self.decode(k) for k in keys)))
+            return results if name in PREDICATES else self._intern(integers([self._A.row(r) for r in results]))
+        # A slice of FILL keys keeps the rows and the batch op's temporaries
+        # well under a megabyte.
+        parts = []
+        for i in range(0, len(keys[0]), FILL):
+            out = batch(*(self._coords[k[i : i + FILL]] for k in keys))
+            parts.append(out if name in PREDICATES else self._intern(out))
+        return np.concatenate(parts)
 
     def _table(self, name: str, sizes: list[int]) -> np.ndarray:
         old = self._tables.get(name)
@@ -311,8 +396,21 @@ class _ProductTables:
     def __init__(self, A):
         self._factors = [tables(f) for f in A.factors]
 
+    @property
+    def span(self) -> int:
+        return prod(f.span for f in self._factors)
+
+    def key(self, v: _Parts) -> np.ndarray:
+        """One integer per element: the mixed-radix code of its factors' keys."""
+        kind = width(self.span, 1)
+        return reduce(lambda acc, fv: acc * fv[0].span + fv[0].key(fv[1]).astype(kind),
+                      zip(self._factors, v.parts), 0)
+
     def encode(self, elems: Sequence) -> _Parts:
         return _Parts([f.encode([x[k] for x in elems]) for k, f in enumerate(self._factors)])
+
+    def decode(self, v: _Parts) -> list:
+        return list(zip(*(f.decode(p) for f, p in zip(self._factors, v.parts))))
 
     def __getattr__(self, name: str):
         # Each factor's attribute is read once: on a nested product, a second

@@ -14,7 +14,7 @@ Validation is windowed brute force.  Operation evaluation is always exact
 and unbounded (x·x may leave any window); only the quantifiers range over a
 window.  Each axiom is declared once, as terms over an ops namespace
 (MTL_AXIOMS, IBP0_AXIOMS), and scanned by the one engine in :mod:`._scan`,
-which tabulates the carriers' scalar ops on demand.
+which tabulates the carriers' ops on demand, a symbolic one's in bulk.
 
 Structure theory: the Boolean skeleton {a : a ∨ ¬a = 1}, the radical
 {x : x > ¬x} with its induced prelinear semihoop, and the decomposition
@@ -26,8 +26,9 @@ which splits every element into a skeleton part and a radical part.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property, partial, partialmethod, reduce
 from itertools import product as iterproduct
 from math import prod
 from typing import Any, Callable, Sequence
@@ -79,6 +80,19 @@ class FiniteMTL(TableAlgebra):
         return self.impl_table[self.neg(x)][y]
 
 
+# The rotation's binary element ops by the signs of their operands: the sign
+# of the result, from whether each operand is positive, and its core for
+# (pos, pos), (pos, neg), (neg, pos) and (neg, neg), as a core op on the
+# operands' cores in the order given, the core's top, or one operand's core.
+# The scalar ops and the batch ops both read it.
+SIGNED = {
+    "times": (operator.and_, (("times", "xy"), ("impl", "xy"), ("impl", "yx"), "top")),
+    "impl": (lambda px, py: (px ^ True) | py, (("impl", "xy"), ("times", "xy"), "top", ("impl", "yx"))),
+    "meet": (operator.and_, (("meet", "xy"), "y", "x", ("join", "xy"))),
+    "join": (operator.or_, (("join", "xy"), "x", "y", ("meet", "xy"))),
+}
+
+
 class SymbolicPerfectAlgebra:
     """Disconnected rotation of a semihoop: two signed copies of the core.
 
@@ -86,6 +100,10 @@ class SymbolicPerfectAlgebra:
     it, negation swaps them, and every product of two negatives collapses
     to 0.  Over a cone hoop (two signed copies of ℕᵏ) the skeleton is
     exactly {0, 1} and the positive copy is the radical.
+
+    Over a cone core each op also has a batch form, ``<op>_rows``, on
+    integer coordinate rows: an element's sign (1 for pos) followed by its
+    core's coordinates.
     """
 
     def __init__(self, core):
@@ -104,52 +122,45 @@ class SymbolicPerfectAlgebra:
         core = self.core.carrier(window)
         return [("neg", m) for m in core] + [("pos", m) for m in core]
 
-    def times(self, x, y):
-        sx, cx = x
-        sy, cy = y
-        if sx == "pos" and sy == "pos":
-            return ("pos", self.core.times(cx, cy))
-        if sx == "pos":
-            return ("neg", self.core.impl(cx, cy))
-        if sy == "pos":
-            return ("neg", self.core.impl(cy, cx))
-        return self.bot
+    def _branch(self, spec, cx, cy, form: str):
+        """One core entry of SIGNED; ``form`` is "" on elements, "_rows" on rows."""
+        if spec == "top":
+            return self.core.row(self.core.top) if form else self.core.top
+        if spec in ("x", "y"):
+            return cx if spec == "x" else cy
+        name, order = spec
+        op = getattr(self.core, name + form)
+        return op(cx, cy) if order == "xy" else op(cy, cx)
 
-    def impl(self, x, y):
-        sx, cx = x
-        sy, cy = y
-        if sx == "pos" and sy == "pos":
-            return ("pos", self.core.impl(cx, cy))
-        if sx == "pos":
-            return ("neg", self.core.times(cx, cy))
-        if sy == "pos":
-            return self.top
-        return ("pos", self.core.impl(cy, cx))
+    def _signed(self, name: str, x, y):
+        sign, branches = SIGNED[name]
+        px, py = x[0] == "pos", y[0] == "pos"
+        core = self._branch(branches[2 * (not px) + (not py)], x[1], y[1], "")
+        return ("pos" if sign(px, py) else "neg", core)
 
-    def meet(self, x, y):
-        sx, cx = x
-        sy, cy = y
-        if sx == "pos" and sy == "pos":
-            return ("pos", self.core.meet(cx, cy))
-        if sx == "neg" and sy == "neg":
-            return ("neg", self.core.join(cx, cy))
-        return x if sx == "neg" else y
+    def _signed_rows(self, name: str, x, y):
+        sign, branches = SIGNED[name]
+        (px, cx), (py, cy) = _parts(x), _parts(y)
+        pp, pn, nps, nn = (self._branch(spec, cx, cy, "_rows") for spec in branches)
+        core = np.where(px, np.where(py, pp, pn), np.where(py, nps, nn))
+        return np.concatenate([sign(px, py).astype(np.intp), core], axis=-1)
 
-    def join(self, x, y):
-        sx, cx = x
-        sy, cy = y
-        if sx == "pos" and sy == "pos":
-            return ("pos", self.core.join(cx, cy))
-        if sx == "neg" and sy == "neg":
-            return ("neg", self.core.meet(cx, cy))
-        return x if sx == "pos" else y
+    times, impl, meet, join = map(partial(partialmethod, _signed), SIGNED)
+    times_rows, impl_rows, meet_rows, join_rows = map(partial(partialmethod, _signed_rows), SIGNED)
 
     def neg(self, x):
         sx, cx = x
         return ("neg" if sx == "pos" else "pos", cx)
 
+    def neg_rows(self, x):
+        px, cx = _parts(x)
+        return np.concatenate([(px ^ True).astype(np.intp), cx], axis=-1)
+
     def oplus(self, x, y):
         return self.impl(self.neg(x), y)
+
+    def oplus_rows(self, x, y):
+        return self.impl_rows(self.neg_rows(x), y)
 
     def leq(self, x, y) -> bool:
         sx, cx = x
@@ -158,9 +169,25 @@ class SymbolicPerfectAlgebra:
             return self.core.leq(cx, cy) if sx == "pos" else self.core.leq(cy, cx)
         return sx == "neg"
 
+    def leq_rows(self, x, y):
+        (px, cx), (py, cy), C = _parts(x), _parts(y), self.core
+        px, py = px[..., 0], py[..., 0]
+        return np.where(px == py, np.where(px, C.leq_rows(cx, cy), C.leq_rows(cy, cx)), ~px)
+
     def token(self, x) -> str:
         sx, cx = x
         return sx + self.core.token(cx)
+
+    def row(self, x) -> tuple:
+        return (int(x[0] == "pos"), *self.core.row(x[1]))
+
+    def element(self, r: Sequence[int]) -> tuple:
+        return ("pos" if r[0] else "neg", self.core.element(r[1:]))
+
+
+def _parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rotation coordinate rows as (positive, core rows)."""
+    return x[..., :1] == 1, x[..., 1:]
 
 
 class ProductAlgebra(Componentwise):
@@ -258,8 +285,9 @@ class Skeleton:
     The ambient algebra rides along because the skeleton has no tables of
     its own: its meet, join and order are the ambient ones, restricted.
     ``pairs`` holds every pair of elements with their ·, ⊕, ∧ and ∨ as
-    positions in ``elements`` (see :func:`._scan.pair_columns`), and
-    ``below`` maps each element to the indices of the atoms below it.
+    positions in ``elements`` and their order, and each element's negation
+    (see :func:`._scan.pair_columns`), and ``below`` maps each element to the
+    indices of the atoms below it.
     """
 
     elements: list
@@ -283,37 +311,42 @@ SKELETON_AXIOMS = [
 
 
 def _boolean_skeleton(A, window: int) -> Skeleton:
+    o = tables(A)
     if isinstance(A, ProductAlgebra):
         factor_skels = [boolean_skeleton(f, window) for f in A.factors]
         elements = [tuple(c) for c in iterproduct(*(s.elements for s in factor_skels))]
     else:
-        elements = [a for a in A.carrier(window) if A.join(a, A.neg(a)) == A.top]
+        carrier = A.carrier(window)
+        ids = o.encode(carrier)
+        elements = [a for a, keep in zip(carrier, (o.join(ids, o.neg(ids)) == o.top).tolist()) if keep]
 
     report = ValidationReport(subject="skeleton")
     mode = scan_mode(A, window)
     # Every pair of the finite skeleton; a result of -1 has left it.
-    pairs = pair_columns(A, elements, len(elements), "", ("times", "oplus", "meet", "join"))
-    negs = np.array([pairs.index.get(A.neg(b), -1) for b in elements], dtype=np.intp)
+    pairs = pair_columns(A, elements, len(elements), "", ("times", "oplus", "meet", "join", "leq", "neg"))
 
     def pair(k: int) -> dict:
         return {"witness": {"x": A.token(elements[pairs.x[k]]), "y": A.token(elements[pairs.y[k]])}}
 
     report.add(masked_verdict("closure-times", pairs.times < 0, pair, mode))
     report.add(masked_verdict("closure-oplus", pairs.oplus < 0, pair, mode))
-    report.add(masked_verdict("closure-neg", negs < 0, lambda k: {"witness": {"x": A.token(elements[k])}}, mode))
+    report.add(masked_verdict("closure-neg", pairs.neg < 0, lambda k: {"witness": {"x": A.token(elements[k])}}, mode))
     report.checks += scan_axioms(A, SKELETON_AXIOMS, elements, {}, mode, "")
 
-    nonzero = [b for b in elements if b != A.bot]
-    atoms = [
-        b
-        for b in nonzero
-        if not any(c != b and A.leq(c, b) for c in nonzero)
-    ]
-    below = {b: [i for i, a in enumerate(atoms) if A.leq(a, b)] for b in elements}
-    joins = [reduce(A.join, [atoms[i] for i in below[b]], A.bot) for b in elements]
+    # The order off the pair columns, and the joins of atoms through the id tables.
+    n = len(elements)
+    leq, nonzero = pairs.leq.reshape(n, n), np.array([b != A.bot for b in elements], dtype=bool)
+    strictly = leq & ~np.eye(n, dtype=bool) & nonzero[:, None]
+    at = [k for k in np.flatnonzero(nonzero).tolist() if not strictly[:, k].any()]
+    atoms = [elements[k] for k in at]
+    below = {b: [i for i, a in enumerate(at) if leq[a, k]] for k, b in enumerate(elements)}
+    ids = o.encode(elements)
+    joined = [reduce(o.join, [ids[at[i]] for i in below[b]], o.bot) == ids[k] for k, b in enumerate(elements)]
     report.add(masked_verdict(
-        "atomic-decomposition", np.array([j != b for j, b in zip(joins, elements)], dtype=bool),
-        lambda k: {"witness": {"x": A.token(elements[k])}, "lhs": A.token(joins[k]), "rhs": A.token(elements[k])},
+        "atomic-decomposition", ~np.array(joined, dtype=bool),
+        lambda k: {"witness": {"x": A.token(elements[k])},
+                   "lhs": A.token(reduce(A.join, [atoms[i] for i in below[elements[k]]], A.bot)),
+                   "rhs": A.token(elements[k])},
         mode,
     ))
     return Skeleton(elements=elements, atoms=atoms, report=report, algebra=A, pairs=pairs, below=below)
@@ -428,20 +461,27 @@ class Decomposition:
     c: Any
 
 
+def decomposition_terms(o, a) -> tuple:
+    """b_a, c_a, whether b_a is complemented and c_a radical, and the
+    recomposition, as terms over an ops namespace: a carrier, or its id
+    tables (see :mod:`._scan`)."""
+    a_sq = o.times(a, a)
+    b = o.neg(o.times(o.neg(a_sq), o.neg(a_sq)))
+    c = o.join(a, o.neg(a))
+    return b, c, o.join(b, o.neg(b)) == o.top, in_radical(o, c), o.meet(o.join(b, o.neg(c)), o.join(o.neg(b), c))
+
+
 def decompose_element(A, a) -> Decomposition:
     """Split a into its skeleton part b_a and radical part c_a.
 
     b_a = ¬((¬a²)²) and c_a = a ∨ ¬a; the recomposition identity
     (b_a ∨ ¬c_a) ∧ (¬b_a ∨ c_a) = a is re-checked on every call.
     """
-    a_sq = A.times(a, a)
-    b = A.neg(A.times(A.neg(a_sq), A.neg(a_sq)))
-    c = A.join(a, A.neg(a))
-    if A.join(b, A.neg(b)) != A.top:
+    b, c, complemented, radical_part, recomposed = decomposition_terms(A, a)
+    if not complemented:
         raise InternalConsistencyError(f"b_a not complemented for a = {A.token(a)}")
-    if not in_radical(A, c):
+    if not radical_part:
         raise InternalConsistencyError(f"c_a not in the radical for a = {A.token(a)}")
-    recomposed = A.meet(A.join(b, A.neg(c)), A.join(A.neg(b), c))
     if recomposed != a:
         raise InternalConsistencyError(
             f"decomposition does not recompose: a = {A.token(a)}, got {A.token(recomposed)}"

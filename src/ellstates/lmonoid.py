@@ -32,6 +32,8 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Any, Callable, Iterable, Sequence
 
+import numpy as np
+
 from ._scan import Axiom, scan_axioms
 from .reports import MalformedInputError, ValidationReport
 
@@ -113,6 +115,12 @@ class TableAlgebra:
     def token(self, x: int) -> str:
         return str(x)
 
+    def row(self, x: int) -> tuple[int]:
+        return (x,)
+
+    def element(self, r: Sequence[int]) -> int:
+        return r[0]
+
 
 class FiniteLMonoid(TableAlgebra):
     """A lattice-ordered monoid given by n x n tables over indices 0..n-1."""
@@ -145,11 +153,21 @@ class Cone:
     def add(self, x: tuple, y: tuple) -> tuple:
         return tuple(a + b for a, b in zip(x, y))
 
+    # Each op's batch form (``<op>_rows``) takes integer coordinate arrays of
+    # shape (..., rank), an element's coordinates being the element itself.
+    add_rows = np.add
+
     def carrier(self, window: int) -> list[tuple[int, ...]]:
         return [tuple(t) for t in product(range(window + 1), repeat=self.rank)]
 
     def token(self, x: tuple) -> str:
         return "(" + ",".join(str(c) for c in x) + ")"
+
+    def row(self, x: tuple) -> tuple:
+        return x
+
+    def element(self, r: Sequence[int]) -> tuple:
+        return tuple(r)
 
 
 class SymbolicCancellativeMonoid(Cone):
@@ -164,6 +182,11 @@ class SymbolicCancellativeMonoid(Cone):
 
     def leq(self, x: tuple, y: tuple) -> bool:
         return all(a <= b for a, b in zip(x, y))
+
+    meet_rows, join_rows = np.minimum, np.maximum
+
+    def leq_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return (x <= y).all(axis=-1)
 
 
 @dataclass(frozen=True)

@@ -84,7 +84,7 @@ class SymbolicConeHoop(Cone):
     """
 
     top = Cone.unit
-    times = Cone.add
+    times, times_rows = Cone.add, Cone.add_rows
 
     def impl(self, x: tuple, y: tuple) -> tuple:
         return tuple(max(b - a, 0) for a, b in zip(x, y))
@@ -97,6 +97,14 @@ class SymbolicConeHoop(Cone):
 
     def leq(self, x: tuple, y: tuple) -> bool:
         return all(a >= b for a, b in zip(x, y))
+
+    meet_rows, join_rows = np.maximum, np.minimum
+
+    def impl_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return np.maximum(y - x, 0)
+
+    def leq_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return (x >= y).all(axis=-1)
 
 
 class Componentwise:

@@ -19,18 +19,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from types import SimpleNamespace
 from typing import Any, Mapping
 
 import numpy as np
 
-from ._scan import exact_table, lowest, masked_verdict, memo, over_lcm, pair_columns, pair_verdict, scan_mode
+from ._scan import (distinct, exact_table, integers, lowest, masked_verdict, memo, over_lcm, pair_columns, pair_verdict,
+                    scan_mode, tables)
 from .hypernum import DualRational, _rat, canonical, format_dual, format_exact, interval_defect, parse_dual
 from .ibp0 import (
     Skeleton,
     boolean_skeleton,
     coradical,
     decompose_element,
+    decomposition_terms,
     radical,
     require_ibp0,
 )
@@ -161,8 +164,11 @@ class TableHyperstate:
         return (v.std, v.inf)
 
     def table(self, A, window: int) -> tuple[np.ndarray, int]:
-        """One (std, inf) row per element of A's window, as exact_table gives it."""
-        return exact_table([self.raw_value(a) for a in A.carrier(window)])
+        """One (std, inf) row per element of A's window, as exact_table gives
+        it: each value's integers (a, b, d) over the lcm of the d."""
+        keys = [self.value(a)._key for a in A.carrier(window)]
+        den = lcm(*(d for _, _, d in keys))
+        return lowest(integers([(a * (den // d), b * (den // d)) for a, b, d in keys]), den)
 
     def items(self):
         return self._table.items()
@@ -233,13 +239,19 @@ def _split_parts(A, window: int, a) -> tuple:
 def _frame(A, window: int) -> SimpleNamespace:
     """The window's triples as positions, once per (A, window): ``b`` into
     ``skeleton`` and ``lo``, ``hi`` into ``hoop``, which hold the distinct
-    skeleton parts and hoop elements in the order first read."""
+    skeleton parts and hoop elements.  The decomposition runs as term columns
+    over A's id tables; at the first element where it fails,
+    decompose_element raises its error."""
     def build() -> SimpleNamespace:
-        sk, hoop = {}, {}
-        at = [(sk.setdefault(b, len(sk)), hoop.setdefault(lo, len(hoop)), hoop.setdefault(hi, len(hoop)))
-              for b, lo, hi in (_split_parts(A, window, a) for a in A.carrier(window))]
-        b, lo, hi = np.array(at, dtype=np.intp).reshape(-1, 3).T
-        return SimpleNamespace(skeleton=list(sk), hoop=list(hoop), b=b, lo=lo, hi=hi)
+        carrier, o = A.carrier(window), tables(A)
+        a = o.encode(carrier)
+        b, c, complemented, radical_part, recomposed = decomposition_terms(o, a)
+        bad = np.flatnonzero(~(complemented & radical_part & (recomposed == a)))
+        if len(bad):
+            decompose_element(A, carrier[bad[0]])  # raises, naming what failed there
+        to_hoop = radical(A, window).to_hoop
+        ([b], skeleton), ((lo, hi), hoop) = distinct(o, b), distinct(o, o.join(o.neg(b), c), o.join(b, c))
+        return SimpleNamespace(skeleton=skeleton, hoop=[to_hoop(x) for x in hoop], b=b, lo=lo, hi=hi)
 
     return memo(A, ("split-frame", window), build)
 
@@ -251,13 +263,8 @@ def _pair_context(A, window: int) -> SimpleNamespace:
     """The pairs the pair laws scan, with the positions of x·y, x ⊕ y, x ∧ y
     and x ∨ y and the truth of x ≤ y (see pair_columns), and each element's
     negation as a position, -1 outside the window; once per window."""
-    def build() -> SimpleNamespace:
-        ctx = pair_columns(A, A.carrier(window), HYPER_PAIR_CAP, SAMPLED_NOTE,
-                           ("times", "oplus", "meet", "join", "leq"))
-        ctx.neg = np.array([ctx.index.get(A.neg(a), -1) for a in ctx.elems], dtype=np.intp)
-        return ctx
-
-    return memo(A, ("hyper-pairs", window), build)
+    return memo(A, ("hyper-pairs", window), lambda: pair_columns(
+        A, A.carrier(window), HYPER_PAIR_CAP, SAMPLED_NOTE, ("times", "oplus", "meet", "join", "leq", "neg")))
 
 
 def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:

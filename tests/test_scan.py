@@ -9,25 +9,36 @@ and witnesses, full and sampled), on valid carriers, on products and on
 planted table faults.
 """
 
+import json
+import os
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellstates._scan import scan_axioms, stride_select, tables
+from ellstates import _scan
+from ellstates._scan import INT64_MAX, integers, scan_axioms, stride_select, tables
 from ellstates.corpus import (
     boolean_algebra,
     chang_algebra,
     cone_hoop,
     godel_hoop,
+    hyperstate_family,
     lukasiewicz_hoop,
     rotated_hoop,
     trunc_monoid,
 )
-from ellstates.ibp0 import IBP0_AXIOMS, SAMPLED_NOTE, FiniteMTL, ProductAlgebra
-from ellstates.lmonoid import LMONOID_AXIOMS, FiniteLMonoid
+from ellstates.ibp0 import (IBP0_AXIOMS, SAMPLED_NOTE, FiniteMTL, ProductAlgebra, SymbolicPerfectAlgebra, radical,
+                           validate_ibp0)
+from ellstates.lmonoid import LMONOID_AXIOMS, Cone, FiniteLMonoid, SymbolicCancellativeMonoid
 from ellstates.reports import MAX_WITNESSES
 from ellstates.semihoop import SEMIHOOP_AXIOMS, FiniteSemihoop, ProductHoop, SymbolicConeHoop
+from ellstates.states import join_hyperstate
 
 WINDOW = 3
 
@@ -84,8 +95,26 @@ ALGEBRAS = {
     "planted-fault": planted_fault,
 }
 
+class UntruncatedCone(SymbolicConeHoop):
+    """A cone hoop whose residuum does not truncate, in both of its forms, so
+    that a scan takes the batch path: y - x leaves the cone when x > y."""
+
+    def impl(self, x, y):
+        return tuple(b - a for a, b in zip(x, y))
+
+    def impl_rows(self, x, y):
+        return y - x
+
+
 # name: (builder, axioms, the window of the built carrier)
 CASES = {name: (build, IBP0_AXIOMS, lambda A: A.carrier(WINDOW)) for name, build in ALGEBRAS.items()}
+# A rank-3 rotation and a product of rotations, on windows that keep the
+# reference's full triple loop affordable.
+CASES.update({
+    "chang-3": (lambda: chang_algebra(3), IBP0_AXIOMS, lambda A: A.carrier(1)),
+    "chang-1*chang-2": (lambda: ProductAlgebra([chang_algebra(1), chang_algebra(2)]), IBP0_AXIOMS,
+                        lambda A: A.carrier(1)),
+})
 CASES.update({
     f"semihoop-{name}": (build, SEMIHOOP_AXIOMS, lambda H: H.carrier(WINDOW))
     for name, build in {
@@ -94,12 +123,15 @@ CASES.update({
         "cone-2": lambda: cone_hoop(2),
         "cone-1*godel-3": lambda: ProductHoop([cone_hoop(1), godel_hoop(3)]),
         "planted-fault": planted_hoop_fault,
+        "planted-cone-fault": lambda: UntruncatedCone(rank=2),
     }.items()
 })
 CASES.update({
     f"lmonoid-{name}": (build, LMONOID_AXIOMS, lambda M: list(M.elements()))
     for name, build in {"trunc-4": lambda: trunc_monoid(4), "broken": broken_monoid}.items()
 })
+CASES["lmonoid-cancellative-2"] = (lambda: SymbolicCancellativeMonoid(rank=2), LMONOID_AXIOMS,
+                                   lambda M: M.carrier(WINDOW))
 
 
 @pytest.mark.parametrize("axiom", IBP0_AXIOMS, ids=lambda ax: ax.name)
@@ -129,12 +161,118 @@ def test_batch_scan_equals_scalar_scan(name, caps):
     assert got == reference_scan(A, axioms, elems, caps)
 
 
-@pytest.mark.parametrize("name", ["planted-fault", "semihoop-planted-fault", "lmonoid-broken"])
+@pytest.mark.parametrize("name", ["planted-fault", "semihoop-planted-fault", "semihoop-planted-cone-fault",
+                                  "lmonoid-broken"])
 def test_planted_faults_fail_a_required_check(name):
     # Keeps the scan comparisons above from passing on clean inputs only.
     build, axioms, window = CASES[name]
     A = build()
     assert any(c.required and not c.passed for c in scan_axioms(A, axioms, window(A), {}, "m", ""))
+
+
+def spy_scalar_ops(monkeypatch, classes) -> list:
+    """Record each call of a scalar op defined on ``classes`` that is not made
+    while a witness is rendered; the spy replaces the op on the class that
+    defines it, next to its batch form."""
+    calls, rendering = [], []
+
+    def render(*args):
+        rendering.append(True)
+        try:
+            return witness(*args)
+        finally:
+            rendering.pop()
+
+    def spy(cls, name, real):
+        def op(self, *args):
+            if not rendering:
+                calls.append((cls.__name__, name))
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, name, op)
+
+    witness = _scan._witness
+    monkeypatch.setattr(_scan, "_witness", render)
+    for cls in classes:
+        for name in ("add", "times", "impl", "meet", "join", "neg", "oplus", "leq"):
+            if name in vars(cls):
+                spy(cls, name, getattr(cls, name))
+    return calls
+
+
+def test_the_planted_cone_fault_fills_through_the_batch_ops(monkeypatch):
+    # CASES compares its witnesses with the reference; here its tables are
+    # filled by the batch residuum, and the scalar one only renders witnesses.
+    H = UntruncatedCone(rank=2)
+    calls = spy_scalar_ops(monkeypatch, [Cone, SymbolicConeHoop, UntruncatedCone])
+    checks = scan_axioms(H, SEMIHOOP_AXIOMS, H.carrier(WINDOW), {}, "m", "")
+    assert any(c.required and c.witnesses for c in checks) and calls == []
+
+
+def test_chang_2_set_up_makes_no_scalar_op_call(monkeypatch):
+    # Variety gate, radical and first join read every op through the id
+    # tables, filled by the batch ops.  chang-2 passes, so no witness is
+    # rendered either.
+    A = chang_algebra(2)
+    calls = spy_scalar_ops(monkeypatch, [Cone, SymbolicConeHoop, SymbolicPerfectAlgebra])
+    assert validate_ibp0(A).ok and radical(A).report.ok
+    assert calls == []
+    family = hyperstate_family(A, 8)
+    calls.clear()
+    assert join_hyperstate(A, *family[0], 8)[1].ok
+    assert calls == []
+
+
+def test_the_cli_scan_imports_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma, about 15 ms of every CLI process.
+    path = tmp_path / "chang-1.json"
+    path.write_text(json.dumps({"kind": "rotation", "rank": 1}))
+    src = str(Path(_scan.__file__).resolve().parents[1])
+    code = ("import sys; from ellstates.cli import main; "
+            f"status = main(['validate', '--ibp0', {str(path)!r}]); print(status, 'numpy.ma' in sys.modules)")
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                           env=dict(os.environ, PYTHONPATH=src))
+    assert child.stdout.split()[-2:] == ["0", "False"]
+
+
+# Coordinates inside a window of 2, past it, and past half of int64, where
+# a sum of two leaves int64 and the rows take Python ints.
+COORDINATE = st.one_of(st.integers(0, 2), st.integers(3, 40), st.integers(2**62, 2**62 + 3), st.just(2**64))
+CARRIERS = {
+    "monoid": (SymbolicCancellativeMonoid, ("add", "meet", "join", "leq")),
+    "hoop": (SymbolicConeHoop, ("times", "impl", "meet", "join", "leq")),
+    "rotation": (lambda rank: SymbolicPerfectAlgebra(SymbolicConeHoop(rank)),
+                 ("times", "impl", "meet", "join", "neg", "oplus", "leq")),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(kind=st.sampled_from(sorted(CARRIERS)), rank=st.integers(1, 3), data=st.data())
+def test_batch_ops_equal_the_scalar_ops_on_random_rows(kind, rank, data):
+    build, names = CARRIERS[kind]
+    A = build(rank)
+    element = st.tuples(*[COORDINATE] * rank)
+    if kind == "rotation":
+        element = st.tuples(st.sampled_from(["neg", "pos"]), element)
+    xs = data.draw(st.lists(element, min_size=1, max_size=6))
+    ys = data.draw(st.lists(element, min_size=len(xs), max_size=len(xs)))
+    o = tables(A)
+    assert o._bulk
+    o.encode(A.carrier(2))
+    for name in names:
+        args = (xs,) if name == "neg" else (xs, ys)
+        want = [getattr(A, name)(*t) for t in zip(*args)]
+        # Through the tables, whose box the drawn rows extend ...
+        got = getattr(o, name)(*(o.encode(a) for a in args))
+        assert (got.tolist() if name == "leq" else o.decode(got)) == want
+        # ... and the batch op on the rows themselves.
+        rows = getattr(A, f"{name}_rows")(*(integers([A.row(x) for x in a]) for a in args))
+        assert (rows.tolist() if name == "leq" else [A.element(r) for r in rows.tolist()]) == want
+    # The coordinates are typed by _scan.width: Python ints once two of them
+    # can sum past int64, as any drawn past half of it can.
+    wide = max(abs(c) for r in o._coords.tolist() for c in r)
+    assert (o._coords.dtype == object) == (2 * wide > INT64_MAX)
+    assert o._coords.dtype == object or all(2 * c <= INT64_MAX for x in xs + ys for c in A.row(x))
 
 
 def test_planted_fault_lists_the_first_witnesses_in_product_order():

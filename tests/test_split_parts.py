@@ -20,6 +20,7 @@ ones it has seen on the same hoop.
 from collections import Counter
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from ellstates import hypernum, ibp0, states
@@ -230,6 +231,31 @@ def test_weights_past_int64_take_the_object_path():
     assert split_hyperstate(A, t, WINDOW).w == w
 
 
+@pytest.mark.parametrize("lam", [[F(1, 3), 2], [10**30, F(1, 7)]], ids=["small", "past-int64"])
+def test_a_table_hyperstate_table_is_its_values_over_their_lcm(lam):
+    # Read from each value's integers, the table is exact_table of the values.
+    A = chang_algebra(2)
+    p = measure_family(boolean_skeleton(A, WINDOW))[-1]
+    s = FormulaHyperstate(A, p, ConeState(lam), WINDOW)
+    carrier = A.carrier(WINDOW)
+    values = {a: s.value(a) for a in carrier}
+    # Shifted values with other denominators, so the lcm is not any one's.
+    for k, a in enumerate(carrier[::17]):
+        v = values[a]
+        values[a] = DualRational(v.std, v.inf + (F(1, 5 + k) if v.std == 0 else F(-1, 5 + k)))
+    expected = form(exact_table([(values[a].std, values[a].inf) for a in carrier]))
+    assert form(TableHyperstate(values).table(A, WINDOW)) == expected
+    assert expected[2] == (object if lam[0] == 10**30 else np.int64)
+    missing = carrier[40]
+    del values[missing]
+    t = TableHyperstate(values)
+    with pytest.raises(MalformedInputError) as raised:
+        t.table(A, WINDOW)
+    with pytest.raises(MalformedInputError) as direct:
+        t.value(missing)
+    assert str(raised.value) == str(direct.value) == f"hyperstate has no value for element {missing!r}"
+
+
 def reference_split_error(A, s, window=WINDOW) -> str:
     """The message of the per-element split loop, or "" when it passes."""
     sk, rad = boolean_skeleton(A, window), radical(A, window)
@@ -268,24 +294,31 @@ def test_a_split_that_fails_names_the_first_differing_element(lam):
 
 
 def test_a_failed_decomposition_raises_on_every_table_read(monkeypatch):
+    # The frame runs the decomposition as term columns over the id tables, so
+    # the failure is planted in the terms, which decompose_element shares:
+    # the victim no longer recomposes, on one element or in a column.
     A = chang_algebra(1)
     victim = A.carrier(WINDOW)[3]
+    real = ibp0.decomposition_terms
 
-    def planted(B, a):
-        if a == victim:
-            raise InternalConsistencyError(f"planted failure at {B.token(a)}")
-        return ibp0.decompose_element(B, a)
+    def planted(o, a):
+        *parts, recomposed = real(o, a)
+        if o is A:
+            return (*parts, A.top if a == victim else recomposed)
+        return (*parts, np.where(a == o.encode([victim])[0], -1, recomposed))
 
-    monkeypatch.setattr(states, "decompose_element", planted)
+    for module in (states, ibp0):
+        monkeypatch.setattr(module, "decomposition_terms", planted)
     p = measure_family(boolean_skeleton(A, WINDOW))[0]
     s = FormulaHyperstate(A, p, ConeState([1]), WINDOW)
     for read in (lambda: s.table(A, WINDOW), lambda: join_hyperstate(A, p, ConeState([1]), WINDOW),
                  lambda: validate_hyperstate(A, s, WINDOW), lambda: hyperstate_properties(A, s, WINDOW),
                  lambda: split_hyperstate(A, s, WINDOW)):
         for _ in range(2):
-            with pytest.raises(InternalConsistencyError, match="planted failure"):
+            with pytest.raises(InternalConsistencyError, match=r"does not recompose: a = neg\(3\), got pos\(0\)"):
                 read()
-    monkeypatch.setattr(states, "decompose_element", ibp0.decompose_element)
+    for module in (states, ibp0):
+        monkeypatch.setattr(module, "decomposition_terms", real)
     assert validate_hyperstate(A, s, WINDOW).ok
 
 

@@ -395,8 +395,9 @@ class RawValues:
     def raw_value(self, a):
         return self.raw[a]
 
-    # The window table of any raw-value map.
-    table = TableHyperstate.table
+    def table(self, A, window):
+        """The window table of any raw-value map: its values read into exact_table."""
+        return exact_table([self.raw_value(a) for a in A.carrier(window)])
 
 
 def perturbed(A, s, every: int) -> TableHyperstate:
