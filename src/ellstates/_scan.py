@@ -21,8 +21,8 @@ are rendered as witnesses through the scalar terms.
 
 Value laws read each map once into an exact table, integer numerators in
 lowest terms over one denominator, typed here alone (:func:`width`, through
-:func:`exact_table` and :func:`lowest`), and compare sums of its values as
-gathers over index columns read from the same id tables (:func:`pair_columns`).
+:func:`exact_table`, :func:`lowest` and the keys of :func:`packed`), and compare
+sums of its values as gathers over index columns from the id tables (:func:`pair_columns`).
 
 Symbolic carriers are infinite, and cartesian products of windows can be
 huge, so quantified checks sometimes run over a reduced deterministic
@@ -198,6 +198,21 @@ def over_lcm(cols: Sequence[tuple[np.ndarray, int]]) -> tuple[list[np.ndarray], 
     den = lcm(*(d for _, d in cols))
     kind = width(max(den, sum(widest(c) * (den // d) for c, d in cols)))
     return [c.astype(kind, copy=False) * (den // d) for c, d in cols], den
+
+
+def packed(rows: np.ndarray, den: int) -> tuple[np.ndarray, int]:
+    """One key std·K + inf per (std, inf) numerator row over ``den``, and K =
+    4B + 1, B the widest inf: sums of at most two rows, and ``den``·K, compare
+    and add as their keys do.  Typed by :func:`width` so that three keys sum."""
+    K = 4 * widest(rows[:, 1]) + 1
+    kind = width(max(den, widest(rows[:, 0])) * K + K // 4, 3)
+    return rows[:, 0].astype(kind) * K + rows[:, 1].astype(kind), K
+
+
+def unpacked(key: int, K: int) -> tuple[int, int]:
+    """The (std, inf) numerators of a key of :func:`packed`, or of a sum of two."""
+    std = (int(key) + K // 2) // K
+    return std, int(key) - std * K
 
 
 def masked_verdict(axiom: str, bad: np.ndarray, witness: Callable[[int], dict], mode: str, note: str = "") -> Check:

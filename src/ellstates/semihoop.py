@@ -31,8 +31,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._scan import (Axiom, dot, exact_table, lowest, masked_verdict, memo, over_lcm, pair_columns, pair_verdict,
-                    scan_axioms, scan_mode, stride_select)
+from ._scan import (Axiom, distinct, dot, exact_table, lowest, masked_verdict, memo, over_lcm, pair_columns,
+                    pair_verdict, scan_axioms, scan_mode, stride_select, tables)
 from .hypernum import format_exact
 from .lmonoid import (
     Cone,
@@ -483,26 +483,26 @@ def _sigma_frame(H, window: int) -> SimpleNamespace:
     """What state_to_kgroup_state checks that does not depend on w: the
     envelope, the elements it ``reads``, where each list and envelope class
     it gathers lies in them, and which candidate pairs [a, b] over the
-    strided base are positive."""
+    strided ``base``, in product order, are positive: read off tables(H) in a
+    symbolic envelope, where k_leq(0, [a, b]) is 0 + b ≤ 0 + a."""
     if not isinstance(H, (FiniteSemihoop, SymbolicConeHoop)):
         raise MalformedInputError("envelope correspondence supports finite tables and symbolic cones")
     K, h = k_envelope(H)
-    elems = H.carrier(window)
+    o, elems = tables(H), H.carrier(window)
     base = stride_select(elems, SIGMA_BASE_CAP)
-    doubles = [H.add(x, x) for x in elems]
-    # Candidate [base[a], base[b]] is added to its mirror in reversed order,
-    # [base[-1-a], base[-1-b]]; the sum is [sums[a], sums[b]].
-    sums = [H.add(a, b) for a, b in zip(base, reversed(base))]
-    index = {x: i for i, x in enumerate(dict.fromkeys([*elems, *doubles, *sums]))}
-    at = {name: np.array([index[x] for x in xs], dtype=np.intp)
-          for name, xs in (("elems", elems), ("doubles", doubles), ("base", base), ("sums", sums))}
+    ids, b = o.encode(elems), o.encode(base)
+    # Candidate [base[i], base[j]] is added to its mirror in reversed order,
+    # [base[-1-i], base[-1-j]]; the sum is [sums[i], sums[j]].
+    at, reads = distinct(o, ids, o.add(ids, ids), b, o.add(b, b[::-1]))
+    index = {x: i for i, x in enumerate(reads)}
     classes = [(m, *(np.array([index[pair[i]] for pair in m], dtype=np.intp) for i in (0, 1)))
                for m in K.class_members or []]
-    pairs = list(product(base, repeat=2))
-    zero = K.zero()
-    positive = np.array([k_leq(K, zero, KElement(a, b)) for a, b in pairs], dtype=bool)
-    return SimpleNamespace(K=K, h=h, elems=elems, reads=list(index), at=at, classes=classes, pairs=pairs,
-                           positive=positive)
+    if K.mode == "symbolic":
+        positive = o.leq(o.add(o.unit, np.tile(b, len(b))), o.add(o.unit, np.repeat(b, len(b))))
+    else:
+        positive = np.array([k_leq(K, K.zero(), KElement(x, y)) for x, y in product(base, repeat=2)], dtype=bool)
+    return SimpleNamespace(K=K, h=h, elems=elems, base=base, reads=reads,
+                           at=dict(zip(("elems", "doubles", "base", "sums"), at)), classes=classes, positive=positive)
 
 
 def state_to_kgroup_state(H, w, window: int = 8) -> KGroupState:
@@ -536,7 +536,7 @@ def state_to_kgroup_state(H, w, window: int = 8) -> KGroupState:
     sig = (wb[:, None] - wb[None, :]).ravel()
     bad = np.flatnonzero(f.positive & (sig < 0))
     if len(bad):
-        a, b = f.pairs[bad[0]]
+        a, b = (f.base[i] for i in divmod(int(bad[0]), len(f.base)))
         raise InternalConsistencyError(f"σ̂ negative on a positive element [{H.token(a)},{H.token(b)}]")
     if ((ws[:, None] - ws[None, :]).ravel() != sig + sig[::-1]).any():
         raise InternalConsistencyError("σ̂ not additive")

@@ -25,8 +25,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ._scan import (distinct, exact_table, integers, lowest, masked_verdict, memo, over_lcm, pair_columns, pair_verdict,
-                    scan_mode, tables)
+from ._scan import (distinct, exact_table, integers, lowest, masked_verdict, memo, over_lcm, packed, pair_columns,
+                    pair_verdict, scan_mode, tables, unpacked)
 from .hypernum import DualRational, _rat, canonical, format_dual, format_exact, interval_defect, parse_dual
 from .ibp0 import (
     Skeleton,
@@ -267,32 +267,26 @@ def _pair_context(A, window: int) -> SimpleNamespace:
         A, A.carrier(window), HYPER_PAIR_CAP, SAMPLED_NOTE, ("times", "oplus", "meet", "join", "leq", "neg")))
 
 
-def _lex_less(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise lexicographic a < b on (std, inf) numerator rows."""
-    return (a[:, 0] < b[:, 0]) | ((a[:, 0] == b[:, 0]) & (a[:, 1] < b[:, 1]))
-
-
-def _differ(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    return (lhs[:, 0] != rhs[:, 0]) | (lhs[:, 1] != rhs[:, 1])
-
-
 class _Values:
     """s over the window: ``s.table``, one (std, inf) row of integer
-    numerators per element over one denominator ``den``, for the formula form
-    a gather over the frame, and ``defects``, where a value lies outside the
-    interval (see interval_defect).  The validators and the split keep it on
-    s per (A, window); an element outside the window is read from s itself."""
+    numerators per element over one denominator ``den`` (for the formula
+    form a gather over the frame); ``keys``, each row packed into one exact
+    integer (see packed), on which the laws compare sums, ``one`` the key of
+    1; and ``defects``, where a value lies outside the interval.  The
+    validators and the split keep it on s per (A, window)."""
 
     def __init__(self, s, A, window: int):
-        self.s, self.index = s, _pair_context(A, window).index
+        self.s, self.A, self.window, self.index = s, A, window, _pair_context(A, window).index
         self.rows, self.den = s.table(A, window)
+        self.keys, self.K = packed(self.rows, self.den)
+        self.one = self.den * self.K
         # The rows as Python ints, for value and the laws that read a few elements each.
         self.cells = self.rows.tolist()
-        std, inf = self.rows[:, 0], self.rows[:, 1]
-        self.defects = (std < 0) | (std > self.den) | ((std == 0) & (inf < 0)) | ((std == self.den) & (inf > 0))
+        self.defects = (self.keys < 0) | (self.keys > self.one)
 
-    def dual(self, row) -> str:
-        return format_dual((Fraction(int(row[0]), self.den), Fraction(int(row[1]), self.den)))
+    def dual(self, key) -> str:
+        std, inf = unpacked(key, self.K)
+        return format_dual((Fraction(std, self.den), Fraction(inf, self.den)))
 
     def raw(self, a) -> tuple[Fraction, Fraction]:
         """s(a) as (std, inf), from its row when a is in the window."""
@@ -300,10 +294,11 @@ class _Values:
         return self.s.raw_value(a) if k is None else (Fraction(self.cells[k][0], self.den),
                                                       Fraction(self.cells[k][1], self.den))
 
-    def column(self, elements, part: int) -> tuple[np.ndarray, int]:
-        """Part ``part`` (0 standard, 1 infinitesimal) of s at ``elements``, one
-        column of the rows, or of exact_table when one lies outside the window."""
-        at = np.array([self.index.get(a, -1) for a in elements], dtype=np.intp)
+    def column(self, name: str, part: int) -> tuple[np.ndarray, int]:
+        """Part ``part`` (0 standard, 1 infinitesimal) of s at the elements
+        ``name`` (see _positions), one column of the rows, or of exact_table
+        when one lies outside the window."""
+        elements, at = _positions(self.A, self.window, name)
         if (at >= 0).all():
             return self.rows[:, part].take(at), self.den
         col, den = exact_table([(self.raw(a)[part],) for a in elements])
@@ -314,12 +309,29 @@ def _values(A, s, window: int) -> _Values:
     return memo(s, ("values", A, window), lambda: _Values(s, A, window))
 
 
-def _part_law(A, v: _Values, axiom: str, elements, part: int, want, mode: str):
-    """The check that part ``part`` of s is ``want`` at each of ``elements``."""
-    col, den = v.column(elements, part)
+_PARTS = {
+    "skeleton": lambda A, window: boolean_skeleton(A, window).elements,
+    "radical": lambda A, window: radical(A, window).elements,
+    "coradical": coradical,
+    "induced": lambda A, window: list(map(radical(A, window).from_hoop, radical(A, window).hoop.carrier(window))),
+}
+
+
+def _positions(A, window: int, name: str) -> tuple[list, np.ndarray]:
+    """The elements ``name`` of _PARTS, which a part law reads ("induced" is
+    the radical's image of its hoop's window), and their positions in the
+    window, -1 outside it, kept on the pair context."""
+    ctx = _pair_context(A, window)
+    elements = memo(ctx, name, lambda: _PARTS[name](A, window))
+    return elements, memo(ctx, (name, "at"), lambda: np.array([ctx.index.get(a, -1) for a in elements], dtype=np.intp))
+
+
+def _part_law(v: _Values, axiom: str, name: str, part: int, want, mode: str):
+    """The check that part ``part`` of s is ``want`` at each of the elements ``name``."""
+    (col, den), (elements, _) = v.column(name, part), _positions(v.A, v.window, name)
     return masked_verdict(
         axiom, col != want * den,
-        lambda k: {"witness": {"x": A.token(elements[k])}, "value": format_dual(v.raw(elements[k]))}, mode,
+        lambda k: {"witness": {"x": v.A.token(elements[k])}, "value": format_dual(v.raw(elements[k]))}, mode,
     )
 
 
@@ -334,26 +346,23 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
     report = ValidationReport(subject="hyperstate")
     mode = scan_mode(A, window)
     ctx = _pair_context(A, window)
-    elems = ctx.elems
     v = _values(A, s, window)
-    V = v.rows
+    V = v.keys
 
     report.add(masked_verdict(
-        "codomain", v.defects, lambda k: {"witness": {"x": A.token(elems[k])}, "value": v.dual(V[k])}, mode
+        "codomain", v.defects, lambda k: {"witness": {"x": A.token(ctx.elems[k])}, "value": v.dual(V[k])}, mode
     ))
 
-    ends = ((A.top, (Fraction(1), Fraction(0))), (A.bot, (Fraction(0), Fraction(0))))
-    bad = [{"witness": {"x": A.token(e)}, "lhs": format_dual(v.raw(e)), "rhs": format_dual(want)}
-           for e, want in ends if v.raw(e) != want]
+    ends = ((A.top, v.one), (A.bot, 0))
+    bad = [{"witness": {"x": A.token(e)}, "lhs": v.dual(got), "rhs": v.dual(want)}
+           for e, want in ends if (got := V[v.index[e]]) != want]
     report.add(verdict("boundary-values", bad, mode=mode))
 
     inside = (ctx.times >= 0) & (ctx.oplus >= 0)
-    # Rows are gathered with take, far faster than fancy indexing on 2-D.
-    lhs, rhs = V.take(ctx.oplus, axis=0) + V.take(ctx.times, axis=0), V.take(ctx.x, axis=0) + V.take(ctx.y, axis=0)
-    bad = inside & _differ(lhs, rhs)
-    report.add(pair_verdict(A, ctx, "pair-additivity", bad, lhs, rhs, v.dual, mode, ~inside))
+    lhs, rhs = V.take(ctx.oplus) + V.take(ctx.times), V.take(ctx.x) + V.take(ctx.y)
+    report.add(pair_verdict(A, ctx, "pair-additivity", inside & (lhs != rhs), lhs, rhs, v.dual, mode, ~inside))
 
-    report.add(_part_law(A, v, "skeleton-standard", boolean_skeleton(A, window).elements, 1, 0, mode))
+    report.add(_part_law(v, "skeleton-standard", "skeleton", 1, 0, mode))
     return report
 
 
@@ -369,45 +378,38 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     report = ValidationReport(subject="hyperstate-properties")
     mode = scan_mode(A, window)
     ctx = _pair_context(A, window)
-    elems = ctx.elems
     v = _values(A, s, window)
-    V, den = v.rows, v.den
-    outside = np.flatnonzero(v.defects)
-    if len(outside):
-        defect = interval_defect(*v.raw(elems[outside[0]]))
+    V, one = v.keys, v.one
+    if v.defects.any():
+        defect = interval_defect(*v.raw(ctx.elems[v.defects.argmax()]))
         raise PreconditionError(f"not a hyperstate on this window: {defect}")
 
-    # Every value lies in the interval now, so each expression below stays
-    # within twice the denominator, inside exact_table's int64 bound.
-    got, want = V.take(ctx.neg, axis=0), np.stack([den - V[:, 0], -V[:, 1]], axis=1)
+    # Each side below is a key or a sum of two, compared exactly (see packed).
+    got, want = V.take(ctx.neg), one - V
     skipped = np.count_nonzero(ctx.neg < 0)
     report.add(masked_verdict(
-        "negation-law", (ctx.neg >= 0) & _differ(got, want),
-        lambda k: {"witness": {"x": A.token(elems[k])}, "lhs": v.dual(got[k]), "rhs": v.dual(want[k])},
+        "negation-law", (ctx.neg >= 0) & (got != want),
+        lambda k: {"witness": {"x": A.token(ctx.elems[k])}, "lhs": v.dual(got[k]), "rhs": v.dual(want[k])},
         mode, f"{skipped} negations left the window" if skipped else "",
     ))
 
-    Vx, Vy = V.take(ctx.x, axis=0), V.take(ctx.y, axis=0)
-    report.add(pair_verdict(A, ctx, "monotone", ctx.leq & _lex_less(Vy, Vx), Vx, Vy, v.dual, mode))
+    Vx, Vy = V.take(ctx.x), V.take(ctx.y)
+    report.add(pair_verdict(A, ctx, "monotone", ctx.leq & (Vy < Vx), Vx, Vy, v.dual, mode))
 
     orthogonal, inside = ctx.times == ctx.index[A.bot], ctx.oplus >= 0
-    got, rhs = V.take(ctx.oplus, axis=0), Vx + Vy
-    bad = orthogonal & inside & _differ(got, rhs)
+    got, rhs = V.take(ctx.oplus), Vx + Vy
+    bad = orthogonal & inside & (got != rhs)
     report.add(pair_verdict(A, ctx, "orthogonal-additivity", bad, got, rhs, v.dual, mode, orthogonal & ~inside))
 
-    # x ⊙ y in the interval: (x + y − 1) ∨ 0, lexicographically.
+    # x ⊙ y in the interval: (x + y − 1) ∨ 0.
     complementary, inside = ctx.oplus == ctx.index[A.top], ctx.times >= 0
-    want = np.stack([Vx[:, 0] + Vy[:, 0] - den, Vx[:, 1] + Vy[:, 1]], axis=1)
-    want[_lex_less(want, np.zeros_like(want))] = 0
-    got = V.take(ctx.times, axis=0)
-    bad = complementary & inside & _differ(got, want)
-    skipped = complementary & ~inside
-    report.add(pair_verdict(A, ctx, "complementary-multiplicativity", bad, got, want, v.dual, mode, skipped))
+    want, got = np.maximum(Vx + Vy - one, 0), V.take(ctx.times)
+    report.add(pair_verdict(A, ctx, "complementary-multiplicativity", complementary & inside & (got != want), got,
+                            want, v.dual, mode, complementary & ~inside))
 
     inside = (ctx.meet >= 0) & (ctx.join >= 0)
-    lhs, rhs = V.take(ctx.meet, axis=0) + V.take(ctx.join, axis=0), Vx + Vy
-    bad = inside & _differ(lhs, rhs)
-    report.add(pair_verdict(A, ctx, "valuation", bad, lhs, rhs, v.dual, mode, ~inside))
+    lhs, rhs = V.take(ctx.meet) + V.take(ctx.join), Vx + Vy
+    report.add(pair_verdict(A, ctx, "valuation", inside & (lhs != rhs), lhs, rhs, v.dual, mode, ~inside))
 
     sk = boolean_skeleton(A, window)
     restriction = ProbabilityMeasure(sk, [v.raw(atom)[0] for atom in sk.atoms])
@@ -419,13 +421,11 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     ]
     report.add(verdict("skeleton-restriction", bad, mode=mode))
 
-    rad = radical(A, window)
-    report.add(_part_law(A, v, "radical-standard-part", rad.elements, 0, 1, mode))
-    report.add(_part_law(A, v, "coradical-standard-part", coradical(A, window), 0, 0, mode))
+    report.add(_part_law(v, "radical-standard-part", "radical", 0, 1, mode))
+    report.add(_part_law(v, "coradical-standard-part", "coradical", 0, 0, mode))
 
     # The induced state is the infinitesimal part of s along the radical.
-    induced = v.column([rad.from_hoop(h) for h in rad.hoop.carrier(window)], 1)
-    report.merge(state_laws(rad.hoop, *induced, window), prefix="induced-")
+    report.merge(state_laws(radical(A, window).hoop, *v.column("induced", 1), window), prefix="induced-")
     return report
 
 
@@ -476,10 +476,9 @@ def _split(A, s, window: int) -> SplitResult:
     w = weighted_state(rad.hoop, lam)
     formula = FormulaHyperstate(A, p, w, window)
     got, (want, den) = v.rows, formula.table(A, window)
-    # Both tables are in lowest terms, so equal values have one denominator.
-    if den != v.den:
+    if den != v.den:  # both tables are in lowest terms, so equal ones share den
         (got, want), _ = over_lcm([(got, v.den), (want, den)])
-    bad = np.flatnonzero(_differ(got, want))
+    bad = np.flatnonzero((got != want).any(axis=1))
     carrier = A.carrier(window)
     if len(bad):
         a = carrier[bad[0]]

@@ -332,20 +332,23 @@ def test_join_split_properties_read_the_frame_not_each_element(monkeypatch):
     # elements, or build the induced state as a TableState.  s.value builds
     # each value from its row, with no interval check of its own and no
     # Fraction pair.  Weights past int64 take the same path, in Python ints.
+    # The properties of the first pair keep the window positions of the
+    # induced state, mapping each hoop element once through from_hoop; the
+    # second pair's read them, and no law stacks (std, inf) rows.
     A = chang_algebra(2)
     family = hyperstate_family(A, WINDOW)
     join_hyperstate(A, *family[0], WINDOW)
     hoop = len(radical(A, WINDOW).hoop.carrier(WINDOW))
     assert (len(A.carrier(WINDOW)), hoop) == (162, 81)
 
-    calls, reads = Counter(), Counter()
+    calls, reads, laws = Counter(), Counter(), Counter()
 
     def counted(owner, name, into=calls):
         real = getattr(owner, name)
 
-        def spy(*args):
+        def spy(*args, **kwargs):
             into[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, spy)
 
@@ -356,13 +359,17 @@ def test_join_split_properties_read_the_frame_not_each_element(monkeypatch):
     counted(hypernum, "_defect", reads)
     counted(states, "interval_defect", reads)
     counted(states._Values, "raw", reads)
+    counted(radical(A, WINDOW), "from_hoop", laws)
+    counted(np, "stack", laws)
     p, w = family[-1]
-    for w in (w, ConeState([F(1, 2**61 - 1), F(1, 2**31 - 1)])):
+    for k, w in enumerate((w, ConeState([F(1, 2**61 - 1), F(1, 2**31 - 1)]))):
         s, report = join_hyperstate(A, p, w, WINDOW)
         assert report.ok and calls == {}
         split_hyperstate(A, s, WINDOW)
         assert calls == {}
+        laws.clear()
         assert hyperstate_properties(A, s, WINDOW).ok and calls == {}
+        assert laws == ({"from_hoop": hoop} if k == 0 else {})
         cancellative_form(A, s, WINDOW)
         assert calls == {}
         reads.clear()

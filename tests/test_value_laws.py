@@ -13,6 +13,7 @@ the radical hoops of the product corpus, and on windows that its op
 results leave.
 """
 
+from collections import Counter
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
@@ -23,7 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellstates import semihoop, states
-from ellstates._scan import INT64_MAX, exact_table, lowest, sampled_note, scan_mode, stride_select
+from ellstates._scan import INT64_MAX, exact_table, lowest, packed, sampled_note, scan_mode, stride_select, unpacked
 from ellstates.corpus import (
     chang_algebra,
     cone_hoop,
@@ -526,6 +527,35 @@ def test_valid_states_agree_through_sigma():
         assert_sigma_agrees(cone_hoop(rank), ConeState(lam), 6)
 
 
+def test_the_sigma_frame_of_a_symbolic_radical_reads_tables(monkeypatch):
+    # On a fresh chang-2 radical the frame's sums and its positive mask are
+    # columns of tables(H): no scalar k_leq, add or leq call builds them.
+    H = radical(chang_algebra(2), WINDOW).hoop
+    calls = Counter()
+
+    def counted(owner, name):
+        real = getattr(owner, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, spy)
+
+    counted(semihoop, "k_leq")
+    for name in ("add", "leq"):
+        counted(next(c for c in type(H).__mro__ if name in vars(c)), name)
+    f = semihoop._sigma_frame(H, WINDOW)
+    assert calls == {}
+    monkeypatch.undo()
+    K = f.K
+    assert f.positive.tolist() == [k_leq(K, K.zero(), KElement(a, b)) for a, b in product(f.base, repeat=2)]
+    assert 0 < f.positive.sum() < len(f.positive)
+    assert [f.reads[i] for i in f.at["doubles"]] == [H.add(x, x) for x in f.elems]
+    for w in (ConeState([1, F(1, 3)]), ConeState(BIG), ConeState([-1, 1])):
+        assert_sigma_agrees(H, w)
+
+
 def test_measures_agree():
     for name in ("boolean-4", "boolean-8", "chang-2"):
         sk = boolean_skeleton(SINGLES[name], WINDOW)
@@ -623,3 +653,38 @@ def test_lowest_is_exact_tables_form(drawn, den, as_object, terms):
         got, got_den = lowest(given_nums, den, terms)
         assert (got.shape, got.dtype, got_den) == (given_nums.shape, want.dtype, want_den)
         assert got.reshape(-1).tolist() == want.reshape(-1).tolist()
+
+
+# Numerator rows as exact tables hold them: inf past int64, all inf 0 (B = 0),
+# and std below 0 or above den, as in maps that fail the codomain check.
+PARTS = st.one_of(st.integers(-3, 12), st.integers(-(2**70), 2**70), st.just(-(2**63)))
+ROWS = st.lists(st.tuples(PARTS, st.one_of(st.just(0), PARTS)), min_size=1, max_size=6)
+
+
+@settings(deadline=None, max_examples=300)
+@given(ROWS, DENOMINATORS, st.booleans(), st.booleans())
+# Sums of two rows whose inf parts differ by 4B: (0, 2) and (1, -2) over B = 1.
+@example([(0, 1), (1, -1), (0, -1)], 1, False, False)
+@example([(0, 0), (3, 0)], 2, False, True)
+def test_packed_keys_compare_and_add_as_rows(rows, den, as_object, zero_inf):
+    # Every key, sum of two keys, the key of 1 and 0 compares with every
+    # other exactly as the rows do lexicographically; the clamp
+    # max(x + y - 1, 0) is the lexicographic one; every such key decodes.
+    if zero_inf:
+        rows = [(std, 0) for std, _ in rows]
+    fits = all(-(2**63) <= n <= INT64_MAX for row in rows for n in row)
+    keys, K = packed(np.array(rows, dtype=np.int64 if fits and not as_object else object), den)
+    bound = max(den, *(abs(std) for std, _ in rows)) * K + max(abs(inf) for _, inf in rows)
+    assert (keys.dtype == object) == (3 * bound > INT64_MAX)
+    one = den * K
+    x, y = (a.ravel() for a in np.indices((len(rows), len(rows))))
+    # Sums as the laws take them: numpy additions of gathered keys.
+    sums, clamped = keys.take(x) + keys.take(y), np.maximum(keys.take(x) + keys.take(y) - one, 0)
+    plus = [(rows[i][0] + rows[j][0], rows[i][1] + rows[j][1]) for i, j in zip(x.tolist(), y.tolist())]
+    terms = list(zip([*keys.tolist(), *sums.tolist(), one, 0], [*rows, *plus, (den, 0), (0, 0)]))
+    for key, row in terms:
+        assert unpacked(key, K) == row
+        for other_key, other_row in terms:
+            assert (key < other_key, key == other_key) == (row < other_row, row == other_row)
+    for got, (std, inf) in zip(clamped.tolist(), plus):
+        assert unpacked(got, K) == max((std - den, inf), (0, 0))
