@@ -224,18 +224,18 @@ def masked_verdict(axiom: str, bad: np.ndarray, witness: Callable[[int], dict], 
                    violations=len(hits))
 
 
-def pair_columns(A, elems: Sequence, cap: int, wording: str, ops: Sequence[str]) -> SimpleNamespace:
+def pair_columns(A, elems: Sequence, cap: int, wording: str, ops: Sequence[str], o=None) -> SimpleNamespace:
     """The pairs a value law scans: x and y over the ``cap``-strided
     ``elems`` in ``itertools.product`` order, one column entry per pair, and
     ``neg``, when asked for, one entry per element.  ``x``, ``y`` and each
     op's result are positions in ``elems``, -1 where a result lands outside
     them (symbolic products can leave any finite window); ``leq`` is a truth
-    value.  The results are gathered from ``tables(A)``.  ``note`` is the
-    sampling note."""
+    value.  The results are gathered from the id tables ``o``, by default
+    fresh ``tables(A)``.  ``note`` is the sampling note."""
     index = {a: i for i, a in enumerate(elems)}
     base = stride_select(range(len(elems)), cap)
     x, y = np.array(list(product(base, repeat=2)), dtype=np.intp).reshape(-1, 2).T
-    o = tables(A)
+    o = tables(A) if o is None else o
     window = o.encode(elems)
     cols = {name: getattr(o, name)(*((window,) if name == "neg" else (window[x], window[y]))) for name in ops}
     cols.update((name, locate(o, col, window)) for name, col in cols.items() if name not in PREDICATES)

@@ -450,9 +450,10 @@ def _radical(A, window: int) -> RadicalView:
 
 
 def coradical(A, window: int = 8) -> list:
-    """{a : ¬a ∈ ℋ(A)}, which is exactly the negation image of the radical."""
-    rad = radical(A, window)
-    return [A.neg(a) for a in rad.elements]
+    """{a : ¬a ∈ ℋ(A)}, which is exactly the negation image of the radical,
+    read as one column of A's id tables."""
+    o = tables(A)
+    return o.decode(o.neg(o.encode(radical(A, window).elements)))
 
 
 @dataclass(frozen=True)

@@ -227,14 +227,17 @@ class TableState:
         self.values = {k: Fraction(v) for k, v in values.items()}
 
     def value(self, x) -> Fraction:
-        try:
-            return self.values[x]
-        except KeyError:
-            raise MalformedInputError(f"state has no value for element {x!r}") from None
+        return self._read([x])[0]
 
     def table(self, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
-        col, den = exact_table([(self.value(x),) for x in elems], terms)
+        col, den = exact_table([(v,) for v in self._read(elems)], terms)
         return col.reshape(-1), den
+
+    def _read(self, elems: Sequence) -> list[Fraction]:
+        try:
+            return [self.values[x] for x in elems]
+        except KeyError as missing:
+            raise MalformedInputError(f"state has no value for element {missing.args[0]!r}") from None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, TableState) and self.values == other.values

@@ -19,13 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from types import SimpleNamespace
 from typing import Any, Mapping
 
 import numpy as np
 
-from ._scan import (distinct, exact_table, integers, lowest, masked_verdict, memo, over_lcm, packed, pair_columns,
+from ._scan import (distinct, integers, lowest, masked_verdict, memo, over_lcm, packed, pair_columns,
                     pair_verdict, scan_mode, tables, unpacked)
 from .hypernum import DualRational, _rat, canonical, format_dual, format_exact, interval_defect, parse_dual
 from .ibp0 import (
@@ -88,6 +89,13 @@ class ProbabilityMeasure:
             raise MalformedInputError(f"{self.skeleton.algebra.token(b)} is not a skeleton element")
         return sum((self.weights[i] for i in below), Fraction(0))
 
+    def column(self, elements) -> tuple[np.ndarray, int]:
+        """p at the skeleton elements ``elements``, as integer numerators
+        over the lcm of the weights' denominators."""
+        den = lcm(*(w.denominator for w in self.weights))
+        nums = [w.numerator * (den // w.denominator) for w in self.weights]
+        return integers([sum(nums[i] for i in self.skeleton.below[b]) for b in elements]), den
+
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ProbabilityMeasure)
@@ -109,7 +117,9 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
         raise MalformedInputError("measure was built over a different skeleton")
     A = B.algebra
     report = ValidationReport(subject="probability")
-    vals = {b: p.value(b) for b in B.elements}
+    # p on every skeleton element, as integer numerators over den.
+    V, den = p.column(B.elements)
+    exact = lambda n: format_exact(Fraction(int(n), den))
 
     bad = [
         {"witness": {"atom": A.token(a)}, "value": format_exact(w)}
@@ -117,26 +127,23 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
         if w < 0
     ]
     bad += [
-        {"witness": {"x": A.token(b)}, "value": format_exact(v)}
-        for b, v in vals.items()
-        if not 0 <= v <= 1
+        {"witness": {"x": A.token(b)}, "value": exact(n)}
+        for b, n in zip(B.elements, V.tolist())
+        if not 0 <= n <= den
     ]
     report.add(verdict("range", bad))
 
+    # Every pair of the finite skeleton, whose joins stay in it.
+    ctx = B.pairs
     total = sum(p.weights, Fraction(0))
     bad = []
-    if total != 1 or vals[A.top] != 1:
+    if total != 1 or V[ctx.index[A.top]] != den:
         bad = [{"witness": {"x": A.token(A.top)}, "lhs": format_exact(total), "rhs": "1"}]
     report.add(verdict("normalization", bad))
 
-    # Every pair of the finite skeleton, whose joins stay in it.
-    ctx = B.pairs
-    table, den = exact_table([(v,) for v in vals.values()])
-    V = table[:, 0]
     lhs, rhs = V[ctx.join], V[ctx.x] + V[ctx.y]
     bad = (ctx.meet == ctx.index[A.bot]) & (lhs != rhs)
-    report.add(pair_verdict(A, ctx, "additivity", bad, lhs, rhs, lambda n: format_exact(Fraction(int(n), den)),
-                            "exhaustive"))
+    report.add(pair_verdict(A, ctx, "additivity", bad, lhs, rhs, exact, "exhaustive"))
     return report
 
 
@@ -164,9 +171,10 @@ class TableHyperstate:
         return (v.std, v.inf)
 
     def table(self, A, window: int) -> tuple[np.ndarray, int]:
-        """One (std, inf) row per element of A's window, as exact_table gives
-        it: each value's integers (a, b, d) over the lcm of the d."""
-        keys = [self.value(a)._key for a in A.carrier(window)]
+        """One (std, inf) row per element of the frame (see _frame), as
+        exact_table gives it: each value's integers (a, b, d) over the lcm of
+        the d."""
+        keys = [self.value(a)._key for a in _frame(A, window).elements]
         den = lcm(*(d for _, _, d in keys))
         return lowest(integers([(a * (den // d), b * (den // d)) for a, b, d in keys]), den)
 
@@ -177,19 +185,14 @@ class TableHyperstate:
 class FormulaHyperstate:
     """A (measure, radical state) pair evaluated through the split identity.
 
-    Evaluation is total on the whole algebra, not just a window, because the
-    decomposition maps and both components are.  What depends on the algebra
-    alone is kept once per (A, window) and shared by every pair: each
-    element's triple (b_a, h(¬b_a ∨ c_a), h(b_a ∨ c_a)), with h the map into
-    the radical's hoop, stored the first time any instance reads the
-    element, and the frame of the window (see _frame), which holds those
-    triples as positions.  An element whose decomposition raises is never
-    stored, so it raises on every read.  The window table is a gather: p is
-    read once on the frame's skeleton elements and w once, as one integer
-    column, on its hoop elements, and s's rows (P[b], W[lo] − W[hi]) over
-    their common denominator are put in exact_table's form.  ``value`` reads
-    a's row, from the table kept on s, with no check of its own; ``raw_value``,
-    and ``value`` outside the window, evaluate one element from p and w.
+    Its values are those of the frame's elements (see _frame): the window,
+    then the skeleton, radical, coradical and induced elements outside it.
+    The table is a gather over the frame's split triples: p is read as one
+    column on its skeleton parts and w as one integer column on its hoop
+    elements, and s's rows (P[b], W[lo] − W[hi]) over their common
+    denominator are put in exact_table's form.  ``value`` and ``raw_value``
+    read a's row of that table, kept on s (see _values); an element outside
+    the frame has no value, as for a table hyperstate.
     """
 
     def __init__(self, A, p: ProbabilityMeasure, w, window: int = 8):
@@ -201,82 +204,82 @@ class FormulaHyperstate:
         self._window = window
 
     def raw_value(self, a) -> tuple[Fraction, Fraction]:
-        b, lo, hi = _split_parts(self.algebra, self._window, a)
-        return self.measure.value(b), self.state.value(lo) - self.state.value(hi)
+        return _values(self.algebra, self, self._window).raw(a)
 
     def value(self, a) -> DualRational:
         v = _values(self.algebra, self, self._window)
-        k = v.index.get(a)
-        # A window row's interval was checked with the whole table's.
-        if k is not None and not v.defects[k]:
-            return canonical(*v.cells[k], v.den)
-        raw = v.raw(a)
-        try:
-            return DualRational(*raw)
-        except ValueError:
+        k = v.position(a)
+        # Each row's interval was checked with the whole table's.
+        if v.defects[k]:
             raise MalformedInputError(
-                f"formula value escapes the interval at {self.algebra.token(a)}: {format_dual(raw)}"
-            ) from None
+                f"formula value escapes the interval at {self.algebra.token(a)}: {format_dual(v.raw(a))}"
+            )
+        return canonical(*v.cells[k], v.den)
 
     def table(self, A, window: int) -> tuple[np.ndarray, int]:
-        """The window table, gathered from p's and w's columns over their lcm."""
+        """The frame's table, gathered from p's and w's columns over their lcm."""
         f = _frame(A, window)
-        P, dp = exact_table([(self.measure.value(b),) for b in f.skeleton])
-        (P, W), den = over_lcm([(P.reshape(-1), dp), self.state.table(f.hoop)])
+        (P, W), den = over_lcm([self.measure.column(f.skeleton), self.state.table(f.hoop)])
         return lowest(np.stack([P.take(f.b), W.take(f.lo) - W.take(f.hi)], axis=1), den)
-
-
-def _split_parts(A, window: int, a) -> tuple:
-    """a's triple (b_a, h(¬b_a ∨ c_a), h(b_a ∨ c_a)), from the map kept per
-    (A, window), decomposed and stored on its first read."""
-    parts = memo(A, ("split-parts", window), dict)
-    if a not in parts:
-        to_hoop, d = radical(A, window).to_hoop, decompose_element(A, a)
-        parts[a] = (d.b, to_hoop(A.join(A.neg(d.b), d.c)), to_hoop(A.join(d.b, d.c)))
-    return parts[a]
-
-
-def _frame(A, window: int) -> SimpleNamespace:
-    """The window's triples as positions, once per (A, window): ``b`` into
-    ``skeleton`` and ``lo``, ``hi`` into ``hoop``, which hold the distinct
-    skeleton parts and hoop elements.  The decomposition runs as term columns
-    over A's id tables; at the first element where it fails,
-    decompose_element raises its error."""
-    def build() -> SimpleNamespace:
-        carrier, o = A.carrier(window), tables(A)
-        a = o.encode(carrier)
-        b, c, complemented, radical_part, recomposed = decomposition_terms(o, a)
-        bad = np.flatnonzero(~(complemented & radical_part & (recomposed == a)))
-        if len(bad):
-            decompose_element(A, carrier[bad[0]])  # raises, naming what failed there
-        to_hoop = radical(A, window).to_hoop
-        ([b], skeleton), ((lo, hi), hoop) = distinct(o, b), distinct(o, o.join(o.neg(b), c), o.join(b, c))
-        return SimpleNamespace(skeleton=skeleton, hoop=[to_hoop(x) for x in hoop], b=b, lo=lo, hi=hi)
-
-    return memo(A, ("split-frame", window), build)
 
 
 # ---------------------------------------------------------------------------
 # Validation and the property suite
 
-def _pair_context(A, window: int) -> SimpleNamespace:
-    """The pairs the pair laws scan, with the positions of x·y, x ⊕ y, x ∧ y
-    and x ∨ y and the truth of x ≤ y (see pair_columns), and each element's
-    negation as a position, -1 outside the window; once per window."""
-    return memo(A, ("hyper-pairs", window), lambda: pair_columns(
-        A, A.carrier(window), HYPER_PAIR_CAP, SAMPLED_NOTE, ("times", "oplus", "meet", "join", "leq", "neg")))
+# The elements each part law reads; "induced" is the radical's image of its
+# hoop's window.
+_PARTS = {
+    "skeleton": lambda A, window: boolean_skeleton(A, window).elements,
+    "radical": lambda A, window: radical(A, window).elements,
+    "coradical": coradical,
+    "induced": lambda A, window: list(map(radical(A, window).from_hoop, radical(A, window).hoop.carrier(window))),
+}
+
+
+def _frame(A, window: int) -> SimpleNamespace:
+    """What the hyperstate laws read of A, once per (A, window), off one id
+    table set.  The window's pairs, with the positions of x·y, x ⊕ y, x ∧ y
+    and x ∨ y, the truth of x ≤ y, and each element's negation, -1 outside
+    the window (see pair_columns; ``elems`` is the window).  ``elements``:
+    the window, then each element of _PARTS outside it, in that order and
+    once; ``index`` their positions; ``parts`` and ``at`` the elements of
+    each part and their positions, never -1.  And the elements' split
+    triples as positions: ``b`` into ``skeleton`` and ``lo``, ``hi`` into
+    ``hoop``, which hold the distinct skeleton parts and hoop elements.  The
+    decomposition runs as term columns; at the first element where it fails,
+    decompose_element raises its error."""
+    def build() -> SimpleNamespace:
+        o, carrier = tables(A), A.carrier(window)
+        f = pair_columns(A, carrier, HYPER_PAIR_CAP, SAMPLED_NOTE, ("times", "oplus", "meet", "join", "leq", "neg"), o)
+        f.parts = {name: part(A, window) for name, part in _PARTS.items()}
+        f.elements = list(dict.fromkeys(chain(carrier, *f.parts.values())))
+        f.index = {a: k for k, a in enumerate(f.elements)}
+        f.at = {name: np.array([f.index[a] for a in part], dtype=np.intp) for name, part in f.parts.items()}
+        a = o.encode(f.elements)
+        b, c, complemented, radical_part, recomposed = decomposition_terms(o, a)
+        bad = np.flatnonzero(~(complemented & radical_part & (recomposed == a)))
+        if len(bad):
+            decompose_element(A, f.elements[bad[0]])  # raises, naming what failed there
+        to_hoop = radical(A, window).to_hoop
+        ([f.b], f.skeleton), ((f.lo, f.hi), hoop) = distinct(o, b), distinct(o, o.join(o.neg(b), c), o.join(b, c))
+        f.hoop = [to_hoop(x) for x in hoop]
+        return f
+
+    return memo(A, ("frame", window), build)
 
 
 class _Values:
-    """s over the window: ``s.table``, one (std, inf) row of integer
-    numerators per element over one denominator ``den`` (for the formula
-    form a gather over the frame); ``keys``, each row packed into one exact
-    integer (see packed), on which the laws compare sums, ``one`` the key of
-    1; and ``defects``, where a value lies outside the interval.  The
-    validators and the split keep it on s per (A, window)."""
+    """s on the frame (see _frame): ``s.table``, one (std, inf) row of
+    integer numerators per frame element over one denominator ``den``, the
+    window's rows first; ``keys``, each row packed into one exact integer
+    (see packed), on which the laws compare sums, ``one`` the key of 1; and
+    ``defects``, where a value lies outside the interval.  Every law reads
+    rows of this one table, and so do a formula's ``value`` and
+    ``raw_value``; the validators and the split keep it on s per (A,
+    window)."""
 
     def __init__(self, s, A, window: int):
-        self.s, self.A, self.window, self.index = s, A, window, _pair_context(A, window).index
+        self.A, self.frame = A, _frame(A, window)
         self.rows, self.den = s.table(A, window)
         self.keys, self.K = packed(self.rows, self.den)
         self.one = self.den * self.K
@@ -288,49 +291,32 @@ class _Values:
         std, inf = unpacked(key, self.K)
         return format_dual((Fraction(std, self.den), Fraction(inf, self.den)))
 
-    def raw(self, a) -> tuple[Fraction, Fraction]:
-        """s(a) as (std, inf), from its row when a is in the window."""
-        k = self.index.get(a)
-        return self.s.raw_value(a) if k is None else (Fraction(self.cells[k][0], self.den),
-                                                      Fraction(self.cells[k][1], self.den))
+    def position(self, a) -> int:
+        k = self.frame.index.get(a)
+        if k is None:
+            raise MalformedInputError(f"hyperstate has no value for element {a!r}")
+        return k
 
-    def column(self, name: str, part: int) -> tuple[np.ndarray, int]:
+    def raw(self, a) -> tuple[Fraction, Fraction]:
+        """s(a) as (std, inf), from its row."""
+        std, inf = self.cells[self.position(a)]
+        return Fraction(std, self.den), Fraction(inf, self.den)
+
+    def column(self, name: str, part: int) -> np.ndarray:
         """Part ``part`` (0 standard, 1 infinitesimal) of s at the elements
-        ``name`` (see _positions), one column of the rows, or of exact_table
-        when one lies outside the window."""
-        elements, at = _positions(self.A, self.window, name)
-        if (at >= 0).all():
-            return self.rows[:, part].take(at), self.den
-        col, den = exact_table([(self.raw(a)[part],) for a in elements])
-        return col.reshape(-1), den
+        ``name`` of _PARTS, one column of the rows over ``den``."""
+        return self.rows[:, part].take(self.frame.at[name])
 
 
 def _values(A, s, window: int) -> _Values:
     return memo(s, ("values", A, window), lambda: _Values(s, A, window))
 
 
-_PARTS = {
-    "skeleton": lambda A, window: boolean_skeleton(A, window).elements,
-    "radical": lambda A, window: radical(A, window).elements,
-    "coradical": coradical,
-    "induced": lambda A, window: list(map(radical(A, window).from_hoop, radical(A, window).hoop.carrier(window))),
-}
-
-
-def _positions(A, window: int, name: str) -> tuple[list, np.ndarray]:
-    """The elements ``name`` of _PARTS, which a part law reads ("induced" is
-    the radical's image of its hoop's window), and their positions in the
-    window, -1 outside it, kept on the pair context."""
-    ctx = _pair_context(A, window)
-    elements = memo(ctx, name, lambda: _PARTS[name](A, window))
-    return elements, memo(ctx, (name, "at"), lambda: np.array([ctx.index.get(a, -1) for a in elements], dtype=np.intp))
-
-
 def _part_law(v: _Values, axiom: str, name: str, part: int, want, mode: str):
     """The check that part ``part`` of s is ``want`` at each of the elements ``name``."""
-    (col, den), (elements, _) = v.column(name, part), _positions(v.A, v.window, name)
+    elements = v.frame.parts[name]
     return masked_verdict(
-        axiom, col != want * den,
+        axiom, v.column(name, part) != want * v.den,
         lambda k: {"witness": {"x": v.A.token(elements[k])}, "value": format_dual(v.raw(elements[k]))}, mode,
     )
 
@@ -338,24 +324,26 @@ def _part_law(v: _Values, axiom: str, name: str, part: int, want, mode: str):
 def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
     """Boundary values, pair additivity, and standard-valued skeleton.
 
-    A map that is not total on the window carrier raises; a value outside
-    the lexicographic interval is a failed check, because for the formula
-    form that is a fact about the (p, w) pair, not about the input file.
+    A map that is not total on the frame (see _frame: the window, then any
+    skeleton, radical, coradical or induced element outside it) raises when
+    its table is read; a value outside the lexicographic interval is a
+    failed check, because for the formula form that is a fact about the
+    (p, w) pair, not about the input file.
     """
     require_ibp0(A, window)
     report = ValidationReport(subject="hyperstate")
     mode = scan_mode(A, window)
-    ctx = _pair_context(A, window)
     v = _values(A, s, window)
-    V = v.keys
+    ctx, V = v.frame, v.keys
 
     report.add(masked_verdict(
-        "codomain", v.defects, lambda k: {"witness": {"x": A.token(ctx.elems[k])}, "value": v.dual(V[k])}, mode
+        "codomain", v.defects[:len(ctx.elems)],
+        lambda k: {"witness": {"x": A.token(ctx.elems[k])}, "value": v.dual(V[k])}, mode
     ))
 
     ends = ((A.top, v.one), (A.bot, 0))
     bad = [{"witness": {"x": A.token(e)}, "lhs": v.dual(got), "rhs": v.dual(want)}
-           for e, want in ends if (got := V[v.index[e]]) != want]
+           for e, want in ends if (got := V[ctx.index[e]]) != want]
     report.add(verdict("boundary-values", bad, mode=mode))
 
     inside = (ctx.times >= 0) & (ctx.oplus >= 0)
@@ -377,15 +365,15 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     require_ibp0(A, window)
     report = ValidationReport(subject="hyperstate-properties")
     mode = scan_mode(A, window)
-    ctx = _pair_context(A, window)
     v = _values(A, s, window)
-    V, one = v.keys, v.one
-    if v.defects.any():
-        defect = interval_defect(*v.raw(ctx.elems[v.defects.argmax()]))
+    ctx, V, one = v.frame, v.keys, v.one
+    n = len(ctx.elems)  # the window's rows come first
+    if v.defects[:n].any():
+        defect = interval_defect(*v.raw(ctx.elems[v.defects[:n].argmax()]))
         raise PreconditionError(f"not a hyperstate on this window: {defect}")
 
     # Each side below is a key or a sum of two, compared exactly (see packed).
-    got, want = V.take(ctx.neg), one - V
+    got, want = V.take(ctx.neg), one - V[:n]
     skipped = np.count_nonzero(ctx.neg < 0)
     report.add(masked_verdict(
         "negation-law", (ctx.neg >= 0) & (got != want),
@@ -414,18 +402,18 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     sk = boolean_skeleton(A, window)
     restriction = ProbabilityMeasure(sk, [v.raw(atom)[0] for atom in sk.atoms])
     report.merge(validate_probability(sk, restriction), prefix="measure-")
-    bad = [
-        {"witness": {"x": A.token(b)}, "lhs": format_dual(got), "rhs": format_dual(want)}
-        for b in sk.elements
-        if (got := v.raw(b)) != (want := (restriction.value(b), Fraction(0)))
-    ]
-    report.add(verdict("skeleton-restriction", bad, mode=mode))
+    (got, want), den = over_lcm([(v.column("skeleton", 0), v.den), restriction.column(sk.elements)])
+    report.add(masked_verdict(
+        "skeleton-restriction", (got != want) | (v.column("skeleton", 1) != 0),
+        lambda k: {"witness": {"x": A.token(sk.elements[k])}, "lhs": format_dual(v.raw(sk.elements[k])),
+                   "rhs": format_dual((Fraction(int(want[k]), den), Fraction(0)))}, mode,
+    ))
 
     report.add(_part_law(v, "radical-standard-part", "radical", 0, 1, mode))
     report.add(_part_law(v, "coradical-standard-part", "coradical", 0, 0, mode))
 
     # The induced state is the infinitesimal part of s along the radical.
-    report.merge(state_laws(radical(A, window).hoop, *v.column("induced", 1), window), prefix="induced-")
+    report.merge(state_laws(radical(A, window).hoop, v.column("induced", 1), v.den, window), prefix="induced-")
     return report
 
 
@@ -447,9 +435,10 @@ class SplitResult:
 def split_hyperstate(A, s, window: int = 8) -> SplitResult:
     """Read p off the skeleton atoms and the weights of w off the radical's
     weight generators, then verify that s agrees with the split identity,
-    evaluated by FormulaHyperstate, at every window element: s's window
-    table against the formula's, in one exact comparison.  A finite radical
-    axis takes the zero state, its only state.
+    evaluated by FormulaHyperstate, at every window element: the window
+    rows of s's table against the formula's, in one exact comparison.  s
+    must have a value at every frame element (see _frame), as for the
+    validators.  A finite radical axis takes the zero state, its only state.
 
     A violation raises: for a map that passed validation this identity is
     forced, so a nonzero residual means the input lied about its structure
@@ -475,14 +464,13 @@ def _split(A, s, window: int) -> SplitResult:
     lam = [-v.raw(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)]
     w = weighted_state(rad.hoop, lam)
     formula = FormulaHyperstate(A, p, w, window)
-    got, (want, den) = v.rows, formula.table(A, window)
-    if den != v.den:  # both tables are in lowest terms, so equal ones share den
-        (got, want), _ = over_lcm([(got, v.den), (want, den)])
+    carrier = v.frame.elems
+    want, den = formula.table(A, window)
+    (got, want), _ = over_lcm([(v.rows[:len(carrier)], v.den), (want[:len(carrier)], den)])
     bad = np.flatnonzero((got != want).any(axis=1))
-    carrier = A.carrier(window)
     if len(bad):
         a = carrier[bad[0]]
-        raise InternalConsistencyError(f"split identity fails at {A.token(a)}: s = {format_dual(s.raw_value(a))}, "
+        raise InternalConsistencyError(f"split identity fails at {A.token(a)}: s = {format_dual(v.raw(a))}, "
                                        f"split gives {format_dual(formula.raw_value(a))}")
     return SplitResult(p=p, w=w, scanned=len(carrier))
 

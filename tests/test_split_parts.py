@@ -1,22 +1,26 @@
 """The split identity's algebra-only parts, kept once per algebra.
 
-``FormulaHyperstate`` reads each element's skeleton part and the two hoop
-elements of its radical part from one map per (A, window), and
-``ProbabilityMeasure.value`` sums weights at atom indices kept once per
-skeleton.  The reference below is the plain evaluation: a fresh
-``decompose_element`` and an ``A.leq`` test per atom on every call.  The two
-must give the same (std, inf) at every element read, for the pairs of the
-generated family (one large family strided), with every pair of a family
-sharing one algebra object.  The window table of each hyperstate form (a
-gather over the frame for the formula) must equal the reference read into
-exact_table, in numerators, denominator and dtype, and the split, which
-compares two such tables, must report the first differing element as the
-per-element loop did.
+``states`` keeps one frame per (A, window): the window, then the skeleton,
+radical, coradical and induced elements outside it, with each element's
+skeleton part and the two hoop elements of its radical part as positions.
+A ``FormulaHyperstate``'s table is a gather over that frame, and its
+``value`` and ``raw_value`` read rows of the table, with no per-element
+decomposition; ``ProbabilityMeasure.value`` sums weights at atom indices
+kept once per skeleton.  The reference below is the plain evaluation: a
+fresh ``decompose_element`` and an ``A.leq`` test per atom on every call.
+The two must give the same (std, inf) at every frame element, for the pairs
+of the generated family (one large family strided), with every pair of a
+family sharing one algebra object.  The table of each hyperstate form must
+equal the reference read into exact_table over the frame's elements, in
+numerators, denominator and dtype, and the split, which compares two such
+tables, must report the first differing element as the per-element loop
+did.  An element outside the frame has no value in either form.
 A failure must never be stored: a decomposition that raises raises on every
 read, and ``state_to_kgroup_state`` raises on a bad state however many good
 ones it has seen on the same hoop.
 """
 
+import re
 from collections import Counter
 from fractions import Fraction as F
 
@@ -36,12 +40,14 @@ from ellstates.corpus import (
     measure_family,
 )
 from ellstates.hypernum import DualRational, _rat, format_dual, interval_defect
-from ellstates.ibp0 import ProductAlgebra, boolean_skeleton, radical
+from ellstates.ibp0 import ProductAlgebra, boolean_skeleton, coradical, radical
 from ellstates.reports import InternalConsistencyError, MalformedInputError
 from ellstates.semihoop import (
     ConeState,
+    ProductState,
     TableState,
     state_to_kgroup_state,
+    state_weights,
     weight_generators,
     weighted_state,
     zero_state,
@@ -59,9 +65,9 @@ from ellstates.states import (
 
 WINDOW = 8
 # This module's own algebra objects, so that the first FormulaHyperstate on
-# each finds its split map empty.
+# each builds its frame.
 SUBJECTS = {**ibp0_corpus(), **hyperstate_product_corpus()}
-# chang-1*chang-2 has 832 pairs over 872 elements; at about 0.14 ms per
+# chang-1*chang-2 has 832 pairs over 972 frame elements; at about 0.14 ms per
 # reference value the whole family would take two minutes, so its pairs are
 # strided.  Every other family is read in full.
 PAIR_CAP = {"chang-1*chang-2": 8}
@@ -76,13 +82,21 @@ def ref_raw_value(A, p, w, window, a):
     return std, _rat(w.value(lo)) - _rat(w.value(hi))
 
 
+def frame_elements(A, window=WINDOW) -> list:
+    """The window, then each skeleton, radical, coradical and induced element
+    outside it, once each, read from ibp0 directly."""
+    rad = radical(A, window)
+    parts = (boolean_skeleton(A, window).elements, rad.elements, coradical(A, window),
+             [rad.from_hoop(h) for h in rad.hoop.carrier(window)])
+    return list(dict.fromkeys(A.carrier(window) + [a for part in parts for a in part]))
+
+
 @pytest.mark.parametrize("name", list(SUBJECTS))
 def test_formula_agrees_with_a_fresh_evaluation(name, monkeypatch):
     A = SUBJECTS[name]
-    rad = radical(A, WINDOW)
     window = A.carrier(WINDOW)
     # Radical elements reach past a product's capped window.
-    elements = list(dict.fromkeys(window + [rad.from_hoop(h) for h in rad.hoop.carrier(WINDOW)]))
+    elements = frame_elements(A)
     if name == "chang-1*chang-2":
         assert len(elements) > len(window)
 
@@ -99,8 +113,9 @@ def test_formula_agrees_with_a_fresh_evaluation(name, monkeypatch):
         s = FormulaHyperstate(A, p, w, WINDOW)
         for a in elements:
             assert s.raw_value(a) == ref_raw_value(A, p, w, WINDOW, a), A.token(a)
-    # Every pair after the first read the decompositions the first stored.
-    assert sorted(map(A.token, calls)) == sorted(map(A.token, elements))
+    # No per-element decomposition: every value is a row of the frame's table.
+    assert calls == []
+    assert states._frame(A, WINDOW).elements == elements
 
 
 def test_measure_values_agree_on_the_skeleton_and_refuse_the_rest():
@@ -117,32 +132,59 @@ def test_measure_values_agree_on_the_skeleton_and_refuse_the_rest():
                     p.value(a)
 
 
+def plant_recomposition_failure(monkeypatch, A, victim) -> None:
+    """Plant a failure in the decomposition terms, which the frame and
+    decompose_element share: the victim no longer recomposes, on one element
+    or in a column.  ``monkeypatch.undo()`` takes it out."""
+    real = ibp0.decomposition_terms
+
+    def planted(o, a):
+        *parts, recomposed = real(o, a)
+        if o is A:
+            return (*parts, A.top if a == victim else recomposed)
+        return (*parts, np.where(a == o.encode([victim])[0], -1, recomposed))
+
+    for module in (states, ibp0):
+        monkeypatch.setattr(module, "decomposition_terms", planted)
+
+
 def test_a_failed_decomposition_is_never_stored(monkeypatch):
+    # The frame decomposes all its elements at once, so a failure at one
+    # raises on every read of any element, by every instance on the algebra;
+    # once the decomposition succeeds, every element is served.
     A = chang_algebra(1)
     carrier = A.carrier(WINDOW)
-    victim = carrier[len(carrier) // 2]
-
-    def planted(B, a):
-        if a == victim:
-            raise InternalConsistencyError(f"planted failure at {B.token(a)}")
-        return ibp0.decompose_element(B, a)
-
-    monkeypatch.setattr(states, "decompose_element", planted)
+    victim = carrier[len(carrier) // 2 + 1]  # pos(1): the plant recomposes it to top
+    plant_recomposition_failure(monkeypatch, A, victim)
     p = measure_family(boolean_skeleton(A, WINDOW))[0]
-    s = FormulaHyperstate(A, p, ConeState([1]), WINDOW)
-    others = [a for a in carrier if a != victim]
-    for a in others:
-        s.raw_value(a)
-    for _ in range(2):
-        with pytest.raises(InternalConsistencyError, match="planted failure"):
-            s.raw_value(victim)
-    t = FormulaHyperstate(A, p, ConeState([2]), WINDOW)
-    with pytest.raises(InternalConsistencyError, match="planted failure"):
-        t.raw_value(victim)
-    assert t.raw_value(others[0]) == ref_raw_value(A, p, ConeState([2]), WINDOW, others[0])
-    # Once the decomposition succeeds, the victim is served like any element.
-    monkeypatch.setattr(states, "decompose_element", ibp0.decompose_element)
-    assert t.raw_value(victim) == ref_raw_value(A, p, ConeState([2]), WINDOW, victim)
+    s, t = (FormulaHyperstate(A, p, ConeState([lam]), WINDOW) for lam in (1, 2))
+    failure = re.escape(f"does not recompose: a = {A.token(victim)}, got {A.token(A.top)}")
+    for u in (s, t):
+        for read in (u.raw_value, u.value):
+            for a in (victim, carrier[0], victim):
+                with pytest.raises(InternalConsistencyError, match=failure):
+                    read(a)
+    monkeypatch.undo()
+    for a in carrier:
+        assert t.raw_value(a) == ref_raw_value(A, p, ConeState([2]), WINDOW, a)
+
+
+def test_both_forms_refuse_an_element_outside_the_frame():
+    # Values exist on the frame's elements only: past it, the formula and
+    # the table form raise the same error.
+    A = chang_algebra(1)
+    p, w = measure_family(boolean_skeleton(A, WINDOW))[0], ConeState([2])
+    s = FormulaHyperstate(A, p, w, WINDOW)
+    elements = frame_elements(A)
+    t = TableHyperstate({a: s.value(a) for a in elements})
+    outside = ("pos", (9,))
+    assert outside not in elements
+    for u in (s, t):
+        assert [u.raw_value(a) for a in elements] == [ref_raw_value(A, p, w, WINDOW, a) for a in elements]
+        for read in (u.value, u.raw_value):
+            with pytest.raises(MalformedInputError) as refused:
+                read(outside)
+            assert str(refused.value) == f"hyperstate has no value for element {outside!r}"
 
 
 def sigma_raise(H, w, window):
@@ -177,15 +219,15 @@ def form(table: tuple) -> tuple:
 
 
 def assert_tables_agree(A, p, w, window=WINDOW) -> FormulaHyperstate:
-    """Both forms' window tables equal the reference read into exact_table:
-    the same numerators, denominator and dtype."""
-    carrier = A.carrier(window)
-    ref = [ref_raw_value(A, p, w, window, a) for a in carrier]
+    """Both forms' tables equal the reference over the frame's elements read
+    into exact_table: the same numerators, denominator and dtype."""
+    elements = frame_elements(A, window)
+    ref = [ref_raw_value(A, p, w, window, a) for a in elements]
     expected = form(exact_table(ref))
     s = FormulaHyperstate(A, p, w, window)
     assert form(s.table(A, window)) == expected
-    table = TableHyperstate({a: DualRational(*r) for a, r in zip(carrier, ref) if not interval_defect(*r)})
-    if len(table.items()) == len(carrier):
+    table = TableHyperstate({a: DualRational(*r) for a, r in zip(elements, ref) if not interval_defect(*r)})
+    if len(table.items()) == len(elements):
         assert form(table.table(A, window)) == expected
     return s
 
@@ -295,20 +337,9 @@ def test_a_split_that_fails_names_the_first_differing_element(lam):
 
 def test_a_failed_decomposition_raises_on_every_table_read(monkeypatch):
     # The frame runs the decomposition as term columns over the id tables, so
-    # the failure is planted in the terms, which decompose_element shares:
-    # the victim no longer recomposes, on one element or in a column.
+    # the failure is planted in the terms, which decompose_element shares.
     A = chang_algebra(1)
-    victim = A.carrier(WINDOW)[3]
-    real = ibp0.decomposition_terms
-
-    def planted(o, a):
-        *parts, recomposed = real(o, a)
-        if o is A:
-            return (*parts, A.top if a == victim else recomposed)
-        return (*parts, np.where(a == o.encode([victim])[0], -1, recomposed))
-
-    for module in (states, ibp0):
-        monkeypatch.setattr(module, "decomposition_terms", planted)
+    plant_recomposition_failure(monkeypatch, A, A.carrier(WINDOW)[3])
     p = measure_family(boolean_skeleton(A, WINDOW))[0]
     s = FormulaHyperstate(A, p, ConeState([1]), WINDOW)
     for read in (lambda: s.table(A, WINDOW), lambda: join_hyperstate(A, p, ConeState([1]), WINDOW),
@@ -317,29 +348,49 @@ def test_a_failed_decomposition_raises_on_every_table_read(monkeypatch):
         for _ in range(2):
             with pytest.raises(InternalConsistencyError, match=r"does not recompose: a = neg\(3\), got pos\(0\)"):
                 read()
-    for module in (states, ibp0):
-        monkeypatch.setattr(module, "decomposition_terms", real)
+    monkeypatch.undo()
     assert validate_hyperstate(A, s, WINDOW).ok
 
 
-def test_join_split_properties_read_the_frame_not_each_element(monkeypatch):
-    # After one warm join, a new (p, w) reads no decomposition and no
-    # per-element value: w is read as one column by each of the two
-    # formulas (the join's and the split's) and by the envelope state; the
-    # properties, the induced state among them, and s.value read only the
-    # table.  A fall-back to per-element evaluation would read raw_value at
-    # each of the 162 window elements, or w.value at each of the 81 hoop
-    # elements, or build the induced state as a TableState.  s.value builds
-    # each value from its row, with no interval check of its own and no
-    # Fraction pair.  Weights past int64 take the same path, in Python ints.
-    # The properties of the first pair keep the window positions of the
-    # induced state, mapping each hoop element once through from_hoop; the
-    # second pair's read them, and no law stacks (std, inf) rows.
-    A = chang_algebra(2)
+def guarded_pairs(name: str) -> tuple:
+    """An algebra, the pair of its warm join, and the pairs read after it:
+    chang-2 and chang-1*chang-2 with a family pair and one whose weights
+    take the tables past int64, and B16 x B16 with a second measure."""
+    if name == "B16xB16":
+        A, sk = capped_boolean_square()
+        w = zero_state(radical(A, WINDOW).hoop)
+        return A, (ProbabilityMeasure(sk, {"0": 1}), w), [(ProbabilityMeasure(sk, [F(1, 8)] * 8), w)]
+    A = chang_algebra(2) if name == "chang-2" else SUBJECTS[name]
     family = hyperstate_family(A, WINDOW)
-    join_hyperstate(A, *family[0], WINDOW)
-    hoop = len(radical(A, WINDOW).hoop.carrier(WINDOW))
-    assert (len(A.carrier(WINDOW)), hoop) == (162, 81)
+    p, w = family[-1]
+    hoop = radical(A, WINDOW).hoop
+    wide = [F(1, 2**61 - 1), F(1, 2**31 - 1), F(1, 3)][:len(state_weights(w))]
+    return A, family[0], [(p, w), (p, weighted_state(hoop, wide))]
+
+
+@pytest.mark.parametrize("name", ["chang-2", "chang-1*chang-2", "B16xB16"])
+def test_join_split_properties_read_the_frame_not_each_element(name, monkeypatch):
+    # After one warm join, a new (p, w) reads no decomposition and no
+    # per-element value of w: w is read as one column by each of the two
+    # formulas (the join's and the split's) and by the envelope state; the
+    # properties, the induced state among them, and s.value and s.raw_value
+    # at every frame element read only the table.  A fall-back to
+    # per-element evaluation would decompose elements, or read w.value at
+    # each hoop element, or build the induced state as a TableState.
+    # s.value builds each value from its row, with no interval check of its
+    # own and no Fraction pair.  Weights past int64 take the same path, in
+    # Python ints.  The warm join builds the frame, the induced state's
+    # positions among it, so no law maps a hoop element through from_hoop,
+    # and no law stacks (std, inf) rows.  The products read skeleton,
+    # radical, coradical and induced elements outside the window.
+    A, warm, pairs = guarded_pairs(name)
+    join_hyperstate(A, *warm, WINDOW)
+    elements = frame_elements(A)
+    if name == "chang-2":
+        hoop = len(radical(A, WINDOW).hoop.carrier(WINDOW))
+        assert (len(A.carrier(WINDOW)), hoop, len(elements)) == (162, 81, 162)
+    else:
+        assert len(elements) > len(A.carrier(WINDOW))
 
     calls, reads, laws = Counter(), Counter(), Counter()
 
@@ -352,28 +403,35 @@ def test_join_split_properties_read_the_frame_not_each_element(monkeypatch):
 
         monkeypatch.setattr(owner, name, spy)
 
-    counted(FormulaHyperstate, "raw_value")
     counted(states, "decompose_element")
-    counted(ConeState, "value")
+    for state in (ConeState, ProductState, TableState):
+        counted(state, "value")
     counted(TableState, "__init__")
     counted(hypernum, "_defect", reads)
     counted(states, "interval_defect", reads)
     counted(states._Values, "raw", reads)
     counted(radical(A, WINDOW), "from_hoop", laws)
     counted(np, "stack", laws)
-    p, w = family[-1]
-    for k, w in enumerate((w, ConeState([F(1, 2**61 - 1), F(1, 2**31 - 1)]))):
+    for p, w in pairs:
         s, report = join_hyperstate(A, p, w, WINDOW)
         assert report.ok and calls == {}
+        assert validate_hyperstate(A, s, WINDOW).ok and calls == {}
         split_hyperstate(A, s, WINDOW)
-        assert calls == {}
+        # B16 x B16's radical has two finite factors, so its split's w is the
+        # zero state, one TableState per factor.
+        assert calls == ({"__init__": 2} if name == "B16xB16" else {})
+        calls.clear()
         laws.clear()
         assert hyperstate_properties(A, s, WINDOW).ok and calls == {}
-        assert laws == ({"from_hoop": hoop} if k == 0 else {})
-        cancellative_form(A, s, WINDOW)
-        assert calls == {}
+        assert laws == {}
+        if name == "chang-2":
+            cancellative_form(A, s, WINDOW)
+            assert calls == {}
         reads.clear()
-        for a in A.carrier(WINDOW):
+        for a in elements:
             s.value(a)
         assert calls == {} and reads == {}
-    assert s.table(A, WINDOW)[0].dtype == object
+        for a in elements:
+            s.raw_value(a)
+        assert calls == {}
+    assert s.table(A, WINDOW)[0].dtype == (np.int64 if name == "B16xB16" else object)

@@ -24,7 +24,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ellstates import semihoop, states
-from ellstates._scan import INT64_MAX, exact_table, lowest, packed, sampled_note, scan_mode, stride_select, unpacked
+from ellstates._scan import (INT64_MAX, exact_table, integers, lowest, packed, sampled_note, scan_mode, stride_select,
+                              unpacked)
 from ellstates.corpus import (
     chang_algebra,
     cone_hoop,
@@ -363,17 +364,21 @@ def assert_sigma_agrees(H, w, window=WINDOW):
 
 @pytest.fixture
 def dtypes(monkeypatch):
-    """The dtype of every table that exact_table reads for states and semihoop
-    in the test; a table put in form by lowest does not pass through it."""
+    """The dtype of every table that exact_table reads for semihoop, and of
+    every integer column states reads its measures into, in the test; a
+    table put in form by lowest does not pass through either."""
     seen = []
 
-    def spy(rows, terms=2):
-        table, den = exact_table(rows, terms)
-        seen.append(table.dtype)
-        return table, den
+    def spied(real):
+        def spy(rows, terms=2):
+            out = real(rows, terms)
+            seen.append((out[0] if isinstance(out, tuple) else out).dtype)
+            return out
 
-    for module in (states, semihoop):
-        monkeypatch.setattr(module, "exact_table", spy)
+        return spy
+
+    monkeypatch.setattr(states, "integers", spied(integers))
+    monkeypatch.setattr(semihoop, "exact_table", spied(exact_table))
     return seen
 
 
@@ -397,8 +402,9 @@ class RawValues:
         return self.raw[a]
 
     def table(self, A, window):
-        """The window table of any raw-value map: its values read into exact_table."""
-        return exact_table([self.raw_value(a) for a in A.carrier(window)])
+        """The table of any raw-value map: its values at the frame's elements
+        read into exact_table."""
+        return exact_table([self.raw_value(a) for a in states._frame(A, window).elements])
 
 
 def perturbed(A, s, every: int) -> TableHyperstate:
