@@ -53,7 +53,6 @@ from .corpus import (
     ibp0_corpus,
     lmonoid_corpus,
     lukasiewicz_mtl,
-    materialize_hoop,
     semihoop_corpus,
 )
 from .ibp0 import (
@@ -452,10 +451,7 @@ def _run_states(args) -> tuple[str, list[Check], dict]:
     checks = list(report.checks)
     if args.state is None:
         if H.is_finite:
-            # Elimination on one flat table proves the zero state is the only
-            # one; a product writes it in its weight-vector form, [].
-            flat = H if isinstance(H, FiniteSemihoop) else materialize_hoop(H)
-            found = [w if flat is H else weighted_state(H, []) for w in enumerate_states_finite(flat)]
+            found = enumerate_states_finite(H)
             result: dict[str, Any] = {
                 "count": len(found),
                 "states": [state_to_json(w) for w in found],

@@ -216,9 +216,9 @@ def state_family(hoop, lambdas=LAMBDA_MENU) -> list:
     """The weighted state of every weight vector drawn from the menu.
 
     One state per vector in ``itertools.product`` order over the cone axes,
-    factor by factor; finite axes take the zero state, which
-    enumerate_states_finite proves is their only one, so a finite hoop has
-    exactly one state here.
+    factor by factor; finite axes take the zero state, their only one since
+    every squaring orbit there repeats (see enumerate_states_finite), so a
+    finite hoop has exactly one state here.
     """
     return [
         weighted_state(hoop, lam)

@@ -323,7 +323,7 @@ def _boolean_skeleton(A, window: int) -> Skeleton:
     report = ValidationReport(subject="skeleton")
     mode = scan_mode(A, window)
     # Every pair of the finite skeleton; a result of -1 has left it.
-    pairs = pair_columns(A, elements, len(elements), "", ("times", "oplus", "meet", "join", "leq", "neg"))
+    pairs = pair_columns(A, elements, len(elements), "", ("times", "oplus", "meet", "join", "leq", "neg"), o)
 
     def pair(k: int) -> dict:
         return {"witness": {"x": A.token(elements[pairs.x[k]]), "y": A.token(elements[pairs.y[k]])}}

@@ -421,49 +421,17 @@ def state_properties(H, w, window: int = 8) -> ValidationReport:
     return report
 
 
-def enumerate_states_finite(H: FiniteSemihoop) -> list[TableState]:
-    """All states of a finite semihoop, by solving (v1)+(v2) exactly.
+def enumerate_states_finite(H) -> list:
+    """All states of a finite semihoop, or of a finite product of them: the
+    zero state alone, in :func:`weighted_state`'s form.
 
-    The linear system over the rationals already pins every coordinate to
-    zero: following x, x·x, (x·x)·(x·x), ... around its eventual cycle
-    multiplies w(x) by powers of two that must agree, so w(x) = 0.
-    Elimination therefore has to find a null space of dimension 0, and the
-    guard below is a sanity check on the elimination itself.
+    Proof.  By (v2), w(x·x) = 2·w(x), so along the squaring orbit x, x², (x²)²,
+    … the values are w(x), 2w(x), 4w(x), ….  A finite carrier makes the orbit
+    repeat, x_i = x_j with i < j, so 2^i·w(x) = 2^j·w(x) and w(x) = 0.
     """
     if not getattr(H, "is_finite", False):
         raise MalformedInputError("state enumeration needs a finite carrier")
-    n = H.size
-    rows = []
-    unit_row = [Fraction(0)] * n
-    unit_row[H.top] = Fraction(1)
-    rows.append(unit_row)
-    for x, y in product(range(n), repeat=2):
-        row = [Fraction(0)] * n
-        row[H.times(x, y)] += 1
-        row[x] -= 1
-        row[y] -= 1
-        if any(row):
-            rows.append(row)
-
-    rank = 0
-    for col in range(n):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = Fraction(1) / rows[rank][col]
-        rows[rank] = [v * inv for v in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                factor = rows[r][col]
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-
-    if rank != n:
-        raise InternalConsistencyError(
-            f"state space has dimension {n - rank} > 0; the input violates the semihoop laws"
-        )
-    return [TableState({x: Fraction(0) for x in range(n)})]
+    return [weighted_state(H, [])]
 
 
 # ---------------------------------------------------------------------------

@@ -247,7 +247,8 @@ def _frame(A, window: int) -> SimpleNamespace:
     triples as positions: ``b`` into ``skeleton`` and ``lo``, ``hi`` into
     ``hoop``, which hold the distinct skeleton parts and hoop elements.  The
     decomposition runs as term columns; at the first element where it fails,
-    decompose_element raises its error."""
+    decompose_element raises its error, or, if its scalar terms pass there,
+    the frame raises that the two disagree."""
     def build() -> SimpleNamespace:
         o, carrier = tables(A), A.carrier(window)
         f = pair_columns(A, carrier, HYPER_PAIR_CAP, SAMPLED_NOTE, ("times", "oplus", "meet", "join", "leq", "neg"), o)
@@ -259,7 +260,9 @@ def _frame(A, window: int) -> SimpleNamespace:
         b, c, complemented, radical_part, recomposed = decomposition_terms(o, a)
         bad = np.flatnonzero(~(complemented & radical_part & (recomposed == a)))
         if len(bad):
-            decompose_element(A, f.elements[bad[0]])  # raises, naming what failed there
+            x = f.elements[bad[0]]
+            decompose_element(A, x)  # raises, naming what failed there
+            raise InternalConsistencyError(f"decomposition columns and scalar terms disagree at a = {A.token(x)}")
         to_hoop = radical(A, window).to_hoop
         ([f.b], f.skeleton), ((f.lo, f.hi), hoop) = distinct(o, b), distinct(o, o.join(o.neg(b), c), o.join(b, c))
         f.hoop = [to_hoop(x) for x in hoop]

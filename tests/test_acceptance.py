@@ -45,6 +45,7 @@ from ellstates.semihoop import (
     enumerate_states_finite,
     pseudo_join,
     state_to_kgroup_state,
+    validate_state,
 )
 from ellstates.states import (
     cancellative_form,
@@ -171,6 +172,15 @@ def test_criterion_04_state_triviality():
         found = enumerate_states_finite(H)
         assert len(found) == 1, name
         assert all(found[0].value(x) == 0 for x in H.carrier(8)), name
+        # The proof behind the zero state: every squaring orbit x, x², (x²)², …
+        # repeats, so w(x) = 2^i·w(x) for some i > 0; and the zero map is a state.
+        carrier = H.carrier(8)
+        for x in carrier:
+            orbit = [x]
+            while len(orbit) <= len(carrier) and orbit[-1] not in orbit[:-1]:
+                orbit.append(H.times(orbit[-1], orbit[-1]))
+            assert orbit[-1] in orbit[:-1], (name, x)
+        assert validate_state(H, found[0]).ok, name
     _verdict(4, f"{len(corpus)} finite semihoops, zero state only")
 
 

@@ -470,15 +470,17 @@ class TestVerbs:
             assert code == 2 and err
 
     def test_states_of_a_finite_product(self, tmp_path, capsys):
-        path = tmp_path / "hoops.json"
-        path.write_text(json.dumps({"kind": "product", "factors": [algebra_to_json(godel_hoop(n)) for n in (2, 3)]}))
-        code, body, _ = run(capsys, "states", str(path))
-        assert code == 0
-        assert body["result"] == {"count": 1, "states": [{"lambda": []}]}
-        state = tmp_path / "state.json"
-        state.write_text(json.dumps(body["result"]["states"][0]))
-        code, body, _ = run(capsys, "states", str(path), str(state))
-        assert code == 0 and "v2-additive" in [c["axiom"] for c in body["checks"]]
+        # 900 elements: the verb reads a product's state off its factors, never one flat table.
+        for sizes in ((2, 3), (30, 30)):
+            path = tmp_path / "hoops.json"
+            path.write_text(json.dumps({"kind": "product", "factors": [algebra_to_json(godel_hoop(n)) for n in sizes]}))
+            code, body, _ = run(capsys, "states", str(path))
+            assert code == 0, sizes
+            assert body["result"] == {"count": 1, "states": [{"lambda": []}]}, sizes
+            state = tmp_path / "state.json"
+            state.write_text(json.dumps(body["result"]["states"][0]))
+            code, body, _ = run(capsys, "states", str(path), str(state))
+            assert code == 0 and "v2-additive" in [c["axiom"] for c in body["checks"]], sizes
 
     def test_grothendieck_trivial_envelope(self, corpus_dir, capsys):
         code, body, _ = run(

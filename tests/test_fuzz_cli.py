@@ -20,7 +20,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from ellstates.cli import corpus_files, main
+from ellstates.cli import algebra_to_json, corpus_files, main
+from ellstates.corpus import godel_hoop, lukasiewicz_hoop
 
 # The mutated file, and the argv that reads it ("{}" is its path).
 TARGETS = {
@@ -128,6 +129,12 @@ LARGE_RANKS = [
     (["validate", "{}"], '{"kind": "rotation", "rank": 1000000000000000000000000000000}'),
 ]
 
+# Finite hoops whose states once took 26 s, or ended in a MemoryError.
+OVER_BUDGET = [
+    (["states", "{}"], json.dumps({"kind": "product", "factors": [algebra_to_json(godel_hoop(30))] * 2})),
+    (["states", "{}"], json.dumps(algebra_to_json(lukasiewicz_hoop(150)))),
+]
+
 # A bounded algebra whose radical is empty: top = bot.
 ONE_ELEMENT = {"size": 1, "times": [[0]], "impl": [[0]], "meet": [[0]], "join": [[0]], "bot": 0, "top": 0}
 
@@ -140,6 +147,8 @@ ONE_ELEMENT = {"size": 1, "times": [[0]], "impl": [[0]], "meet": [[0]], "join": 
 @example(case=LARGE_RANKS[2])
 @example(case=LARGE_RANKS[3])
 @example(case=LARGE_RANKS[4])
+@example(case=OVER_BUDGET[0])
+@example(case=OVER_BUDGET[1])
 @example(case=(["validate", "{}"], '{"kind": "product", "factors": [{"kind": "rotation", "rank": 1000000000}]}'))
 @example(case=(["validate", "{}"], '{"kind": "cone", "rank": ' + HUGE_TEXT + "}"))
 @example(case=(["radical", "{}"], json.dumps(ONE_ELEMENT)))

@@ -191,10 +191,11 @@ class TestStateProperties:
 
 class TestEnumerateStates:
     def test_every_corpus_semihoop_has_only_the_zero_state(self):
-        for name, H in semihoop_corpus().items():
+        hoops = {**semihoop_corpus(), "godel-2*godel-3": ProductHoop([godel_hoop(2), godel_hoop(3)])}
+        for name, H in hoops.items():
             states = enumerate_states_finite(H)
             assert len(states) == 1, name
-            assert all(v == 0 for v in states[0].values.values()), name
+            assert all(states[0].value(x) == 0 for x in H.carrier(8)), name
 
     def test_rejects_infinite_carrier(self):
         with pytest.raises(MalformedInputError):

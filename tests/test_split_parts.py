@@ -352,6 +352,18 @@ def test_a_failed_decomposition_raises_on_every_table_read(monkeypatch):
     assert validate_hyperstate(A, s, WINDOW).ok
 
 
+def test_the_frame_raises_when_only_the_columns_fail(monkeypatch):
+    # Planted at the top, the failure recomposes the scalar terms (to the top)
+    # but not the column: decompose_element passes there, so the frame itself
+    # must refuse the failing column.
+    A = chang_algebra(1)
+    plant_recomposition_failure(monkeypatch, A, A.top)
+    ibp0.decompose_element(A, A.top)
+    with pytest.raises(InternalConsistencyError,
+                       match=re.escape(f"decomposition columns and scalar terms disagree at a = {A.token(A.top)}")):
+        states._frame(A, WINDOW)
+
+
 def guarded_pairs(name: str) -> tuple:
     """An algebra, the pair of its warm join, and the pairs read after it:
     chang-2 and chang-1*chang-2 with a family pair and one whose weights
