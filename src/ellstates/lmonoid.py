@@ -2,9 +2,9 @@
 
 Two carrier forms are supported: finite Cayley tables, and the symbolic
 cancellative cones N^k (componentwise addition).  The envelope K(M) is the
-abelian lattice-group of formal differences [x, y]; in the finite case its
-classes are computed by explicit witness search over the carrier, in the
-symbolic case by canonical integer forms x - y.
+abelian lattice-group of formal differences [x, y]: on a finite ell-monoid
+it has one class, by the proof in :class:`KGroup`, and on a cone its
+classes are the canonical integer forms x - y.
 
 The witness relation defining equality of pairs is
 
@@ -34,8 +34,8 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._scan import Axiom, scan_axioms
-from .reports import MalformedInputError, ValidationReport
+from ._scan import Axiom, memo, scan_axioms
+from .reports import MalformedInputError, PreconditionError, ValidationReport
 
 Element = Any  # int index (finite) or tuple of ints (symbolic)
 
@@ -198,47 +198,29 @@ class KElement:
 
 
 class KGroup:
-    """The envelope K(M), as an explicit pair quotient or as canonical Z^k."""
+    """The envelope K(M): one class for a finite M, canonical Z^k for a cone.
+
+    A finite envelope has one class.  Let M be a finite ell-monoid and x in
+    M.  The multiples of x repeat: (m+p)x = mx for some m, p >= 1.  Put
+    t = mx \\/ ... \\/ (m+p-1)x.  Since + distributes over \\/,
+    x + t = (m+1)x \\/ ... \\/ (m+p)x = t, so z = t witnesses [x, 0] = [0, 0].
+    Every pair is therefore equal to, and below, every other; h is
+    injective, and M cancellative (x + t = 0 + t), only when |M| = 1.  The
+    proof needs the ell-monoid laws, so a finite base must pass
+    :func:`validate_lmonoid`, as a finite semihoop, its own reduct, does.
+    """
 
     def __init__(self, base):
         self.base = base
-        if not base.is_finite:
-            self.mode = "symbolic"
-            self.pairs = None
-            self.class_ids = None
-            self.class_members = None
-        else:
-            self.mode = "finite-quotient"
-            self._build_finite_quotient()
+        self.mode = "finite-quotient" if base.is_finite else "symbolic"
+        if base.is_finite:
+            require_lmonoid(base)
 
-    def _build_finite_quotient(self) -> None:
-        M = self.base
-        pairs = [(x, y) for x in M.elements() for y in M.elements()]
-        class_ids: dict[tuple, int] = {}
-        members: list[list[tuple]] = []
-        for p in pairs:
-            for cid, group in enumerate(members):
-                if eq_witness(M, p, group[0]) is not None:
-                    class_ids[p] = cid
-                    group.append(p)
-                    break
-            else:
-                class_ids[p] = len(members)
-                members.append([p])
-        self.pairs = pairs
-        self.class_ids = class_ids
-        self.class_members = members
-
-    # Representatives are lexicographically least because pairs are scanned
-    # in index order and the first member of each class is kept first.
     def representatives(self) -> list[KElement]:
-        return [KElement(*group[0]) for group in self.class_members]
-
-    def class_of(self, e: KElement) -> int:
-        try:
-            return self.class_ids[(e.pos, e.neg)]
-        except KeyError:
-            raise MalformedInputError(f"pair ({e.pos}, {e.neg}) is not over this carrier") from None
+        """The least pair in index order, for a finite envelope's one class."""
+        if self.mode != "finite-quotient":
+            raise MalformedInputError("representatives exist only in finite mode")
+        return [KElement(0, 0)]
 
     def canonical(self, e: KElement) -> tuple[int, ...]:
         if self.mode != "symbolic":
@@ -258,26 +240,6 @@ class KGroup:
         return f"[{self.base.token(e.pos)},{self.base.token(e.neg)}]"
 
 
-def eq_witness(M, p: tuple, q: tuple):
-    """A carrier z with z + x + y' = z + x' + y, or None."""
-    x, y = p
-    xp, yp = q
-    for z in M.elements():
-        if M.add(M.add(z, x), yp) == M.add(M.add(z, xp), y):
-            return z
-    return None
-
-
-def leq_witness(M, p: tuple, q: tuple):
-    """A carrier z with z + x1 + y2 <=_M z + y1 + x2, or None."""
-    x1, y1 = p
-    x2, y2 = q
-    for z in M.elements():
-        if M.leq(M.add(M.add(z, x1), y2), M.add(M.add(z, y1), x2)):
-            return z
-    return None
-
-
 def k_envelope(M) -> tuple[KGroup, Callable[[Element], KElement]]:
     """The envelope of M together with the embedding h(x) = [x + x, x]."""
     K = KGroup(M)
@@ -289,16 +251,12 @@ def k_envelope(M) -> tuple[KGroup, Callable[[Element], KElement]]:
 
 
 def k_equal(K: KGroup, e1: KElement, e2: KElement) -> bool:
-    if K.mode == "symbolic":
-        return K.canonical(e1) == K.canonical(e2)
-    return eq_witness(K.base, (e1.pos, e1.neg), (e2.pos, e2.neg)) is not None
+    return K.mode != "symbolic" or K.canonical(e1) == K.canonical(e2)
 
 
 def k_leq(K: KGroup, e1: KElement, e2: KElement) -> bool:
-    if K.mode == "symbolic":
-        M = K.base
-        return M.leq(M.add(e1.pos, e2.neg), M.add(e1.neg, e2.pos))
-    return leq_witness(K.base, (e1.pos, e1.neg), (e2.pos, e2.neg)) is not None
+    M = K.base
+    return K.mode != "symbolic" or M.leq(M.add(e1.pos, e2.neg), M.add(e1.neg, e2.pos))
 
 
 def k_add(K: KGroup, e1: KElement, e2: KElement) -> KElement:
@@ -332,29 +290,19 @@ def image_bound(K: KGroup, h: Callable[[Element], KElement], e: KElement) -> KEl
 
 
 def is_cancellative(M) -> bool:
+    """A cone is cancellative, and a finite ell-monoid only when |M| = 1 (see KGroup)."""
     if not M.is_finite:
         return True
-    for a, b, c in product(M.elements(), repeat=3):
-        if M.add(a, c) == M.add(b, c) and a != b:
-            return False
-    return True
+    require_lmonoid(M)
+    return M.size == 1
 
 
 def h_is_injective(K: KGroup) -> bool:
-    M = K.base
-    if K.mode == "symbolic":
-        return True
-    seen = {}
-    for x in M.elements():
-        cid = K.class_of(KElement(M.add(x, x), x))
-        if cid in seen and seen[cid] != x:
-            return False
-        seen[cid] = x
-    return True
+    return K.mode == "symbolic" or K.base.size == 1
 
 
 def envelope_summary(K: KGroup) -> dict[str, Any]:
-    count = f"free abelian of rank {K.base.rank}" if K.mode == "symbolic" else len(K.class_members)
+    count = f"free abelian of rank {K.base.rank}" if K.mode == "symbolic" else 1
     return {
         "mode": K.mode,
         "classes": count,
@@ -381,7 +329,20 @@ LMONOID_AXIOMS = [
 ]
 
 
-def validate_lmonoid(M: FiniteLMonoid) -> ValidationReport:
-    """Scan every ell-monoid axiom instance; every violation is counted."""
-    checks = scan_axioms(M, LMONOID_AXIOMS, list(M.elements()), {}, "exhaustive", "")
-    return ValidationReport(subject="lmonoid", checks=checks)
+def validate_lmonoid(M) -> ValidationReport:
+    """Scan every ell-monoid axiom instance of a finite M; every violation is
+    counted.  The report is memoized on M and shared, so callers must not
+    change it."""
+
+    def scan() -> ValidationReport:
+        checks = scan_axioms(M, LMONOID_AXIOMS, list(M.elements()), {}, "exhaustive", "")
+        return ValidationReport(subject="lmonoid", checks=checks)
+
+    return memo(M, "lmonoid", scan)
+
+
+def require_lmonoid(M) -> None:
+    """Raise PreconditionError unless the finite M passes validate_lmonoid."""
+    failed = validate_lmonoid(M).failures()
+    if failed:
+        raise PreconditionError(f"not a lattice-ordered monoid: {', '.join(c.axiom for c in failed)} fail")

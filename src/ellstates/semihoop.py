@@ -34,14 +34,7 @@ import numpy as np
 from ._scan import (Axiom, distinct, dot, exact_table, lowest, masked_verdict, memo, over_lcm, pair_columns,
                     pair_verdict, scan_axioms, scan_mode, stride_select, tables)
 from .hypernum import format_exact
-from .lmonoid import (
-    Cone,
-    KElement,
-    KGroup,
-    TableAlgebra,
-    k_envelope,
-    k_leq,
-)
+from .lmonoid import Cone, KElement, KGroup, TableAlgebra, k_envelope
 from .reports import InternalConsistencyError, MalformedInputError, ValidationReport, verdict
 
 # Scans over infinite carriers work on a window of elements.  Pair and
@@ -452,10 +445,11 @@ class KGroupState:
 
 def _sigma_frame(H, window: int) -> SimpleNamespace:
     """What state_to_kgroup_state checks that does not depend on w: the
-    envelope, the elements it ``reads``, where each list and envelope class
-    it gathers lies in them, and which candidate pairs [a, b] over the
-    strided ``base``, in product order, are positive: read off tables(H) in a
-    symbolic envelope, where k_leq(0, [a, b]) is 0 + b ≤ 0 + a."""
+    envelope, the elements it ``reads``, where each list it gathers lies in
+    them, and which candidate pairs [a, b] over the strided ``base``, in
+    product order, are ``positive``: all of them in a finite envelope, which
+    is one class (see KGroup); in a symbolic one, those with k_leq(0, [a, b]),
+    that is 0 + b ≤ 0 + a, read off tables(H)."""
     if not isinstance(H, (FiniteSemihoop, SymbolicConeHoop)):
         raise MalformedInputError("envelope correspondence supports finite tables and symbolic cones")
     K, h = k_envelope(H)
@@ -465,15 +459,9 @@ def _sigma_frame(H, window: int) -> SimpleNamespace:
     # Candidate [base[i], base[j]] is added to its mirror in reversed order,
     # [base[-1-i], base[-1-j]]; the sum is [sums[i], sums[j]].
     at, reads = distinct(o, ids, o.add(ids, ids), b, o.add(b, b[::-1]))
-    index = {x: i for i, x in enumerate(reads)}
-    classes = [(m, *(np.array([index[pair[i]] for pair in m], dtype=np.intp) for i in (0, 1)))
-               for m in K.class_members or []]
-    if K.mode == "symbolic":
-        positive = o.leq(o.add(o.unit, np.tile(b, len(b))), o.add(o.unit, np.repeat(b, len(b))))
-    else:
-        positive = np.array([k_leq(K, K.zero(), KElement(x, y)) for x, y in product(base, repeat=2)], dtype=bool)
+    positive = K.mode != "symbolic" or o.leq(o.add(o.unit, np.tile(b, len(b))), o.add(o.unit, np.repeat(b, len(b))))
     return SimpleNamespace(K=K, h=h, elems=elems, base=base, reads=reads,
-                           at=dict(zip(("elems", "doubles", "base", "sums"), at)), classes=classes, positive=positive)
+                           at=dict(zip(("elems", "doubles", "base", "sums"), at)), positive=positive)
 
 
 def state_to_kgroup_state(H, w, window: int = 8) -> KGroupState:
@@ -492,13 +480,12 @@ def state_to_kgroup_state(H, w, window: int = 8) -> KGroupState:
     # A σ̂ sum below adds four values of w.
     W = w.table(f.reads, terms=4)[0]
 
-    for members, xs, ys in f.classes:
-        diffs = W.take(xs) - W.take(ys)
-        if (diffs != diffs[0]).any():
-            vals = {KElement(*p): sigma.value(KElement(*p)) for p in members}
-            raise InternalConsistencyError(f"σ̂ not constant on a class: {vals}")
-
+    # σ̂ is constant on a finite envelope's one class, of all pairs [x, y],
+    # iff w is constant.
     wx = W.take(at["elems"])
+    if K.mode != "symbolic" and (wx != wx[0]).any():
+        vals = {KElement(*p): sigma.value(KElement(*p)) for p in product(f.elems, repeat=2)}
+        raise InternalConsistencyError(f"σ̂ not constant on a class: {vals}")
     bad = np.flatnonzero(W.take(at["doubles"]) - wx != wx)
     if len(bad):
         raise InternalConsistencyError(f"σ̂(h(x)) != w(x) at x = {H.token(f.elems[bad[0]])}")

@@ -40,6 +40,7 @@ from ellstates.ibp0 import FiniteMTL, ProductAlgebra, SymbolicPerfectAlgebra, ra
 from ellstates.lmonoid import FiniteLMonoid
 from ellstates.reports import MalformedInputError
 from ellstates.semihoop import ConeState, FiniteSemihoop, ProductHoop, SymbolicConeHoop
+from reference import broken_monoid
 
 
 @pytest.fixture(scope="module")
@@ -490,6 +491,17 @@ class TestVerbs:
         assert body["result"]["trivial"] is True
         assert body["result"]["h_injective"] is False
         assert body["result"]["representatives"] == ["[0,0]"]
+
+    def test_grothendieck_of_a_broken_monoid(self, tmp_path, capsys):
+        # The envelope is built only on a valid ell-monoid: the failing
+        # axioms are listed, and there is no result.
+        path = tmp_path / "broken.json"
+        path.write_text(json.dumps(algebra_to_json(broken_monoid())))
+        code, body, err = run(capsys, "grothendieck", str(path))
+        assert code == 1 and err == ""
+        assert body["subject"] == "envelope" and body["result"] == {}
+        failed = [c["axiom"] for c in body["checks"] if not c["passed"]]
+        assert failed == ["add-associative", "add-unit", "distribution-meet", "distribution-join"]
 
     def test_states_enumeration_is_zero_only(self, corpus_dir, capsys):
         code, body, _ = run(capsys, "states", str(corpus_dir / "hoop-godel-3.json"))

@@ -1,14 +1,26 @@
 """Envelope construction and ell-monoid validation.
 
-Finite expectations (class counts, witnesses, injectivity) were worked out
-by hand on carriers small enough to check on paper and are frozen here.
+A finite ell-monoid's envelope is one class, by the proof in ``KGroup``.
+The finite tests hold it against the witness search in ``reference``, run
+on every corpus lattice monoid, semihoop and finite radical and on the
+truncated chains up to 12 elements, and against relabelled copies.
 """
 
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ellstates.corpus import ibp0_corpus, lmonoid_corpus, semihoop_corpus
+from ellstates.corpus import (
+    chain_min_monoid,
+    grid_join_monoid,
+    ibp0_corpus,
+    idempotent_pair_monoid,
+    lmonoid_corpus,
+    semihoop_corpus,
+    trunc_monoid,
+)
 from ellstates.ibp0 import FiniteMTL
 from ellstates.lmonoid import (
     FiniteLMonoid,
@@ -16,7 +28,6 @@ from ellstates.lmonoid import (
     TableAlgebra,
     SymbolicCancellativeMonoid,
     envelope_summary,
-    eq_witness,
     h_is_injective,
     image_bound,
     is_cancellative,
@@ -29,39 +40,21 @@ from ellstates.lmonoid import (
     k_negate,
     validate_lmonoid,
 )
-from ellstates.reports import MAX_WITNESSES, MalformedInputError
-from ellstates.semihoop import FiniteSemihoop, SymbolicConeHoop
+from ellstates.reports import MAX_WITNESSES, MalformedInputError, PreconditionError
+from ellstates.semihoop import FiniteSemihoop, SymbolicConeHoop, validate_semihoop
+from reference import (
+    broken_monoid,
+    cycle_join,
+    eq_witness,
+    finite_bases,
+    h_is_injective_by_search,
+    is_cancellative_by_search,
+    leq_witness,
+    planted_hoop_fault,
+    witness_classes,
+)
 
-
-def trunc_monoid(n: int) -> FiniteLMonoid:
-    """{0..n-1} with truncated addition; meet/join are min/max."""
-    add = [[min(x + y, n - 1) for y in range(n)] for x in range(n)]
-    meet = [[min(x, y) for y in range(n)] for x in range(n)]
-    join = [[max(x, y) for y in range(n)] for x in range(n)]
-    return FiniteLMonoid(add, meet, join, unit=0)
-
-
-def idempotent_pair() -> FiniteLMonoid:
-    # {0, 1} with x + y = max: the one-generator idempotent case.
-    return FiniteLMonoid([[0, 1], [1, 1]], [[0, 0], [0, 1]], [[0, 1], [1, 1]], unit=0)
-
-
-def grid_join_monoid() -> FiniteLMonoid:
-    """{0,1}^2 with componentwise max as the addition."""
-    cells = [(a, b) for a in range(2) for b in range(2)]
-    idx = {c: i for i, c in enumerate(cells)}
-    mx = [[idx[(max(x[0], y[0]), max(x[1], y[1]))] for y in cells] for x in cells]
-    mn = [[idx[(min(x[0], y[0]), min(x[1], y[1]))] for y in cells] for x in cells]
-    return FiniteLMonoid(mx, mn, mx, unit=0)
-
-
-def godel3_reduct() -> FiniteLMonoid:
-    """Chain 0 < 1 < 2 with min as the addition and the top as unit."""
-    n = 3
-    add = [[min(x, y) for y in range(n)] for x in range(n)]
-    meet = [[min(x, y) for y in range(n)] for x in range(n)]
-    join = [[max(x, y) for y in range(n)] for x in range(n)]
-    return FiniteLMonoid(add, meet, join, unit=2)
+BASES = finite_bases()
 
 
 class TestValidation:
@@ -107,7 +100,7 @@ class TestValidation:
             FiniteLMonoid([[0, 5], [1, 1]], [[0, 0], [0, 1]], [[0, 1], [1, 1]], unit=0)
 
     def test_other_corpus_monoids_are_valid(self):
-        for M in (idempotent_pair(), grid_join_monoid(), godel3_reduct(), trunc_monoid(3)):
+        for M in (idempotent_pair_monoid(), grid_join_monoid(), chain_min_monoid(3), trunc_monoid(3)):
             assert validate_lmonoid(M).ok
 
 
@@ -125,7 +118,7 @@ class TestFiniteEnvelope:
         }
 
     def test_idempotent_pair_identifies_image_with_zero(self):
-        M = idempotent_pair()
+        M = idempotent_pair_monoid()
         K, h = k_envelope(M)
         assert k_equal(K, KElement(1, 0), KElement(0, 0))
         assert eq_witness(M, (1, 0), (0, 0)) == 1
@@ -133,9 +126,9 @@ class TestFiniteEnvelope:
         assert envelope_summary(K)["trivial"]
 
     def test_grid_and_chain_reducts_collapse(self):
-        for M in (grid_join_monoid(), godel3_reduct()):
+        for M in (grid_join_monoid(), chain_min_monoid(3)):
             K, _ = k_envelope(M)
-            assert envelope_summary(K)["classes"] == 1
+            assert envelope_summary(K)["classes"] == len(witness_classes(M)) == 1
 
     def test_singleton_is_cancellative_with_injective_embedding(self):
         M = trunc_monoid(1)
@@ -144,31 +137,118 @@ class TestFiniteEnvelope:
         assert summary["cancellative"] and summary["h_injective"]
 
     def test_injectivity_matches_cancellativity_on_corpus(self):
-        for M in (trunc_monoid(1), trunc_monoid(3), trunc_monoid(4), idempotent_pair(), grid_join_monoid(), godel3_reduct()):
+        monoids = (trunc_monoid(1), trunc_monoid(3), trunc_monoid(4), idempotent_pair_monoid(), grid_join_monoid(),
+                   chain_min_monoid(3))
+        for M in monoids:
             K, _ = k_envelope(M)
-            assert h_is_injective(K) == is_cancellative(M)
+            assert h_is_injective(K) == h_is_injective_by_search(M)
+            assert is_cancellative(M) == is_cancellative_by_search(M) == h_is_injective(K)
 
     def test_operations_respect_representatives(self):
         # Replacing either argument by an equivalent pair must not change
-        # the class of the result, the order, or equality verdicts.
+        # the class of the result, the order, or equality verdicts, each
+        # read off the witness search.
         M = trunc_monoid(3)
         K, _ = k_envelope(M)
-        pairs = K.pairs
+        class_of = {p: members for members in witness_classes(M) for p in members}
+        pairs = list(product(M.elements(), repeat=2))
         for p, q in product(pairs[:5], pairs):
             e1, e2 = KElement(*p), KElement(*q)
-            for alt in K.class_members[K.class_of(e1)]:
+            for alt in class_of[p]:
                 a1 = KElement(*alt)
                 assert k_equal(K, e1, a1)
-                assert k_leq(K, e1, e2) == k_leq(K, a1, e2)
-                assert k_equal(K, k_join(K, e1, e2), k_join(K, a1, e2))
-                assert k_equal(K, k_meet(K, e1, e2), k_meet(K, a1, e2))
+                assert k_leq(K, e1, e2) == k_leq(K, a1, e2) == (leq_witness(M, alt, q) is not None)
+                for op in (k_join, k_meet):
+                    r1, r2 = op(K, e1, e2), op(K, a1, e2)
+                    assert eq_witness(M, (r1.pos, r1.neg), (r2.pos, r2.neg)) is not None
 
-    def test_class_of_rejects_foreign_pairs(self):
+    def test_canonical_forms_are_symbolic_only(self):
         K, _ = k_envelope(trunc_monoid(3))
-        with pytest.raises(MalformedInputError):
-            K.class_of(KElement(0, 9))
+        assert K.representatives() == [KElement(0, 0)]
         with pytest.raises(MalformedInputError):
             K.canonical(KElement(0, 0))
+        with pytest.raises(MalformedInputError):
+            k_envelope(SymbolicCancellativeMonoid(rank=1))[0].representatives()
+
+
+class TestOneClassProof:
+    """The proof in KGroup, computed from data on every finite base."""
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_the_reference_relates_every_pair(self, name):
+        M = BASES[name]
+        assert validate_lmonoid(M).ok
+        pairs = list(product(M.elements(), repeat=2))
+        assert witness_classes(M) == [pairs]
+        assert all(leq_witness(M, p, (0, 0)) is not None and leq_witness(M, (0, 0), p) is not None for p in pairs)
+        K, _ = k_envelope(M)
+        assert envelope_summary(K) == {
+            "mode": "finite-quotient",
+            "classes": 1,
+            "trivial": True,
+            "h_injective": h_is_injective_by_search(M),
+            "cancellative": is_cancellative_by_search(M),
+        }
+
+    @pytest.mark.parametrize("name", sorted(BASES))
+    def test_each_cycle_join_absorbs_its_element(self, name):
+        M = BASES[name]
+        for x in M.elements():
+            t = cycle_join(M, x)
+            assert M.add(x, t) == t, x
+
+    @pytest.mark.parametrize("name", sorted(name for name, M in BASES.items() if isinstance(M, FiniteSemihoop)))
+    def test_a_hoop_is_cancellative_only_when_trivial(self, name):
+        H = BASES[name]
+        assert validate_semihoop(H).flags["cancellative"] == (H.size == 1)
+
+
+class TestPrecondition:
+    def test_a_broken_monoid_has_no_envelope(self):
+        M = broken_monoid()
+        with pytest.raises(PreconditionError, match="not a lattice-ordered monoid: .*add-associative"):
+            k_envelope(M)
+        with pytest.raises(PreconditionError):
+            is_cancellative(M)
+
+    def test_validation_runs_once_per_monoid(self):
+        M = trunc_monoid(4)
+        assert validate_lmonoid(M) is validate_lmonoid(M)
+
+
+def relabelled(A, perm: list[int]):
+    """π(A) for π = ``perm``: A's tables and constants with each x renamed π(x)."""
+    n, inverse = A.size, {y: x for x, y in enumerate(perm)}
+    fields = {op: [[perm[getattr(A, f"{op}_table")[inverse[i]][inverse[j]]] for j in range(n)] for i in range(n)]
+              for op in A.TABLES}
+    fields.update((name, perm[getattr(A, name)]) for name in A.CONSTANTS)
+    return type(A)(**fields, size=n)
+
+
+def verdicts(A) -> list:
+    """Check names, results and violation counts of A's ell-monoid scan, and
+    its semihoop scan and flags if A is a semihoop; then, if A passes the
+    ell-monoid laws, its envelope summary."""
+    reports = [validate_lmonoid(A)] + ([validate_semihoop(A)] if isinstance(A, FiniteSemihoop) else [])
+    out = [(c.axiom, c.passed, c.violations, c.mode) for r in reports for c in r.checks]
+    out += [r.flags for r in reports]
+    if reports[0].ok:
+        out.append(envelope_summary(k_envelope(A)[0]))
+    return out
+
+
+RELABELLED = {**{f"lmonoid-{n}": M for n, M in lmonoid_corpus().items()},
+              **{f"hoop-{n}": H for n, H in semihoop_corpus().items()},
+              "lmonoid-broken": broken_monoid(), "hoop-planted-fault": planted_hoop_fault()}
+
+
+@pytest.mark.parametrize("name", sorted(RELABELLED))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_relabelling_keeps_every_verdict(name, data):
+    A = RELABELLED[name]
+    perm = data.draw(st.permutations(range(A.size)))
+    assert verdicts(relabelled(A, perm)) == verdicts(A)
 
 
 class TestSymbolicEnvelope:
@@ -270,11 +350,13 @@ class TestImageBound:
             assert k_leq(K, image_bound(K, h, e), e)
 
     def test_finite_bound_holds_on_collapsed_envelopes(self):
-        for M in (trunc_monoid(3), idempotent_pair(), godel3_reduct()):
+        for M in (trunc_monoid(3), idempotent_pair_monoid(), chain_min_monoid(3)):
             K, h = k_envelope(M)
             for a, b in product(M.elements(), repeat=2):
                 e = KElement(a, b)
-                assert k_leq(K, image_bound(K, h, e), e)
+                bound = image_bound(K, h, e)
+                assert k_leq(K, bound, e)
+                assert leq_witness(M, (bound.pos, bound.neg), (a, b)) is not None
 
 
 FINITE_KINDS = (FiniteLMonoid, FiniteSemihoop, FiniteMTL, TableAlgebra)

@@ -35,10 +35,11 @@ from ellstates.corpus import (
 )
 from ellstates.ibp0 import (IBP0_AXIOMS, SAMPLED_NOTE, FiniteMTL, ProductAlgebra, SymbolicPerfectAlgebra, radical,
                            validate_ibp0)
-from ellstates.lmonoid import LMONOID_AXIOMS, Cone, FiniteLMonoid, SymbolicCancellativeMonoid
+from ellstates.lmonoid import LMONOID_AXIOMS, Cone, SymbolicCancellativeMonoid
 from ellstates.reports import MAX_WITNESSES
-from ellstates.semihoop import SEMIHOOP_AXIOMS, FiniteSemihoop, ProductHoop, SymbolicConeHoop
+from ellstates.semihoop import SEMIHOOP_AXIOMS, ProductHoop, SymbolicConeHoop
 from ellstates.states import join_hyperstate
+from reference import broken_monoid, planted_hoop_fault
 
 WINDOW = 3
 
@@ -70,20 +71,6 @@ def planted_fault() -> FiniteMTL:
     times = [list(r) for r in A.times_table]
     times[3][6] = times[6][3] = 7  # neg(3)·pos(2) is no longer neg(3)
     return FiniteMTL(times, A.impl_table, A.meet_table, A.join_table, bot=A.bot, top=A.top)
-
-
-def planted_hoop_fault() -> FiniteSemihoop:
-    H = godel_hoop(4)
-    times = [list(r) for r in H.times_table]
-    times[1][2] = times[2][1] = 0  # 1·2 is no longer min(1, 2)
-    return FiniteSemihoop(times, H.impl_table, H.meet_table, top=H.top)
-
-
-def broken_monoid() -> FiniteLMonoid:
-    add = [[(x * y + 1) % 6 for y in range(6)] for x in range(6)]
-    meet = [[min(x, y) for y in range(6)] for x in range(6)]
-    join = [[max(x, y) for y in range(6)] for x in range(6)]
-    return FiniteLMonoid(add, meet, join, unit=0)
 
 
 ALGEBRAS = {

@@ -19,7 +19,7 @@ from ellstates.corpus import (
 )
 from ellstates.ibp0 import radical
 from ellstates.lmonoid import k_add, k_leq
-from ellstates.reports import InternalConsistencyError, MalformedInputError
+from ellstates.reports import InternalConsistencyError, MalformedInputError, PreconditionError
 from ellstates.semihoop import (
     ConeState,
     FiniteSemihoop,
@@ -40,6 +40,7 @@ from ellstates.semihoop import (
     weighted_state,
     zero_state,
 )
+from reference import planted_hoop_fault, witness_classes
 
 
 class TestValidateSemihoop:
@@ -211,9 +212,14 @@ class TestEnvelopeCorrespondence:
     def test_zero_state_induces_zero_sigma(self):
         H = godel_hoop(3)
         sigma = state_to_kgroup_state(H, zero_state(H))
-        for members in sigma.K.class_members:
+        for members in witness_classes(H):
             rep = members[0]
             assert sigma.value(sigma.h(rep[0])) == 0
+
+    def test_a_broken_hoop_has_no_envelope_state(self):
+        H = planted_hoop_fault()
+        with pytest.raises(PreconditionError, match="not a lattice-ordered monoid"):
+            state_to_kgroup_state(H, zero_state(H))
 
     def test_cone_sigma_is_linear_in_canonical_form(self):
         H = cone_hoop(1)
