@@ -9,9 +9,9 @@ axiom when its two sides differ; sides are elements or booleans.
 :func:`scan_axioms` has one way to evaluate terms.  It interns the
 carrier's elements to int ids, window first, each held as a row of integer
 coordinates, and fills each op's table for the id tuples that a scan
-actually reaches, results that leave the window included: a symbolic
-carrier fills all missing keys of a table in one call of its batch op on
-the operands' coordinate rows, a finite one from its scalar op (see
+actually reaches, results that leave the window included: all missing keys
+of a table in one call of the carrier's batch op ``<op>_rows`` on the
+operands' coordinate rows, a gather in its tables for a finite carrier (see
 :class:`_Tables`).  The terms then run as numpy gathers over chunks of
 instances.  A product carrier is tabulated factor by factor, never over
 product ids, so its tables stay as small as its factors'.  Instances are
@@ -309,11 +309,8 @@ class _Tables:
     read back by ``A.element``), typed by :func:`width` so that two entries
     sum within it, and rows are interned by their mixed-radix codes over the
     bounding box of every row seen.  An op fills all missing keys of its
-    table in one call: on a symbolic carrier through its batch op
-    ``<op>_rows`` on the operands' rows, unless the carrier's class
-    overrides a scalar op without its batch op, and otherwise through the
-    scalar op on the operands' elements, which are built only there and in
-    :meth:`decode`.
+    table in one call of the carrier's batch op ``<op>_rows`` on the
+    operands' rows; elements are built only in :meth:`decode`.
 
     An element op returns an int32 id array, ``leq`` a bool array, and a
     constant such as ``top`` is its id.  A table is sized to the largest
@@ -322,10 +319,6 @@ class _Tables:
 
     def __init__(self, A):
         self._A, self._coords, self._tables = A, None, {}
-        mro = type(A).__mro__
-        owner = lambda name: next(c for c in mro if name in vars(c))
-        self._bulk = not A.is_finite and all(
-            owner(n) is owner(n.removesuffix("_rows")) for n in dir(A) if n.endswith("_rows"))
 
     @property
     def span(self) -> int:
@@ -360,9 +353,9 @@ class _Tables:
         attr = getattr(self._A, name)
         if not callable(attr):
             return memo(self, name, lambda: int(self.encode([attr])[0]))
-        return partial(self._apply, name, attr)
+        return partial(self._apply, name)
 
-    def _apply(self, name: str, op: Callable, *args):
+    def _apply(self, name: str, *args):
         table = self._table(name, [int(np.max(a, initial=-1)) + 1 for a in args])
         # One take at flat indices: twice as fast as indexing by the id arrays.
         flat = np.asarray(reduce(lambda f, an: f * an[1] + an[0], zip(args[1:], table.shape[1:]),
@@ -374,16 +367,13 @@ class _Tables:
             # and np.sort takes a third of _distinct's argsort.
             keys = np.sort(flat[missing])
             keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
-            table.ravel()[keys] = self._fill(name, op, np.unravel_index(keys, table.shape))
+            table.ravel()[keys] = self._fill(name, np.unravel_index(keys, table.shape))
             out[missing] = table.ravel().take(flat[missing])
         return out.view(bool) if name in PREDICATES else out
 
-    def _fill(self, name: str, op: Callable, keys: tuple) -> Any:
+    def _fill(self, name: str, keys: tuple) -> np.ndarray:
         """The op's results at ``keys``, one id array per operand, as ids or truth values."""
-        batch = getattr(self._A, f"{name}_rows", None) if self._bulk else None
-        if batch is None:
-            results = list(map(op, *(self.decode(k) for k in keys)))
-            return results if name in PREDICATES else self._intern(integers([self._A.row(r) for r in results]))
+        batch = getattr(self._A, f"{name}_rows")
         # A slice of FILL keys keeps the rows and the batch op's temporaries
         # well under a megabyte.
         parts = []

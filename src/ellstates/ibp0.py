@@ -14,7 +14,7 @@ Validation is windowed brute force.  Operation evaluation is always exact
 and unbounded (x·x may leave any window); only the quantifiers range over a
 window.  Each axiom is declared once, as terms over an ops namespace
 (MTL_AXIOMS, IBP0_AXIOMS), and scanned by the one engine in :mod:`._scan`,
-which tabulates the carriers' ops on demand, a symbolic one's in bulk.
+which tabulates the carriers' ops on demand through their batch forms.
 
 Structure theory: the Boolean skeleton {a : a ∨ ¬a = 1}, the radical
 {x : x > ¬x} with its induced prelinear semihoop, and the decomposition
@@ -79,6 +79,12 @@ class FiniteMTL(TableAlgebra):
     def oplus(self, x, y):
         return self.impl_table[self.neg(x)][y]
 
+    def neg_rows(self, x):
+        return self.impl_rows(x, self.bot)
+
+    def oplus_rows(self, x, y):
+        return self.impl_rows(self.neg_rows(x), y)
+
 
 # The rotation's binary element ops by the signs of their operands: the sign
 # of the result, from whether each operand is positive, and its core for
@@ -101,9 +107,9 @@ class SymbolicPerfectAlgebra:
     to 0.  Over a cone hoop (two signed copies of ℕᵏ) the skeleton is
     exactly {0, 1} and the positive copy is the radical.
 
-    Over a cone core each op also has a batch form, ``<op>_rows``, on
-    integer coordinate rows: an element's sign (1 for pos) followed by its
-    core's coordinates.
+    Each op also has a batch form, ``<op>_rows``, on integer coordinate
+    rows: an element's sign (1 for pos) followed by its core's coordinates;
+    it reads the core's batch ops, a gather for a finite core.
     """
 
     def __init__(self, core):
@@ -382,6 +388,9 @@ def radical(A, window: int = 8) -> RadicalView:
 def _radical(A, window: int) -> RadicalView:
     report = ValidationReport(subject="radical")
     mode = scan_mode(A, window)
+    # One ops namespace for a finite radical's elements, membership and closure:
+    # it interns the results that leave the window, which closure has to see.
+    o = tables(A)
 
     if isinstance(A, SymbolicPerfectAlgebra):
         elements = [("pos", m) for m in A.core.carrier(window)]
@@ -397,7 +406,8 @@ def _radical(A, window: int) -> RadicalView:
         to_hoop = lambda a: tuple(v.to_hoop(x) for v, x in zip(views, a))
         from_hoop = lambda h: tuple(v.from_hoop(x) for v, x in zip(views, h))
     else:
-        elements = [a for a in A.carrier(window) if in_radical(A, a)]
+        carrier = A.carrier(window)
+        elements = [a for a, keep in zip(carrier, in_radical(o, o.encode(carrier)).tolist()) if keep]
         if not elements:
             raise PreconditionError("the radical is empty: no element lies above its negation")
         order = {a: i for i, a in enumerate(elements)}
@@ -405,9 +415,6 @@ def _radical(A, window: int) -> RadicalView:
         to_hoop = lambda a: order[a]
         from_hoop = lambda i: elements[i]
 
-    # Membership and closure, as masks over one ops namespace: it interns
-    # the results that leave the window, which closure has to see.
-    o = tables(A)
     report.add(masked_verdict("membership", ~in_radical(o, o.encode(elements)),
                               lambda k: {"witness": {"x": A.token(elements[k])}}, mode))
 

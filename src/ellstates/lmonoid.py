@@ -34,7 +34,7 @@ from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._scan import Axiom, memo, scan_axioms
+from ._scan import Axiom, locate, memo, scan_axioms, tables
 from .reports import MalformedInputError, PreconditionError, ValidationReport
 
 Element = Any  # int index (finite) or tuple of ints (symbolic)
@@ -70,9 +70,9 @@ class TableAlgebra:
     A kind declares ``KIND`` (its name in error messages), ``TABLES`` (its
     binary ops in constructor order) and ``CONSTANTS`` (its named elements,
     after the tables in the constructor).  Each op ``o`` in ``TABLES`` keeps
-    its checked table as ``o_table`` and is bound to the lookup in it, so a
-    kind writes only the ops it derives.  Every kind has a meet table, which
-    the order is read from.
+    its checked table as ``o_table``, and ``o`` and ``o_rows`` are bound to
+    lookups in it, the batch one a gather on rows ``(x,)``, so a kind writes
+    only the ops it derives.  The order is read from the meet table.
     """
 
     is_finite = True
@@ -89,6 +89,7 @@ class TableAlgebra:
             table = check_table(op, table, n)
             setattr(self, f"{op}_table", table)
             setattr(self, op, lambda x, y, t=table: t[x][y])
+            setattr(self, f"{op}_rows", lambda x, y, t=np.array(table, dtype=np.min_scalar_type(n - 1)): t[x, y])
         for name, v in zip(self.CONSTANTS, constants):
             if not _is_index(v, n):
                 raise MalformedInputError(f"{name} = {v!r} is not an index in 0..{n - 1}")
@@ -96,12 +97,14 @@ class TableAlgebra:
 
     @classmethod
     def tabulated(cls, A, elems: Sequence):
-        """The kind's tables of the ops of ``A`` over ``elems``, which they must
-        not leave; ``elems[i]`` becomes index i."""
-        index = {x: i for i, x in enumerate(elems)}
-        fields = {op: [[index[getattr(A, op)(x, y)] for y in elems] for x in elems] for op in cls.TABLES}
-        fields.update((name, index[getattr(A, name)]) for name in cls.CONSTANTS)
-        return cls(**fields, size=len(elems))
+        """The kind's tables of the ops of ``A`` over ``elems``, one gather each in
+        A's id tables; they must not leave elems, and ``elems[i]`` becomes index i."""
+        o, n = tables(A), len(elems)
+        ids = o.encode(elems)
+        fields = {op: locate(o, getattr(o, op)(ids.reshape((n, 1)), ids.reshape((1, n))), ids).tolist()
+                  for op in cls.TABLES}
+        fields.update((name, elems.index(getattr(A, name))) for name in cls.CONSTANTS)
+        return cls(**fields, size=n)
 
     def elements(self) -> range:
         return range(self.size)
@@ -111,6 +114,9 @@ class TableAlgebra:
 
     def leq(self, x: int, y: int) -> bool:
         return self.meet_table[x][y] == x
+
+    def leq_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return (self.meet_rows(x, y) == x)[..., 0]
 
     def token(self, x: int) -> str:
         return str(x)

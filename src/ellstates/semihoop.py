@@ -61,6 +61,8 @@ class FiniteSemihoop(TableAlgebra):
     def __init__(self, times, impl, meet, top: int, size: int | None = None):
         super().__init__((times, impl, meet), (top,), size)
         self.add, self.unit, self.join = self.times, self.top, partial(pseudo_join, self)
+        self.add_rows = self.times_rows
+        self.join_rows = partial(pseudo_join, SimpleNamespace(meet=self.meet_rows, impl=self.impl_rows))
 
 
 class SymbolicConeHoop(Cone):

@@ -1,5 +1,6 @@
-"""Reference constructions shared by the tests: planted table faults, and
-the envelope's witness relation searched over a finite carrier.
+"""Reference constructions shared by the tests: planted table faults,
+relabelled copies of a finite carrier, and the envelope's witness relation
+searched over a finite carrier.
 
 ``lmonoid`` builds a finite ell-monoid's envelope as one class, by the proof
 in ``KGroup``; the witness search here is what that proof is held against.
@@ -8,10 +9,17 @@ in ``KGroup``; the witness search here is what that proof is held against.
 from functools import reduce
 from itertools import product
 
-from ellstates.corpus import godel_hoop, ibp0_corpus, lmonoid_corpus, semihoop_corpus, trunc_monoid
-from ellstates.ibp0 import radical
+from ellstates.corpus import godel_hoop, ibp0_corpus, lmonoid_corpus, rotated_hoop, semihoop_corpus, trunc_monoid
+from ellstates.ibp0 import FiniteMTL, radical
 from ellstates.lmonoid import FiniteLMonoid
 from ellstates.semihoop import FiniteSemihoop
+
+
+def planted_fault() -> FiniteMTL:
+    A = rotated_hoop(godel_hoop(4))
+    times = [list(r) for r in A.times_table]
+    times[3][6] = times[6][3] = 7  # neg(3)·pos(2) is no longer neg(3)
+    return FiniteMTL(times, A.impl_table, A.meet_table, A.join_table, bot=A.bot, top=A.top)
 
 
 def planted_hoop_fault() -> FiniteSemihoop:
@@ -26,6 +34,15 @@ def broken_monoid() -> FiniteLMonoid:
     meet = [[min(x, y) for y in range(6)] for x in range(6)]
     join = [[max(x, y) for y in range(6)] for x in range(6)]
     return FiniteLMonoid(add, meet, join, unit=0)
+
+
+def relabelled(A, perm: list[int]):
+    """π(A) for π = ``perm``: A's tables and constants with each x renamed π(x)."""
+    n, inverse = A.size, {y: x for x, y in enumerate(perm)}
+    fields = {op: [[perm[getattr(A, f"{op}_table")[inverse[i]][inverse[j]]] for j in range(n)] for i in range(n)]
+              for op in A.TABLES}
+    fields.update((name, perm[getattr(A, name)]) for name in A.CONSTANTS)
+    return type(A)(**fields, size=n)
 
 
 def eq_witness(M, p: tuple, q: tuple):

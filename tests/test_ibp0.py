@@ -1,7 +1,10 @@
 """Variety validation, skeleton/radical anatomy, rotation and products.
 
 The small finite oracles (skeleton contents, decomposition pairs, rotation
-tables) were computed by hand and are asserted literally.
+tables) were computed by hand and are asserted literally.  Verdicts are also
+held to two relations that do not depend on how the ops are written: a
+relabelled copy of a finite algebra gets the same verdicts, and a finite
+semihoop's rotation gets the same ones in its symbolic and tabulated forms.
 """
 
 import hashlib
@@ -9,6 +12,8 @@ import json
 from itertools import product as iterproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ellstates._scan import tables
 from ellstates.cli import algebra_to_json
@@ -23,6 +28,7 @@ from ellstates.corpus import (
     semihoop_corpus,
 )
 from ellstates.ibp0 import (
+    IBP0_AXIOMS,
     FiniteMTL,
     ProductAlgebra,
     SymbolicPerfectAlgebra,
@@ -37,6 +43,7 @@ from ellstates.ibp0 import (
 )
 from ellstates.reports import MalformedInputError, PreconditionError
 from ellstates.semihoop import FiniteSemihoop, SymbolicConeHoop
+from reference import planted_fault, relabelled
 
 
 class TestValidate:
@@ -272,3 +279,39 @@ class TestConstructors:
         P = product([boolean_algebra(1)])
         assert validate_ibp0(P).ok
         assert P.carrier(1) == [(0,), (1,)]
+
+
+def verdicts(report) -> list:
+    """A report's check names, results, violation counts and modes, and its flags."""
+    return [(c.axiom, c.passed, c.violations, c.mode) for c in report.checks] + [report.flags]
+
+
+RELABELLED = {**{n: A for n, A in ibp0_corpus().items() if A.is_finite},
+              "lukasiewicz-3": lukasiewicz_mtl(3), "planted-fault": planted_fault()}
+AXIOMS = {axiom.name: axiom for axiom in IBP0_AXIOMS}
+
+
+@pytest.mark.parametrize("name", sorted(RELABELLED))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_relabelling_keeps_every_verdict_and_witness(name, data):
+    # Each witness of π(A), renamed back by π⁻¹, fails its law in A, with
+    # A's two sides renamed by π.
+    A = RELABELLED[name]
+    perm = data.draw(st.permutations(range(A.size)))
+    report = validate_ibp0(relabelled(A, perm))
+    assert verdicts(report) == verdicts(validate_ibp0(A))
+    inverse = {y: x for x, y in enumerate(perm)}
+    rename = lambda v: v if isinstance(v, bool) else str(perm[v])
+    for check in report.checks:
+        for w in check.witnesses:
+            lhs, rhs = AXIOMS[check.axiom].terms(A, *(inverse[int(t)] for t in w["witness"].values()))
+            assert lhs != rhs and (w["lhs"], w["rhs"]) == (rename(lhs), rename(rhs))
+
+
+@pytest.mark.parametrize("name", sorted(semihoop_corpus()))
+def test_both_routes_to_a_rotation_get_the_same_verdicts(name):
+    H = semihoop_corpus()[name]
+    R, T = SymbolicPerfectAlgebra(H), rotated_hoop(H)
+    assert verdicts(validate_ibp0(R)) == verdicts(validate_ibp0(T))
+    assert verdicts(radical(R).report) == verdicts(radical(T).report)

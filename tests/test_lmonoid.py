@@ -51,6 +51,7 @@ from reference import (
     is_cancellative_by_search,
     leq_witness,
     planted_hoop_fault,
+    relabelled,
     witness_classes,
 )
 
@@ -214,15 +215,6 @@ class TestPrecondition:
     def test_validation_runs_once_per_monoid(self):
         M = trunc_monoid(4)
         assert validate_lmonoid(M) is validate_lmonoid(M)
-
-
-def relabelled(A, perm: list[int]):
-    """π(A) for π = ``perm``: A's tables and constants with each x renamed π(x)."""
-    n, inverse = A.size, {y: x for x, y in enumerate(perm)}
-    fields = {op: [[perm[getattr(A, f"{op}_table")[inverse[i]][inverse[j]]] for j in range(n)] for i in range(n)]
-              for op in A.TABLES}
-    fields.update((name, perm[getattr(A, name)]) for name in A.CONSTANTS)
-    return type(A)(**fields, size=n)
 
 
 def verdicts(A) -> list:

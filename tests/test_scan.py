@@ -1,12 +1,14 @@
 """The scan engine against a reference loop over the scalar terms.
 
 Each axiom's terms are written once.  The engine runs them as numpy
-gathers over id tables that it fills from the carrier's scalar ops; the
+gathers over id tables that it fills from the carrier's batch ops
+``<op>_rows``, gathers in the checked tables on a finite carrier; the
 reference below runs them through the scalar ops themselves, one
 ``itertools.product`` instance at a time.  These tests pin the two to each
 other, instance by instance and check by check (pass/fail, violation count
 and witnesses, full and sampled), on valid carriers, on products and on
-planted table faults.
+planted table faults, and pin every batch op to its scalar op: on random
+rows of the symbolic carriers, and on every operand tuple of the finite ones.
 """
 
 import json
@@ -22,24 +24,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ellstates import _scan
-from ellstates._scan import INT64_MAX, integers, scan_axioms, stride_select, tables
+from ellstates._scan import INT64_MAX, PREDICATES, integers, scan_axioms, stride_select, tables
 from ellstates.corpus import (
     boolean_algebra,
     chang_algebra,
     cone_hoop,
     godel_hoop,
     hyperstate_family,
+    ibp0_corpus,
+    lmonoid_corpus,
     lukasiewicz_hoop,
     rotated_hoop,
+    semihoop_corpus,
     trunc_monoid,
 )
 from ellstates.ibp0 import (IBP0_AXIOMS, SAMPLED_NOTE, FiniteMTL, ProductAlgebra, SymbolicPerfectAlgebra, radical,
                            validate_ibp0)
-from ellstates.lmonoid import LMONOID_AXIOMS, Cone, SymbolicCancellativeMonoid
+from ellstates.lmonoid import LMONOID_AXIOMS, Cone, SymbolicCancellativeMonoid, TableAlgebra
 from ellstates.reports import MAX_WITNESSES
 from ellstates.semihoop import SEMIHOOP_AXIOMS, ProductHoop, SymbolicConeHoop
 from ellstates.states import join_hyperstate
-from reference import broken_monoid, planted_hoop_fault
+from reference import broken_monoid, planted_fault, planted_hoop_fault
 
 WINDOW = 3
 
@@ -66,13 +71,6 @@ def reference_scan(A, axioms, elems, caps) -> list[tuple]:
     return out
 
 
-def planted_fault() -> FiniteMTL:
-    A = rotated_hoop(godel_hoop(4))
-    times = [list(r) for r in A.times_table]
-    times[3][6] = times[6][3] = 7  # neg(3)·pos(2) is no longer neg(3)
-    return FiniteMTL(times, A.impl_table, A.meet_table, A.join_table, bot=A.bot, top=A.top)
-
-
 ALGEBRAS = {
     "boolean-4": lambda: boolean_algebra(2),
     "rot-godel-4": lambda: rotated_hoop(godel_hoop(4)),
@@ -83,8 +81,8 @@ ALGEBRAS = {
 }
 
 class UntruncatedCone(SymbolicConeHoop):
-    """A cone hoop whose residuum does not truncate, in both of its forms, so
-    that a scan takes the batch path: y - x leaves the cone when x > y."""
+    """A cone hoop whose residuum does not truncate, in both of its forms: y -
+    x leaves the cone when x > y."""
 
     def impl(self, x, y):
         return tuple(b - a for a, b in zip(x, y))
@@ -157,10 +155,14 @@ def test_planted_faults_fail_a_required_check(name):
     assert any(c.required and not c.passed for c in scan_axioms(A, axioms, window(A), {}, "m", ""))
 
 
+SCALAR_OPS = ("add", "times", "impl", "meet", "join", "neg", "oplus", "leq")
+
+
 def spy_scalar_ops(monkeypatch, classes) -> list:
-    """Record each call of a scalar op defined on ``classes`` that is not made
-    while a witness is rendered; the spy replaces the op on the class that
-    defines it, next to its batch form."""
+    """Record each call of a scalar op that is not made while a witness is
+    rendered: of an op defined on ``classes``, which the spy replaces on the
+    class, next to its batch form, and of a table op, which the spy replaces
+    on each table algebra built meanwhile, since those are bound per instance."""
     calls, rendering = [], []
 
     def render(*args):
@@ -170,20 +172,27 @@ def spy_scalar_ops(monkeypatch, classes) -> list:
         finally:
             rendering.pop()
 
-    def spy(cls, name, real):
-        def op(self, *args):
+    def spy(owner, name, real):
+        def op(*args):
             if not rendering:
-                calls.append((cls.__name__, name))
-            return real(self, *args)
+                calls.append((owner, name))
+            return real(*args)
 
-        monkeypatch.setattr(cls, name, op)
+        return op
 
-    witness = _scan._witness
+    def built(self, *args):
+        init(self, *args)
+        for name in SCALAR_OPS:
+            if name in vars(self):
+                setattr(self, name, spy(type(self).__name__, name, vars(self)[name]))
+
+    witness, init = _scan._witness, TableAlgebra.__init__
     monkeypatch.setattr(_scan, "_witness", render)
+    monkeypatch.setattr(TableAlgebra, "__init__", built)
     for cls in classes:
-        for name in ("add", "times", "impl", "meet", "join", "neg", "oplus", "leq"):
+        for name in SCALAR_OPS:
             if name in vars(cls):
-                spy(cls, name, getattr(cls, name))
+                monkeypatch.setattr(cls, name, spy(cls.__name__, name, getattr(cls, name)))
     return calls
 
 
@@ -210,6 +219,20 @@ def test_chang_2_set_up_makes_no_scalar_op_call(monkeypatch):
     assert calls == []
 
 
+def test_finite_set_up_makes_no_scalar_op_call(monkeypatch):
+    # The rotation's tables, its variety gate and its radical, whose hoop is
+    # tabulated too, are gathers in the checked tables.  rot-godel-4 passes,
+    # so no witness is rendered either.
+    calls = spy_scalar_ops(monkeypatch, [TableAlgebra, FiniteMTL, SymbolicPerfectAlgebra])
+    A = rotated_hoop(godel_hoop(4))
+    assert validate_ibp0(A).ok and radical(A).report.ok
+    assert calls == []
+    # The spies are in place on both tabulated algebras.
+    A.times(0, 1)
+    radical(A).hoop.meet(0, 1)
+    assert calls == [("FiniteMTL", "times"), ("FiniteSemihoop", "meet")]
+
+
 def test_the_cli_scan_imports_no_numpy_ma(tmp_path):
     # np.unique imports numpy.ma, about 15 ms of every CLI process.
     path = tmp_path / "chang-1.json"
@@ -233,6 +256,13 @@ CARRIERS = {
 }
 
 
+def batch_op(A, name: str, args) -> list:
+    """A's batch op ``<name>_rows`` on the rows of the element lists ``args``,
+    read back as elements or truth values."""
+    rows = getattr(A, f"{name}_rows")(*(integers([A.row(x) for x in a]) for a in args))
+    return rows.tolist() if name in PREDICATES else [A.element(r) for r in rows.tolist()]
+
+
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(sorted(CARRIERS)), rank=st.integers(1, 3), data=st.data())
 def test_batch_ops_equal_the_scalar_ops_on_random_rows(kind, rank, data):
@@ -244,7 +274,6 @@ def test_batch_ops_equal_the_scalar_ops_on_random_rows(kind, rank, data):
     xs = data.draw(st.lists(element, min_size=1, max_size=6))
     ys = data.draw(st.lists(element, min_size=len(xs), max_size=len(xs)))
     o = tables(A)
-    assert o._bulk
     o.encode(A.carrier(2))
     for name in names:
         args = (xs,) if name == "neg" else (xs, ys)
@@ -253,13 +282,34 @@ def test_batch_ops_equal_the_scalar_ops_on_random_rows(kind, rank, data):
         got = getattr(o, name)(*(o.encode(a) for a in args))
         assert (got.tolist() if name == "leq" else o.decode(got)) == want
         # ... and the batch op on the rows themselves.
-        rows = getattr(A, f"{name}_rows")(*(integers([A.row(x) for x in a]) for a in args))
-        assert (rows.tolist() if name == "leq" else [A.element(r) for r in rows.tolist()]) == want
+        assert batch_op(A, name, args) == want
     # The coordinates are typed by _scan.width: Python ints once two of them
     # can sum past int64, as any drawn past half of it can.
     wide = max(abs(c) for r in o._coords.tolist() for c in r)
     assert (o._coords.dtype == object) == (2 * wide > INT64_MAX)
     assert o._coords.dtype == object or all(2 * c <= INT64_MAX for x in xs + ys for c in A.row(x))
+
+
+FINITE_CARRIERS = {
+    **{f"algebra-{n}": A for n, A in ibp0_corpus().items() if isinstance(A, TableAlgebra)},
+    **{f"hoop-{n}": H for n, H in semihoop_corpus().items()},
+    **{f"lmonoid-{n}": M for n, M in lmonoid_corpus().items()},
+    "rotation-godel-3": SymbolicPerfectAlgebra(godel_hoop(3)),
+    "planted-fault": planted_fault(),
+    "planted-hoop-fault": planted_hoop_fault(),
+    "broken-monoid": broken_monoid(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_CARRIERS))
+def test_batch_ops_equal_the_scalar_ops_on_every_finite_tuple(name):
+    # The engine fills every table from the batch ops, so a scalar op
+    # overridden without its batch form would change no verdict: it fails here.
+    A = FINITE_CARRIERS[name]
+    elems = A.carrier(0)
+    for op in (op for op in SCALAR_OPS if hasattr(A, op)):
+        args = list(zip(*product(elems, repeat=1 if op == "neg" else 2)))
+        assert batch_op(A, op, args) == list(map(getattr(A, op), *args)), op
 
 
 def test_planted_fault_lists_the_first_witnesses_in_product_order():

@@ -19,6 +19,7 @@ ops leave the radical, past a disabled variety gate.
 import random
 from itertools import product
 
+import numpy as np
 import pytest
 
 from ellstates import ibp0
@@ -185,7 +186,9 @@ def test_radical_closure_agrees_on_the_corpus(corpus):
 
 class LeakyRotation(SymbolicPerfectAlgebra):
     """The rank-1 rotation with some products, meets and joins moved to the
-    negative copy, and pos-(6) no longer above its negation."""
+    negative copy, and pos-(6) no longer above its negation: each leak in its
+    scalar form and in its batch form on (sign, coordinate) rows, which the
+    engine's tables are filled from."""
 
     def times(self, x, y):
         r = super().times(x, y)
@@ -201,6 +204,25 @@ class LeakyRotation(SymbolicPerfectAlgebra):
 
     def leq(self, x, y):
         return super().leq(x, y) and (x, y) != (("neg", (6,)), ("pos", (6,)))
+
+    def _leak(self, r, moved):
+        """The rows r, those that ``moved`` marks sent to the negative copy."""
+        return np.where(moved, self.neg_rows(r), r)
+
+    def times_rows(self, x, y):
+        both = (x[..., :1] == 1) & (y[..., :1] == 1)
+        return self._leak(super().times_rows(x, y), both & (x[..., 1:] + y[..., 1:] == 5))
+
+    def meet_rows(self, x, y):
+        both = (x[..., :1] == 1) & (y[..., :1] == 1)
+        return self._leak(super().meet_rows(x, y), both & (x[..., 1:] == 3))
+
+    def join_rows(self, x, y):
+        r = super().join_rows(x, y)
+        return self._leak(r, (r[..., :1] == 1) & (r[..., 1:] == 7))
+
+    def leq_rows(self, x, y):
+        return super().leq_rows(x, y) & ~((x == (0, 6)).all(axis=-1) & (y == (1, 6)).all(axis=-1))
 
 
 def test_radical_closure_agrees_on_a_planted_leak(monkeypatch):
