@@ -12,12 +12,15 @@ coordinates, and fills each op's table for the id tuples that a scan
 actually reaches, results that leave the window included: all missing keys
 of a table in one call of the carrier's batch op ``<op>_rows`` on the
 operands' coordinate rows, a gather in its tables for a finite carrier (see
-:class:`_Tables`).  The terms then run as numpy gathers over chunks of
-instances.  A product carrier is tabulated factor by factor, never over
-product ids, so its tables stay as small as its factors'.  Instances are
-visited in ``itertools.product`` order (the last variable varies fastest),
-violations are counted in full, and the first :data:`~.reports.MAX_WITNESSES`
-are rendered as witnesses through the scalar terms.
+:class:`_Tables`).  The terms then run as numpy gathers, each subterm once
+over the variables it mentions: a subterm of at most :data:`CHUNK` instances
+over the whole axis, a larger one per block of heads (values of x), after its
+table is filled at every key it will reach (see :class:`_Deferred`).
+A product carrier is tabulated factor by factor, never over product ids, so
+its tables stay as small as its factors'.  Instances are visited in
+``itertools.product`` order (the last variable varies fastest), violations
+are counted in full, and the first :data:`~.reports.MAX_WITNESSES` are
+rendered as witnesses through the scalar terms.
 
 Value laws read each map once into an exact table, integer numerators in
 lowest terms over one denominator, typed here alone (:func:`width`, through
@@ -107,6 +110,11 @@ def scan_axioms(
     ``caps`` bounds the axis of each arity it names (stride-sampled, see
     :func:`stride_select`); ``wording`` is the note for a sampled axis, with
     ``{m}`` sampled of ``{n}`` window elements.
+
+    Variable k runs over the whole axis along dimension k, so numpy
+    broadcasting evaluates each subterm once, over the variables it mentions.
+    Past CHUNK instances the terms run once through :class:`_Deferred`, and
+    the sides are compared one block of CHUNK instances at a time.
     """
     n = len(elems)
     ops = tables(A)
@@ -116,22 +124,20 @@ def scan_axioms(
         ix = stride_select(range(n), caps.get(axiom.arity, n))
         m, arity = len(ix), axiom.arity
         axis = window[np.asarray(ix, dtype=np.intp)]
-        # x runs over a block of heads, the other variables over the whole
-        # axis, each along its own dimension; numpy broadcasting then
-        # evaluates a subterm only over the variables it mentions.
-        inner = [axis.reshape((1,) * k + (m,) + (1,) * (arity - 1 - k)) for k in range(1, arity)]
+        xs = [axis.reshape((1,) * k + (m,) + (1,) * (arity - 1 - k)) for k in range(arity)]
+        deferred = m**arity > CHUNK
+        lhs, rhs = axiom.terms(_Deferred(ops, xs[-1] if arity > 1 else None) if deferred else ops, *xs)
+        same = _Node(operator.eq, lhs, rhs) if deferred else lhs == rhs
         step = max(1, CHUNK // max(m, 1) ** (arity - 1))
         violations, shown = 0, []
         for head in range(0, m, step):
-            heads = np.arange(head, min(head + step, m))
-            shape = (len(heads),) + (m,) * (arity - 1)
-            x = axis[heads].reshape((len(heads),) + (1,) * (arity - 1))
-            lhs, rhs = axiom.terms(ops, x, *inner)
-            fails = np.flatnonzero(~np.broadcast_to(lhs == rhs, shape))
+            heads = slice(head, min(head + step, m))
+            shape = (heads.stop - head,) + (m,) * (arity - 1)
+            fails = np.flatnonzero(~np.broadcast_to(_block(same, heads), shape))
             violations += len(fails)
             for k in fails[: MAX_WITNESSES - len(shown)]:
                 first, *rest = np.unravel_index(k, shape)
-                shown.append(tuple(elems[ix[i]] for i in (heads[first], *rest)))
+                shown.append(tuple(elems[ix[i]] for i in (head + first, *rest)))
         checks.append(
             verdict(
                 axiom.name,
@@ -143,6 +149,69 @@ def scan_axioms(
             )
         )
     return checks
+
+
+def _block(v, heads: slice):
+    """The term value ``v`` over one block of heads: cut to them if it mentions x."""
+    if isinstance(v, _Node):
+        return v.op(*(_block(a, heads) for a in v.args))
+    # Not np.shape: every scan of an axiom passes here, and it dispatches.
+    return v[heads] if getattr(v, "shape", ())[:1] > (1,) else v
+
+
+class _Node:
+    """A term over more than CHUNK instances, ``op`` of ``args``, evaluated one
+    block of heads at a time by :func:`_block`.  Comparisons with it defer too,
+    numpy's included."""
+
+    __array_ufunc__ = None
+
+    def __init__(self, op: Callable, *args):
+        self.op, self.args = op, args
+
+    __eq__ = lambda self, other: _Node(operator.eq, self, other)
+    __le__ = lambda self, other: _Node(operator.le, self, other)
+    __ge__ = lambda self, other: _Node(operator.ge, self, other)
+
+
+class _Deferred:
+    """The ops ``ops`` for an axiom past CHUNK instances.  An op over at most
+    CHUNK instances is evaluated at once, over the whole axis; a larger one
+    is a :class:`_Node`.  If its two operands are evaluated arrays on disjoint
+    axes, it reaches every pair of their distinct values, so its table is
+    filled at those first.  If its right operand is then ``last``, the last
+    variable, on contiguous ids of a carrier's own tables, a block gathers
+    whole rows of the table instead of flat indices."""
+
+    def __init__(self, ops, last):
+        self._ops, self._last, self._ids = ops, last, None
+        if last is not None and isinstance(ops, _Tables) and (np.diff(last.ravel()) == 1).all():
+            self._ids = slice(int(last.flat[0]), int(last.flat[-1]) + 1)
+
+    def __getattr__(self, name: str):
+        attr = getattr(self._ops, name)
+        return partial(self._apply, name, attr) if callable(attr) else attr
+
+    def _apply(self, name: str, op: Callable, *args):
+        if not any(isinstance(a, _Node) for a in args):
+            size = prod(np.broadcast_shapes(*map(np.shape, args)))
+            if size <= CHUNK:
+                return op(*args)
+            if len(args) == 2 and all(map(np.shape, args)) and prod(prod(np.shape(a)) for a in args) == size:
+                # Each distinct left value against every distinct right one,
+                # at most CHUNK keys (or one left value) per call.  The largest
+                # values come first, so the table is sized once, not regrown.
+                a, b = (v.reshape(-1)[_distinct(self._ops.key(v).reshape(-1))[1]] for v in args)
+                step = max(1, CHUNK // np.shape(b)[0])
+                for lo in reversed(range(0, np.shape(a)[0], step)):
+                    op(a[lo : lo + step].reshape((-1, 1)), b.reshape((1, -1)))
+                if self._ids is not None and args[1] is self._last:
+                    return _Node(partial(self._rows, name), args[0])
+        return _Node(op, *args)
+
+    def _rows(self, name: str, x: np.ndarray) -> np.ndarray:
+        out = self._ops._tables[name][:, self._ids].take(x.ravel(), axis=0).reshape(x.shape[:-1] + (-1,))
+        return out.view(bool) if name in PREDICATES else out
 
 
 def exact_table(rows: Sequence[Sequence], terms: int = 2) -> tuple[np.ndarray, int]:
@@ -436,6 +505,10 @@ class _Parts:
 
     def __init__(self, parts: list):
         self.parts = parts
+
+    @property
+    def shape(self) -> tuple:
+        return np.shape(self.parts[0])
 
     def __getitem__(self, idx) -> _Parts:
         return _Parts([p[idx] for p in self.parts])

@@ -28,14 +28,15 @@ image_bound's lower bound, hold only in M's own orientation, read off M.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from ._scan import Axiom, locate, memo, scan_axioms, tables
-from .reports import MalformedInputError, PreconditionError, ValidationReport
+from .reports import InternalConsistencyError, MalformedInputError, PreconditionError, ValidationReport
 
 Element = Any  # int index (finite) or tuple of ints (symbolic)
 
@@ -52,16 +53,24 @@ def _array(where: str, value: Any, n: int) -> Sequence:
     return value
 
 
-def check_table(name: str, table: Any, n: int) -> tuple[tuple[int, ...], ...]:
-    """Shape-check an n x n Cayley table; raises MalformedInputError naming
-    the row or cell."""
-    out = []
-    for i, row in enumerate(_array(name, table, n)):
+def check_table(name: str, table: Any, n: int) -> np.ndarray:
+    """Shape-check an n x n Cayley table into its gather array, typed to hold
+    0..n-1; raises MalformedInputError naming the first bad row or cell in
+    row-major order."""
+    rows, kind = _array(name, table, n), np.min_scalar_type(n - 1)
+    # Checked in bulk; only a bad table walks its cells to name the first fault.
+    if all(isinstance(r, (list, tuple)) and len(r) == n for r in rows) and all(
+        issubclass(t, int) and t is not bool for t in set(map(type, chain.from_iterable(rows)))
+    ):
+        with suppress(OverflowError):
+            out = np.array(rows, dtype=kind)
+            if not (out >= n).any():
+                return out
+    for i, row in enumerate(rows):
         for j, v in enumerate(_array(f"{name} row {i}", row, n)):
             if not _is_index(v, n):
                 raise MalformedInputError(f"{name}[{i}][{j}] = {v!r} is not an index in 0..{n - 1}")
-        out.append(tuple(row))
-    return tuple(out)
+    raise InternalConsistencyError(f"{name}: refused in bulk, yet no cell is bad")
 
 
 class TableAlgebra:
@@ -86,10 +95,10 @@ class TableAlgebra:
             raise MalformedInputError("size must be at least 1")
         self.size = n
         for op, table in zip(self.TABLES, tables):
-            table = check_table(op, table, n)
+            gather, table = check_table(op, table, n), tuple(map(tuple, table))
             setattr(self, f"{op}_table", table)
             setattr(self, op, lambda x, y, t=table: t[x][y])
-            setattr(self, f"{op}_rows", lambda x, y, t=np.array(table, dtype=np.min_scalar_type(n - 1)): t[x, y])
+            setattr(self, f"{op}_rows", lambda x, y, t=gather: t[x, y])
         for name, v in zip(self.CONSTANTS, constants):
             if not _is_index(v, n):
                 raise MalformedInputError(f"{name} = {v!r} is not an index in 0..{n - 1}")

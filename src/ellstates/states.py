@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain
 from math import lcm
 from types import SimpleNamespace
@@ -203,11 +204,16 @@ class FormulaHyperstate:
         self.state = w
         self._window = window
 
+    @cached_property
+    def _own(self) -> _Values:
+        """s on its own (algebra, window), read once per hyperstate."""
+        return _values(self.algebra, self, self._window)
+
     def raw_value(self, a) -> tuple[Fraction, Fraction]:
-        return _values(self.algebra, self, self._window).raw(a)
+        return self._own.raw(a)
 
     def value(self, a) -> DualRational:
-        v = _values(self.algebra, self, self._window)
+        v = self._own
         k = v.position(a)
         # Each row's interval was checked with the whole table's.
         if v.defects[k]:

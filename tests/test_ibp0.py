@@ -41,7 +41,7 @@ from ellstates.ibp0 import (
     validate_ibp0,
     validate_mtl,
 )
-from ellstates.reports import MalformedInputError, PreconditionError
+from ellstates.reports import MAX_WITNESSES, MalformedInputError, PreconditionError
 from ellstates.semihoop import FiniteSemihoop, SymbolicConeHoop
 from reference import planted_fault, relabelled
 
@@ -315,3 +315,29 @@ def test_both_routes_to_a_rotation_get_the_same_verdicts(name):
     R, T = SymbolicPerfectAlgebra(H), rotated_hoop(H)
     assert verdicts(validate_ibp0(R)) == verdicts(validate_ibp0(T))
     assert verdicts(radical(R).report) == verdicts(radical(T).report)
+
+
+SWAPPED = {**{name: P.factors for name, P in pairwise_products().items()},
+           "planted-fault*rot-godel-3": [planted_fault(), rotated_hoop(godel_hoop(3))]}
+
+
+@pytest.mark.parametrize("name", sorted(SWAPPED))
+def test_swapped_factors_get_the_same_verdicts(name):
+    # A × B and B × A get the same verdicts.  Each witness of B × A, its
+    # coordinates swapped, fails its law in A × B with its sides swapped, and
+    # under MAX_WITNESSES violations the two witness lists are the same set.
+    A, B = SWAPPED[name]
+    AB, BA = ProductAlgebra([A, B]), ProductAlgebra([B, A])
+    ab, ba = validate_ibp0(AB), validate_ibp0(BA)
+    assert verdicts(ab) == verdicts(ba)
+    element = {BA.token(x): x for x in BA.carrier(8)}
+    swap = lambda v: v if isinstance(v, bool) else v[::-1]
+    for mine, theirs in zip(ab.checks, ba.checks):
+        shown = []
+        for w in theirs.witnesses:
+            inst = [element[t] for t in w["witness"].values()]
+            sides = AXIOMS[mine.axiom].terms(AB, *map(swap, inst))
+            assert sides[0] != sides[1] and sides == tuple(map(swap, AXIOMS[mine.axiom].terms(BA, *inst)))
+            shown.append([AB.token(swap(x)) for x in inst])
+        if mine.violations <= MAX_WITNESSES:
+            assert sorted(shown) == sorted(list(w["witness"].values()) for w in mine.witnesses)

@@ -27,6 +27,7 @@ from ellstates.lmonoid import (
     KElement,
     TableAlgebra,
     SymbolicCancellativeMonoid,
+    check_table,
     envelope_summary,
     h_is_injective,
     image_bound,
@@ -56,6 +57,19 @@ from reference import (
 )
 
 BASES = finite_bases()
+
+
+def first_fault(name: str, table: list, n: int) -> str | None:
+    """The error naming the first bad row or cell of an n x n table, one cell at a time."""
+    for i, row in enumerate(table):
+        if not isinstance(row, (list, tuple)):
+            return f"{name} row {i}: expected an array of {n} entries, got {row!r}"
+        if len(row) != n:
+            return f"{name} row {i}: expected {n} entries, got {len(row)}"
+        for j, v in enumerate(row):
+            if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < n:
+                return f"{name}[{i}][{j}] = {v!r} is not an index in 0..{n - 1}"
+    return None
 
 
 class TestValidation:
@@ -99,6 +113,27 @@ class TestValidation:
     def test_malformed_table_names_the_cell(self):
         with pytest.raises(MalformedInputError, match=r"add\[0\]\[1\] = 5"):
             FiniteLMonoid([[0, 5], [1, 1]], [[0, 0], [0, 1]], [[0, 1], [1, 1]], unit=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 4), data=st.data())
+    def test_bulk_table_check_names_the_first_fault(self, n, data):
+        # Against a cell-by-cell check in row-major order: the same error, or
+        # the same table, for planted bad cells, bools, non-ints and bad rows.
+        table = [[data.draw(st.integers(0, n - 1)) for _ in range(n)] for _ in range(n)]
+        bad = st.sampled_from([-1, n, 2**70, True, False, 1.0, "0", None])
+        for _ in range(data.draw(st.integers(0, 3))):
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            table[i][j] = data.draw(bad)
+        if data.draw(st.booleans()):
+            i = data.draw(st.integers(0, n - 1))
+            table[i] = data.draw(st.sampled_from([table[i][:-1], table[i] + [0], tuple(table[i]), 0]))
+        want = first_fault("add", table, n)
+        if want is None:
+            assert check_table("add", table, n).tolist() == [list(row) for row in table]
+        else:
+            with pytest.raises(MalformedInputError) as raised:
+                check_table("add", table, n)
+            assert str(raised.value) == want
 
     def test_other_corpus_monoids_are_valid(self):
         for M in (idempotent_pair_monoid(), grid_join_monoid(), chain_min_monoid(3), trunc_monoid(3)):

@@ -6,9 +6,10 @@ gathers over id tables that it fills from the carrier's batch ops
 reference below runs them through the scalar ops themselves, one
 ``itertools.product`` instance at a time.  These tests pin the two to each
 other, instance by instance and check by check (pass/fail, violation count
-and witnesses, full and sampled), on valid carriers, on products and on
-planted table faults, and pin every batch op to its scalar op: on random
-rows of the symbolic carriers, and on every operand tuple of the finite ones.
+and witnesses, full, sampled, and with a small CHUNK that defers every
+larger scan), on valid carriers, on products and on planted table faults,
+and pin every batch op to its scalar op: on random rows of the symbolic
+carriers, and on every operand tuple of the finite ones.
 """
 
 import json
@@ -135,9 +136,16 @@ def test_batch_and_scalar_terms_agree_instance_by_instance(name, axiom):
             assert np.all(np.broadcast_to(batch == ops.encode(list(scalar)), len(instances)))
 
 
-@pytest.mark.parametrize("caps", [{}, {2: 7, 3: 5}], ids=["full", "sampled"])
+# A CHUNK of 16 defers every scan past 16 instances: its terms run as nodes,
+# over blocks of one or a few heads, with row gathers on a full axis, and an
+# axis longer than CHUNK, as a window past 65536 elements would be, defers
+# even the laws in one variable.
+@pytest.mark.parametrize(("caps", "chunk"), [({}, None), ({2: 7, 3: 5}, None), ({}, 16), ({2: 7, 3: 5}, 16)],
+                         ids=["full", "sampled", "full-chunk-16", "sampled-chunk-16"])
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_batch_scan_equals_scalar_scan(name, caps):
+def test_batch_scan_equals_scalar_scan(name, caps, chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(_scan, "CHUNK", chunk)
     build, axioms, window = CASES[name]
     A = build()
     elems = window(A)
@@ -234,15 +242,38 @@ def test_finite_set_up_makes_no_scalar_op_call(monkeypatch):
 
 
 def test_the_cli_scan_imports_no_numpy_ma(tmp_path):
-    # np.unique imports numpy.ma, about 15 ms of every CLI process.
-    path = tmp_path / "chang-1.json"
-    path.write_text(json.dumps({"kind": "rotation", "rank": 1}))
+    # np.unique imports numpy.ma, about 15 ms of every CLI process.  chang-2's
+    # triple laws pass CHUNK, so its scan defers them and fills their tables
+    # at the distinct operand values.
     src = str(Path(_scan.__file__).resolve().parents[1])
-    code = ("import sys; from ellstates.cli import main; "
-            f"status = main(['validate', '--ibp0', {str(path)!r}]); print(status, 'numpy.ma' in sys.modules)")
-    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-                           env=dict(os.environ, PYTHONPATH=src))
-    assert child.stdout.split()[-2:] == ["0", "False"]
+    for rank in (1, 2):
+        path = tmp_path / f"chang-{rank}.json"
+        path.write_text(json.dumps({"kind": "rotation", "rank": rank}))
+        code = ("import sys; from ellstates.cli import main; "
+                f"status = main(['validate', '--ibp0', {str(path)!r}]); print(status, 'numpy.ma' in sys.modules)")
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                               env=dict(os.environ, PYTHONPATH=src))
+        assert child.stdout.split()[-2:] == ["0", "False"], rank
+
+
+# Per op, the keys that the chang-2 variety gate's terms reach: what a scan
+# filling its tables one head block at a time fills.
+CHANG_2_KEYS = {"meet": 26244, "join": 26660, "times": 93692, "impl": 26244, "leq": 93636, "neg": 162, "oplus": 218}
+
+
+def test_the_chang_2_gate_fills_each_table_in_few_calls(monkeypatch):
+    # A deferred term fills its table up front, CHUNK keys per call, at the
+    # keys it reaches, and each block of heads only gathers.
+    calls, keys, fill = [], {}, _scan._Tables._fill
+
+    def spy(self, name, at):
+        calls.append(name)
+        keys[name] = keys.get(name, 0) + len(at[0])
+        return fill(self, name, at)
+
+    monkeypatch.setattr(_scan._Tables, "_fill", spy)
+    assert validate_ibp0(chang_algebra(2)).ok
+    assert len(calls) <= 30 and all(n <= CHANG_2_KEYS[name] for name, n in keys.items())
 
 
 # Coordinates inside a window of 2, past it, and past half of int64, where
