@@ -47,7 +47,7 @@ from math import prod
 from pathlib import Path
 from typing import Any, Callable
 
-from ._scan import scan_mode
+from ._scan import scan_mode, tables
 from .corpus import (
     hyperstate_product_corpus,
     ibp0_corpus,
@@ -60,7 +60,7 @@ from .ibp0 import (
     ProductAlgebra,
     SymbolicPerfectAlgebra,
     boolean_skeleton,
-    decompose_element,
+    decompose,
     radical,
     require_ibp0,
     validate_ibp0,
@@ -232,7 +232,7 @@ def _algebra(path: str, window: int | None):
 def algebra_to_json(A) -> dict[str, Any]:
     if isinstance(A, TableAlgebra):
         out: dict[str, Any] = {"size": A.size}
-        out.update((op, [list(row) for row in getattr(A, f"{op}_table")]) for op in A.TABLES)
+        out.update((op, getattr(A, f"{op}_table").tolist()) for op in A.TABLES)
         out.update((name, getattr(A, name)) for name in A.CONSTANTS)
         return out
     if isinstance(A, SymbolicPerfectAlgebra):
@@ -421,11 +421,10 @@ def _run_radical(args) -> tuple[str, list[Check], dict]:
 def _run_decompose(args) -> tuple[str, list[Check], dict]:
     A = _bounded(_algebra(args.algebra, args.window), "decompose")
     require_ibp0(A, args.window)
-    rows = []
-    for a in A.carrier(args.window):
-        # decompose_element raises unless b and c recompose to a
-        d = decompose_element(A, a)
-        rows.append({"x": A.token(a), "b": A.token(d.b), "c": A.token(d.c)})
+    o, elems = tables(A), A.carrier(args.window)
+    # decompose raises unless every b and c recompose to their a
+    b, c = decompose(A, elems, o)
+    rows = [{"x": A.token(a), "b": A.token(x), "c": A.token(y)} for a, x, y in zip(elems, o.decode(b), o.decode(c))]
     check = verdict("element-decomposition", [], mode=scan_mode(A, args.window), note=f"{len(rows)} elements")
     return "decomposition", [check], {"elements": rows}
 

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._scan import (Axiom, capped_cartesian, masked_verdict, memo, pair_columns, scan_axioms, scan_mode, stride_select,
                     tables)
-from .lmonoid import TableAlgebra
+from .lmonoid import Carrier, TableAlgebra
 from .reports import (
     InternalConsistencyError,
     MalformedInputError,
@@ -73,12 +73,6 @@ class FiniteMTL(TableAlgebra):
     def __init__(self, times, impl, meet, join, bot: int, top: int, size: int | None = None):
         super().__init__((times, impl, meet, join), (bot, top), size)
 
-    def neg(self, x):
-        return self.impl_table[x][self.bot]
-
-    def oplus(self, x, y):
-        return self.impl_table[self.neg(x)][y]
-
     def neg_rows(self, x):
         return self.impl_rows(x, self.bot)
 
@@ -90,7 +84,7 @@ class FiniteMTL(TableAlgebra):
 # of the result, from whether each operand is positive, and its core for
 # (pos, pos), (pos, neg), (neg, pos) and (neg, neg), as a core op on the
 # operands' cores in the order given, the core's top, or one operand's core.
-# The scalar ops and the batch ops both read it.
+# The rotation's batch ops read it.
 SIGNED = {
     "times": (operator.and_, (("times", "xy"), ("impl", "xy"), ("impl", "yx"), "top")),
     "impl": (lambda px, py: (px ^ True) | py, (("impl", "xy"), ("times", "xy"), "top", ("impl", "yx"))),
@@ -99,7 +93,7 @@ SIGNED = {
 }
 
 
-class SymbolicPerfectAlgebra:
+class SymbolicPerfectAlgebra(Carrier):
     """Disconnected rotation of a semihoop: two signed copies of the core.
 
     The positive copy keeps the hoop structure, the negative copy mirrors
@@ -107,9 +101,9 @@ class SymbolicPerfectAlgebra:
     to 0.  Over a cone hoop (two signed copies of ℕᵏ) the skeleton is
     exactly {0, 1} and the positive copy is the radical.
 
-    Each op also has a batch form, ``<op>_rows``, on integer coordinate
-    rows: an element's sign (1 for pos) followed by its core's coordinates;
-    it reads the core's batch ops, a gather for a finite core.
+    Each op is defined once, as a batch op ``<op>_rows`` on an element's sign
+    (1 for pos) followed by its core's coordinates, reading the core's batch
+    ops (a gather for a finite core); see :class:`.lmonoid.Carrier`.
     """
 
     def __init__(self, core):
@@ -128,52 +122,31 @@ class SymbolicPerfectAlgebra:
         core = self.core.carrier(window)
         return [("neg", m) for m in core] + [("pos", m) for m in core]
 
-    def _branch(self, spec, cx, cy, form: str):
-        """One core entry of SIGNED; ``form`` is "" on elements, "_rows" on rows."""
+    def _branch(self, spec, cx, cy):
+        """One core entry of SIGNED, on core rows."""
         if spec == "top":
-            return self.core.row(self.core.top) if form else self.core.top
+            return self.core.row(self.core.top)
         if spec in ("x", "y"):
             return cx if spec == "x" else cy
         name, order = spec
-        op = getattr(self.core, name + form)
+        op = getattr(self.core, f"{name}_rows")
         return op(cx, cy) if order == "xy" else op(cy, cx)
-
-    def _signed(self, name: str, x, y):
-        sign, branches = SIGNED[name]
-        px, py = x[0] == "pos", y[0] == "pos"
-        core = self._branch(branches[2 * (not px) + (not py)], x[1], y[1], "")
-        return ("pos" if sign(px, py) else "neg", core)
 
     def _signed_rows(self, name: str, x, y):
         sign, branches = SIGNED[name]
         (px, cx), (py, cy) = _parts(x), _parts(y)
-        pp, pn, nps, nn = (self._branch(spec, cx, cy, "_rows") for spec in branches)
+        pp, pn, nps, nn = (self._branch(spec, cx, cy) for spec in branches)
         core = np.where(px, np.where(py, pp, pn), np.where(py, nps, nn))
         return np.concatenate([sign(px, py).astype(np.intp), core], axis=-1)
 
-    times, impl, meet, join = map(partial(partialmethod, _signed), SIGNED)
     times_rows, impl_rows, meet_rows, join_rows = map(partial(partialmethod, _signed_rows), SIGNED)
-
-    def neg(self, x):
-        sx, cx = x
-        return ("neg" if sx == "pos" else "pos", cx)
 
     def neg_rows(self, x):
         px, cx = _parts(x)
         return np.concatenate([(px ^ True).astype(np.intp), cx], axis=-1)
 
-    def oplus(self, x, y):
-        return self.impl(self.neg(x), y)
-
     def oplus_rows(self, x, y):
         return self.impl_rows(self.neg_rows(x), y)
-
-    def leq(self, x, y) -> bool:
-        sx, cx = x
-        sy, cy = y
-        if sx == sy:
-            return self.core.leq(cx, cy) if sx == "pos" else self.core.leq(cy, cx)
-        return sx == "neg"
 
     def leq_rows(self, x, y):
         (px, cx), (py, cy), C = _parts(x), _parts(y), self.core
@@ -479,22 +452,30 @@ def decomposition_terms(o, a) -> tuple:
     return b, c, o.join(b, o.neg(b)) == o.top, in_radical(o, c), o.meet(o.join(b, o.neg(c)), o.join(o.neg(b), c))
 
 
-def decompose_element(A, a) -> Decomposition:
-    """Split a into its skeleton part b_a and radical part c_a.
+def decompose(A, elems: Sequence, o) -> tuple:
+    """b_a and c_a of every a in ``elems``, as id columns of A's id tables
+    ``o``, with (b_a ∨ ¬c_a) ∧ (¬b_a ∨ c_a) = a checked at every a: at the
+    first a where the decomposition fails, this raises, naming what failed."""
+    a = o.encode(elems)
+    b, c, complemented, radical_part, recomposed = decomposition_terms(o, a)
+    bad = np.flatnonzero(~(complemented & radical_part & (recomposed == a)))
+    if len(bad):
+        k, x = bad[0], A.token(elems[bad[0]])
+        if not complemented[k]:
+            raise InternalConsistencyError(f"b_a not complemented for a = {x}")
+        if not radical_part[k]:
+            raise InternalConsistencyError(f"c_a not in the radical for a = {x}")
+        got = A.token(o.decode(recomposed[k : k + 1])[0])
+        raise InternalConsistencyError(f"decomposition does not recompose: a = {x}, got {got}")
+    return b, c
 
-    b_a = ¬((¬a²)²) and c_a = a ∨ ¬a; the recomposition identity
-    (b_a ∨ ¬c_a) ∧ (¬b_a ∨ c_a) = a is re-checked on every call.
-    """
-    b, c, complemented, radical_part, recomposed = decomposition_terms(A, a)
-    if not complemented:
-        raise InternalConsistencyError(f"b_a not complemented for a = {A.token(a)}")
-    if not radical_part:
-        raise InternalConsistencyError(f"c_a not in the radical for a = {A.token(a)}")
-    if recomposed != a:
-        raise InternalConsistencyError(
-            f"decomposition does not recompose: a = {A.token(a)}, got {A.token(recomposed)}"
-        )
-    return Decomposition(b=b, c=c)
+
+def decompose_element(A, a) -> Decomposition:
+    """Split a into its skeleton part b_a = ¬((¬a²)²) and radical part
+    c_a = a ∨ ¬a: :func:`decompose` on [a], which re-checks the recomposition."""
+    o = tables(A)
+    b, c = decompose(A, [a], o)
+    return Decomposition(b=o.decode(b)[0], c=o.decode(c)[0])
 
 
 # ---------------------------------------------------------------------------

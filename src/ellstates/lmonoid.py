@@ -1,7 +1,9 @@
 """Lattice-ordered monoids and their Grothendieck lattice-group envelope.
 
 Two carrier forms are supported: finite Cayley tables, and the symbolic
-cancellative cones N^k (componentwise addition).  The envelope K(M) is the
+cancellative cones N^k (componentwise addition).  Each defines an op once, as
+a batch op on coordinate rows, and :class:`Carrier` derives the scalar op on
+elements from it.  The envelope K(M) is the
 abelian lattice-group of formal differences [x, y]: on a finite ell-monoid
 it has one class, by the proof in :class:`KGroup`, and on a cone its
 classes are the canonical integer forms x - y.
@@ -30,12 +32,13 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain, product
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
-from ._scan import Axiom, locate, memo, scan_axioms, tables
+from ._scan import PREDICATES, Axiom, integers, locate, memo, scan_axioms, tables
 from .reports import InternalConsistencyError, MalformedInputError, PreconditionError, ValidationReport
 
 Element = Any  # int index (finite) or tuple of ints (symbolic)
@@ -73,15 +76,43 @@ def check_table(name: str, table: Any, n: int) -> np.ndarray:
     raise InternalConsistencyError(f"{name}: refused in bulk, yet no cell is bad")
 
 
-class TableAlgebra:
+class _Derived:
+    """The scalar op named as it is bound: :meth:`Carrier._scalar` on the batch
+    op ``<name>_rows``, and absent, to hasattr too, where that is."""
+
+    def __set_name__(self, owner, name: str):
+        self.name = name
+
+    def __get__(self, A, owner=None):
+        if A is None:
+            return self
+        getattr(A, f"{self.name}_rows")  # raises AttributeError where it is absent
+        return partial(A._scalar, self.name)
+
+
+class Carrier:
+    """A carrier defined by its batch ops: ``<op>_rows`` maps integer rows of
+    shape (..., d), the coordinates ``row(x)`` read back by ``element``, to
+    result rows (truth values for ``leq``).  A scalar op is its batch op on
+    one row per operand, returning Python values for witnesses and JSON."""
+
+    add, times, impl, meet, join, neg, oplus, leq = (_Derived() for _ in range(8))
+
+    def _scalar(self, name: str, *xs):
+        rows = integers([self.row(x) for x in xs])
+        out = getattr(self, f"{name}_rows")(*rows[:, None])[0]
+        return bool(out) if name in PREDICATES else self.element(out.tolist())
+
+
+class TableAlgebra(Carrier):
     """A finite carrier on indices 0..n-1, declared by its tables.
 
     A kind declares ``KIND`` (its name in error messages), ``TABLES`` (its
     binary ops in constructor order) and ``CONSTANTS`` (its named elements,
     after the tables in the constructor).  Each op ``o`` in ``TABLES`` keeps
-    its checked table as ``o_table``, and ``o`` and ``o_rows`` are bound to
-    lookups in it, the batch one a gather on rows ``(x,)``, so a kind writes
-    only the ops it derives.  The order is read from the meet table.
+    its checked table once, as the gather array ``o_table``, and ``o_rows``
+    gathers in it on rows ``(x,)``, so a kind writes only the batch ops it
+    derives.  The order is read from the meet table.
     """
 
     is_finite = True
@@ -95,9 +126,8 @@ class TableAlgebra:
             raise MalformedInputError("size must be at least 1")
         self.size = n
         for op, table in zip(self.TABLES, tables):
-            gather, table = check_table(op, table, n), tuple(map(tuple, table))
-            setattr(self, f"{op}_table", table)
-            setattr(self, op, lambda x, y, t=table: t[x][y])
+            gather = check_table(op, table, n)
+            setattr(self, f"{op}_table", gather)
             setattr(self, f"{op}_rows", lambda x, y, t=gather: t[x, y])
         for name, v in zip(self.CONSTANTS, constants):
             if not _is_index(v, n):
@@ -120,9 +150,6 @@ class TableAlgebra:
 
     def carrier(self, window: int) -> list[int]:
         return list(range(self.size))
-
-    def leq(self, x: int, y: int) -> bool:
-        return self.meet_table[x][y] == x
 
     def leq_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return (self.meet_rows(x, y) == x)[..., 0]
@@ -149,9 +176,10 @@ class FiniteLMonoid(TableAlgebra):
 
 
 @dataclass(frozen=True)
-class Cone:
+class Cone(Carrier):
     """The carrier N^rank under componentwise addition, with the zero tuple
-    as unit.  Each subclass puts one lattice order on it."""
+    as unit.  Each subclass puts one lattice order on it.  An element's
+    coordinates are the element itself."""
 
     rank: int
 
@@ -165,11 +193,6 @@ class Cone:
     def unit(self) -> tuple[int, ...]:
         return (0,) * self.rank
 
-    def add(self, x: tuple, y: tuple) -> tuple:
-        return tuple(a + b for a, b in zip(x, y))
-
-    # Each op's batch form (``<op>_rows``) takes integer coordinate arrays of
-    # shape (..., rank), an element's coordinates being the element itself.
     add_rows = np.add
 
     def carrier(self, window: int) -> list[tuple[int, ...]]:
@@ -188,15 +211,6 @@ class Cone:
 class SymbolicCancellativeMonoid(Cone):
     """The cone in the natural lattice order (meet = min).  Cancellative by
     construction."""
-
-    def meet(self, x: tuple, y: tuple) -> tuple:
-        return tuple(min(a, b) for a, b in zip(x, y))
-
-    def join(self, x: tuple, y: tuple) -> tuple:
-        return tuple(max(a, b) for a, b in zip(x, y))
-
-    def leq(self, x: tuple, y: tuple) -> bool:
-        return all(a <= b for a, b in zip(x, y))
 
     meet_rows, join_rows = np.minimum, np.maximum
 

@@ -51,8 +51,9 @@ SIGMA_BASE_CAP = 32
 
 class FiniteSemihoop(TableAlgebra):
     """A semihoop on indices 0..n-1 given by times/impl/meet tables, and its own
-    multiplicative ell-monoid reduct (H, ·, ∧, ∨, 1): each instance binds ``add``
-    to ``times``, ``unit`` to ``top`` and ``join`` to the pseudo-join."""
+    multiplicative ell-monoid reduct (H, ·, ∧, ∨, 1): each instance binds
+    ``add_rows`` to ``times_rows``, ``join_rows`` to the pseudo-join and ``unit``
+    to ``top``."""
 
     KIND = "semihoop"
     TABLES = ("times", "impl", "meet")
@@ -60,8 +61,7 @@ class FiniteSemihoop(TableAlgebra):
 
     def __init__(self, times, impl, meet, top: int, size: int | None = None):
         super().__init__((times, impl, meet), (top,), size)
-        self.add, self.unit, self.join = self.times, self.top, partial(pseudo_join, self)
-        self.add_rows = self.times_rows
+        self.unit, self.add_rows = self.top, self.times_rows
         self.join_rows = partial(pseudo_join, SimpleNamespace(meet=self.meet_rows, impl=self.impl_rows))
 
 
@@ -79,21 +79,7 @@ class SymbolicConeHoop(Cone):
     """
 
     top = Cone.unit
-    times, times_rows = Cone.add, Cone.add_rows
-
-    def impl(self, x: tuple, y: tuple) -> tuple:
-        return tuple(max(b - a, 0) for a, b in zip(x, y))
-
-    def meet(self, x: tuple, y: tuple) -> tuple:
-        return tuple(max(a, b) for a, b in zip(x, y))
-
-    def join(self, x: tuple, y: tuple) -> tuple:
-        return tuple(min(a, b) for a, b in zip(x, y))
-
-    def leq(self, x: tuple, y: tuple) -> bool:
-        return all(a >= b for a, b in zip(x, y))
-
-    meet_rows, join_rows = np.maximum, np.minimum
+    times_rows, meet_rows, join_rows = Cone.add_rows, np.maximum, np.minimum
 
     def impl_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return np.maximum(y - x, 0)

@@ -34,8 +34,7 @@ from .ibp0 import (
     Skeleton,
     boolean_skeleton,
     coradical,
-    decompose_element,
-    decomposition_terms,
+    decompose,
     radical,
     require_ibp0,
 )
@@ -252,9 +251,8 @@ def _frame(A, window: int) -> SimpleNamespace:
     each part and their positions, never -1.  And the elements' split
     triples as positions: ``b`` into ``skeleton`` and ``lo``, ``hi`` into
     ``hoop``, which hold the distinct skeleton parts and hoop elements.  The
-    decomposition runs as term columns; at the first element where it fails,
-    decompose_element raises its error, or, if its scalar terms pass there,
-    the frame raises that the two disagree."""
+    decomposition runs as term columns (see decompose), which raise at the
+    first element where it fails."""
     def build() -> SimpleNamespace:
         o, carrier = tables(A), A.carrier(window)
         f = pair_columns(A, carrier, HYPER_PAIR_CAP, SAMPLED_NOTE, ("times", "oplus", "meet", "join", "leq", "neg"), o)
@@ -262,13 +260,7 @@ def _frame(A, window: int) -> SimpleNamespace:
         f.elements = list(dict.fromkeys(chain(carrier, *f.parts.values())))
         f.index = {a: k for k, a in enumerate(f.elements)}
         f.at = {name: np.array([f.index[a] for a in part], dtype=np.intp) for name, part in f.parts.items()}
-        a = o.encode(f.elements)
-        b, c, complemented, radical_part, recomposed = decomposition_terms(o, a)
-        bad = np.flatnonzero(~(complemented & radical_part & (recomposed == a)))
-        if len(bad):
-            x = f.elements[bad[0]]
-            decompose_element(A, x)  # raises, naming what failed there
-            raise InternalConsistencyError(f"decomposition columns and scalar terms disagree at a = {A.token(x)}")
+        b, c = decompose(A, f.elements, o)
         to_hoop = radical(A, window).to_hoop
         ([f.b], f.skeleton), ((f.lo, f.hi), hoop) = distinct(o, b), distinct(o, o.join(o.neg(b), c), o.join(b, c))
         f.hoop = [to_hoop(x) for x in hoop]

@@ -9,12 +9,15 @@ semihoop's rotation gets the same ones in its symbolic and tabulated forms.
 
 import hashlib
 import json
+import re
 from itertools import product as iterproduct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ellstates import ibp0
 from ellstates._scan import tables
 from ellstates.cli import algebra_to_json
 from ellstates.corpus import (
@@ -34,6 +37,7 @@ from ellstates.ibp0 import (
     SymbolicPerfectAlgebra,
     boolean_skeleton,
     coradical,
+    decompose,
     decompose_element,
     product,
     radical,
@@ -41,9 +45,9 @@ from ellstates.ibp0 import (
     validate_ibp0,
     validate_mtl,
 )
-from ellstates.reports import MAX_WITNESSES, MalformedInputError, PreconditionError
+from ellstates.reports import MAX_WITNESSES, InternalConsistencyError, MalformedInputError, PreconditionError
 from ellstates.semihoop import FiniteSemihoop, SymbolicConeHoop
-from reference import planted_fault, relabelled
+from reference import planted_fault, relabelled, twin
 
 
 class TestValidate:
@@ -79,13 +83,13 @@ class TestValidate:
 
     def test_planted_table_corruption_is_witnessed(self):
         A = boolean_algebra(2)
-        impl = [list(r) for r in A.impl_table]
+        impl = A.impl_table.tolist()
         impl[1][2] = 0  # breaks residuation around those cells
         broken = FiniteMTL(
-            [list(r) for r in A.times_table],
+            A.times_table.tolist(),
             impl,
-            [list(r) for r in A.meet_table],
-            [list(r) for r in A.join_table],
+            A.meet_table.tolist(),
+            A.join_table.tolist(),
             bot=0,
             top=3,
         )
@@ -96,20 +100,21 @@ class TestValidate:
         assert all(c.witnesses for c in report.failures())
 
     def test_scalar_and_batch_ops_agree(self):
-        # The engine's id tables, filled on demand, give back the scalar ops.
+        # The engine's id tables, filled on demand, give back the ops of the
+        # algebra's tuple twin.
         A = chang_algebra(2)
-        elems = A.carrier(3)
+        T, elems = twin(A), A.carrier(3)
         ops = tables(A)
         ids = ops.encode(elems)
         X, Y = ids[:, None], ids[None, :]
         for opname in ("times", "impl", "meet", "join", "oplus"):
             got = getattr(ops, opname)(X, Y)
-            want = [list(ops.encode([getattr(A, opname)(x, y) for y in elems])) for x in elems]
+            want = [list(ops.encode([getattr(T, opname)(x, y) for y in elems])) for x in elems]
             assert got.tolist() == want, opname
         leq = ops.leq(X, Y)
         assert leq.dtype == bool
-        assert [[bool(v) for v in row] for row in leq] == [[A.leq(x, y) for y in elems] for x in elems]
-        assert list(ops.neg(ids)) == list(ops.encode([A.neg(x) for x in elems]))
+        assert [[bool(v) for v in row] for row in leq] == [[T.leq(x, y) for y in elems] for x in elems]
+        assert list(ops.neg(ids)) == list(ops.encode([T.neg(x) for x in elems]))
 
     def test_product_identity_pairs(self):
         # x·y = (x∧y)·(x∨y) and x⊕y = (x∧y)⊕(x∨y) across window pairs.
@@ -162,9 +167,9 @@ class TestRadical:
     def test_rotation_radical_recovers_the_hoop(self):
         H = godel_hoop(3)
         rv = radical(rotate(H))
-        assert rv.hoop.times_table == H.times_table
-        assert rv.hoop.impl_table == H.impl_table
-        assert rv.hoop.meet_table == H.meet_table
+        assert np.array_equal(rv.hoop.times_table, H.times_table)
+        assert np.array_equal(rv.hoop.impl_table, H.impl_table)
+        assert np.array_equal(rv.hoop.meet_table, H.meet_table)
         assert rv.hoop.top == H.top
 
     def test_product_radical_is_a_product_hoop(self):
@@ -215,15 +220,43 @@ class TestDecompose:
         assert d.b == (2, ("neg", (0,)))
         assert d.c == (3, ("pos", (3,)))
 
+    @pytest.mark.parametrize("fails, message", [
+        (("complemented", "radical", "recomposed"), "b_a not complemented for a = neg(4)"),
+        (("radical", "recomposed"), "c_a not in the radical for a = neg(4)"),
+        (("recomposed",), "decomposition does not recompose: a = neg(4), got neg(0)"),
+    ], ids=["complement", "radical", "recomposition"])
+    def test_decompose_names_the_first_failure(self, fails, message, monkeypatch):
+        # Planted in the term columns at neg(4), and a radical part at the
+        # later neg(6): the first failing element is named, with the first
+        # of its checks that fails, in the order complement, radical part,
+        # recomposition.
+        A = chang_algebra(1)
+        elems = A.carrier(7)
+        real = ibp0.decomposition_terms
+
+        def planted(o, a):
+            b, c, complemented, radical_part, recomposed = real(o, a)
+            first, later = (a == o.encode([("neg", (k,))])[0] for k in (4, 6))
+            if "complemented" in fails:
+                complemented = complemented & ~first
+            radical_part = radical_part & ~later & ~(first & ("radical" in fails))
+            if "recomposed" in fails:
+                recomposed = np.where(first, o.bot, recomposed)
+            return b, c, complemented, radical_part, recomposed
+
+        monkeypatch.setattr(ibp0, "decomposition_terms", planted)
+        with pytest.raises(InternalConsistencyError, match=f"^{re.escape(message)}$"):
+            decompose(A, elems, tables(A))
+
 
 class TestConstructors:
     def test_rotating_the_trivial_hoop_gives_boolean_2(self):
         A = rotate(godel_hoop(1))
         B = boolean_algebra(1)
-        assert A.times_table == B.times_table
-        assert A.impl_table == B.impl_table
-        assert A.meet_table == B.meet_table
-        assert A.join_table == B.join_table
+        assert np.array_equal(A.times_table, B.times_table)
+        assert np.array_equal(A.impl_table, B.impl_table)
+        assert np.array_equal(A.meet_table, B.meet_table)
+        assert np.array_equal(A.join_table, B.join_table)
         assert (A.bot, A.top) == (B.bot, B.top)
 
     def test_rotating_godel3_gives_six_elements(self):
@@ -234,7 +267,7 @@ class TestConstructors:
     @pytest.mark.parametrize("name", sorted(semihoop_corpus()))
     def test_tabulated_rotation_agrees_with_the_symbolic_one(self, name):
         H = semihoop_corpus()[name]
-        R, T = SymbolicPerfectAlgebra(H), rotated_hoop(H)
+        R, T = twin(SymbolicPerfectAlgebra(H)), rotated_hoop(H)
         signed = [("neg", x) for x in range(H.size)] + [("pos", x) for x in range(H.size)]
         assert T.size == len(signed)
         assert (signed[T.bot], signed[T.top]) == (R.bot, R.top)
@@ -261,9 +294,9 @@ class TestConstructors:
 
     def test_rotation_of_broken_tables_is_rejected(self):
         H = godel_hoop(3)
-        impl = [list(r) for r in H.impl_table]
+        impl = H.impl_table.tolist()
         impl[0][1] = 0
-        broken = FiniteSemihoop([list(r) for r in H.times_table], impl, [list(r) for r in H.meet_table], top=2)
+        broken = FiniteSemihoop(H.times_table.tolist(), impl, H.meet_table.tolist(), top=2)
         with pytest.raises(PreconditionError, match="rotation"):
             rotate(broken)
 

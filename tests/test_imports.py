@@ -1,10 +1,18 @@
-"""Source hygiene: every module-level import in the package is used, and
-no floating point enters it, since every value it computes must be exact."""
+"""Source hygiene: every module-level import in the package is used, no
+floating point enters it, since every value it computes must be exact, and
+each carrier op is defined once, as a batch op."""
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 import pytest
+
+from ellstates.corpus import boolean_algebra, cone_hoop, godel_hoop, trunc_monoid
+from ellstates.ibp0 import SymbolicPerfectAlgebra
+from ellstates.lmonoid import Carrier, SymbolicCancellativeMonoid
+from reference import SCALAR_OPS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ellstates"
 
@@ -145,3 +153,44 @@ def test_detects_an_integer_width_choice():
         "INT64_MAX (line 4)", "dtype=object (line 4)", "array(object) (line 5)", "object_ (line 5)",
         "int64 (line 5)",
     ]
+
+
+def package_classes() -> list[type]:
+    """Every class defined in a module of the package."""
+    modules = [importlib.import_module(f"ellstates.{p.stem}") for p in sorted(PACKAGE.glob("*.py"))]
+    return [c for m in modules for _, c in inspect.getmembers(m, inspect.isclass) if c.__module__ == m.__name__]
+
+
+# One instance of each carrier class, a rotation over each kind of core.
+CARRIERS = {
+    "lmonoid": trunc_monoid(3), "semihoop": godel_hoop(3), "mtl": boolean_algebra(2),
+    "natural-cone": SymbolicCancellativeMonoid(rank=2), "cone-hoop": cone_hoop(2),
+    "rotation-cone": SymbolicPerfectAlgebra(cone_hoop(1)), "rotation-finite": SymbolicPerfectAlgebra(godel_hoop(3)),
+}
+
+
+def test_no_class_writes_a_scalar_op_beside_its_batch_op():
+    # The scalar ops are derived in one place, Carrier, with no __getattr__
+    # fallback; no class and no table algebra instance writes its own.
+    both = [(c.__name__, op) for c in package_classes() for op in SCALAR_OPS if {op, f"{op}_rows"} <= set(vars(c))]
+    assert both == []
+    assert [op for A in CARRIERS.values() for op in SCALAR_OPS if op in vars(A)] == []
+    assert [c.__name__ for c in package_classes() if issubclass(c, Carrier) and "__getattr__" in vars(c)] == []
+    carriers = [c for c in package_classes() if issubclass(c, Carrier)]
+    leaves = {c for c in carriers if not any(d is not c and issubclass(d, c) for d in carriers)}
+    assert leaves == {type(A) for A in CARRIERS.values()}
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_every_scalar_op_resolves_to_scalar(name, monkeypatch):
+    # A carrier has a scalar op exactly where it has the batch op, and
+    # calling it calls Carrier._scalar with the op's name.
+    A, calls = CARRIERS[name], []
+    monkeypatch.setattr(Carrier, "_scalar", lambda self, op, *xs: calls.append((self, op, xs)) or op)
+    ops = [op for op in SCALAR_OPS if hasattr(A, f"{op}_rows")]
+    assert ops == [op for op in SCALAR_OPS if hasattr(A, op)]
+    x, y = A.carrier(1)[:2]
+    for op in ops:
+        args = (x,) if op == "neg" else (x, y)
+        assert getattr(A, op)(*args) == op
+        assert calls.pop() == (A, op, args)

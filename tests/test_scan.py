@@ -3,13 +3,14 @@
 Each axiom's terms are written once.  The engine runs them as numpy
 gathers over id tables that it fills from the carrier's batch ops
 ``<op>_rows``, gathers in the checked tables on a finite carrier; the
-reference below runs them through the scalar ops themselves, one
-``itertools.product`` instance at a time.  These tests pin the two to each
-other, instance by instance and check by check (pass/fail, violation count
-and witnesses, full, sampled, and with a small CHUNK that defers every
-larger scan), on valid carriers, on products and on planted table faults,
-and pin every batch op to its scalar op: on random rows of the symbolic
-carriers, and on every operand tuple of the finite ones.
+reference below runs them through the scalar ops of the carrier's tuple
+twin (see ``reference.twin``), one ``itertools.product`` instance at a time.
+These tests pin the two to each other, instance by instance and check by
+check (pass/fail, violation count and witnesses, full, sampled, and with a
+small CHUNK that defers every larger scan), on valid carriers, on products
+and on planted faults, and pin every batch op to its twin's scalar op: on
+random rows of the symbolic carriers, and on every operand tuple of the
+finite ones.
 """
 
 import json
@@ -39,20 +40,21 @@ from ellstates.corpus import (
     semihoop_corpus,
     trunc_monoid,
 )
-from ellstates.ibp0 import (IBP0_AXIOMS, SAMPLED_NOTE, FiniteMTL, ProductAlgebra, SymbolicPerfectAlgebra, radical,
+from ellstates.ibp0 import (IBP0_AXIOMS, SAMPLED_NOTE, ProductAlgebra, SymbolicPerfectAlgebra, radical,
                            validate_ibp0)
-from ellstates.lmonoid import LMONOID_AXIOMS, Cone, SymbolicCancellativeMonoid, TableAlgebra
+from ellstates.lmonoid import LMONOID_AXIOMS, SymbolicCancellativeMonoid, TableAlgebra
 from ellstates.reports import MAX_WITNESSES
 from ellstates.semihoop import SEMIHOOP_AXIOMS, ProductHoop, SymbolicConeHoop
 from ellstates.states import join_hyperstate
-from reference import broken_monoid, planted_fault, planted_hoop_fault
+from reference import (SCALAR_OPS, UntruncatedCone, broken_monoid, planted_fault, planted_hoop_fault,
+                       spy_scalar_ops, twin)
 
 WINDOW = 3
 
 
 def reference_scan(A, axioms, elems, caps) -> list[tuple]:
-    """Per axiom: name, passed, violation count and the first witnesses."""
-    out = []
+    """Per axiom, on A's twin: name, passed, violation count and the first witnesses."""
+    A, out = twin(A), []
     for axiom in axioms:
         base = [elems[i] for i in stride_select(range(len(elems)), caps.get(axiom.arity, len(elems)))]
         failing = []
@@ -80,17 +82,6 @@ ALGEBRAS = {
     "boolean-4*chang-1": lambda: ProductAlgebra([boolean_algebra(2), chang_algebra(1)]),
     "planted-fault": planted_fault,
 }
-
-class UntruncatedCone(SymbolicConeHoop):
-    """A cone hoop whose residuum does not truncate, in both of its forms: y -
-    x leaves the cone when x > y."""
-
-    def impl(self, x, y):
-        return tuple(b - a for a, b in zip(x, y))
-
-    def impl_rows(self, x, y):
-        return y - x
-
 
 # name: (builder, axioms, the window of the built carrier)
 CASES = {name: (build, IBP0_AXIOMS, lambda A: A.carrier(WINDOW)) for name, build in ALGEBRAS.items()}
@@ -127,8 +118,8 @@ def test_batch_and_scalar_terms_agree_instance_by_instance(name, axiom):
     ops = tables(A)
     instances = list(product(A.carrier(WINDOW), repeat=axiom.arity))
     columns = [ops.encode([inst[k] for inst in instances]) for k in range(axiom.arity)]
-    batch_sides = axiom.terms(ops, *columns)
-    scalar_sides = list(zip(*(axiom.terms(A, *inst) for inst in instances)))
+    batch_sides, T = axiom.terms(ops, *columns), twin(A)
+    scalar_sides = list(zip(*(axiom.terms(T, *inst) for inst in instances)))
     for batch, scalar in zip(batch_sides, scalar_sides):
         if isinstance(scalar[0], bool):
             assert list(np.broadcast_to(batch, len(instances))) == list(scalar)
@@ -163,52 +154,11 @@ def test_planted_faults_fail_a_required_check(name):
     assert any(c.required and not c.passed for c in scan_axioms(A, axioms, window(A), {}, "m", ""))
 
 
-SCALAR_OPS = ("add", "times", "impl", "meet", "join", "neg", "oplus", "leq")
-
-
-def spy_scalar_ops(monkeypatch, classes) -> list:
-    """Record each call of a scalar op that is not made while a witness is
-    rendered: of an op defined on ``classes``, which the spy replaces on the
-    class, next to its batch form, and of a table op, which the spy replaces
-    on each table algebra built meanwhile, since those are bound per instance."""
-    calls, rendering = [], []
-
-    def render(*args):
-        rendering.append(True)
-        try:
-            return witness(*args)
-        finally:
-            rendering.pop()
-
-    def spy(owner, name, real):
-        def op(*args):
-            if not rendering:
-                calls.append((owner, name))
-            return real(*args)
-
-        return op
-
-    def built(self, *args):
-        init(self, *args)
-        for name in SCALAR_OPS:
-            if name in vars(self):
-                setattr(self, name, spy(type(self).__name__, name, vars(self)[name]))
-
-    witness, init = _scan._witness, TableAlgebra.__init__
-    monkeypatch.setattr(_scan, "_witness", render)
-    monkeypatch.setattr(TableAlgebra, "__init__", built)
-    for cls in classes:
-        for name in SCALAR_OPS:
-            if name in vars(cls):
-                monkeypatch.setattr(cls, name, spy(cls.__name__, name, getattr(cls, name)))
-    return calls
-
-
 def test_the_planted_cone_fault_fills_through_the_batch_ops(monkeypatch):
-    # CASES compares its witnesses with the reference; here its tables are
-    # filled by the batch residuum, and the scalar one only renders witnesses.
+    # CASES compares its witnesses with its twin's; here its tables are
+    # filled by the batch residuum, and a scalar op only renders witnesses.
     H = UntruncatedCone(rank=2)
-    calls = spy_scalar_ops(monkeypatch, [Cone, SymbolicConeHoop, UntruncatedCone])
+    calls = spy_scalar_ops(monkeypatch)
     checks = scan_axioms(H, SEMIHOOP_AXIOMS, H.carrier(WINDOW), {}, "m", "")
     assert any(c.required and c.witnesses for c in checks) and calls == []
 
@@ -218,7 +168,7 @@ def test_chang_2_set_up_makes_no_scalar_op_call(monkeypatch):
     # tables, filled by the batch ops.  chang-2 passes, so no witness is
     # rendered either.
     A = chang_algebra(2)
-    calls = spy_scalar_ops(monkeypatch, [Cone, SymbolicConeHoop, SymbolicPerfectAlgebra])
+    calls = spy_scalar_ops(monkeypatch)
     assert validate_ibp0(A).ok and radical(A).report.ok
     assert calls == []
     family = hyperstate_family(A, 8)
@@ -231,11 +181,11 @@ def test_finite_set_up_makes_no_scalar_op_call(monkeypatch):
     # The rotation's tables, its variety gate and its radical, whose hoop is
     # tabulated too, are gathers in the checked tables.  rot-godel-4 passes,
     # so no witness is rendered either.
-    calls = spy_scalar_ops(monkeypatch, [TableAlgebra, FiniteMTL, SymbolicPerfectAlgebra])
+    calls = spy_scalar_ops(monkeypatch)
     A = rotated_hoop(godel_hoop(4))
     assert validate_ibp0(A).ok and radical(A).report.ok
     assert calls == []
-    # The spies are in place on both tabulated algebras.
+    # The spy sees the scalar ops of both tabulated algebras.
     A.times(0, 1)
     radical(A).hoop.meet(0, 1)
     assert calls == [("FiniteMTL", "times"), ("FiniteSemihoop", "meet")]
@@ -304,11 +254,11 @@ def test_batch_ops_equal_the_scalar_ops_on_random_rows(kind, rank, data):
         element = st.tuples(st.sampled_from(["neg", "pos"]), element)
     xs = data.draw(st.lists(element, min_size=1, max_size=6))
     ys = data.draw(st.lists(element, min_size=len(xs), max_size=len(xs)))
-    o = tables(A)
+    o, T = tables(A), twin(A)
     o.encode(A.carrier(2))
     for name in names:
         args = (xs,) if name == "neg" else (xs, ys)
-        want = [getattr(A, name)(*t) for t in zip(*args)]
+        want = [getattr(T, name)(*t) for t in zip(*args)]
         # Through the tables, whose box the drawn rows extend ...
         got = getattr(o, name)(*(o.encode(a) for a in args))
         assert (got.tolist() if name == "leq" else o.decode(got)) == want
@@ -334,13 +284,14 @@ FINITE_CARRIERS = {
 
 @pytest.mark.parametrize("name", sorted(FINITE_CARRIERS))
 def test_batch_ops_equal_the_scalar_ops_on_every_finite_tuple(name):
-    # The engine fills every table from the batch ops, so a scalar op
-    # overridden without its batch form would change no verdict: it fails here.
+    # Every batch op against its twin's scalar op, and the twin has the
+    # same ops as the carrier.
     A = FINITE_CARRIERS[name]
-    elems = A.carrier(0)
+    T, elems = twin(A), A.carrier(0)
+    assert [op for op in SCALAR_OPS if hasattr(A, op)] == [op for op in SCALAR_OPS if hasattr(T, op)]
     for op in (op for op in SCALAR_OPS if hasattr(A, op)):
         args = list(zip(*product(elems, repeat=1 if op == "neg" else 2)))
-        assert batch_op(A, op, args) == list(map(getattr(A, op), *args)), op
+        assert batch_op(A, op, args) == list(map(getattr(T, op), *args)), op
 
 
 def test_planted_fault_lists_the_first_witnesses_in_product_order():
@@ -349,9 +300,10 @@ def test_planted_fault_lists_the_first_witnesses_in_product_order():
     checks = {c.axiom: c for c in scan_axioms(A, IBP0_AXIOMS, elems, {}, "m", SAMPLED_NOTE)}
     check = checks["times-associative"]
     assert check.violations > MAX_WITNESSES
+    T = twin(A)
     failing = [
         inst for inst in product(elems, repeat=3)
-        if A.times(A.times(inst[0], inst[1]), inst[2]) != A.times(inst[0], A.times(inst[1], inst[2]))
+        if T.times(T.times(inst[0], inst[1]), inst[2]) != T.times(inst[0], T.times(inst[1], inst[2]))
     ]
     assert check.violations == len(failing)
     shown = [tuple(int(w["witness"][v]) for v in "xyz") for w in check.witnesses]

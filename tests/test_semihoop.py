@@ -81,9 +81,9 @@ class TestValidateSemihoop:
 
     def test_planted_residuum_mismatch(self):
         H = godel_hoop(3)
-        impl = [list(r) for r in H.impl_table]
+        impl = H.impl_table.tolist()
         impl[0][2] = 1  # 0 <= 2 but 0 -> 2 is no longer the top
-        broken = FiniteSemihoop([list(r) for r in H.times_table], impl, [list(r) for r in H.meet_table], top=2)
+        broken = FiniteSemihoop(H.times_table.tolist(), impl, H.meet_table.tolist(), top=2)
         report = validate_semihoop(broken)
         assert not report.ok
         check = report.check("order-reflection")

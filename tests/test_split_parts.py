@@ -6,8 +6,9 @@ skeleton part and the two hoop elements of its radical part as positions.
 A ``FormulaHyperstate``'s table is a gather over that frame, and its
 ``value`` and ``raw_value`` read rows of the table, with no per-element
 decomposition; ``ProbabilityMeasure.value`` sums weights at atom indices
-kept once per skeleton.  The reference below is the plain evaluation: a
-fresh ``decompose_element`` and an ``A.leq`` test per atom on every call.
+kept once per skeleton.  The reference below is the plain evaluation on
+the algebra's tuple twin (see ``reference.twin``): a fresh decomposition and
+a ``leq`` test per atom on every call.
 The two must give the same (std, inf) at every frame element, for the pairs
 of the generated family (one large family strided), with every pair of a
 family sharing one algebra object.  The table of each hyperstate form must
@@ -62,6 +63,7 @@ from ellstates.states import (
     split_hyperstate,
     validate_hyperstate,
 )
+from reference import twin
 
 WINDOW = 8
 # This module's own algebra objects, so that the first FormulaHyperstate on
@@ -74,11 +76,16 @@ PAIR_CAP = {"chang-1*chang-2": 8}
 
 
 def ref_raw_value(A, p, w, window, a):
-    """The split identity evaluated from scratch."""
-    d = ibp0.decompose_element(A, a)
+    """The split identity evaluated from scratch on A's twin: b = ¬((¬a²)²)
+    and c = a ∨ ¬a, complemented, radical and recomposing to a."""
+    T = twin(A)
+    a_sq = T.times(a, a)
+    b, c = T.neg(T.times(T.neg(a_sq), T.neg(a_sq))), T.join(a, T.neg(a))
+    assert T.join(b, T.neg(b)) == T.top and T.leq(T.neg(c), c) and T.neg(c) != c
+    assert T.meet(T.join(b, T.neg(c)), T.join(T.neg(b), c)) == a
     to_hoop = radical(A, window).to_hoop
-    lo, hi = to_hoop(A.join(A.neg(d.b), d.c)), to_hoop(A.join(d.b, d.c))
-    std = sum((weight for atom, weight in zip(p.skeleton.atoms, p.weights) if A.leq(atom, d.b)), F(0))
+    lo, hi = to_hoop(T.join(T.neg(b), c)), to_hoop(T.join(b, c))
+    std = sum((weight for atom, weight in zip(p.skeleton.atoms, p.weights) if T.leq(atom, b)), F(0))
     return std, _rat(w.value(lo)) - _rat(w.value(hi))
 
 
@@ -102,19 +109,21 @@ def test_formula_agrees_with_a_fresh_evaluation(name, monkeypatch):
 
     calls = []
 
-    def counted(A, a):
-        calls.append(a)
-        return ibp0.decompose_element(A, a)
+    def counted(A, elems, o):
+        calls.append(list(elems))
+        return ibp0.decompose(A, elems, o)
 
-    monkeypatch.setattr(states, "decompose_element", counted)
+    monkeypatch.setattr(states, "decompose", counted)
     family = hyperstate_family(A, WINDOW)
     pairs = stride_select(family, PAIR_CAP.get(name, len(family)))
     for p, w in pairs:
         s = FormulaHyperstate(A, p, w, WINDOW)
         for a in elements:
             assert s.raw_value(a) == ref_raw_value(A, p, w, WINDOW, a), A.token(a)
-    # No per-element decomposition: every value is a row of the frame's table.
-    assert calls == []
+    # No per-element decomposition: every value is a row of the frame's
+    # table, and the frame, unless an earlier test built it, decomposes its
+    # elements in one call.
+    assert calls in ([], [elements])
     assert states._frame(A, WINDOW).elements == elements
 
 
@@ -132,20 +141,17 @@ def test_measure_values_agree_on_the_skeleton_and_refuse_the_rest():
                     p.value(a)
 
 
-def plant_recomposition_failure(monkeypatch, A, victim) -> None:
+def plant_recomposition_failure(monkeypatch, victim, to) -> None:
     """Plant a failure in the decomposition terms, which the frame and
-    decompose_element share: the victim no longer recomposes, on one element
-    or in a column.  ``monkeypatch.undo()`` takes it out."""
+    decompose_element share through ``ibp0.decompose``: the victim's column
+    entry recomposes to ``to``.  ``monkeypatch.undo()`` takes it out."""
     real = ibp0.decomposition_terms
 
     def planted(o, a):
         *parts, recomposed = real(o, a)
-        if o is A:
-            return (*parts, A.top if a == victim else recomposed)
-        return (*parts, np.where(a == o.encode([victim])[0], -1, recomposed))
+        return (*parts, np.where(a == o.encode([victim])[0], o.encode([to])[0], recomposed))
 
-    for module in (states, ibp0):
-        monkeypatch.setattr(module, "decomposition_terms", planted)
+    monkeypatch.setattr(ibp0, "decomposition_terms", planted)
 
 
 def test_a_failed_decomposition_is_never_stored(monkeypatch):
@@ -155,7 +161,7 @@ def test_a_failed_decomposition_is_never_stored(monkeypatch):
     A = chang_algebra(1)
     carrier = A.carrier(WINDOW)
     victim = carrier[len(carrier) // 2 + 1]  # pos(1): the plant recomposes it to top
-    plant_recomposition_failure(monkeypatch, A, victim)
+    plant_recomposition_failure(monkeypatch, victim, A.top)
     p = measure_family(boolean_skeleton(A, WINDOW))[0]
     s, t = (FormulaHyperstate(A, p, ConeState([lam]), WINDOW) for lam in (1, 2))
     failure = re.escape(f"does not recompose: a = {A.token(victim)}, got {A.token(A.top)}")
@@ -339,7 +345,7 @@ def test_a_failed_decomposition_raises_on_every_table_read(monkeypatch):
     # The frame runs the decomposition as term columns over the id tables, so
     # the failure is planted in the terms, which decompose_element shares.
     A = chang_algebra(1)
-    plant_recomposition_failure(monkeypatch, A, A.carrier(WINDOW)[3])
+    plant_recomposition_failure(monkeypatch, A.carrier(WINDOW)[3], A.top)
     p = measure_family(boolean_skeleton(A, WINDOW))[0]
     s = FormulaHyperstate(A, p, ConeState([1]), WINDOW)
     for read in (lambda: s.table(A, WINDOW), lambda: join_hyperstate(A, p, ConeState([1]), WINDOW),
@@ -353,15 +359,15 @@ def test_a_failed_decomposition_raises_on_every_table_read(monkeypatch):
 
 
 def test_the_frame_raises_when_only_the_columns_fail(monkeypatch):
-    # Planted at the top, the failure recomposes the scalar terms (to the top)
-    # but not the column: decompose_element passes there, so the frame itself
-    # must refuse the failing column.
+    # There is one decomposition, on columns: a failure planted at the top
+    # column entry alone makes the frame and decompose_element raise the
+    # same error at the planted element.
     A = chang_algebra(1)
-    plant_recomposition_failure(monkeypatch, A, A.top)
-    ibp0.decompose_element(A, A.top)
-    with pytest.raises(InternalConsistencyError,
-                       match=re.escape(f"decomposition columns and scalar terms disagree at a = {A.token(A.top)}")):
-        states._frame(A, WINDOW)
+    plant_recomposition_failure(monkeypatch, A.top, A.bot)
+    failure = re.escape(f"decomposition does not recompose: a = {A.token(A.top)}, got {A.token(A.bot)}")
+    for decompose in (lambda: ibp0.decompose_element(A, A.top), lambda: states._frame(A, WINDOW)):
+        with pytest.raises(InternalConsistencyError, match=failure):
+            decompose()
 
 
 def guarded_pairs(name: str) -> tuple:
@@ -415,7 +421,7 @@ def test_join_split_properties_read_the_frame_not_each_element(name, monkeypatch
 
         monkeypatch.setattr(owner, name, spy)
 
-    counted(states, "decompose_element")
+    counted(states, "decompose")
     for state in (ConeState, ProductState, TableState):
         counted(state, "value")
     counted(TableState, "__init__")

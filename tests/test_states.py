@@ -39,6 +39,7 @@ from ellstates.states import (
     validate_hyperstate,
     validate_probability,
 )
+from reference import relabelled
 
 
 # Shared instances so the memoized validation and structure passes pay off
@@ -468,3 +469,36 @@ class TestFamilies:
         assert split.w == w
         _, report = join_hyperstate(A, ProbabilityMeasure(sk, {boolean_atom: 1}), w)
         assert not report.ok
+
+
+def counts(report) -> list:
+    """A report's check names, results and violation counts."""
+    return [(c.axiom, c.passed, c.violations) for c in report.checks]
+
+
+FINITE = {name: A for name, A in ibp0_corpus().items() if A.is_finite}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE))
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_relabelling_keeps_every_hyperstate_verdict(name, data):
+    # On π(A), the relabelled (π(p), π(w)) joins to a hyperstate that
+    # validates, has its properties and splits as the one of (p, w) on A
+    # does, and its split gives back π(p) and π(w).
+    A = FINITE[name]
+    perm = data.draw(st.permutations(range(A.size)))
+    B = relabelled(A, perm)
+    inverse = {y: x for x, y in enumerate(perm)}
+    skA, skB, radA, radB = boolean_skeleton(A), boolean_skeleton(B), radical(A), radical(B)
+    assert sorted(perm[a] for a in skA.atoms) == skB.atoms
+    for p, w in hyperstate_family(A):
+        q = ProbabilityMeasure(skB, [p.weights[skA.atoms.index(inverse[b])] for b in skB.atoms])
+        v = TableState({radB.to_hoop(perm[radA.from_hoop(h)]): w.value(h) for h in radA.hoop.carrier(8)})
+        (s, report), (t, relabelled_report) = join_hyperstate(A, p, w), join_hyperstate(B, q, v)
+        assert counts(relabelled_report) == counts(report)
+        assert counts(hyperstate_properties(B, t)) == counts(hyperstate_properties(A, s))
+        split, relabelled_split = split_hyperstate(A, s), split_hyperstate(B, t)
+        assert (split.p, split.w.values) == (p, {h: w.value(h) for h in radA.hoop.carrier(8)})
+        assert (relabelled_split.p, relabelled_split.w.values) == (q, v.values)
+        assert relabelled_split.scanned == split.scanned
