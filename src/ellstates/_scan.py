@@ -255,9 +255,9 @@ def integers(rows: Sequence, terms: int = 2) -> np.ndarray:
 
 def dot(rows: Sequence[Sequence[int]], vec: Sequence[int]) -> np.ndarray:
     """rows @ vec over the integers, each row as long as vec: int64 while the
-    widest row entry times the sum of vec's magnitudes fits, else Python ints."""
+    widest row entry times max(1, sum of vec's magnitudes) fits, else Python ints."""
     coords = integers(rows, 1).reshape(len(rows), len(vec))
-    kind = width(max(1, widest(coords)) * sum(map(abs, vec)), 1)
+    kind = width(max(1, widest(coords)) * max(1, sum(map(abs, vec))), 1)
     return coords.astype(kind, copy=False) @ np.array(vec, dtype=kind)
 
 

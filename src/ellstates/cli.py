@@ -32,6 +32,11 @@ Exit status: 0 when every required check passed, 1 when some check failed
 (the report carries witnesses), 2 when an input could not be parsed at all.
 Output is deterministic for identical invocations, except the elapsed_ms
 field.
+
+The ``states`` and ``corpus`` modules are imported in the functions that use
+them: a process that writes no bytecode compiles every module it imports, and
+only ``hyperstate`` and ``corpus`` need ``states``; only ``corpus`` needs
+``corpus``.
 """
 
 from __future__ import annotations
@@ -48,13 +53,6 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ._scan import scan_mode, tables
-from .corpus import (
-    hyperstate_product_corpus,
-    ibp0_corpus,
-    lmonoid_corpus,
-    lukasiewicz_mtl,
-    semihoop_corpus,
-)
 from .ibp0 import (
     FiniteMTL,
     ProductAlgebra,
@@ -89,14 +87,6 @@ from .semihoop import (
     validate_semihoop,
     validate_state,
     weighted_state,
-)
-from .states import (
-    FormulaHyperstate,
-    ProbabilityMeasure,
-    TableHyperstate,
-    hyperstate_properties,
-    split_hyperstate,
-    validate_hyperstate,
 )
 
 
@@ -264,6 +254,8 @@ def state_to_json(w) -> dict[str, Any]:
 def hyperstate_from_json(obj: Any, A, window: int):
     """Either form; the measure form returns the map built from (p, w),
     whose validation verdict the caller is responsible for."""
+    from .states import FormulaHyperstate, ProbabilityMeasure, TableHyperstate
+
     if not isinstance(obj, dict):
         raise MalformedInputError("hyperstate file must hold a JSON object")
     if "table" in obj:
@@ -288,6 +280,8 @@ def hyperstate_from_json(obj: Any, A, window: int):
 
 
 def hyperstate_to_json(s, A) -> dict[str, Any]:
+    from .states import TableHyperstate
+
     if isinstance(s, TableHyperstate):
         return {"table": {A.token(k): format_dual(v) for k, v in sorted(s.items())}}
     out: dict[str, Any] = {
@@ -469,6 +463,8 @@ def _run_states(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_hyperstate(args) -> tuple[str, list[Check], dict]:
+    from .states import hyperstate_properties, split_hyperstate, validate_hyperstate
+
     A = _bounded(_algebra(args.algebra, args.window), "hyperstate")
     s = hyperstate_from_json(_load(args.hyperstate), A, args.window)
     values = {
@@ -512,6 +508,8 @@ def corpus_files() -> dict[str, dict[str, Any]]:
     rejected at parse time (exit 2), and the deficient measure joins to a map
     violating the boundary axioms (hyperstate validate must exit 1).
     """
+    from .corpus import hyperstate_product_corpus, ibp0_corpus, lmonoid_corpus, lukasiewicz_mtl, semihoop_corpus
+
     files: dict[str, dict[str, Any]] = {}
     for name, M in lmonoid_corpus().items():
         files[f"lmonoid-{name}.json"] = algebra_to_json(M)

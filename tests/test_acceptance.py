@@ -27,7 +27,8 @@ from ellstates.corpus import (
     semihoop_corpus,
     state_family,
 )
-from ellstates.ibp0 import decompose_element, radical, validate_ibp0
+from ellstates._scan import tables
+from ellstates.ibp0 import decompose, radical, validate_ibp0
 from ellstates.lmonoid import (
     KElement,
     h_is_injective,
@@ -303,15 +304,17 @@ def test_criterion_09_chang_envelope_form(joined_family):
     for name in ("chang-1", "chang-2"):
         A = SINGLES[name]
         rad = radical(A)
+        # Each element's bracket depends on A alone: decompose the window once.
+        window, o = A.carrier(8), tables(A)
+        b, c = decompose(A, window, o)
+        brackets = [
+            KElement(rad.to_hoop(A.join(A.neg(x), y)), rad.to_hoop(A.join(x, y)))
+            for x, y in zip(o.decode(b), o.decode(c))
+        ]
         for p, w, s, report in joined_family[name]:
             p2, sigma = cancellative_form(A, s)
             assert p2 == p
-            for a in A.carrier(8):
-                d = decompose_element(A, a)
-                bracket = KElement(
-                    rad.to_hoop(A.join(A.neg(d.b), d.c)),
-                    rad.to_hoop(A.join(d.b, d.c)),
-                )
+            for a, bracket in zip(window, brackets):
                 canon = sigma.K.canonical(bracket)
                 assert all(isinstance(c, int) for c in canon)
                 assert sigma.value(sigma.K.from_canonical(canon)) == s.raw_value(a)[1]

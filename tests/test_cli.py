@@ -573,6 +573,29 @@ class TestOutputContract:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
 
+    def test_each_verb_loads_only_what_it_runs(self, corpus_dir):
+        # A child that writes no bytecode compiles every module it imports,
+        # so only hyperstate loads states and only corpus loads corpus.  The
+        # verbs run in one child in rising order of what they import.
+        alg, hoop, monoid = (str(corpus_dir / f) for f in (
+            "algebra-chang-1.json", "hoop-godel-3.json", "lmonoid-trunc-3.json"))
+        stages = [
+            ["validate", "--ibp0", alg], ["validate", hoop], ["validate", monoid], ["skeleton", alg],
+            ["radical", alg], ["decompose", alg], ["grothendieck", monoid], ["states", hoop],
+            ["states", str(corpus_dir / "hoop-cone-1.json"), str(corpus_dir / "state-cone-1.json")],
+            ["hyperstate", "validate", alg, str(corpus_dir / "hyperstate-chang-1.json")],
+            ["corpus"],
+        ]
+        code = ("import contextlib, io, json, sys; from ellstates.cli import main; loaded = []\n"
+                f"for argv in {stages!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()): status = main(argv)\n"
+                "    loaded.append([status, 'ellstates.states' in sys.modules, 'ellstates.corpus' in sys.modules])\n"
+                "print(json.dumps(loaded))")
+        src = str(Path(ellstates.cli.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                               env=dict(os.environ, PYTHONPATH=src))
+        assert json.loads(child.stdout) == [[0, False, False]] * 9 + [[0, True, False], [0, True, True]]
+
     def test_corpus_listing_names_fixtures(self, capsys):
         code, body, _ = run(capsys, "corpus")
         assert code == 0

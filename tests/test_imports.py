@@ -1,6 +1,6 @@
-"""Source hygiene: every module-level import in the package is used, no
-floating point enters it, since every value it computes must be exact, and
-each carrier op is defined once, as a batch op."""
+"""Source hygiene: every import in the package, at module level or in a
+function, is used, no floating point enters it, since every value it
+computes must be exact, and each carrier op is defined once, as a batch op."""
 
 import ast
 import importlib
@@ -18,17 +18,22 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ellstates"
 
 
 def unused_imports(source: str) -> list[str]:
-    """Names bound by module-level imports that the module never references."""
+    """Names bound by the import statements of the module body or of a
+    function body that the module, or that function, never references."""
     tree = ast.parse(source)
-    bound = {}
-    for node in tree.body:
-        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            for alias in node.names:
-                bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
-    return [f"{name} (line {line})" for name, line in bound.items() if name not in used]
+    functions = [n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    unused = []
+    for scope in (tree, *functions):
+        bound = {}
+        for node in scope.body:
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound[(alias.asname or alias.name).split(".")[0]] = node.lineno
+        used = {node.id for node in ast.walk(scope) if isinstance(node, ast.Name)}
+        unused += [(line, name) for name, line in bound.items() if name not in used]
+    return [f"{name} (line {line})" for line, name in sorted(unused, key=lambda u: u[0])]
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -39,6 +44,16 @@ def test_no_unused_module_imports(path):
 def test_detects_an_unused_import():
     source = "from __future__ import annotations\nimport os\nfrom typing import Any, Mapping\nx: Any = 1\n"
     assert unused_imports(source) == ["os (line 2)", "Mapping (line 3)"]
+    # A function's imports count only its own uses, nested functions included.
+    source += (
+        "def f(s):\n"
+        "    from json import dumps, loads\n"
+        "    import re\n"
+        "    return lambda: loads(s)\n"
+        "def g():\n"
+        "    return dumps\n"
+    )
+    assert unused_imports(source) == ["os (line 2)", "Mapping (line 3)", "dumps (line 6)", "re (line 7)"]
 
 
 # numpy constructors whose default dtype is float64, as in np.array([]).

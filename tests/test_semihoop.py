@@ -373,6 +373,7 @@ COORDS = st.one_of(st.integers(0, 8), st.integers(0, 2**66))
 @given(st.integers(1, 3).flatmap(lambda r: st.tuples(
     st.lists(WEIGHTS, min_size=r, max_size=r), st.lists(st.tuples(*[COORDS] * r), max_size=6))),
     st.sampled_from([2, 4]))
+@example(([Fraction(0)], [(2**63,)]), 2)  # zero weights on a coordinate past int64
 def test_cone_tables_read_the_values(drawn, terms):
     lam, elems = drawn
     w = ConeState(lam)
