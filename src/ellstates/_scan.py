@@ -17,10 +17,11 @@ over the variables it mentions: a subterm of at most :data:`CHUNK` instances
 over the whole axis, a larger one per block of heads (values of x), after its
 table is filled at every key it will reach (see :class:`_Deferred`).
 A product carrier is tabulated factor by factor, never over product ids, so
-its tables stay as small as its factors'.  Instances are visited in
-``itertools.product`` order (the last variable varies fastest), violations
-are counted in full, and the first :data:`~.reports.MAX_WITNESSES` are
-rendered as witnesses through the scalar terms.
+its tables stay as small as its factors' (over product ids, the variety gate on
+the corpus's 21 pairwise products took twice as long and 283 MB, not 37 MB).
+Instances are visited in ``itertools.product`` order (the last variable
+varies fastest), violations are counted in full, and the first
+:data:`~.reports.MAX_WITNESSES` are rendered as witnesses through the scalar terms.
 
 Value laws read each map once into an exact table, integer numerators in
 lowest terms over one denominator, typed here alone (:func:`width`, through
@@ -251,6 +252,12 @@ def integers(rows: Sequence, terms: int = 2) -> np.ndarray:
     except OverflowError:
         a = np.array(rows, dtype=object)
     return a.astype(width(widest(a), terms), copy=False)
+
+
+def narrowed(a: np.ndarray, terms: int = 2) -> np.ndarray:
+    """The integer array ``a``, typed by :func:`width` at its own widest entry
+    if it holds Python ints, as a product row's columns of a narrower factor may."""
+    return a if a.dtype != object else a.astype(width(widest(a), terms), copy=False)
 
 
 def dot(rows: Sequence[Sequence[int]], vec: Sequence[int]) -> np.ndarray:

@@ -178,12 +178,6 @@ class ProductAlgebra(Componentwise):
         axes = [f.carrier(window) for f in self.factors]
         return capped_cartesian(axes, PRODUCT_ELEMENT_CAP, forced=(self.bot, self.top))
 
-    def neg(self, x):
-        return self._cw("neg", x)
-
-    def oplus(self, x, y):
-        return self._cw("oplus", x, y)
-
 
 # ---------------------------------------------------------------------------
 # Validators

@@ -1,12 +1,11 @@
 """Lattice-ordered monoids and their Grothendieck lattice-group envelope.
 
-Two carrier forms are supported: finite Cayley tables, and the symbolic
-cancellative cones N^k (componentwise addition).  Each defines an op once, as
-a batch op on coordinate rows, and :class:`Carrier` derives the scalar op on
-elements from it.  The envelope K(M) is the
-abelian lattice-group of formal differences [x, y]: on a finite ell-monoid
-it has one class, by the proof in :class:`KGroup`, and on a cone its
-classes are the canonical integer forms x - y.
+Every carrier (finite Cayley tables, the symbolic cancellative cones N^k,
+rotations and direct products) defines each op of :data:`OPS` once, as a
+batch op on coordinate rows, and :class:`Carrier` derives the scalar op on
+elements from it.  The envelope K(M) is the abelian lattice-group of formal
+differences [x, y]: on a finite ell-monoid it has one class, by the proof in
+:class:`KGroup`, and on a cone its classes are the canonical integer forms x - y.
 
 The witness relation defining equality of pairs is
 
@@ -42,6 +41,8 @@ from ._scan import PREDICATES, Axiom, integers, locate, memo, scan_axioms, table
 from .reports import InternalConsistencyError, MalformedInputError, PreconditionError, ValidationReport
 
 Element = Any  # int index (finite) or tuple of ints (symbolic)
+# Every op a carrier may have, as a batch op ``<op>_rows``; leq is the predicate.
+OPS = ("add", "times", "impl", "meet", "join", "neg", "oplus", "leq")
 
 
 def _is_index(v: Any, n: int) -> bool:
@@ -76,18 +77,11 @@ def check_table(name: str, table: Any, n: int) -> np.ndarray:
     raise InternalConsistencyError(f"{name}: refused in bulk, yet no cell is bad")
 
 
-class _Derived:
-    """The scalar op named as it is bound: :meth:`Carrier._scalar` on the batch
-    op ``<name>_rows``, and absent, to hasattr too, where that is."""
-
-    def __set_name__(self, owner, name: str):
-        self.name = name
-
-    def __get__(self, A, owner=None):
-        if A is None:
-            return self
-        getattr(A, f"{self.name}_rows")  # raises AttributeError where it is absent
-        return partial(A._scalar, self.name)
+def _derived(name: str, A):
+    """The scalar op ``name`` of A: :meth:`Carrier._scalar` on the batch op
+    ``<name>_rows``, and absent, to hasattr too, where that is."""
+    getattr(A, f"{name}_rows")  # raises AttributeError where it is absent
+    return partial(A._scalar, name)
 
 
 class Carrier:
@@ -96,7 +90,7 @@ class Carrier:
     result rows (truth values for ``leq``).  A scalar op is its batch op on
     one row per operand, returning Python values for witnesses and JSON."""
 
-    add, times, impl, meet, join, neg, oplus, leq = (_Derived() for _ in range(8))
+    vars().update((op, property(partial(_derived, op))) for op in OPS)
 
     def _scalar(self, name: str, *xs):
         rows = integers([self.row(x) for x in xs])

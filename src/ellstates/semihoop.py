@@ -24,17 +24,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, chain, product
 from math import isqrt, lcm
 from types import SimpleNamespace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._scan import (Axiom, distinct, dot, exact_table, lowest, masked_verdict, memo, over_lcm, pair_columns,
-                    pair_verdict, scan_axioms, scan_mode, stride_select, tables)
+from ._scan import (PREDICATES, Axiom, distinct, dot, exact_table, lowest, masked_verdict, memo, narrowed, over_lcm,
+                    pair_columns, pair_verdict, scan_axioms, scan_mode, stride_select, tables)
 from .hypernum import format_exact
-from .lmonoid import Cone, KElement, KGroup, TableAlgebra, k_envelope
+from .lmonoid import OPS, Carrier, Cone, KElement, KGroup, TableAlgebra, k_envelope
 from .reports import InternalConsistencyError, MalformedInputError, ValidationReport, verdict
 
 # Scans over infinite carriers work on a window of elements.  Pair and
@@ -88,35 +88,39 @@ class SymbolicConeHoop(Cone):
         return (x >= y).all(axis=-1)
 
 
-class Componentwise:
-    """A direct product: its elements are tuples, one entry per factor, and
-    every op is taken factor by factor."""
+class Componentwise(Carrier):
+    """A direct product: its elements are tuples, one entry per factor, and its
+    row is the factors' rows side by side.  Where every factor has ``<op>_rows``,
+    so does it: each factor's on its own (narrowed) columns, the results side
+    by side, or for ``leq`` their conjunction."""
 
     def __init__(self, factors: Sequence[Any]):
         if not factors:
             raise MalformedInputError("a product needs at least one factor")
         self.factors = tuple(factors)
         self.is_finite = all(f.is_finite for f in self.factors)
+        for op in OPS:
+            if all(hasattr(f, f"{op}_rows") for f in self.factors):
+                setattr(self, f"{op}_rows", partial(self._rows, op))
 
     top = cached_property(lambda self: tuple(f.top for f in self.factors))
 
-    def _cw(self, op: str, *args: tuple) -> tuple:
-        return tuple([getattr(f, op)(*xs) for f, xs in zip(self.factors, zip(*args))])
+    @cached_property
+    def _columns(self) -> list[slice]:
+        """Each factor's columns, read late: a rotation builds its top after the CLI's size guard."""
+        ends = list(accumulate(len(f.row(f.top)) for f in self.factors))
+        return [slice(a, b) for a, b in zip([0] + ends, ends)]
 
-    def times(self, x: tuple, y: tuple) -> tuple:
-        return self._cw("times", x, y)
+    def _rows(self, op: str, *xs: np.ndarray) -> np.ndarray:
+        parts = [getattr(f, f"{op}_rows")(*(narrowed(x[..., c]) for x in xs))
+                 for f, c in zip(self.factors, self._columns)]
+        return np.logical_and.reduce(parts) if op in PREDICATES else np.concatenate(parts, axis=-1)
 
-    def impl(self, x: tuple, y: tuple) -> tuple:
-        return self._cw("impl", x, y)
+    def row(self, x: tuple) -> tuple:
+        return tuple(chain.from_iterable(f.row(a) for f, a in zip(self.factors, x)))
 
-    def meet(self, x: tuple, y: tuple) -> tuple:
-        return self._cw("meet", x, y)
-
-    def join(self, x: tuple, y: tuple) -> tuple:
-        return self._cw("join", x, y)
-
-    def leq(self, x: tuple, y: tuple) -> bool:
-        return all(f.leq(a, b) for f, a, b in zip(self.factors, x, y))
+    def element(self, r: Sequence[int]) -> tuple:
+        return tuple(f.element(r[c]) for f, c in zip(self.factors, self._columns))
 
     def token(self, x: tuple) -> str:
         return "(" + "|".join(f.token(a) for f, a in zip(self.factors, x)) + ")"

@@ -8,7 +8,8 @@ reference those are held against: the same carrier with each op written on
 elements, one case at a time, over tuples or over a finite carrier's tables
 read as nested lists.  It reads everything else (constants, carrier, tokens)
 off the carrier, and has exactly the scalar ops the carrier has.  A product
-twin is ``Componentwise`` over the factors' twins.
+twin, :class:`ProductTwin`, takes each op on tuples, entry by entry, through
+the factors' twins, and never reads a row.
 
 ``lmonoid`` builds a finite ell-monoid's envelope as one class, by the proof
 in ``KGroup``; the witness search here, run on twins, is what that proof is
@@ -23,11 +24,10 @@ import numpy as np
 
 from ellstates import _scan
 from ellstates.corpus import godel_hoop, ibp0_corpus, lmonoid_corpus, rotated_hoop, semihoop_corpus, trunc_monoid
-from ellstates.ibp0 import FiniteMTL, SymbolicPerfectAlgebra, radical
+from ellstates.ibp0 import FiniteMTL, ProductAlgebra, SymbolicPerfectAlgebra, radical
+from ellstates.lmonoid import OPS as SCALAR_OPS
 from ellstates.lmonoid import Carrier, FiniteLMonoid, SymbolicCancellativeMonoid
-from ellstates.semihoop import Componentwise, FiniteSemihoop, SymbolicConeHoop
-
-SCALAR_OPS = ("add", "times", "impl", "meet", "join", "neg", "oplus", "leq")
+from ellstates.semihoop import FiniteSemihoop, ProductHoop, SymbolicConeHoop
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +249,28 @@ class MTLTwin(TableTwin):
         return self.impl(self.neg(x), y)
 
 
+def _entrywise(ops: list, *xs: tuple) -> tuple:
+    return tuple(op(*entries) for op, *entries in zip(ops, *xs))
+
+
+def _everywhere(ops: list, x: tuple, y: tuple) -> bool:
+    return all(op(a, b) for op, a, b in zip(ops, x, y))
+
+
+class ProductTwin(Twin):
+    """A direct product on tuples: each op entry by entry through the
+    factors' twins, where every one of them has it, and ``leq`` when it
+    holds in every entry."""
+
+    def __init__(self, A):
+        super().__init__(A)
+        self.factors = [twin(f) for f in A.factors]
+        for name in SCALAR_OPS:
+            if all(hasattr(f, name) for f in self.factors):
+                ops = [getattr(f, name) for f in self.factors]
+                setattr(self, name, partial(_everywhere if name == "leq" else _entrywise, ops))
+
+
 TWINS = {
     SymbolicCancellativeMonoid: NaturalConeTwin,
     SymbolicConeHoop: ConeHoopTwin,
@@ -258,18 +280,19 @@ TWINS = {
     FiniteLMonoid: TableTwin,
     FiniteSemihoop: SemihoopTwin,
     FiniteMTL: MTLTwin,
+    ProductHoop: ProductTwin,
+    ProductAlgebra: ProductTwin,
 }
 _twins = WeakKeyDictionary()
 
 
 def twin(A):
-    """A's twin, kept while A lives: a product's is Componentwise over its
-    factors' twins, and a twin is its own.  A carrier class with no twin of
-    its own has none."""
+    """A's twin, kept while A lives, and a twin is its own.  A carrier class
+    with no twin of its own has none."""
     if isinstance(A, Twin):
         return A
     if A not in _twins:
-        _twins[A] = type(A)([twin(f) for f in A.factors]) if isinstance(A, Componentwise) else TWINS[type(A)](A)
+        _twins[A] = TWINS[type(A)](A)
     return _twins[A]
 
 

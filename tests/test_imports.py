@@ -10,8 +10,9 @@ from pathlib import Path
 import pytest
 
 from ellstates.corpus import boolean_algebra, cone_hoop, godel_hoop, trunc_monoid
-from ellstates.ibp0 import SymbolicPerfectAlgebra
+from ellstates.ibp0 import ProductAlgebra, SymbolicPerfectAlgebra
 from ellstates.lmonoid import Carrier, SymbolicCancellativeMonoid
+from ellstates.semihoop import ProductHoop
 from reference import SCALAR_OPS
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ellstates"
@@ -176,11 +177,15 @@ def package_classes() -> list[type]:
     return [c for m in modules for _, c in inspect.getmembers(m, inspect.isclass) if c.__module__ == m.__name__]
 
 
-# One instance of each carrier class, a rotation over each kind of core.
+# One instance of each carrier class, a rotation over each kind of core, and
+# products of finite and symbolic factors, one of them nested.
 CARRIERS = {
     "lmonoid": trunc_monoid(3), "semihoop": godel_hoop(3), "mtl": boolean_algebra(2),
     "natural-cone": SymbolicCancellativeMonoid(rank=2), "cone-hoop": cone_hoop(2),
     "rotation-cone": SymbolicPerfectAlgebra(cone_hoop(1)), "rotation-finite": SymbolicPerfectAlgebra(godel_hoop(3)),
+    "product-hoop": ProductHoop([godel_hoop(3), cone_hoop(2)]),
+    "product-algebra": ProductAlgebra([boolean_algebra(2), SymbolicPerfectAlgebra(cone_hoop(1))]),
+    "nested-product-hoop": ProductHoop([ProductHoop([cone_hoop(1), godel_hoop(2)]), godel_hoop(3)]),
 }
 
 

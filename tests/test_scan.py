@@ -40,11 +40,11 @@ from ellstates.corpus import (
     semihoop_corpus,
     trunc_monoid,
 )
-from ellstates.ibp0 import (IBP0_AXIOMS, SAMPLED_NOTE, ProductAlgebra, SymbolicPerfectAlgebra, radical,
-                           validate_ibp0)
+from ellstates.ibp0 import (IBP0_AXIOMS, SAMPLED_NOTE, ProductAlgebra, SymbolicPerfectAlgebra, boolean_skeleton,
+                           radical, validate_ibp0)
 from ellstates.lmonoid import LMONOID_AXIOMS, SymbolicCancellativeMonoid, TableAlgebra
 from ellstates.reports import MAX_WITNESSES
-from ellstates.semihoop import SEMIHOOP_AXIOMS, ProductHoop, SymbolicConeHoop
+from ellstates.semihoop import SEMIHOOP_AXIOMS, Componentwise, ProductHoop, SymbolicConeHoop
 from ellstates.states import join_hyperstate
 from reference import (SCALAR_OPS, UntruncatedCone, broken_monoid, planted_fault, planted_hoop_fault,
                        spy_scalar_ops, twin)
@@ -191,6 +191,32 @@ def test_finite_set_up_makes_no_scalar_op_call(monkeypatch):
     assert calls == [("FiniteMTL", "times"), ("FiniteSemihoop", "meet")]
 
 
+def test_a_product_is_scanned_through_its_factors_tables(monkeypatch):
+    # A product has batch ops, but its scans never call them: it is
+    # tabulated factor by factor, never over product ids, whose tables would
+    # grow as the product of its factors'.
+    products, fills, fill = [], [], _scan._Tables._fill
+
+    def rows(self, op, *xs):
+        products.append((type(self).__name__, op))
+        return component_rows(self, op, *xs)
+
+    def spy(self, name, keys):
+        fills.append(type(self._A).__name__)
+        return fill(self, name, keys)
+
+    component_rows = Componentwise._rows
+    monkeypatch.setattr(Componentwise, "_rows", rows)
+    monkeypatch.setattr(_scan._Tables, "_fill", spy)
+    A = ProductAlgebra([chang_algebra(1), chang_algebra(2)])
+    assert validate_ibp0(A).ok and boolean_skeleton(A).report.ok and radical(A).report.ok
+    assert products == []
+    assert fills and set(fills) == {"SymbolicPerfectAlgebra", "SymbolicConeHoop"}
+    # The spy sees a product's own batch ops where they are called.
+    A.times(A.top, A.bot)
+    assert products == [("ProductAlgebra", "times")]
+
+
 def test_the_cli_scan_imports_no_numpy_ma(tmp_path):
     # np.unique imports numpy.ma, about 15 ms of every CLI process.  chang-2's
     # triple laws pass CHUNK, so its scan defers them and fills their tables
@@ -229,11 +255,36 @@ def test_the_chang_2_gate_fills_each_table_in_few_calls(monkeypatch):
 # Coordinates inside a window of 2, past it, and past half of int64, where
 # a sum of two leaves int64 and the rows take Python ints.
 COORDINATE = st.one_of(st.integers(0, 2), st.integers(3, 40), st.integers(2**62, 2**62 + 3), st.just(2**64))
+HOOP_OPS = ("times", "impl", "meet", "join", "leq")
+ALGEBRA_OPS = ("times", "impl", "meet", "join", "neg", "oplus", "leq")
+
+
+def cone(rank: int):
+    return st.tuples(*[COORDINATE] * rank)
+
+
+def signed(rank: int):
+    return st.tuples(st.sampled_from(["neg", "pos"]), cone(rank))
+
+
+def rotation(rank: int) -> SymbolicPerfectAlgebra:
+    return SymbolicPerfectAlgebra(SymbolicConeHoop(rank))
+
+
+# kind: (builder of a carrier of the given cone rank, its elements, its ops).
+# In a product, a cone coordinate past int64 makes its whole row Python ints,
+# which the finite factors beside it must not gather with.
 CARRIERS = {
-    "monoid": (SymbolicCancellativeMonoid, ("add", "meet", "join", "leq")),
-    "hoop": (SymbolicConeHoop, ("times", "impl", "meet", "join", "leq")),
-    "rotation": (lambda rank: SymbolicPerfectAlgebra(SymbolicConeHoop(rank)),
-                 ("times", "impl", "meet", "join", "neg", "oplus", "leq")),
+    "monoid": (SymbolicCancellativeMonoid, cone, ("add", "meet", "join", "leq")),
+    "hoop": (SymbolicConeHoop, cone, HOOP_OPS),
+    "rotation": (rotation, signed, ALGEBRA_OPS),
+    "hoop*godel-3": (lambda rank: ProductHoop([SymbolicConeHoop(rank), godel_hoop(3)]),
+                     lambda rank: st.tuples(cone(rank), st.integers(0, 2)), ("add",) + HOOP_OPS),
+    "rotation*boolean-4": (lambda rank: ProductAlgebra([rotation(rank), boolean_algebra(2)]),
+                           lambda rank: st.tuples(signed(rank), st.integers(0, 3)), ALGEBRA_OPS),
+    "godel-2*(hoop*godel-3)": (
+        lambda rank: ProductHoop([godel_hoop(2), ProductHoop([SymbolicConeHoop(rank), godel_hoop(3)])]),
+        lambda rank: st.tuples(st.integers(0, 1), st.tuples(cone(rank), st.integers(0, 2))), ("add",) + HOOP_OPS),
 }
 
 
@@ -244,14 +295,20 @@ def batch_op(A, name: str, args) -> list:
     return rows.tolist() if name in PREDICATES else [A.element(r) for r in rows.tolist()]
 
 
+def leaf_tables(A, o, elems: list) -> list[tuple]:
+    """(carrier, its id tables, elems) for a carrier that is no product, and
+    for a product those of its factors, each given its entry of every element."""
+    if not hasattr(A, "factors"):
+        return [(A, o, elems)]
+    return [leaf for k, (f, fo) in enumerate(zip(A.factors, o._factors))
+            for leaf in leaf_tables(f, fo, [x[k] for x in elems])]
+
+
 @settings(max_examples=80, deadline=None)
 @given(kind=st.sampled_from(sorted(CARRIERS)), rank=st.integers(1, 3), data=st.data())
 def test_batch_ops_equal_the_scalar_ops_on_random_rows(kind, rank, data):
-    build, names = CARRIERS[kind]
-    A = build(rank)
-    element = st.tuples(*[COORDINATE] * rank)
-    if kind == "rotation":
-        element = st.tuples(st.sampled_from(["neg", "pos"]), element)
+    build, elements, names = CARRIERS[kind]
+    A, element = build(rank), elements(rank)
     xs = data.draw(st.lists(element, min_size=1, max_size=6))
     ys = data.draw(st.lists(element, min_size=len(xs), max_size=len(xs)))
     o, T = tables(A), twin(A)
@@ -262,13 +319,17 @@ def test_batch_ops_equal_the_scalar_ops_on_random_rows(kind, rank, data):
         # Through the tables, whose box the drawn rows extend ...
         got = getattr(o, name)(*(o.encode(a) for a in args))
         assert (got.tolist() if name == "leq" else o.decode(got)) == want
+        # ... through the scalar op, one row per operand ...
+        assert [getattr(A, name)(*t) for t in zip(*args)] == want
         # ... and the batch op on the rows themselves.
         assert batch_op(A, name, args) == want
-    # The coordinates are typed by _scan.width: Python ints once two of them
-    # can sum past int64, as any drawn past half of it can.
-    wide = max(abs(c) for r in o._coords.tolist() for c in r)
-    assert (o._coords.dtype == object) == (2 * wide > INT64_MAX)
-    assert o._coords.dtype == object or all(2 * c <= INT64_MAX for x in xs + ys for c in A.row(x))
+    # The coordinates are typed by _scan.width, in each factor's tables alone:
+    # Python ints once two of them can sum past int64, as any drawn past half
+    # of it can.
+    for F, fo, entries in leaf_tables(A, o, xs + ys):
+        wide = max(abs(c) for r in fo._coords.tolist() for c in r)
+        assert (fo._coords.dtype == object) == (2 * wide > INT64_MAX)
+        assert fo._coords.dtype == object or all(2 * c <= INT64_MAX for x in entries for c in F.row(x))
 
 
 FINITE_CARRIERS = {
@@ -276,6 +337,8 @@ FINITE_CARRIERS = {
     **{f"hoop-{n}": H for n, H in semihoop_corpus().items()},
     **{f"lmonoid-{n}": M for n, M in lmonoid_corpus().items()},
     "rotation-godel-3": SymbolicPerfectAlgebra(godel_hoop(3)),
+    "godel-2*godel-3": ProductHoop([godel_hoop(2), godel_hoop(3)]),
+    "boolean-4*rot-godel-3": ProductAlgebra([boolean_algebra(2), rotated_hoop(godel_hoop(3))]),
     "planted-fault": planted_fault(),
     "planted-hoop-fault": planted_hoop_fault(),
     "broken-monoid": broken_monoid(),

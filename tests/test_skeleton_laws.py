@@ -38,7 +38,7 @@ CLOSURES = ("closure-times", "closure-oplus", "closure-neg")
 def ref_boolean_skeleton(A, window=WINDOW):
     """(elements, atoms, report) by the plain loop, on A's twin."""
     A = twin(A)
-    if isinstance(A, ProductAlgebra):
+    if isinstance(A.of, ProductAlgebra):
         factor_elements = [ref_boolean_skeleton(f, window)[0] for f in A.factors]
         elements = [tuple(c) for c in product(*factor_elements)]
     else:
