@@ -8,14 +8,9 @@ skeleton, the elements above their own negation form the radical, and
 every element is rebuilt from one coordinate of each.
 """
 
+from ellstates._scan import tables
 from ellstates.corpus import chang_algebra, godel_hoop, rotated_hoop
-from ellstates.ibp0 import (
-    boolean_skeleton,
-    coradical,
-    decompose_element,
-    radical,
-    validate_ibp0,
-)
+from ellstates.ibp0 import boolean_skeleton, coradical, decompose, radical, validate_ibp0
 
 
 def anatomy(title: str, A, window: int = 6) -> None:
@@ -29,9 +24,10 @@ def anatomy(title: str, A, window: int = 6) -> None:
     print(f"  radical:  {[A.token(x) for x in rad.elements]}")
     print(f"  coradical: {[A.token(x) for x in corad]}")
     print("  element = (b join neg c) meet (neg b join c), per element:")
-    for a in A.carrier(window):
-        d = decompose_element(A, a)
-        print(f"    {A.token(a):10s} b = {A.token(d.b):8s} c = {A.token(d.c)}")
+    o, elems = tables(A), A.carrier(window)
+    b, c = decompose(A, elems, o)
+    for a, x, y in zip(elems, o.decode(b), o.decode(c)):
+        print(f"    {A.token(a):10s} b = {A.token(x):8s} c = {A.token(y)}")
     print()
 
 

@@ -33,15 +33,16 @@ Exit status: 0 when every required check passed, 1 when some check failed
 Output is deterministic for identical invocations, except the elapsed_ms
 field.
 
-The ``states`` and ``corpus`` modules are imported in the functions that use
-them: a process that writes no bytecode compiles every module it imports, and
-only ``hyperstate`` and ``corpus`` need ``states``; only ``corpus`` needs
-``corpus``.
+Only the modules a verb runs are imported, where they are used: a process
+that writes no bytecode compiles every module it imports.  A file's keys name
+one class, and only its module is loaded; verbs read the family and file form
+off the class (``KIND``, ``FORM``), so none imports a module to test classes.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import re
 import sys
@@ -53,41 +54,9 @@ from pathlib import Path
 from typing import Any, Callable
 
 from ._scan import scan_mode, tables
-from .ibp0 import (
-    FiniteMTL,
-    ProductAlgebra,
-    SymbolicPerfectAlgebra,
-    boolean_skeleton,
-    decompose,
-    radical,
-    require_ibp0,
-    validate_ibp0,
-    validate_mtl,
-)
 from .hypernum import format_dual, format_exact, parse_dual, parse_exact
 from .lmonoid import FiniteLMonoid, TableAlgebra, envelope_summary, k_envelope, validate_lmonoid
-from .reports import (
-    Check,
-    InternalConsistencyError,
-    MalformedInputError,
-    PreconditionError,
-    verdict,
-)
-from .semihoop import (
-    ConeState,
-    FiniteSemihoop,
-    ProductHoop,
-    ProductState,
-    SymbolicConeHoop,
-    TableState,
-    enumerate_states_finite,
-    state_properties,
-    state_weights,
-    symbolic_rank,
-    validate_semihoop,
-    validate_state,
-    weighted_state,
-)
+from .reports import Check, InternalConsistencyError, MalformedInputError, PreconditionError, verdict
 
 
 def canonical_json(obj: Any) -> str:
@@ -147,9 +116,9 @@ def _require_fields(obj: dict, required: set[str], what: str) -> None:
 # ---------------------------------------------------------------------------
 # Parsing and dumping
 
-# The file forms of semihoops and of bounded algebras; a product holds one kind.
-HOOPS = (FiniteSemihoop, SymbolicConeHoop, ProductHoop)
-BOUNDED = (FiniteMTL, SymbolicPerfectAlgebra, ProductAlgebra)
+# The families of algebra files, as each algebra class names its own in
+# ``KIND``; a product holds one.
+MONOID, HOOP, BOUNDED = "lattice monoid", "semihoop", "bounded algebra"
 # Scans and ops recurse through every product level, so a nesting as deep as
 # the interpreter's recursion limit would end in a RecursionError.
 MAX_PRODUCT_DEPTH = 32
@@ -162,16 +131,21 @@ MAX_WINDOW_ELEMENTS = 3000
 
 
 def algebra_from_json(obj: Any, depth: int = 0):
-    """Dispatch on the key shape; constructors do the table checking.
-    ``depth`` counts the products around ``obj``."""
+    """Dispatch on the key shape, importing only the module of the class it
+    names; constructors do the table checking.  ``depth`` counts the
+    products around ``obj``."""
     if not isinstance(obj, dict):
         raise MalformedInputError("algebra file must hold a JSON object")
     if "kind" in obj:
         kind = obj["kind"]
         if kind in ("rotation", "cone"):
             _require_fields(obj, {"kind", "rank"}, kind)
+            from .semihoop import SymbolicConeHoop
             cone = SymbolicConeHoop(rank=_field(obj, "rank", kind, int))
-            return SymbolicPerfectAlgebra(cone) if kind == "rotation" else cone
+            if kind == "cone":
+                return cone
+            from .ibp0 import SymbolicPerfectAlgebra
+            return SymbolicPerfectAlgebra(cone)
         if kind == "product":
             _require_fields(obj, {"kind", "factors"}, "product")
             factors = obj["factors"]
@@ -180,42 +154,57 @@ def algebra_from_json(obj: Any, depth: int = 0):
             if depth == MAX_PRODUCT_DEPTH:
                 raise MalformedInputError(f"product: 'factors' nested more than {MAX_PRODUCT_DEPTH} products deep")
             parsed = [algebra_from_json(f, depth + 1) for f in factors]
-            if all(isinstance(f, HOOPS) for f in parsed):
-                return ProductHoop(parsed)
-            if all(isinstance(f, BOUNDED) for f in parsed):
-                return ProductAlgebra(parsed)
-            raise MalformedInputError(
-                "product: 'factors' must be all semihoops or all bounded algebras"
-            )
+            families = {f.KIND for f in parsed}
+            if families == {HOOP}:
+                from .semihoop import ProductHoop as product
+            elif families == {BOUNDED}:
+                from .ibp0 import ProductAlgebra as product
+            else:
+                raise MalformedInputError("product: 'factors' must be all semihoops or all bounded algebras")
+            return product(parsed)
         raise MalformedInputError(f"unknown kind {kind!r}")
     if "size" in obj:
         _field(obj, "size", "algebra", int)
-    kind = FiniteLMonoid if "add" in obj else FiniteMTL if "bot" in obj or "join" in obj else FiniteSemihoop
+    if "add" in obj:
+        kind = FiniteLMonoid
+    elif "bot" in obj or "join" in obj:
+        from .ibp0 import FiniteMTL as kind
+    else:
+        from .semihoop import FiniteSemihoop as kind
     fields = kind.TABLES + kind.CONSTANTS
     _require_fields(obj, {"size", *fields}, kind.KIND)
     return kind(**{f: obj[f] for f in fields}, size=obj["size"])
+
+
+def _span_field(A) -> str:
+    """The field of A's file form that sets how many elements it spans."""
+    return {"product": "factors", "rotation": "rank", "cone": "rank"}.get(getattr(A, "FORM", None), "size")
 
 
 def window_size(A, window: int) -> int:
     """The elements A spans at ``window``, counted without building them:
     (window+1)^min(rank, 12) for a cone, as every larger rank is over the
     ceiling too, twice that for a rotation, and the factors' product for a product."""
-    if isinstance(A, SymbolicConeHoop):
-        return (window + 1) ** min(A.rank, MAX_WINDOW_ELEMENTS.bit_length())
-    if isinstance(A, SymbolicPerfectAlgebra):
-        return 2 * window_size(A.core, window)
-    return prod(window_size(f, window) for f in A.factors) if hasattr(A, "factors") else A.size
+    field = _span_field(A)
+    if field == "factors":
+        return prod(window_size(f, window) for f in A.factors)
+    if field == "size":
+        return A.size
+    cone = (window + 1) ** min(A.rank, MAX_WINDOW_ELEMENTS.bit_length())
+    return 2 * cone if A.FORM == "rotation" else cone
 
 
-def _algebra(path: str, window: int | None):
+def _algebra(path: str, window: int | None, family: str | None = None, verb: str = ""):
     """The algebra in ``path``, refused before any carrier is built when it
-    spans more than MAX_WINDOW_ELEMENTS at ``window`` (at 1 for a verb with none)."""
+    spans more than MAX_WINDOW_ELEMENTS at ``window`` (at 1 for a verb with none)
+    or when it is not of the ``family`` that ``verb`` needs, if one is given."""
     A = algebra_from_json(_load(path))
     n = window_size(A, window or 1)
     if n > MAX_WINDOW_ELEMENTS:
-        field = "factors" if hasattr(A, "factors") else "rank" if hasattr(A, "rank") else "size"
         at = f" at --window {window}" if window else ""
-        raise MalformedInputError(f"{path}: {field!r} spans more than {MAX_WINDOW_ELEMENTS} elements{at}")
+        raise MalformedInputError(f"{path}: {_span_field(A)!r} spans more than {MAX_WINDOW_ELEMENTS} elements{at}")
+    if family and A.KIND != family:
+        raise MalformedInputError(f"{verb} expects a {family} file")
     return A
 
 
@@ -225,16 +214,15 @@ def algebra_to_json(A) -> dict[str, Any]:
         out.update((op, getattr(A, f"{op}_table").tolist()) for op in A.TABLES)
         out.update((name, getattr(A, name)) for name in A.CONSTANTS)
         return out
-    if isinstance(A, SymbolicPerfectAlgebra):
-        return {"kind": "rotation", "rank": A.rank}
-    if isinstance(A, SymbolicConeHoop):
-        return {"kind": "cone", "rank": A.rank}
-    if isinstance(A, (ProductAlgebra, ProductHoop)):
-        return {"kind": "product", "factors": [algebra_to_json(f) for f in A.factors]}
-    raise MalformedInputError(f"no file form for {type(A).__name__}")
+    field = _span_field(A)
+    if field == "size":
+        raise MalformedInputError(f"no file form for {type(A).__name__}")
+    return {"kind": A.FORM, field: [algebra_to_json(f) for f in A.factors] if field == "factors" else A.rank}
 
 
 def state_from_json(obj: Any, hoop):
+    from .semihoop import TableState, weighted_state
+
     if not isinstance(obj, dict):
         raise MalformedInputError("state file must hold a JSON object")
     if "lambda" in obj:
@@ -244,9 +232,12 @@ def state_from_json(obj: Any, hoop):
 
 
 def state_to_json(w) -> dict[str, Any]:
-    if isinstance(w, TableState):
+    """A state's file form: its table, or the weight vector of a cone or product state."""
+    from .semihoop import state_weights
+
+    if hasattr(w, "values"):
         return {str(k): format_exact(v) for k, v in sorted(w.values.items())}
-    if isinstance(w, (ConeState, ProductState)):
+    if hasattr(w, "lam") or hasattr(w, "parts"):
         return {"lambda": [format_exact(v) for v in state_weights(w)]}
     raise MalformedInputError(f"no file form for {type(w).__name__}")
 
@@ -254,6 +245,8 @@ def state_to_json(w) -> dict[str, Any]:
 def hyperstate_from_json(obj: Any, A, window: int):
     """Either form; the measure form returns the map built from (p, w),
     whose validation verdict the caller is responsible for."""
+    from .ibp0 import boolean_skeleton, radical
+    from .semihoop import weighted_state
     from .states import FormulaHyperstate, ProbabilityMeasure, TableHyperstate
 
     if not isinstance(obj, dict):
@@ -280,16 +273,14 @@ def hyperstate_from_json(obj: Any, A, window: int):
 
 
 def hyperstate_to_json(s, A) -> dict[str, Any]:
-    from .states import TableHyperstate
-
-    if isinstance(s, TableHyperstate):
+    if not hasattr(s, "measure"):
         return {"table": {A.token(k): format_dual(v) for k, v in sorted(s.items())}}
     out: dict[str, Any] = {
         "measure": {str(i): format_exact(v) for i, v in enumerate(s.measure.weights) if v != 0}
     }
-    lam = state_weights(s.state)
+    lam = state_to_json(s.state).get("lambda")
     if lam:
-        out["lambda"] = [format_exact(v) for v in lam]
+        out["lambda"] = lam
     return out
 
 
@@ -355,18 +346,10 @@ def _load(path: str) -> Any:
         raise MalformedInputError(f"{path}: JSON nested too deeply") from None
 
 
-def _bounded(A, verb: str):
-    if not isinstance(A, BOUNDED):
-        raise MalformedInputError(f"{verb} expects a bounded algebra file")
-    return A
-
-
 def _describe(A) -> dict[str, Any]:
-    if isinstance(A, (SymbolicPerfectAlgebra, SymbolicConeHoop)):
-        return {"kind": type(A).__name__, "rank": A.rank}
-    if isinstance(A, (ProductAlgebra, ProductHoop)):
-        return {"kind": type(A).__name__, "factors": [_describe(f) for f in A.factors]}
-    return {"kind": type(A).__name__, "size": A.size}
+    field = _span_field(A)
+    value = [_describe(f) for f in A.factors] if field == "factors" else getattr(A, field)
+    return {"kind": type(A).__name__, field: value}
 
 
 # ---------------------------------------------------------------------------
@@ -375,16 +358,16 @@ def _describe(A) -> dict[str, Any]:
 
 def _run_validate(args) -> tuple[str, list[Check], dict]:
     A = _algebra(args.algebra, args.window)
-    if args.ibp0 and not isinstance(A, BOUNDED):
+    if args.ibp0 and A.KIND != BOUNDED:
         raise MalformedInputError("--ibp0 applies to bounded algebra files")
-    if isinstance(A, FiniteLMonoid):
+    if A.KIND == MONOID:
         report = validate_lmonoid(A)
-    elif isinstance(A, HOOPS):
+    elif A.KIND == HOOP:
+        from .semihoop import validate_semihoop
         report = validate_semihoop(A, args.window)
-    elif args.ibp0:
-        report = validate_ibp0(A, args.window)
     else:
-        report = validate_mtl(A, args.window)
+        from .ibp0 import validate_ibp0, validate_mtl
+        report = (validate_ibp0 if args.ibp0 else validate_mtl)(A, args.window)
     result = _describe(A)
     if report.flags:
         result["flags"] = dict(sorted(report.flags.items()))
@@ -392,7 +375,9 @@ def _run_validate(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_skeleton(args) -> tuple[str, list[Check], dict]:
-    A = _bounded(_algebra(args.algebra, args.window), "skeleton")
+    from .ibp0 import boolean_skeleton
+
+    A = _algebra(args.algebra, args.window, BOUNDED, "skeleton")
     sk = boolean_skeleton(A, args.window)
     result = {
         "elements": [A.token(b) for b in sk.elements],
@@ -402,7 +387,9 @@ def _run_skeleton(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_radical(args) -> tuple[str, list[Check], dict]:
-    A = _bounded(_algebra(args.algebra, args.window), "radical")
+    from .ibp0 import radical
+
+    A = _algebra(args.algebra, args.window, BOUNDED, "radical")
     rad = radical(A, args.window)
     result = {
         "elements": [A.token(x) for x in rad.elements],
@@ -413,7 +400,9 @@ def _run_radical(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_decompose(args) -> tuple[str, list[Check], dict]:
-    A = _bounded(_algebra(args.algebra, args.window), "decompose")
+    from .ibp0 import decompose, require_ibp0
+
+    A = _algebra(args.algebra, args.window, BOUNDED, "decompose")
     require_ibp0(A, args.window)
     o, elems = tables(A), A.carrier(args.window)
     # decompose raises unless every b and c recompose to their a
@@ -424,9 +413,7 @@ def _run_decompose(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_grothendieck(args) -> tuple[str, list[Check], dict]:
-    M = _algebra(args.monoid, None)
-    if not isinstance(M, FiniteLMonoid):
-        raise MalformedInputError("grothendieck expects a lattice monoid file")
+    M = _algebra(args.monoid, None, MONOID, "grothendieck")
     report = validate_lmonoid(M)
     result: dict[str, Any] = {}
     if report.ok:
@@ -437,9 +424,9 @@ def _run_grothendieck(args) -> tuple[str, list[Check], dict]:
 
 
 def _run_states(args) -> tuple[str, list[Check], dict]:
-    H = _algebra(args.hoop, args.window)
-    if not isinstance(H, HOOPS):
-        raise MalformedInputError("states expects a semihoop file")
+    from .semihoop import enumerate_states_finite, state_properties, symbolic_rank, validate_semihoop, validate_state
+
+    H = _algebra(args.hoop, args.window, HOOP, "states")
     report = validate_semihoop(H, args.window)
     checks = list(report.checks)
     if args.state is None:
@@ -465,7 +452,7 @@ def _run_states(args) -> tuple[str, list[Check], dict]:
 def _run_hyperstate(args) -> tuple[str, list[Check], dict]:
     from .states import hyperstate_properties, split_hyperstate, validate_hyperstate
 
-    A = _bounded(_algebra(args.algebra, args.window), "hyperstate")
+    A = _algebra(args.algebra, args.window, BOUNDED, "hyperstate")
     s = hyperstate_from_json(_load(args.hyperstate), A, args.window)
     values = {
         A.token(a): format_dual(s.raw_value(a)) for a in A.carrier(args.window)
@@ -633,5 +620,15 @@ def main(argv: list[str] | None = None) -> int:
     return report.exit_status
 
 
+def entry() -> int:
+    """The process entry of ``python -m ellstates.cli`` and the ``ellstates`` script:
+    :func:`main`, then ``gc.freeze()``, so the interpreter's exit collections scan
+    nothing.  ``main`` never freezes: the tests and the benchmark call it in process."""
+    try:
+        return main()
+    finally:
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(entry())

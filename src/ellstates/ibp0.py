@@ -110,6 +110,7 @@ class SymbolicPerfectAlgebra(Carrier):
         self.core = core
         self.is_finite = core.is_finite
 
+    KIND, FORM = "bounded algebra", "rotation"
     # Built on first use, after the CLI's size guard has refused a huge rank.
     bot = cached_property(lambda self: ("neg", self.core.top))
     top = cached_property(lambda self: ("pos", self.core.top))
@@ -172,6 +173,7 @@ def _parts(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class ProductAlgebra(Componentwise):
     """Componentwise product of validated algebras."""
 
+    KIND = "bounded algebra"
     bot = cached_property(lambda self: tuple(f.bot for f in self.factors))
 
     def carrier(self, window: int) -> list[tuple]:
@@ -220,10 +222,15 @@ def _validate(A, window: int, axioms: list[Axiom], subject: str) -> ValidationRe
     triple_cap = SINGLE_TRIPLE_CAP
     if isinstance(A, ProductAlgebra):
         triple_cap = PRODUCT_TRIPLE_CAP
-        if len(elems) < prod(len(f.carrier(window)) for f in A.factors):
+        if len(elems) < _uncapped(A, window):
             report.flags["window_capped"] = True
     report.checks = scan_axioms(A, axioms, elems, {3: triple_cap}, mode, SAMPLED_NOTE)
     return report
+
+
+def _uncapped(A, window: int) -> int:
+    """How many elements A's window holds before any product level caps it."""
+    return prod(_uncapped(f, window) for f in A.factors) if isinstance(A, ProductAlgebra) else len(A.carrier(window))
 
 
 def validate_mtl(A, window: int = 8) -> ValidationReport:

@@ -101,8 +101,8 @@ class Carrier:
 class TableAlgebra(Carrier):
     """A finite carrier on indices 0..n-1, declared by its tables.
 
-    A kind declares ``KIND`` (its name in error messages), ``TABLES`` (its
-    binary ops in constructor order) and ``CONSTANTS`` (its named elements,
+    A kind declares ``KIND`` (its family, which names it in errors), ``TABLES``
+    (its binary ops in constructor order) and ``CONSTANTS`` (its named elements,
     after the tables in the constructor).  Each op ``o`` in ``TABLES`` keeps
     its checked table once, as the gather array ``o_table``, and ``o_rows``
     gathers in it on rows ``(x,)``, so a kind writes only the batch ops it

@@ -78,6 +78,7 @@ class SymbolicConeHoop(Cone):
     pseudo-join, the componentwise min.
     """
 
+    KIND, FORM = "semihoop", "cone"
     top = Cone.unit
     times_rows, meet_rows, join_rows = Cone.add_rows, np.maximum, np.minimum
 
@@ -103,6 +104,7 @@ class Componentwise(Carrier):
             if all(hasattr(f, f"{op}_rows") for f in self.factors):
                 setattr(self, f"{op}_rows", partial(self._rows, op))
 
+    FORM = "product"
     top = cached_property(lambda self: tuple(f.top for f in self.factors))
 
     @cached_property
@@ -128,6 +130,8 @@ class Componentwise(Carrier):
 
 class ProductHoop(Componentwise):
     """Direct product of semihoops."""
+
+    KIND = "semihoop"
 
     def carrier(self, window: int) -> list[tuple]:
         return [tuple(t) for t in product(*(f.carrier(window) for f in self.factors))]

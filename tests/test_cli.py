@@ -1,5 +1,8 @@
 """Command-line front end: file formats, verbs, exit statuses, determinism."""
 
+import ast
+import gc
+import importlib
 import json
 import os
 import re
@@ -7,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -575,26 +579,31 @@ class TestOutputContract:
 
     def test_each_verb_loads_only_what_it_runs(self, corpus_dir):
         # A child that writes no bytecode compiles every module it imports,
-        # so only hyperstate loads states and only corpus loads corpus.  The
-        # verbs run in one child in rising order of what they import.
+        # so a lattice-monoid file loads neither ibp0 nor semihoop, a hoop
+        # file no ibp0, only hyperstate loads states and only corpus loads
+        # corpus.  The verbs run in one child in rising order of what they import.
         alg, hoop, monoid = (str(corpus_dir / f) for f in (
             "algebra-chang-1.json", "hoop-godel-3.json", "lmonoid-trunc-3.json"))
         stages = [
-            ["validate", "--ibp0", alg], ["validate", hoop], ["validate", monoid], ["skeleton", alg],
-            ["radical", alg], ["decompose", alg], ["grothendieck", monoid], ["states", hoop],
+            ["validate", monoid], ["grothendieck", monoid], ["validate", hoop], ["states", hoop],
             ["states", str(corpus_dir / "hoop-cone-1.json"), str(corpus_dir / "state-cone-1.json")],
+            ["validate", "--ibp0", alg], ["skeleton", alg], ["radical", alg], ["decompose", alg],
             ["hyperstate", "validate", alg, str(corpus_dir / "hyperstate-chang-1.json")],
             ["corpus"],
         ]
+        modules = ["ellstates.ibp0", "ellstates.semihoop", "ellstates.states", "ellstates.corpus"]
         code = ("import contextlib, io, json, sys; from ellstates.cli import main; loaded = []\n"
                 f"for argv in {stages!r}:\n"
                 "    with contextlib.redirect_stdout(io.StringIO()): status = main(argv)\n"
-                "    loaded.append([status, 'ellstates.states' in sys.modules, 'ellstates.corpus' in sys.modules])\n"
+                f"    loaded.append([status] + [m in sys.modules for m in {modules!r}])\n"
                 "print(json.dumps(loaded))")
         src = str(Path(ellstates.cli.__file__).resolve().parents[1])
         child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
                                env=dict(os.environ, PYTHONPATH=src))
-        assert json.loads(child.stdout) == [[0, False, False]] * 9 + [[0, True, False], [0, True, True]]
+        assert json.loads(child.stdout) == (
+            [[0, False, False, False, False]] * 2 + [[0, False, True, False, False]] * 3
+            + [[0, True, True, False, False]] * 4 + [[0, True, True, True, False], [0, True, True, True, True]]
+        )
 
     def test_corpus_listing_names_fixtures(self, capsys):
         code, body, _ = run(capsys, "corpus")
@@ -606,3 +615,49 @@ class TestOutputContract:
         ]
         assert set(body["result"]["fixtures"]) <= set(body["result"]["files"])
         assert len(body["result"]["files"]) == len(corpus_files())
+
+
+class TestProcessEntry:
+    """A child process runs ``main`` through ``entry``, which freezes the heap
+    once ``main`` is done, so that the interpreter's exit collections scan
+    nothing; ``main`` itself never freezes."""
+
+    def test_main_in_process_leaves_the_heap_unfrozen(self, corpus_dir, capsys):
+        assert main(["validate", str(corpus_dir / "algebra-boolean-2.json")]) == 0
+        assert gc.get_freeze_count() == 0 and gc.isenabled()
+
+    def test_a_module_child_exits_with_the_heap_frozen(self, corpus_dir):
+        # The probe is registered first, so it runs after the module has exited.
+        code = ("import atexit, gc, runpy, sys\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count(), file=sys.stderr))\n"
+                f"sys.argv = ['ellstates', 'validate', {str(corpus_dir / 'algebra-boolean-2.json')!r}]\n"
+                "runpy.run_module('ellstates.cli', run_name='__main__')")
+        src = str(Path(ellstates.cli.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=20,
+                               env=dict(os.environ, PYTHONPATH=src))
+        assert child.returncode == 0 and json.loads(child.stdout)["ok"] is True
+        frozen = re.fullmatch(r"frozen (\d+)\n", child.stderr)
+        assert frozen is not None and int(frozen.group(1)) > 0, child.stderr
+
+    @pytest.mark.parametrize("argv, status", [
+        (("validate", "algebra-boolean-2.json"), 0),
+        (("validate", "--ibp0", "fixture-lukasiewicz-3.json"), 1),
+        (("validate", "fixture-ragged-times.json"), 2),
+    ])
+    def test_a_child_prints_what_main_prints(self, corpus_dir, capsys, argv, status):
+        argv = [str(corpus_dir / a) if a.endswith(".json") else a for a in argv]
+        code = main(argv)
+        printed = capsys.readouterr()
+        child = run_child(*argv)
+        untimed = partial(re.sub, r'"elapsed_ms": \d+', "")
+        assert (child.returncode, untimed(child.stdout), child.stderr) == (code, untimed(printed.out), printed.err)
+        assert code == status
+
+    def test_the_script_and_the_module_share_one_entry(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parents[1]
+        script = tomllib.loads((root / "pyproject.toml").read_text())["project"]["scripts"]["ellstates"]
+        module, name = script.split(":")
+        assert getattr(importlib.import_module(module), name) is ellstates.cli.entry
+        tree = ast.parse(Path(ellstates.cli.__file__).read_text())
+        assert ast.unparse(tree.body[-1]) == "if __name__ == '__main__':\n    raise SystemExit(entry())"

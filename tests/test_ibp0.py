@@ -81,6 +81,16 @@ class TestValidate:
         for name in ("boolean-4*chang-1", "chang-1*chang-2", "rot-godel-3*rot-godel-4"):
             assert validate_ibp0(prods[name]).ok, name
 
+    def test_capping_inside_a_nested_product_flags_the_product(self):
+        # The inner window holds 143 of chang-1 x chang-2's 2916 elements, and
+        # the outer one, beside a one-element factor, holds the same 143.
+        inner = ProductAlgebra([chang_algebra(1), chang_algebra(2)])
+        outer = ProductAlgebra([inner, boolean_algebra(0)])
+        assert len(outer.carrier(8)) == 143
+        assert [validate_mtl(A, 8).flags for A in (inner, outer)] == [{"window_capped": True}] * 2
+        uncapped = ProductAlgebra([ProductAlgebra([boolean_algebra(1)] * 2), boolean_algebra(0)])
+        assert validate_mtl(uncapped, 8).flags == {}
+
     def test_planted_table_corruption_is_witnessed(self):
         A = boolean_algebra(2)
         impl = A.impl_table.tolist()

@@ -20,7 +20,8 @@ from ellstates.corpus import (
     state_family,
 )
 from ellstates.hypernum import dual
-from ellstates.ibp0 import ProductAlgebra, boolean_skeleton, decompose_element, radical, require_ibp0
+from ellstates._scan import tables
+from ellstates.ibp0 import ProductAlgebra, boolean_skeleton, decompose, radical, require_ibp0
 from ellstates.lmonoid import KElement
 from ellstates.reports import (
     InternalConsistencyError,
@@ -50,9 +51,9 @@ _CHANG = {1: chang_algebra(1), 2: chang_algebra(2)}
 def skeleton_table(A, p):
     """The table hyperstate a ↦ p(skeleton part of a); the only kind of
     hyperstate a finite algebra admits."""
-    return TableHyperstate(
-        {a: dual(p.value(decompose_element(A, a).b)) for a in A.carrier(8)}
-    )
+    o, elems = tables(A), A.carrier(8)
+    b, _ = decompose(A, elems, o)
+    return TableHyperstate({a: dual(p.value(x)) for a, x in zip(elems, o.decode(b))})
 
 
 class TestProbabilityMeasure:
