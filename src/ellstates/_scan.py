@@ -38,12 +38,11 @@ instances.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import partial, reduce
 from itertools import product
 from math import gcd, lcm, prod
 from types import SimpleNamespace
-from typing import Any, Callable, Hashable, Mapping, Sequence, TypeVar
+from typing import Any, Callable, Hashable, Mapping, NamedTuple, Sequence, TypeVar
 
 import numpy as np
 
@@ -61,8 +60,7 @@ FILL = CHUNK >> 4
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@dataclass(frozen=True)
-class Axiom:
+class Axiom(NamedTuple):
     """One law; a failure of a non-required axiom does not invalidate."""
 
     name: str

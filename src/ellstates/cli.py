@@ -47,7 +47,6 @@ import json
 import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
 from pathlib import Path
@@ -288,13 +287,10 @@ def hyperstate_to_json(s, A) -> dict[str, Any]:
 # Run reports
 
 
-@dataclass
 class RunReport:
-    command: list[str]
-    subject: str
-    checks: list[Check] = field(default_factory=list)
-    result: dict[str, Any] = field(default_factory=dict)
-    elapsed_ms: int = 0
+    def __init__(self, command: list[str], subject: str, checks: list[Check], result: dict[str, Any], elapsed_ms: int):
+        self.command, self.subject, self.checks = command, subject, checks
+        self.result, self.elapsed_ms = result, elapsed_ms
 
     @property
     def exit_status(self) -> int:

@@ -22,35 +22,30 @@ Structure theory: the Boolean skeleton {a : a ∨ ¬a = 1}, the radical
     b_a = ¬((¬a²)²),  c_a = a ∨ ¬a,  a = (b_a ∨ ¬c_a) ∧ (¬b_a ∨ c_a)
 
 which splits every element into a skeleton part and a radical part.
+
+:mod:`.semihoop` is imported only where a hoop is built or read, by the
+radical and by :func:`rotate`, so checking a table algebra never compiles it.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property, partial, partialmethod, reduce
 from itertools import product as iterproduct
 from math import prod
-from typing import Any, Callable, Sequence
+from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
 from ._scan import (Axiom, capped_cartesian, masked_verdict, memo, pair_columns, scan_axioms, scan_mode, stride_select,
                     tables)
-from .lmonoid import Carrier, TableAlgebra
+from .lmonoid import Carrier, Componentwise, TableAlgebra
 from .reports import (
     InternalConsistencyError,
     MalformedInputError,
     PreconditionError,
     ValidationReport,
     verdict,
-)
-from .semihoop import (
-    Componentwise,
-    FiniteSemihoop,
-    ProductHoop,
-    SymbolicConeHoop,
-    validate_semihoop,
 )
 
 # Scan budgets.  Single algebras keep full triple scans up to this many
@@ -257,7 +252,6 @@ def require_ibp0(A, window: int = 8) -> None:
 # Skeleton, radical, decomposition
 
 
-@dataclass
 class Skeleton:
     """The complemented elements, with the checks certifying they form a
     Boolean algebra under the restricted operations.
@@ -270,12 +264,9 @@ class Skeleton:
     indices of the atoms below it.
     """
 
-    elements: list
-    atoms: list
-    report: ValidationReport
-    pairs: Any
-    below: dict
-    algebra: Any
+    def __init__(self, elements: list, atoms: list, report: ValidationReport, pairs: Any, below: dict, algebra: Any):
+        self.elements, self.atoms, self.report = elements, atoms, report
+        self.pairs, self.below, self.algebra = pairs, below, algebra
 
 
 def boolean_skeleton(A, window: int = 8) -> Skeleton:
@@ -338,15 +329,11 @@ def in_radical(A, x) -> bool:
     return A.leq(A.neg(x), x) > (A.neg(x) == x)
 
 
-@dataclass
 class RadicalView:
     """The radical carrier with its induced semihoop and translation maps."""
 
-    elements: list
-    hoop: Any
-    to_hoop: Callable[[Any], Any]
-    from_hoop: Callable[[Any], Any]
-    report: ValidationReport
+    def __init__(self, elements: list, hoop: Any, to_hoop, from_hoop, report: ValidationReport):
+        self.elements, self.hoop, self.to_hoop, self.from_hoop, self.report = elements, hoop, to_hoop, from_hoop, report
 
 
 def radical(A, window: int = 8) -> RadicalView:
@@ -360,6 +347,8 @@ def radical(A, window: int = 8) -> RadicalView:
 
 
 def _radical(A, window: int) -> RadicalView:
+    from .semihoop import FiniteSemihoop, ProductHoop, validate_semihoop
+
     report = ValidationReport(subject="radical")
     mode = scan_mode(A, window)
     # One ops namespace for a finite radical's elements, membership and closure:
@@ -437,8 +426,7 @@ def coradical(A, window: int = 8) -> list:
     return o.decode(o.neg(o.encode(radical(A, window).elements)))
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     b: Any
     c: Any
 
@@ -483,7 +471,7 @@ def decompose_element(A, a) -> Decomposition:
 # Constructors
 
 
-def rotated_hoop(H: FiniteSemihoop) -> FiniteMTL:
+def rotated_hoop(H) -> FiniteMTL:
     """Rotation tables of a finite semihoop, without the validation pass of
     :func:`rotate`.
 
@@ -499,6 +487,8 @@ def rotate(H, window: int = 8):
     The proposed tables are never trusted: the construction re-runs the
     full validator and refuses, naming a witness, if anything fails.
     """
+    from .semihoop import FiniteSemihoop, SymbolicConeHoop
+
     if isinstance(H, SymbolicConeHoop):
         A: Any = SymbolicPerfectAlgebra(H)
     elif isinstance(H, FiniteSemihoop):

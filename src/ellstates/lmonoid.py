@@ -30,14 +30,13 @@ image_bound's lower bound, hold only in M's own orientation, read off M.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
-from functools import partial
-from itertools import chain, product
-from typing import Any, Callable, Iterable, Sequence
+from functools import cached_property, partial
+from itertools import accumulate, chain, product
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._scan import PREDICATES, Axiom, integers, locate, memo, scan_axioms, tables
+from ._scan import PREDICATES, Axiom, integers, locate, memo, narrowed, scan_axioms, tables
 from .reports import InternalConsistencyError, MalformedInputError, PreconditionError, ValidationReport
 
 Element = Any  # int index (finite) or tuple of ints (symbolic)
@@ -96,6 +95,45 @@ class Carrier:
         rows = integers([self.row(x) for x in xs])
         out = getattr(self, f"{name}_rows")(*rows[:, None])[0]
         return bool(out) if name in PREDICATES else self.element(out.tolist())
+
+
+class Componentwise(Carrier):
+    """A direct product: its elements are tuples, one entry per factor, and its
+    row is the factors' rows side by side.  Where every factor has ``<op>_rows``,
+    so does it: each factor's on its own (narrowed) columns, the results side
+    by side, or for ``leq`` their conjunction."""
+
+    def __init__(self, factors: Sequence[Any]):
+        if not factors:
+            raise MalformedInputError("a product needs at least one factor")
+        self.factors = tuple(factors)
+        self.is_finite = all(f.is_finite for f in self.factors)
+        for op in OPS:
+            if all(hasattr(f, f"{op}_rows") for f in self.factors):
+                setattr(self, f"{op}_rows", partial(self._rows, op))
+
+    FORM = "product"
+    top = cached_property(lambda self: tuple(f.top for f in self.factors))
+
+    @cached_property
+    def _columns(self) -> list[slice]:
+        """Each factor's columns, read late: a rotation builds its top after the CLI's size guard."""
+        ends = list(accumulate(len(f.row(f.top)) for f in self.factors))
+        return [slice(a, b) for a, b in zip([0] + ends, ends)]
+
+    def _rows(self, op: str, *xs: np.ndarray) -> np.ndarray:
+        parts = [getattr(f, f"{op}_rows")(*(narrowed(x[..., c]) for x in xs))
+                 for f, c in zip(self.factors, self._columns)]
+        return np.logical_and.reduce(parts) if op in PREDICATES else np.concatenate(parts, axis=-1)
+
+    def row(self, x: tuple) -> tuple:
+        return tuple(chain.from_iterable(f.row(a) for f, a in zip(self.factors, x)))
+
+    def element(self, r: Sequence[int]) -> tuple:
+        return tuple(f.element(r[c]) for f, c in zip(self.factors, self._columns))
+
+    def token(self, x: tuple) -> str:
+        return "(" + "|".join(f.token(a) for f, a in zip(self.factors, x)) + ")"
 
 
 class TableAlgebra(Carrier):
@@ -169,19 +207,24 @@ class FiniteLMonoid(TableAlgebra):
         super().__init__((add, meet, join), (unit,), size)
 
 
-@dataclass(frozen=True)
 class Cone(Carrier):
     """The carrier N^rank under componentwise addition, with the zero tuple
-    as unit.  Each subclass puts one lattice order on it.  An element's
-    coordinates are the element itself."""
-
-    rank: int
+    as unit.  Each subclass puts one lattice order on it, and two cones are
+    equal when they have the same class and rank.  An element's coordinates
+    are the element itself."""
 
     is_finite = False
 
-    def __post_init__(self) -> None:
-        if self.rank < 1:
+    def __init__(self, rank: int):
+        if rank < 1:
             raise MalformedInputError("rank must be at least 1")
+        self.rank = rank
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and other.rank == self.rank
+
+    def __hash__(self) -> int:
+        return hash(self.rank)
 
     @property
     def unit(self) -> tuple[int, ...]:
@@ -212,8 +255,7 @@ class SymbolicCancellativeMonoid(Cone):
         return (x <= y).all(axis=-1)
 
 
-@dataclass(frozen=True)
-class KElement:
+class KElement(NamedTuple):
     """A formal difference [pos, neg] over the base monoid."""
 
     pos: Element

@@ -11,7 +11,6 @@ because there is nothing meaningful to scan yet.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Any
 
 
@@ -36,19 +35,20 @@ class InternalConsistencyError(RuntimeError):
 MAX_WITNESSES = 8
 
 
-@dataclass
 class Check:
-    """Outcome of one named axiom/property scan."""
+    """Outcome of one named axiom/property scan.  Classification scans (is it
+    prelinear? cancellative?) are reported like any other check, but with
+    ``required`` false a failure there does not make the subject invalid."""
 
-    axiom: str
-    passed: bool
-    mode: str = "exhaustive"
-    witnesses: list[dict[str, Any]] = field(default_factory=list)
-    violations: int = 0
-    note: str = ""
-    # Classification scans (is it prelinear? cancellative?) are reported like
-    # any other check but a failure there does not make the subject invalid.
-    required: bool = True
+    def __init__(self, axiom: str, passed: bool, mode: str = "exhaustive",
+                 witnesses: list[dict[str, Any]] | None = None, violations: int = 0, note: str = "",
+                 required: bool = True):
+        self.axiom, self.passed, self.mode = axiom, passed, mode
+        self.witnesses = [] if witnesses is None else witnesses
+        self.violations, self.note, self.required = violations, note, required
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is Check and vars(self) == vars(other)
 
     def to_json(self) -> dict[str, Any]:
         out: dict[str, Any] = {
@@ -91,13 +91,13 @@ def verdict(
     )
 
 
-@dataclass
 class ValidationReport:
     """A bundle of checks about one subject, plus derived classification flags."""
 
-    subject: str
-    checks: list[Check] = field(default_factory=list)
-    flags: dict[str, bool] = field(default_factory=dict)
+    def __init__(self, subject: str, checks: list[Check] | None = None, flags: dict[str, bool] | None = None):
+        self.subject = subject
+        self.checks = [] if checks is None else checks
+        self.flags = {} if flags is None else flags
 
     @property
     def ok(self) -> bool:
@@ -108,7 +108,7 @@ class ValidationReport:
         return check
 
     def merge(self, other: "ValidationReport", prefix: str = "") -> None:
-        self.checks.extend(replace(c, axiom=prefix + c.axiom) for c in other.checks)
+        self.checks.extend(Check(**{**vars(c), "axiom": prefix + c.axiom}) for c in other.checks)
 
     def check(self, axiom: str) -> Check:
         for c in self.checks:

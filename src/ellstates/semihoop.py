@@ -21,20 +21,19 @@ the two side by side on image elements.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from fractions import Fraction
-from itertools import accumulate, chain, product
+from itertools import product
 from math import isqrt, lcm
 from types import SimpleNamespace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._scan import (PREDICATES, Axiom, distinct, dot, exact_table, lowest, masked_verdict, memo, narrowed, over_lcm,
-                    pair_columns, pair_verdict, scan_axioms, scan_mode, stride_select, tables)
+from ._scan import (Axiom, distinct, dot, exact_table, lowest, masked_verdict, memo, over_lcm, pair_columns,
+                    pair_verdict, scan_axioms, scan_mode, stride_select, tables)
 from .hypernum import format_exact
-from .lmonoid import OPS, Carrier, Cone, KElement, KGroup, TableAlgebra, k_envelope
+from .lmonoid import Componentwise, Cone, KElement, KGroup, TableAlgebra, k_envelope
 from .reports import InternalConsistencyError, MalformedInputError, ValidationReport, verdict
 
 # Scans over infinite carriers work on a window of elements.  Pair and
@@ -87,45 +86,6 @@ class SymbolicConeHoop(Cone):
 
     def leq_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return (x >= y).all(axis=-1)
-
-
-class Componentwise(Carrier):
-    """A direct product: its elements are tuples, one entry per factor, and its
-    row is the factors' rows side by side.  Where every factor has ``<op>_rows``,
-    so does it: each factor's on its own (narrowed) columns, the results side
-    by side, or for ``leq`` their conjunction."""
-
-    def __init__(self, factors: Sequence[Any]):
-        if not factors:
-            raise MalformedInputError("a product needs at least one factor")
-        self.factors = tuple(factors)
-        self.is_finite = all(f.is_finite for f in self.factors)
-        for op in OPS:
-            if all(hasattr(f, f"{op}_rows") for f in self.factors):
-                setattr(self, f"{op}_rows", partial(self._rows, op))
-
-    FORM = "product"
-    top = cached_property(lambda self: tuple(f.top for f in self.factors))
-
-    @cached_property
-    def _columns(self) -> list[slice]:
-        """Each factor's columns, read late: a rotation builds its top after the CLI's size guard."""
-        ends = list(accumulate(len(f.row(f.top)) for f in self.factors))
-        return [slice(a, b) for a, b in zip([0] + ends, ends)]
-
-    def _rows(self, op: str, *xs: np.ndarray) -> np.ndarray:
-        parts = [getattr(f, f"{op}_rows")(*(narrowed(x[..., c]) for x in xs))
-                 for f, c in zip(self.factors, self._columns)]
-        return np.logical_and.reduce(parts) if op in PREDICATES else np.concatenate(parts, axis=-1)
-
-    def row(self, x: tuple) -> tuple:
-        return tuple(chain.from_iterable(f.row(a) for f, a in zip(self.factors, x)))
-
-    def element(self, r: Sequence[int]) -> tuple:
-        return tuple(f.element(r[c]) for f, c in zip(self.factors, self._columns))
-
-    def token(self, x: tuple) -> str:
-        return "(" + "|".join(f.token(a) for f, a in zip(self.factors, x)) + ")"
 
 
 class ProductHoop(Componentwise):
@@ -427,13 +387,11 @@ def enumerate_states_finite(H) -> list:
 # Correspondence with envelope-group states
 
 
-@dataclass(frozen=True)
 class KGroupState:
     """σ̂ on the subgroup generated by the image of h, σ̂([x,y]) = w(x) − w(y)."""
 
-    K: KGroup
-    h: Callable[[Any], KElement]
-    state: Any
+    def __init__(self, K: KGroup, h: Callable[[Any], KElement], state: Any):
+        self.K, self.h, self.state = K, h, state
 
     def value(self, e: KElement) -> Fraction:
         return Fraction(self.state.value(e.pos)) - Fraction(self.state.value(e.neg))

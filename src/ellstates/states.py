@@ -17,7 +17,6 @@ produce a hyperstate yields a failing report, never a silent wrong object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
@@ -422,15 +421,13 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
 # Split and join
 
 
-@dataclass
 class SplitResult:
     """Measure, radical state, and how many window elements the identity was
     checked at; its residual is zero at each of them, since at the first
     element where s and the split differ, the split raises instead."""
 
-    p: ProbabilityMeasure
-    w: Any
-    scanned: int
+    def __init__(self, p: ProbabilityMeasure, w: Any, scanned: int):
+        self.p, self.w, self.scanned = p, w, scanned
 
 
 def split_hyperstate(A, s, window: int = 8) -> SplitResult:

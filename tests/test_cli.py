@@ -577,11 +577,27 @@ class TestOutputContract:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
 
+    @staticmethod
+    def loaded_after_each(stages: list[list[str]]) -> list[list]:
+        """Run ``stages`` in order in one child, and after each the exit status
+        and which of ibp0, semihoop, states, corpus and dataclasses it has loaded."""
+        modules = ["ellstates.ibp0", "ellstates.semihoop", "ellstates.states", "ellstates.corpus", "dataclasses"]
+        code = ("import contextlib, io, json, sys; from ellstates.cli import main; loaded = []\n"
+                f"for argv in {stages!r}:\n"
+                "    with contextlib.redirect_stdout(io.StringIO()): status = main(argv)\n"
+                f"    loaded.append([status] + [m in sys.modules for m in {modules!r}])\n"
+                "print(json.dumps(loaded))")
+        src = str(Path(ellstates.cli.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                               env=dict(os.environ, PYTHONPATH=src))
+        return json.loads(child.stdout)
+
     def test_each_verb_loads_only_what_it_runs(self, corpus_dir):
         # A child that writes no bytecode compiles every module it imports,
         # so a lattice-monoid file loads neither ibp0 nor semihoop, a hoop
         # file no ibp0, only hyperstate loads states and only corpus loads
-        # corpus.  The verbs run in one child in rising order of what they import.
+        # corpus, and no verb loads dataclasses.  The verbs run in one child
+        # in rising order of what they import.
         alg, hoop, monoid = (str(corpus_dir / f) for f in (
             "algebra-chang-1.json", "hoop-godel-3.json", "lmonoid-trunc-3.json"))
         stages = [
@@ -591,19 +607,17 @@ class TestOutputContract:
             ["hyperstate", "validate", alg, str(corpus_dir / "hyperstate-chang-1.json")],
             ["corpus"],
         ]
-        modules = ["ellstates.ibp0", "ellstates.semihoop", "ellstates.states", "ellstates.corpus"]
-        code = ("import contextlib, io, json, sys; from ellstates.cli import main; loaded = []\n"
-                f"for argv in {stages!r}:\n"
-                "    with contextlib.redirect_stdout(io.StringIO()): status = main(argv)\n"
-                f"    loaded.append([status] + [m in sys.modules for m in {modules!r}])\n"
-                "print(json.dumps(loaded))")
-        src = str(Path(ellstates.cli.__file__).resolve().parents[1])
-        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
-                               env=dict(os.environ, PYTHONPATH=src))
-        assert json.loads(child.stdout) == (
-            [[0, False, False, False, False]] * 2 + [[0, False, True, False, False]] * 3
-            + [[0, True, True, False, False]] * 4 + [[0, True, True, True, False], [0, True, True, True, True]]
+        assert self.loaded_after_each(stages) == (
+            [[0, False, False, False, False, False]] * 2 + [[0, False, True, False, False, False]] * 3
+            + [[0, True, True, False, False, False]] * 4
+            + [[0, True, True, True, False, False], [0, True, True, True, True, False]]
         )
+        # ibp0 imports semihoop only to build a radical's hoop or a rotation,
+        # so on a finite-table algebra, or a product of them, only radical loads it.
+        tables = [str(corpus_dir / f) for f in ("algebra-boolean-4.json", "product-boolean-4xrot-godel-4.json")]
+        stages = [[*verb, path] for path in tables for verb in (["validate", "--ibp0"], ["skeleton"], ["decompose"])]
+        assert self.loaded_after_each(stages + [["radical", tables[0]]]) == (
+            [[0, True, False, False, False, False]] * 6 + [[0, True, True, False, False, False]])
 
     def test_corpus_listing_names_fixtures(self, capsys):
         code, body, _ = run(capsys, "corpus")

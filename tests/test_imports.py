@@ -171,6 +171,35 @@ def test_detects_an_integer_width_choice():
     ]
 
 
+def imported_modules(source: str) -> set[str]:
+    """The top-level packages ``source`` imports by absolute name, at module
+    level or in a function."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            found.add(node.module.split(".")[0])
+    return found
+
+
+def test_no_module_imports_dataclasses():
+    # A dataclass decorator generates and compiles its methods when its module
+    # is imported, which every CLI child would pay again.
+    assert [p.name for p in sorted(PACKAGE.glob("*.py")) if "dataclasses" in imported_modules(p.read_text())] == []
+
+
+def test_detects_a_dataclasses_import():
+    source = (
+        "import numpy as np, os.path\n"
+        "from .reports import Check\n"
+        "def f():\n"
+        "    from dataclasses import dataclass\n"
+        "    return dataclass\n"
+    )
+    assert imported_modules(source) == {"numpy", "os", "dataclasses"}
+
+
 def package_classes() -> list[type]:
     """Every class defined in a module of the package."""
     modules = [importlib.import_module(f"ellstates.{p.stem}") for p in sorted(PACKAGE.glob("*.py"))]
