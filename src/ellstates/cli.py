@@ -63,13 +63,14 @@ def canonical_json(obj: Any) -> str:
 
 
 def _exact(value: Any, where: str, parse: Callable[[str], Any] = parse_exact) -> Any:
-    """``parse`` applied to an exact value written as an int or a string."""
+    """``parse`` applied to an exact value written as an int or a string; errors name the value, as parse_dual's do."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise MalformedInputError(f"{where}: expected an exact value, got {value!r}")
     try:
         return parse(str(value))
     except (ValueError, ZeroDivisionError) as exc:
-        raise MalformedInputError(f"{where}: {exc}") from exc
+        why = exc if isinstance(exc, ValueError) else f"zero denominator in {str(value)!r}"
+        raise MalformedInputError(f"{where}: {why}") from exc
 
 
 # What a field's JSON type is called in errors; a bool is not an integer here.

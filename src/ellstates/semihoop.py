@@ -30,7 +30,7 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._scan import (Axiom, distinct, dot, exact_table, lowest, masked_verdict, memo, over_lcm, pair_columns,
+from ._scan import (Axiom, distinct, dot, exact_table, integers, lowest, masked_verdict, memo, over_lcm, pair_columns,
                     pair_verdict, scan_axioms, scan_mode, stride_select, tables)
 from .hypernum import format_exact
 from .lmonoid import Componentwise, Cone, KElement, KGroup, TableAlgebra, k_envelope
@@ -169,6 +169,19 @@ def validate_semihoop(H, window: int = 8) -> ValidationReport:
 # States
 
 
+class HoopRows(list):
+    """Elements of the hoop ``H`` that keep their coordinate rows ``rows``,
+    converted once: a frame's elements, read by each state table on it."""
+
+    def __init__(self, H, elems: Sequence):
+        super().__init__(elems)
+        self.H, self.rows = H, integers([H.row(x) for x in elems])
+
+    def factor(self, k: int) -> HoopRows:
+        """Factor k's entries of a product H's elements, kept as that factor's HoopRows."""
+        return memo(self, k, lambda: HoopRows(self.H.factors[k], [x[k] for x in self]))
+
+
 class TableState:
     """A state given pointwise, as a map element -> Fraction, read into exact_table."""
 
@@ -197,7 +210,8 @@ class ConeState:
 
     ``lam`` is kept as given and read as integer numerators over their
     common denominator: ``value`` is one integer dot product, and ``table``
-    one integer matrix product (_scan.dot) put in exact_table's form.
+    one integer matrix product (_scan.dot), on the rows a cone hoop's
+    elements keep (see HoopRows) or else on the tuples, in exact_table's form.
     """
 
     def __init__(self, lam: Sequence[Fraction | int | str]):
@@ -206,11 +220,11 @@ class ConeState:
         self._nums = tuple(l.numerator * (self._den // l.denominator) for l in self.lam)
 
     def _ranked(self, elems: Sequence) -> Sequence:
-        rank = len(self.lam)
-        bad = [n for n in map(len, elems) if n != rank]
+        rank, kept = len(self.lam), isinstance(getattr(elems, "H", None), SymbolicConeHoop)
+        bad = [n for n in ([elems.H.rank] if kept else map(len, elems)) if n != rank]
         if bad:
             raise MalformedInputError(f"weight tuple has rank {rank}, element has rank {bad[0]}")
-        return elems
+        return elems.rows if kept else elems
 
     def value(self, m: tuple) -> Fraction:
         return Fraction(-sum(n * c for n, c in zip(self._nums, self._ranked([m])[0])), self._den)
@@ -237,8 +251,10 @@ class ProductState:
         return sum((p.value(x) for p, x in zip(self.parts, self._sized(xs))), Fraction(0))
 
     def table(self, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
-        """The parts' columns summed over their lcm, put in exact_table's form."""
-        cols, den = over_lcm([p.table([self._sized(xs)[k] for xs in elems]) for k, p in enumerate(self.parts)])
+        """The parts' columns on their factors of ``elems`` (see HoopRows), summed over their lcm."""
+        kept = isinstance(elems, HoopRows) and self._sized(elems.H.factors)
+        factors = [elems.factor(k) if kept else [self._sized(xs)[k] for xs in elems] for k in range(len(self.parts))]
+        cols, den = over_lcm([p.table(f) for p, f in zip(self.parts, factors)])
         return lowest(sum(cols), den, terms)
 
     def __eq__(self, other) -> bool:
@@ -414,7 +430,7 @@ def _sigma_frame(H, window: int) -> SimpleNamespace:
     # [base[-1-i], base[-1-j]]; the sum is [sums[i], sums[j]].
     at, reads = distinct(o, ids, o.add(ids, ids), b, o.add(b, b[::-1]))
     positive = K.mode != "symbolic" or o.leq(o.add(o.unit, np.tile(b, len(b))), o.add(o.unit, np.repeat(b, len(b))))
-    return SimpleNamespace(K=K, h=h, elems=elems, base=base, reads=reads,
+    return SimpleNamespace(K=K, h=h, elems=elems, base=base, reads=HoopRows(H, reads),
                            at=dict(zip(("elems", "doubles", "base", "sums"), at)), positive=positive)
 
 

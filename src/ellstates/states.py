@@ -46,6 +46,7 @@ from .reports import (
 )
 from .semihoop import (
     SAMPLED_NOTE,
+    HoopRows,
     state_laws,
     state_to_kgroup_state,
     weight_generators,
@@ -182,16 +183,17 @@ class TableHyperstate:
 
 
 class FormulaHyperstate:
-    """A (measure, radical state) pair evaluated through the split identity.
+    """A (measure, radical state) pair evaluated through the split identity,
+    which holds for it by construction (see split_hyperstate).
 
     Its values are those of the frame's elements (see _frame): the window,
     then the skeleton, radical, coradical and induced elements outside it.
     The table is a gather over the frame's split triples: p is read as one
-    column on its skeleton parts and w as one integer column on its hoop
-    elements, and s's rows (P[b], W[lo] − W[hi]) over their common
-    denominator are put in exact_table's form.  ``value`` and ``raw_value``
-    read a's row of that table, kept on s (see _values); an element outside
-    the frame has no value, as for a table hyperstate.
+    column on its skeleton parts and w as one integer column on the rows of
+    its hoop elements (see HoopRows), and s's rows (P[b], W[lo] − W[hi])
+    over their common denominator are put in exact_table's form.  ``value``
+    and ``raw_value`` read a's row of that table, kept on s (see _values);
+    an element outside the frame has no value, as for a table hyperstate.
     """
 
     def __init__(self, A, p: ProbabilityMeasure, w, window: int = 8):
@@ -260,9 +262,9 @@ def _frame(A, window: int) -> SimpleNamespace:
         f.index = {a: k for k, a in enumerate(f.elements)}
         f.at = {name: np.array([f.index[a] for a in part], dtype=np.intp) for name, part in f.parts.items()}
         b, c = decompose(A, f.elements, o)
-        to_hoop = radical(A, window).to_hoop
+        rad = radical(A, window)
         ([f.b], f.skeleton), ((f.lo, f.hi), hoop) = distinct(o, b), distinct(o, o.join(o.neg(b), c), o.join(b, c))
-        f.hoop = [to_hoop(x) for x in hoop]
+        f.hoop = HoopRows(rad.hoop, [rad.to_hoop(x) for x in hoop])
         return f
 
     return memo(A, ("frame", window), build)
@@ -422,9 +424,9 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
 
 
 class SplitResult:
-    """Measure, radical state, and how many window elements the identity was
-    checked at; its residual is zero at each of them, since at the first
-    element where s and the split differ, the split raises instead."""
+    """Measure, radical state, and how many window elements, ``scanned``, the
+    identity holds at: by construction for a formula whose pair comes back,
+    else compared at each, since at the first that differs the split raises."""
 
     def __init__(self, p: ProbabilityMeasure, w: Any, scanned: int):
         self.p, self.w, self.scanned = p, w, scanned
@@ -432,11 +434,13 @@ class SplitResult:
 
 def split_hyperstate(A, s, window: int = 8) -> SplitResult:
     """Read p off the skeleton atoms and the weights of w off the radical's
-    weight generators, then verify that s agrees with the split identity,
-    evaluated by FormulaHyperstate, at every window element: the window
-    rows of s's table against the formula's, in one exact comparison.  s
-    must have a value at every frame element (see _frame), as for the
-    validators.  A finite radical axis takes the zero state, its only state.
+    weight generators.  If s is a FormulaHyperstate of p and w, it is the
+    split identity's own formula, which so holds by construction.  Any other
+    s, a table or a formula whose pair does not come back, is compared with
+    the formula of (p, w) at every window element: the window rows of the
+    two tables, in one exact comparison.  s must have a value at every frame
+    element (see _frame), as for the validators.  A finite radical axis
+    takes the zero state, its only state.
 
     A violation raises: for a map that passed validation this identity is
     forced, so a nonzero residual means the input lied about its structure
@@ -461,15 +465,16 @@ def _split(A, s, window: int) -> SplitResult:
 
     lam = [-v.raw(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)]
     w = weighted_state(rad.hoop, lam)
-    formula = FormulaHyperstate(A, p, w, window)
     carrier = v.frame.elems
-    want, den = formula.table(A, window)
-    (got, want), _ = over_lcm([(v.rows[:len(carrier)], v.den), (want[:len(carrier)], den)])
-    bad = np.flatnonzero((got != want).any(axis=1))
-    if len(bad):
-        a = carrier[bad[0]]
-        raise InternalConsistencyError(f"split identity fails at {A.token(a)}: s = {format_dual(v.raw(a))}, "
-                                       f"split gives {format_dual(formula.raw_value(a))}")
+    if not (isinstance(s, FormulaHyperstate) and s.measure == p and s.state == w):
+        formula = FormulaHyperstate(A, p, w, window)
+        want, den = formula.table(A, window)
+        (got, want), _ = over_lcm([(v.rows[:len(carrier)], v.den), (want[:len(carrier)], den)])
+        bad = np.flatnonzero((got != want).any(axis=1))
+        if len(bad):
+            a = carrier[bad[0]]
+            raise InternalConsistencyError(f"split identity fails at {A.token(a)}: s = {format_dual(v.raw(a))}, "
+                                           f"split gives {format_dual(formula.raw_value(a))}")
     return SplitResult(p=p, w=w, scanned=len(carrier))
 
 

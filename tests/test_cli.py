@@ -399,6 +399,29 @@ class TestExitContract:
         code, out, err = run(capsys, "states", str(corpus_dir / "hoop-cone-1.json"), str(path))
         assert code == 2 and out == "" and err.startswith("error: lambda: ")
 
+    @pytest.mark.parametrize(
+        "argv, text, message",
+        [
+            (["hyperstate", "validate", "algebra-chang-1.json"], '{"measure": {"0": "1/0"}, "lambda": ["1"]}',
+             "measure[0]: zero denominator in '1/0'"),
+            (["hyperstate", "validate", "algebra-chang-1.json"], '{"measure": {"0": "1"}, "lambda": ["1/0"]}',
+             "lambda: zero denominator in '1/0'"),
+            (["states", "hoop-cone-1.json"], '{"lambda": ["-3/0"]}', "lambda: zero denominator in '-3/0'"),
+            (["states", "hoop-godel-3.json"], '{"0": "0", "1": "1/0", "2": "0"}', "state[1]: zero denominator in '1/0'"),
+            (["hyperstate", "validate", "algebra-boolean-2.json"], '{"table": {"0": "0+e1/0", "1": "1+e0"}}',
+             "table[0]: zero denominator in '0+e1/0'"),
+        ],
+        ids=["measure", "hyperstate-lambda", "state-lambda", "state-value", "hyperstate-table"],
+    )
+    def test_zero_denominators_name_the_value(self, corpus_dir, tmp_path, capsys, argv, text, message):
+        # Measures, weights and state values once reported Fraction's own
+        # message, "Fraction(1, 0)"; a table value always said this.
+        path = tmp_path / "input.json"
+        path.write_text(text)
+        *verb, algebra = argv
+        code, out, err = run(capsys, *verb, str(corpus_dir / algebra), str(path))
+        assert code == 2 and out == "" and err == f"error: {message}\n"
+
     def test_window_ceiling_admits_the_largest_corpus_input(self, corpus_dir):
         A = algebra_from_json(json.loads((corpus_dir / "product-chang-1xchang-2.json").read_text()))
         assert window_size(A, 8) == 18 * 162 <= MAX_WINDOW_ELEMENTS

@@ -15,7 +15,11 @@ family sharing one algebra object.  The table of each hyperstate form must
 equal the reference read into exact_table over the frame's elements, in
 numerators, denominator and dtype, and the split, which compares two such
 tables, must report the first differing element as the per-element loop
-did.  An element outside the frame has no value in either form.
+did.  A formula whose pair its split reads back is that split's formula,
+so its split compares no second table, and a table of the same values
+splits to the same pair through the comparison.  Once warm, a cone state's
+table reads the coordinate rows its frame keeps.  An element outside the
+frame has no value in either form.
 A failure must never be stored: a decomposition that raises raises on every
 read, and ``state_to_kgroup_state`` raises on a bad state however many good
 ones it has seen on the same hoop.
@@ -34,6 +38,7 @@ from ellstates.corpus import (
     boolean_algebra,
     chang_algebra,
     cone_hoop,
+    godel_hoop,
     hyperstate_family,
     hyperstate_product_corpus,
     ibp0_corpus,
@@ -389,8 +394,8 @@ def guarded_pairs(name: str) -> tuple:
 @pytest.mark.parametrize("name", ["chang-2", "chang-1*chang-2", "B16xB16"])
 def test_join_split_properties_read_the_frame_not_each_element(name, monkeypatch):
     # After one warm join, a new (p, w) reads no decomposition and no
-    # per-element value of w: w is read as one column by each of the two
-    # formulas (the join's and the split's) and by the envelope state; the
+    # per-element value of w: w is read as one column by the join's formula,
+    # which its split reads back, and by the envelope state; the
     # properties, the induced state among them, and s.value and s.raw_value
     # at every frame element read only the table.  A fall-back to
     # per-element evaluation would decompose elements, or read w.value at
@@ -453,3 +458,95 @@ def test_join_split_properties_read_the_frame_not_each_element(name, monkeypatch
             s.raw_value(a)
         assert calls == {}
     assert s.table(A, WINDOW)[0].dtype == (np.int64 if name == "B16xB16" else object)
+
+
+def count_formula_tables(monkeypatch) -> list:
+    """Spy on FormulaHyperstate.table: one entry per call, the hyperstate read."""
+    calls, real = [], FormulaHyperstate.table
+
+    def table(self, A, window):
+        calls.append(self)
+        return real(self, A, window)
+
+    monkeypatch.setattr(FormulaHyperstate, "table", table)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["boolean-8", "chang-2", "boolean-4*chang-1"])
+def test_a_formula_split_reads_no_second_table(name, monkeypatch):
+    # The join's validation reads s's table; s is the formula of the pair its
+    # split reads back, so the split compares no second formula's table.
+    A = SUBJECTS[name]
+    p, w = hyperstate_family(A, WINDOW)[-1]
+    calls = count_formula_tables(monkeypatch)
+    s, report = join_hyperstate(A, p, w, WINDOW)
+    split = split_hyperstate(A, s, WINDOW)
+    assert report.ok and calls == [s]
+    assert split.p == p and split.w == w and split.scanned == len(A.carrier(WINDOW))
+
+
+@pytest.mark.parametrize("name", list(SUBJECTS))
+def test_a_formula_splits_as_a_table_of_its_values(name, monkeypatch):
+    # A table of the same values goes through the comparison with the
+    # formula of its read-off pair, and gives the same split.
+    A = SUBJECTS[name]
+    family = hyperstate_family(A, WINDOW)
+    elements = frame_elements(A)
+    for p, w in family if name in ibp0_corpus() else stride_select(family, 4):
+        s, report = join_hyperstate(A, p, w, WINDOW)
+        assert report.ok
+        got = split_hyperstate(A, s, WINDOW)
+        calls = count_formula_tables(monkeypatch)
+        want = split_hyperstate(A, TableHyperstate({a: s.value(a) for a in elements}), WINDOW)
+        monkeypatch.undo()
+        assert (got.p, got.w, got.scanned) == (want.p, want.w, want.scanned) == (p, w, len(A.carrier(WINDOW)))
+        assert len(calls) == 1 and calls[0] is not s
+
+
+def test_a_formula_whose_pair_does_not_come_back_is_compared():
+    # A finite radical's only state is zero, so the split reads back the zero
+    # state, not s's, and compares tables as for a table hyperstate.
+    A = ibp0.rotated_hoop(godel_hoop(3))
+    rad = radical(A, WINDOW)
+    r = next(x for x in rad.elements if x != A.top)
+    w = TableState({**zero_state(rad.hoop).values, rad.to_hoop(r): -1})
+    s = FormulaHyperstate(A, ProbabilityMeasure(boolean_skeleton(A, WINDOW), [F(1)]), w, WINDOW)
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError) as exc:
+            split_hyperstate(A, s, WINDOW)
+        assert str(exc.value) == "split identity fails at 0: s = 0+e1, split gives 0+e0"
+
+
+@pytest.mark.parametrize("name", ["chang-2", "chang-1*chang-2"])
+def test_a_warm_op_converts_no_element_list(name, monkeypatch):
+    # The frames keep their hoop elements' coordinate rows, so after one op a
+    # cone state's table, alone or as a product state's part, is one product
+    # with rows already held: no list of elements is converted to integer
+    # rows again.
+    from ellstates import _scan, lmonoid, semihoop
+
+    A = chang_algebra(2) if name == "chang-2" else hyperstate_product_corpus()[name]
+    family = stride_select(hyperstate_family(A, WINDOW), 6)
+
+    def finish(s):
+        # state_to_kgroup_state takes finite and cone hoops, not the
+        # product's, so the product's op ends with its split.
+        return cancellative_form(A, s, WINDOW)[0] if name == "chang-2" else split_hyperstate(A, s, WINDOW).p
+
+    s, _ = join_hyperstate(A, *family[0], WINDOW)
+    hyperstate_properties(A, s, WINDOW)
+    finish(s)
+    converted, real = [], _scan.integers
+
+    def integers(rows, *args):
+        if not isinstance(rows, np.ndarray) and any(isinstance(r, (tuple, list)) for r in rows):
+            converted.append(rows)
+        return real(rows, *args)
+
+    # Every module that converts with it, by the name it imports.
+    for module in (_scan, lmonoid, semihoop, states):
+        monkeypatch.setattr(module, "integers", integers, raising=False)
+    for p, w in family[1:]:
+        s, report = join_hyperstate(A, p, w, WINDOW)
+        assert report.ok and finish(s) == p
+    assert converted == []
