@@ -15,10 +15,6 @@ from ellstates.lmonoid import (
     image_bound,
     is_cancellative,
     k_envelope,
-    k_equal,
-    k_join,
-    k_leq,
-    k_meet,
 )
 from ellstates.semihoop import SymbolicConeHoop
 
@@ -31,7 +27,7 @@ def main() -> None:
     print(f"  summary: {envelope_summary(K)}")
     print("  3 + 1 = 3 + 2 forces [1] = [2], and the collapse cascades:")
     e1, e2 = h(1), h(2)
-    print(f"  h(1) ~ h(2): {k_equal(K, e1, e2)}")
+    print(f"  h(1) ~ h(2): {K.row(e1) == K.row(e2)}")
     print(f"  h injective: {h_is_injective(K)}")
 
     print()
@@ -43,10 +39,10 @@ def main() -> None:
     b = KElement(pos=(0, 4), neg=(2, 1))
     print(f"  [a] = [{a.pos} - {a.neg}] has canonical form {K.canonical(a)}")
     print(f"  [b] = [{b.pos} - {b.neg}] has canonical form {K.canonical(b)}")
-    j = k_join(K, a, b)
-    m = k_meet(K, a, b)
+    j = K.join(a, b)
+    m = K.meet(a, b)
     print(f"  join {K.canonical(j)}, meet {K.canonical(m)} (componentwise)")
-    print(f"  a <= join: {k_leq(K, a, j)}, meet <= b: {k_leq(K, m, b)}")
+    print(f"  a <= join: {K.leq(a, j)}, meet <= b: {K.leq(m, b)}")
 
     print()
     print("every envelope element sits above an element of the image:")
@@ -59,7 +55,7 @@ def main() -> None:
     bound = image_bound(K, h, e)
     print(f"  e = [{e.pos} - {e.neg}], canonical {K.canonical(e)}")
     print(f"  bound = h({cone.meet(e.pos, e.neg)}), canonical {K.canonical(bound)}")
-    print(f"  bound <= e: {k_leq(K, bound, e)}")
+    print(f"  bound <= e: {K.leq(bound, e)}")
 
 
 if __name__ == "__main__":

@@ -72,13 +72,13 @@ class Axiom(NamedTuple):
 def scan_mode(A, window: int) -> str:
     """The mode of a scan over A's window: exhaustive only when the window
     holds all of a finite A, which a capped product window does not."""
-    whole = A.is_finite and len(A.carrier(window)) == _span(A, window)
+    whole = A.is_finite and len(A.carrier(window)) == span(A, window)
     return "exhaustive" if whole else f"window-verified (N={window})"
 
 
-def _span(A, window: int) -> int:
-    """How many elements a finite A has: a product's factors' spans multiplied."""
-    return prod(_span(f, window) for f in A.factors) if hasattr(A, "factors") else len(A.carrier(window))
+def span(A, window: int) -> int:
+    """How many elements A's window holds before a product caps it: its factors' spans multiplied."""
+    return prod(span(f, window) for f in A.factors) if hasattr(A, "factors") else len(A.carrier(window))
 
 
 def sampled_note(wording: str, base: Sequence, elems: Sequence) -> str:

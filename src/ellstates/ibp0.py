@@ -32,13 +32,12 @@ from __future__ import annotations
 import operator
 from functools import cached_property, partial, partialmethod, reduce
 from itertools import product as iterproduct
-from math import prod
 from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from ._scan import (Axiom, capped_cartesian, masked_verdict, memo, pair_columns, scan_axioms, scan_mode, stride_select,
-                    tables)
+from ._scan import (Axiom, capped_cartesian, masked_verdict, memo, pair_columns, scan_axioms, scan_mode, span,
+                    stride_select, tables)
 from .lmonoid import Carrier, Componentwise, TableAlgebra
 from .reports import (
     InternalConsistencyError,
@@ -217,15 +216,10 @@ def _validate(A, window: int, axioms: list[Axiom], subject: str) -> ValidationRe
     triple_cap = SINGLE_TRIPLE_CAP
     if isinstance(A, ProductAlgebra):
         triple_cap = PRODUCT_TRIPLE_CAP
-        if len(elems) < _uncapped(A, window):
+        if len(elems) < span(A, window):
             report.flags["window_capped"] = True
     report.checks = scan_axioms(A, axioms, elems, {3: triple_cap}, mode, SAMPLED_NOTE)
     return report
-
-
-def _uncapped(A, window: int) -> int:
-    """How many elements A's window holds before any product level caps it."""
-    return prod(_uncapped(f, window) for f in A.factors) if isinstance(A, ProductAlgebra) else len(A.carrier(window))
 
 
 def validate_mtl(A, window: int = 8) -> ValidationReport:

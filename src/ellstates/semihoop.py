@@ -182,6 +182,13 @@ class HoopRows(list):
         return memo(self, k, lambda: HoopRows(self.H.factors[k], [x[k] for x in self]))
 
 
+def _length(x) -> int:
+    """How many entries the element x has; a cone or product state reads tuples only."""
+    if not isinstance(x, tuple):
+        raise MalformedInputError(f"a cone or product state reads tuples, not {x!r}")
+    return len(x)
+
+
 class TableState:
     """A state given pointwise, as a map element -> Fraction, read into exact_table."""
 
@@ -221,7 +228,7 @@ class ConeState:
 
     def _ranked(self, elems: Sequence) -> Sequence:
         rank, kept = len(self.lam), isinstance(getattr(elems, "H", None), SymbolicConeHoop)
-        bad = [n for n in ([elems.H.rank] if kept else map(len, elems)) if n != rank]
+        bad = [n for n in ([elems.H.rank] if kept else map(_length, elems)) if n != rank]
         if bad:
             raise MalformedInputError(f"weight tuple has rank {rank}, element has rank {bad[0]}")
         return elems.rows if kept else elems
@@ -243,7 +250,7 @@ class ProductState:
         self.parts = tuple(parts)
 
     def _sized(self, xs: tuple) -> tuple:
-        if len(xs) != len(self.parts):
+        if _length(xs) != len(self.parts):
             raise MalformedInputError(f"product state has {len(self.parts)} parts, element has {len(xs)}")
         return xs
 
@@ -252,7 +259,7 @@ class ProductState:
 
     def table(self, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
         """The parts' columns on their factors of ``elems`` (see HoopRows), summed over their lcm."""
-        kept = isinstance(elems, HoopRows) and self._sized(elems.H.factors)
+        kept = isinstance(getattr(elems, "H", None), ProductHoop) and self._sized(elems.H.factors)
         factors = [elems.factor(k) if kept else [self._sized(xs)[k] for xs in elems] for k in range(len(self.parts))]
         cols, den = over_lcm([p.table(f) for p, f in zip(self.parts, factors)])
         return lowest(sum(cols), den, terms)
@@ -418,7 +425,7 @@ def _sigma_frame(H, window: int) -> SimpleNamespace:
     envelope, the elements it ``reads``, where each list it gathers lies in
     them, and which candidate pairs [a, b] over the strided ``base``, in
     product order, are ``positive``: all of them in a finite envelope, which
-    is one class (see KGroup); in a symbolic one, those with k_leq(0, [a, b]),
+    is one class (see KGroup); in a symbolic one, those with K.leq(0, [a, b]),
     that is 0 + b ≤ 0 + a, read off tables(H)."""
     if not isinstance(H, (FiniteSemihoop, SymbolicConeHoop)):
         raise MalformedInputError("envelope correspondence supports finite tables and symbolic cones")

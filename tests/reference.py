@@ -12,8 +12,9 @@ twin, :class:`ProductTwin`, takes each op on tuples, entry by entry, through
 the factors' twins, and never reads a row.
 
 ``lmonoid`` builds a finite ell-monoid's envelope as one class, by the proof
-in ``KGroup``; the witness search here, run on twins, is what that proof is
-held against.
+in ``KGroup``, and a cone's on canonical rows with the cone's own batch ops;
+the witness search here, run on twins, and :class:`EnvelopeTwin`, the
+envelope on pairs by its witness formulas, are what both are held against.
 """
 
 from functools import partial, reduce
@@ -26,7 +27,7 @@ from ellstates import _scan
 from ellstates.corpus import godel_hoop, ibp0_corpus, lmonoid_corpus, rotated_hoop, semihoop_corpus, trunc_monoid
 from ellstates.ibp0 import FiniteMTL, ProductAlgebra, SymbolicPerfectAlgebra, radical
 from ellstates.lmonoid import OPS as SCALAR_OPS
-from ellstates.lmonoid import Carrier, FiniteLMonoid, SymbolicCancellativeMonoid
+from ellstates.lmonoid import Carrier, FiniteLMonoid, KElement, KGroup, SymbolicCancellativeMonoid
 from ellstates.semihoop import FiniteSemihoop, ProductHoop, SymbolicConeHoop
 
 
@@ -271,6 +272,36 @@ class ProductTwin(Twin):
                 setattr(self, name, partial(_everywhere if name == "leq" else _entrywise, ops))
 
 
+class EnvelopeTwin(Twin):
+    """K(M) on pairs [pos, neg]: each op its witness formula over the base's
+    twin, and equality and order the witness search (see eq_witness)."""
+
+    def __init__(self, K):
+        super().__init__(K)
+        self.base = twin(K.base)
+
+    def add(self, e1, e2):
+        M = self.base
+        return KElement(M.add(e1.pos, e2.pos), M.add(e1.neg, e2.neg))
+
+    def neg(self, e):
+        return KElement(e.neg, e.pos)
+
+    def join(self, e1, e2):
+        M = self.base
+        return KElement(M.add(e1.pos, e2.pos), M.meet(M.add(e1.pos, e2.neg), M.add(e2.pos, e1.neg)))
+
+    def meet(self, e1, e2):
+        M = self.base
+        return KElement(M.meet(M.add(e1.pos, e2.neg), M.add(e2.pos, e1.neg)), M.add(e1.neg, e2.neg))
+
+    def leq(self, e1, e2):
+        return leq_witness(self.base, e1, e2) is not None
+
+    def equal(self, e1, e2):
+        return eq_witness(self.base, e1, e2) is not None
+
+
 TWINS = {
     SymbolicCancellativeMonoid: NaturalConeTwin,
     SymbolicConeHoop: ConeHoopTwin,
@@ -282,6 +313,7 @@ TWINS = {
     FiniteMTL: MTLTwin,
     ProductHoop: ProductTwin,
     ProductAlgebra: ProductTwin,
+    KGroup: EnvelopeTwin,
 }
 _twins = WeakKeyDictionary()
 
@@ -333,23 +365,29 @@ def relabelled(A, perm: list[int]):
     return type(A)(**fields, size=n)
 
 
+def witness_candidates(M):
+    """The z a witness is searched over: a finite M's elements, or a cone's
+    unit alone, since + cancels there."""
+    return M.elements() if M.is_finite else [M.unit]
+
+
 def eq_witness(M, p: tuple, q: tuple):
-    """A carrier z with z + x + y' = z + x' + y, or None."""
+    """A z with z + x + y' = z + x' + y, or None."""
     x, y = p
     xp, yp = q
     M = twin(M)
-    for z in M.elements():
+    for z in witness_candidates(M):
         if M.add(M.add(z, x), yp) == M.add(M.add(z, xp), y):
             return z
     return None
 
 
 def leq_witness(M, p: tuple, q: tuple):
-    """A carrier z with z + x1 + y2 <=_M z + y1 + x2, or None."""
+    """A z with z + x1 + y2 <=_M z + y1 + x2, or None."""
     x1, y1 = p
     x2, y2 = q
     M = twin(M)
-    for z in M.elements():
+    for z in witness_candidates(M):
         if M.leq(M.add(M.add(z, x1), y2), M.add(M.add(z, y1), x2)):
             return z
     return None

@@ -5,13 +5,14 @@ computes must be exact, and each carrier op is defined once, as a batch op."""
 import ast
 import importlib
 import inspect
+from itertools import product
 from pathlib import Path
 
 import pytest
 
 from ellstates.corpus import boolean_algebra, cone_hoop, godel_hoop, trunc_monoid
 from ellstates.ibp0 import ProductAlgebra, SymbolicPerfectAlgebra
-from ellstates.lmonoid import Carrier, SymbolicCancellativeMonoid
+from ellstates.lmonoid import Carrier, KElement, KGroup, SymbolicCancellativeMonoid
 from ellstates.semihoop import ProductHoop
 from reference import SCALAR_OPS
 
@@ -206,8 +207,9 @@ def package_classes() -> list[type]:
     return [c for m in modules for _, c in inspect.getmembers(m, inspect.isclass) if c.__module__ == m.__name__]
 
 
-# One instance of each carrier class, a rotation over each kind of core, and
-# products of finite and symbolic factors, one of them nested.
+# One instance of each carrier class, a rotation over each kind of core,
+# products of finite and symbolic factors, one of them nested, and the
+# envelope of a finite base and of each cone orientation.
 CARRIERS = {
     "lmonoid": trunc_monoid(3), "semihoop": godel_hoop(3), "mtl": boolean_algebra(2),
     "natural-cone": SymbolicCancellativeMonoid(rank=2), "cone-hoop": cone_hoop(2),
@@ -215,7 +217,16 @@ CARRIERS = {
     "product-hoop": ProductHoop([godel_hoop(3), cone_hoop(2)]),
     "product-algebra": ProductAlgebra([boolean_algebra(2), SymbolicPerfectAlgebra(cone_hoop(1))]),
     "nested-product-hoop": ProductHoop([ProductHoop([cone_hoop(1), godel_hoop(2)]), godel_hoop(3)]),
+    "envelope-finite": KGroup(trunc_monoid(3)), "envelope-natural-cone": KGroup(SymbolicCancellativeMonoid(rank=2)),
+    "envelope-cone-hoop": KGroup(cone_hoop(2)),
 }
+
+
+def window_elements(A) -> list:
+    """A's window at 1; an envelope's are the pairs over its base's."""
+    if isinstance(A, KGroup):
+        return [KElement(a, b) for a, b in product(A.base.carrier(1), repeat=2)]
+    return A.carrier(1)
 
 
 def test_no_class_writes_a_scalar_op_beside_its_batch_op():
@@ -238,8 +249,46 @@ def test_every_scalar_op_resolves_to_scalar(name, monkeypatch):
     monkeypatch.setattr(Carrier, "_scalar", lambda self, op, *xs: calls.append((self, op, xs)) or op)
     ops = [op for op in SCALAR_OPS if hasattr(A, f"{op}_rows")]
     assert ops == [op for op in SCALAR_OPS if hasattr(A, op)]
-    x, y = A.carrier(1)[:2]
+    x, y = window_elements(A)[:2]
     for op in ops:
         args = (x,) if op == "neg" else (x, y)
         assert getattr(A, op)(*args) == op
         assert calls.pop() == (A, op, args)
+
+
+# The envelope wrappers that perfbench's k_ops calls; K's methods replace them.
+K_WRAPPERS = {"k_equal", "k_leq", "k_add"}
+
+
+def envelope_functions(source: str) -> tuple[list[str], list[str]]:
+    """The calls in ``source`` to a K_WRAPPERS name, bare or as an attribute,
+    and the module-level functions it defines whose names start with ``k_``."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else f.attr if isinstance(f, ast.Attribute) else None
+            if name in K_WRAPPERS:
+                calls.append(f"{name} (line {node.lineno})")
+    defined = [n.name for n in ast.parse(source).body if isinstance(n, ast.FunctionDef) and n.name.startswith("k_")]
+    return calls, defined
+
+
+def test_no_module_calls_the_envelope_wrappers():
+    # K's ops are its methods; the wrappers stay only for perfbench's k_ops,
+    # and no other k_<op> function is defined beside them.
+    calls = {p.name: envelope_functions(p.read_text())[0] for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: c for name, c in calls.items() if c} == {}
+    assert envelope_functions((PACKAGE / "lmonoid.py").read_text())[1] == ["k_envelope", "k_equal", "k_leq", "k_add"]
+
+
+def test_detects_an_envelope_wrapper_call():
+    source = (
+        "from .lmonoid import k_add, k_equal\n"
+        "def k_join(K, a, b):\n"
+        "    return lmonoid.k_leq(K, a, b) and k_equal(K, k_add(K, a, b), b)\n"
+        "class C:\n"
+        "    def k_meet(self):\n"
+        "        return K.add(a, b), k_envelope(M), self.k_add\n"
+    )
+    assert envelope_functions(source) == (["k_leq (line 3)", "k_equal (line 3)", "k_add (line 3)"], ["k_join"])

@@ -21,10 +21,12 @@ from ellstates.corpus import (
     semihoop_corpus,
     trunc_monoid,
 )
+from ellstates._scan import integers
 from ellstates.ibp0 import FiniteMTL
 from ellstates.lmonoid import (
     FiniteLMonoid,
     KElement,
+    KGroup,
     TableAlgebra,
     SymbolicCancellativeMonoid,
     check_table,
@@ -35,10 +37,7 @@ from ellstates.lmonoid import (
     k_add,
     k_envelope,
     k_equal,
-    k_join,
     k_leq,
-    k_meet,
-    k_negate,
     validate_lmonoid,
 )
 from ellstates.reports import MAX_WITNESSES, MalformedInputError, PreconditionError
@@ -53,6 +52,7 @@ from reference import (
     leq_witness,
     planted_hoop_fault,
     relabelled,
+    twin,
     witness_classes,
 )
 
@@ -156,7 +156,7 @@ class TestFiniteEnvelope:
     def test_idempotent_pair_identifies_image_with_zero(self):
         M = idempotent_pair_monoid()
         K, h = k_envelope(M)
-        assert k_equal(K, KElement(1, 0), KElement(0, 0))
+        assert K.row(KElement(1, 0)) == K.row(KElement(0, 0))
         assert eq_witness(M, (1, 0), (0, 0)) == 1
         assert not h_is_injective(K)
         assert envelope_summary(K)["trivial"]
@@ -192,10 +192,10 @@ class TestFiniteEnvelope:
             e1, e2 = KElement(*p), KElement(*q)
             for alt in class_of[p]:
                 a1 = KElement(*alt)
-                assert k_equal(K, e1, a1)
-                assert k_leq(K, e1, e2) == k_leq(K, a1, e2) == (leq_witness(M, alt, q) is not None)
-                for op in (k_join, k_meet):
-                    r1, r2 = op(K, e1, e2), op(K, a1, e2)
+                assert K.row(e1) == K.row(a1)
+                assert K.leq(e1, e2) == K.leq(a1, e2) == (leq_witness(M, alt, q) is not None)
+                for op in (K.join, K.meet):
+                    r1, r2 = op(e1, e2), op(a1, e2)
                     assert eq_witness(M, (r1.pos, r1.neg), (r2.pos, r2.neg)) is not None
 
     def test_canonical_forms_are_symbolic_only(self):
@@ -284,21 +284,21 @@ class TestSymbolicEnvelope:
         self.K, self.h = k_envelope(self.M)
 
     def test_equality_by_canonical_form(self):
-        assert k_equal(self.K, KElement((3,), (1,)), KElement((4,), (2,)))
-        assert not k_equal(self.K, KElement((3,), (1,)), KElement((4,), (1,)))
+        assert self.K.row(KElement((3,), (1,))) == self.K.row(KElement((4,), (2,)))
+        assert self.K.row(KElement((3,), (1,))) != self.K.row(KElement((4,), (1,)))
 
     def test_order_and_bounds(self):
-        assert k_leq(self.K, KElement((1,), (0,)), KElement((3,), (0,)))
+        assert self.K.leq(KElement((1,), (0,)), KElement((3,), (0,)))
         two = KElement((2,), (0,))
         five = KElement((5,), (0,))
-        assert self.K.canonical(k_join(self.K, two, five)) == (5,)
-        assert self.K.canonical(k_meet(self.K, two, five)) == (2,)
+        assert self.K.canonical(self.K.join(two, five)) == (5,)
+        assert self.K.canonical(self.K.meet(two, five)) == (2,)
 
     def test_group_structure(self):
         e = KElement((4,), (1,))
-        assert self.K.canonical(k_add(self.K, e, k_negate(self.K, e))) == (0,)
-        assert k_equal(self.K, k_add(self.K, e, self.K.zero()), e)
-        assert self.K.from_canonical((-3,)) == KElement((0,), (3,))
+        assert self.K.canonical(self.K.add(e, self.K.neg(e))) == (0,)
+        assert self.K.row(self.K.add(e, self.K.zero())) == self.K.row(e)
+        assert self.K.element((-3,)) == KElement((0,), (3,))
 
     def test_h_injective_and_summary(self):
         assert h_is_injective(self.K)
@@ -325,23 +325,23 @@ class TestSymbolicEnvelope:
         M = (SymbolicConeHoop if hoop_order else SymbolicCancellativeMonoid)(rank=2)
         K, h = k_envelope(M)
         for x, y in product(M.carrier(2), repeat=2):
-            assert k_equal(K, h(M.add(x, y)), k_add(K, h(x), h(y)))
-            assert k_equal(K, h(M.meet(x, y)), k_meet(K, h(x), h(y)))
-            assert k_equal(K, h(M.join(x, y)), k_join(K, h(x), h(y)))
-            assert k_leq(K, h(x), h(y)) == M.leq(x, y)
+            assert K.row(h(M.add(x, y))) == K.row(K.add(h(x), h(y)))
+            assert K.row(h(M.meet(x, y))) == K.row(K.meet(h(x), h(y)))
+            assert K.row(h(M.join(x, y))) == K.row(K.join(h(x), h(y)))
+            assert K.leq(h(x), h(y)) == M.leq(x, y)
 
     def test_addition_distributes_over_meet_and_join(self):
         M = SymbolicCancellativeMonoid(rank=2)
         K, _ = k_envelope(M)
         cs = [(-2, 1), (0, 0), (1, -1), (3, 2), (-1, -3)]
         for a, b, c in product(cs, repeat=3):
-            e1, e2, e3 = (K.from_canonical(v) for v in (a, b, c))
-            lhs = k_add(K, e1, k_meet(K, e2, e3))
-            rhs = k_meet(K, k_add(K, e1, e2), k_add(K, e1, e3))
-            assert k_equal(K, lhs, rhs)
-            lhs = k_add(K, e1, k_join(K, e2, e3))
-            rhs = k_join(K, k_add(K, e1, e2), k_add(K, e1, e3))
-            assert k_equal(K, lhs, rhs)
+            e1, e2, e3 = (K.element(v) for v in (a, b, c))
+            lhs = K.add(e1, K.meet(e2, e3))
+            rhs = K.meet(K.add(e1, e2), K.add(e1, e3))
+            assert K.row(lhs) == K.row(rhs)
+            lhs = K.add(e1, K.join(e2, e3))
+            rhs = K.join(K.add(e1, e2), K.add(e1, e3))
+            assert K.row(lhs) == K.row(rhs)
 
 
 class TestImageBound:
@@ -359,7 +359,7 @@ class TestImageBound:
         e = KElement((1,), (4,))
         bound = image_bound(K, h, e)
         assert K.canonical(bound) == (1,)
-        assert not k_leq(K, bound, e)
+        assert not K.leq(bound, e)
 
     def test_reversed_orientation_bound_holds(self):
         M = SymbolicConeHoop(rank=1)
@@ -367,14 +367,14 @@ class TestImageBound:
         e = KElement((1,), (4,))
         bound = image_bound(K, h, e)
         assert K.canonical(bound) == (4,)
-        assert k_leq(K, bound, e)
+        assert K.leq(bound, e)
 
     def test_reversed_orientation_bound_holds_on_window(self):
         M = SymbolicConeHoop(rank=2)
         K, h = k_envelope(M)
         for a, b in product(M.carrier(3), repeat=2):
             e = KElement(a, b)
-            assert k_leq(K, image_bound(K, h, e), e)
+            assert K.leq(image_bound(K, h, e), e)
 
     def test_finite_bound_holds_on_collapsed_envelopes(self):
         for M in (trunc_monoid(3), idempotent_pair_monoid(), chain_min_monoid(3)):
@@ -382,8 +382,54 @@ class TestImageBound:
             for a, b in product(M.elements(), repeat=2):
                 e = KElement(a, b)
                 bound = image_bound(K, h, e)
-                assert k_leq(K, bound, e)
+                assert K.leq(bound, e)
                 assert leq_witness(M, (bound.pos, bound.neg), (a, b)) is not None
+
+
+ENVELOPE_BASES = {"finite": trunc_monoid(4), "natural-cone": SymbolicCancellativeMonoid(rank=2),
+                  "cone-hoop": SymbolicConeHoop(rank=2)}
+
+
+def pairs_over(M) -> st.SearchStrategy:
+    """Pairs [a, b] over M: its elements if it is finite, else tuples with
+    coordinates past int64."""
+    entry = st.sampled_from(list(M.elements())) if M.is_finite else st.tuples(*[st.integers(0, 2**70)] * M.rank)
+    return st.builds(KElement, entry, entry)
+
+
+@pytest.mark.parametrize("name", sorted(ENVELOPE_BASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_envelope_ops_match_the_witness_formulas(name, data):
+    # K's batch ops on canonical rows, and the scalar ops derived from them,
+    # against the twin's witness formulas on pairs; equality and order are
+    # the witness search, so a finite base's K must be one class.
+    M = ENVELOPE_BASES[name]
+    K = KGroup(M)
+    T = twin(K)
+    xs = data.draw(st.lists(pairs_over(M), min_size=1, max_size=6))
+    ys = data.draw(st.lists(pairs_over(M), min_size=len(xs), max_size=len(xs)))
+    X, Y = (integers([K.row(e) for e in es]) for es in (xs, ys))
+    for op in ("add", "meet", "join"):
+        rows = getattr(K, f"{op}_rows")(X, Y).tolist()
+        for x, y, r in zip(xs, ys, rows):
+            want = getattr(T, op)(x, y)
+            assert T.equal(K.element(r), want) and T.equal(getattr(K, op)(x, y), want), op
+    assert K.leq_rows(X, Y).tolist() == [K.leq(x, y) for x, y in zip(xs, ys)] == [T.leq(x, y) for x, y in zip(xs, ys)]
+    for x, r in zip(xs, K.neg_rows(X).tolist()):
+        assert T.equal(K.element(r), T.neg(x)) and T.equal(K.neg(x), T.neg(x))
+    for x, y in zip(xs, ys):
+        shifted = T.add(x, KElement(y.pos, y.pos))
+        assert K.row(x) == K.row(shifted) and T.equal(x, shifted)
+        assert (K.row(x) == K.row(y)) == T.equal(x, y)
+
+
+def test_the_kept_wrappers_are_k_methods():
+    K = KGroup(SymbolicConeHoop(rank=2))
+    e, f = KElement((3, 0), (1, 2)), KElement((1, 1), (0, 5))
+    assert k_add(K, e, f) == K.add(e, f) == K.element((3, -6))
+    assert k_leq(K, e, f) == K.leq(e, f) and k_leq(K, f, e) == K.leq(f, e)
+    assert k_equal(K, e, K.add(e, K.zero())) and not k_equal(K, e, f)
 
 
 FINITE_KINDS = (FiniteLMonoid, FiniteSemihoop, FiniteMTL, TableAlgebra)

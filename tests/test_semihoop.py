@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 from ellstates._scan import exact_table, stride_select
 from ellstates.corpus import (
+    chang_algebra,
     cone_hoop,
     godel_hoop,
     hyperstate_product_corpus,
     lukasiewicz_hoop,
     semihoop_corpus,
 )
-from ellstates.ibp0 import radical
-from ellstates.lmonoid import k_add, k_leq
+from ellstates.ibp0 import boolean_skeleton, radical
 from ellstates.reports import InternalConsistencyError, MalformedInputError, PreconditionError
 from ellstates.semihoop import (
     ConeState,
@@ -40,6 +40,7 @@ from ellstates.semihoop import (
     weighted_state,
     zero_state,
 )
+from ellstates.states import ProbabilityMeasure, join_hyperstate
 from reference import planted_hoop_fault, witness_classes
 
 
@@ -226,7 +227,7 @@ class TestEnvelopeCorrespondence:
         c = Fraction(3, 2)
         sigma = state_to_kgroup_state(H, ConeState([c]), window=8)
         for n in range(-8, 9):
-            e = sigma.K.from_canonical((n,))
+            e = sigma.K.element((n,))
             assert sigma.value(e) == -c * n
         for m in range(9):
             assert sigma.value(sigma.h((m,))) == -c * m
@@ -237,8 +238,8 @@ class TestEnvelopeCorrespondence:
         K = sigma.K
         forms = [(-3, 5), (0, 0), (4, -1), (7, 2), (-2, -2)]
         for c1, c2 in product(forms, repeat=2):
-            e1, e2 = K.from_canonical(c1), K.from_canonical(c2)
-            assert sigma.value(k_add(K, e1, e2)) == sigma.value(e1) + sigma.value(e2)
+            e1, e2 = K.element(c1), K.element(c2)
+            assert sigma.value(K.add(e1, e2)) == sigma.value(e1) + sigma.value(e2)
 
     def test_positivity_for_the_envelope_order(self):
         H = cone_hoop(2)
@@ -246,8 +247,8 @@ class TestEnvelopeCorrespondence:
         K = sigma.K
         zero = K.zero()
         for c in product(range(-3, 4), repeat=2):
-            e = K.from_canonical(c)
-            if k_leq(K, zero, e):
+            e = K.element(c)
+            if K.leq(zero, e):
                 assert sigma.value(e) >= 0
 
     def test_invalid_state_breaks_well_definedness(self):
@@ -423,6 +424,21 @@ def test_table_reads_refuse_what_value_refuses():
     ):
         with pytest.raises(MalformedInputError, match=message):
             w.table(elems)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_a_product_state_refuses_a_cone_radical_on_every_read(rank):
+    # A cone's elements are tuples of ints, not of factor elements: a rank-1
+    # cone's have one entry for two parts, and a rank-2 cone's two ints that
+    # no cone part reads.  Each read path refuses them, none crashes.
+    A = chang_algebra(rank)
+    H, w = radical(A).hoop, ProductState([ConeState([1]), ConeState([2])])
+    p = ProbabilityMeasure(boolean_skeleton(A), [1] + [0] * (len(boolean_skeleton(A).atoms) - 1))
+    message = "product state has 2 parts, element has 1" if rank == 1 else "reads tuples, not 0"
+    for read in (lambda: join_hyperstate(A, p, w), lambda: validate_state(H, w), lambda: state_to_kgroup_state(H, w),
+                 lambda: w.value(H.carrier(1)[0]), lambda: w.table(H.carrier(1))):
+        with pytest.raises(MalformedInputError, match=message):
+            read()
 
 
 def test_empty_tables_are_integer_columns():

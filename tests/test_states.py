@@ -375,7 +375,7 @@ class TestCancellativeForm:
         p2, sigma = cancellative_form(C, s)
         assert p2 == p
         for n in range(9):
-            assert sigma.value(sigma.K.from_canonical((n,))) == -2 * n
+            assert sigma.value(sigma.K.element((n,))) == -2 * n
             assert sigma.value(KElement((n,), (0,))) == -2 * n
 
     def test_chang_rank_two_spot_values(self):
@@ -383,15 +383,15 @@ class TestCancellativeForm:
         p = ProbabilityMeasure(boolean_skeleton(C), [F(1)])
         s, _ = join_hyperstate(C, p, ConeState([F(1), F(2)]))
         _, sigma = cancellative_form(C, s)
-        assert sigma.value(sigma.K.from_canonical((1, 3))) == -7
-        assert sigma.value(sigma.K.from_canonical((-2, 1))) == 0
+        assert sigma.value(sigma.K.element((1, 3))) == -7
+        assert sigma.value(sigma.K.element((-2, 1))) == 0
 
     def test_zero_state_gives_zero_functional(self):
         C = chang_algebra(1)
         p = ProbabilityMeasure(boolean_skeleton(C), [F(1)])
         s, _ = join_hyperstate(C, p, ConeState([F(0)]))
         _, sigma = cancellative_form(C, s)
-        assert sigma.value(sigma.K.from_canonical((5,))) == 0
+        assert sigma.value(sigma.K.element((5,))) == 0
 
     def test_non_cancellative_radical_refused(self):
         A = rotated_hoop(godel_hoop(3))
