@@ -72,8 +72,8 @@ class Axiom(NamedTuple):
 def scan_mode(A, window: int) -> str:
     """The mode of a scan over A's window: exhaustive only when the window
     holds all of a finite A, which a capped product window does not."""
-    whole = A.is_finite and len(A.carrier(window)) == span(A, window)
-    return "exhaustive" if whole else f"window-verified (N={window})"
+    whole = lambda: A.is_finite and len(A.carrier(window)) == span(A, window)
+    return "exhaustive" if memo(A, ("whole", window), whole) else f"window-verified (N={window})"
 
 
 def span(A, window: int) -> int:
@@ -292,7 +292,9 @@ def unpacked(key: int, K: int) -> tuple[int, int]:
 def masked_verdict(axiom: str, bad: np.ndarray, witness: Callable[[int], dict], mode: str, note: str = "") -> Check:
     """The check for ``axiom`` over instances whose failures ``bad`` marks:
     every failure is counted, and the first MAX_WITNESSES are rendered by
-    ``witness(k)`` in instance order."""
+    ``witness(k)`` in instance order.  A passing check costs one reduction."""
+    if not bad.any():
+        return Check(axiom, True, mode, note=note)
     hits = np.flatnonzero(bad)
     return verdict(axiom, [witness(k) for k in hits[:MAX_WITNESSES].tolist()], mode=mode, note=note,
                    violations=len(hits))

@@ -233,8 +233,9 @@ def validate_ibp0(A, window: int = 8) -> ValidationReport:
 
 
 def require_ibp0(A, window: int = 8) -> None:
-    report = validate_ibp0(A, window)
-    if not report.ok:
+    """Raise unless A passes validate_ibp0; the verdict is read once per (A, window)."""
+    if not memo(A, ("ibp0-ok", window), lambda: validate_ibp0(A, window).ok):
+        report = validate_ibp0(A, window)
         first = report.failures()[0]
         detail = f"; first witness {first.witnesses[0]}" if first.witnesses else ""
         raise PreconditionError(

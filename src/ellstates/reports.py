@@ -108,7 +108,8 @@ class ValidationReport:
         return check
 
     def merge(self, other: "ValidationReport", prefix: str = "") -> None:
-        self.checks.extend(Check(**{**vars(c), "axiom": prefix + c.axiom}) for c in other.checks)
+        self.checks += [Check(prefix + c.axiom, c.passed, c.mode, c.witnesses, c.violations, c.note, c.required)
+                        for c in other.checks]
 
     def check(self, axiom: str) -> Check:
         for c in self.checks:

@@ -231,6 +231,9 @@ class ConeState:
         bad = [n for n in ([elems.H.rank] if kept else map(_length, elems)) if n != rank]
         if bad:
             raise MalformedInputError(f"weight tuple has rank {rank}, element has rank {bad[0]}")
+        odd = [] if kept else [m for m in elems if not all(isinstance(c, (int, np.integer)) for c in m)]
+        if odd:
+            raise MalformedInputError(f"a cone state reads tuples of integers, not {odd[0]!r}")
         return elems.rows if kept else elems
 
     def value(self, m: tuple) -> Fraction:

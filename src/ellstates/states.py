@@ -20,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from types import SimpleNamespace
 from typing import Any, Mapping
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from ._scan import (distinct, integers, lowest, masked_verdict, memo, over_lcm, packed, pair_columns,
                     pair_verdict, scan_mode, tables, unpacked)
-from .hypernum import DualRational, _rat, canonical, format_dual, format_exact, interval_defect, parse_dual
+from .hypernum import DualRational, _rat, _ratio, canonical, format_dual, interval_defect, parse_dual
 from .ibp0 import (
     Skeleton,
     boolean_skeleton,
@@ -59,14 +59,14 @@ HYPER_PAIR_CAP = 96
 
 
 class ProbabilityMeasure:
-    """Atom weights over a Boolean skeleton; p(b), for b in it, sums the atoms below b.
-
-    The atoms below each skeleton element are kept once per skeleton
-    (``Skeleton.below``), so a value is a sum of weights with no order test.
+    """Atom weights over a Boolean skeleton, held as integer numerators
+    ``nums`` over one denominator ``den``, in lowest terms; ``weights`` is
+    their read-only Fraction view.  p(b), for b in the skeleton, sums the
+    numerators of the atoms below b, kept once per skeleton
+    (``Skeleton.below``), so a value is an integer sum with no order test.
     """
 
     def __init__(self, skeleton: Skeleton, weights):
-        self.skeleton = skeleton
         atoms = skeleton.atoms
         if isinstance(weights, Mapping):
             vec = [Fraction(0)] * len(atoms)
@@ -81,30 +81,40 @@ class ProbabilityMeasure:
             vec = [_rat(v) for v in weights]
             if len(vec) != len(atoms):
                 raise MalformedInputError(f"{len(vec)} weights for {len(atoms)} atoms")
-        self.weights = tuple(vec)
+        den = lcm(*(w.denominator for w in vec))
+        self.skeleton, self.nums, self.den = skeleton, tuple(w.numerator * (den // w.denominator) for w in vec), den
+
+    @classmethod
+    def over(cls, skeleton: Skeleton, nums, den: int) -> ProbabilityMeasure:
+        """The measure whose atom weights are the Python ints ``nums`` over ``den`` > 0."""
+        p, g = cls.__new__(cls), gcd(den, *nums)
+        p.skeleton, p.nums, p.den = skeleton, tuple(n // g for n in nums), den // g
+        return p
+
+    @property
+    def weights(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
 
     def value(self, b) -> Fraction:
         below = self.skeleton.below.get(b)
         if below is None:
             raise MalformedInputError(f"{self.skeleton.algebra.token(b)} is not a skeleton element")
-        return sum((self.weights[i] for i in below), Fraction(0))
+        return Fraction(sum(self.nums[i] for i in below), self.den)
 
     def column(self, elements) -> tuple[np.ndarray, int]:
-        """p at the skeleton elements ``elements``, as integer numerators
-        over the lcm of the weights' denominators."""
-        den = lcm(*(w.denominator for w in self.weights))
-        nums = [w.numerator * (den // w.denominator) for w in self.weights]
-        return integers([sum(nums[i] for i in self.skeleton.below[b]) for b in elements]), den
+        """p at the skeleton elements ``elements``, as integer numerators over ``den``."""
+        nums, below = self.nums, self.skeleton.below
+        return integers([sum(nums[i] for i in below[b]) for b in elements]), self.den
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ProbabilityMeasure)
-            and self.weights == other.weights
+            and (self.nums, self.den) == (other.nums, other.den)
             and self.skeleton.atoms == other.skeleton.atoms
         )
 
     def __repr__(self) -> str:
-        return f"ProbabilityMeasure({', '.join(format_exact(w) for w in self.weights)})"
+        return f"ProbabilityMeasure({', '.join(_ratio(n, self.den) for n in self.nums)})"
 
 
 def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport:
@@ -119,13 +129,9 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
     report = ValidationReport(subject="probability")
     # p on every skeleton element, as integer numerators over den.
     V, den = p.column(B.elements)
-    exact = lambda n: format_exact(Fraction(int(n), den))
+    exact = lambda n: _ratio(int(n), den)
 
-    bad = [
-        {"witness": {"atom": A.token(a)}, "value": format_exact(w)}
-        for a, w in zip(B.atoms, p.weights)
-        if w < 0
-    ]
+    bad = [{"witness": {"atom": A.token(a)}, "value": exact(n)} for a, n in zip(B.atoms, p.nums) if n < 0]
     bad += [
         {"witness": {"x": A.token(b)}, "value": exact(n)}
         for b, n in zip(B.elements, V.tolist())
@@ -135,10 +141,10 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
 
     # Every pair of the finite skeleton, whose joins stay in it.
     ctx = B.pairs
-    total = sum(p.weights, Fraction(0))
+    total = sum(p.nums)
     bad = []
-    if total != 1 or V[ctx.index[A.top]] != den:
-        bad = [{"witness": {"x": A.token(A.top)}, "lhs": format_exact(total), "rhs": "1"}]
+    if total != den or V[ctx.index[A.top]] != den:
+        bad = [{"witness": {"x": A.token(A.top)}, "lhs": exact(total), "rhs": "1"}]
     report.add(verdict("normalization", bad))
 
     lhs, rhs = V[ctx.join], V[ctx.x] + V[ctx.y]
@@ -402,7 +408,7 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     report.add(pair_verdict(A, ctx, "valuation", inside & (lhs != rhs), lhs, rhs, v.dual, mode, ~inside))
 
     sk = boolean_skeleton(A, window)
-    restriction = ProbabilityMeasure(sk, [v.raw(atom)[0] for atom in sk.atoms])
+    restriction = ProbabilityMeasure.over(sk, [v.cells[v.position(atom)][0] for atom in sk.atoms], v.den)
     report.merge(validate_probability(sk, restriction), prefix="measure-")
     (got, want), den = over_lcm([(v.column("skeleton", 0), v.den), restriction.column(sk.elements)])
     report.add(masked_verdict(
@@ -456,12 +462,12 @@ def _split(A, s, window: int) -> SplitResult:
     rad = radical(A, window)
     v = _values(A, s, window)
 
-    raws = [v.raw(atom) for atom in sk.atoms]
-    for atom, (_, inf) in zip(sk.atoms, raws):
-        if inf != 0:
+    cells = [v.cells[v.position(atom)] for atom in sk.atoms]
+    for atom, (_, inf) in zip(sk.atoms, cells):
+        if inf:
             raise InternalConsistencyError(f"skeleton atom {A.token(atom)} carries infinitesimal part "
-                                           f"{format_exact(inf)}")
-    p = ProbabilityMeasure(sk, [std for std, _ in raws])
+                                           f"{_ratio(inf, v.den)}")
+    p = ProbabilityMeasure.over(sk, [std for std, _ in cells], v.den)
 
     lam = [-v.raw(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)]
     w = weighted_state(rad.hoop, lam)

@@ -22,8 +22,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from ellstates import _scan
 from ellstates._scan import INT64_MAX, PREDICATES, integers, scan_axioms, stride_select, tables
@@ -43,7 +44,7 @@ from ellstates.corpus import (
 from ellstates.ibp0 import (IBP0_AXIOMS, SAMPLED_NOTE, ProductAlgebra, SymbolicPerfectAlgebra, boolean_skeleton,
                            radical, validate_ibp0)
 from ellstates.lmonoid import LMONOID_AXIOMS, SymbolicCancellativeMonoid, TableAlgebra
-from ellstates.reports import MAX_WITNESSES
+from ellstates.reports import MAX_WITNESSES, verdict
 from ellstates.semihoop import SEMIHOOP_AXIOMS, Componentwise, ProductHoop, SymbolicConeHoop
 from ellstates.states import join_hyperstate
 from reference import (SCALAR_OPS, UntruncatedCone, broken_monoid, planted_fault, planted_hoop_fault,
@@ -390,3 +391,21 @@ def test_nested_product_reads_each_factor_constant_once():
     reads.clear()
     tables(H).top
     assert len(reads) <= depth
+
+
+MASKS = arrays(bool, array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=24))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(MASKS, st.sampled_from(["", "a note"]))
+@example(np.zeros(0, dtype=bool), "")
+@example(np.zeros(5, dtype=bool), "")
+@example(np.eye(1, 9, 4, dtype=bool)[0], "a note")
+@example(np.ones(MAX_WITNESSES + 3, dtype=bool), "")
+@example(np.eye(4, 5, 1, dtype=bool), "a note")
+def test_a_masked_verdict_is_the_verdict_of_every_witness(bad, note):
+    # A passing mask takes the one-reduction path, a failing one renders its
+    # first witnesses: either way the check is the one verdict builds.
+    witness = lambda k: {"witness": {"k": k}}
+    want = verdict("law", [witness(k) for k in np.flatnonzero(bad).tolist()], mode="m", note=note)
+    assert _scan.masked_verdict("law", bad, witness, "m", note) == want

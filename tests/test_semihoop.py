@@ -441,6 +441,17 @@ def test_a_product_state_refuses_a_cone_radical_on_every_read(rank):
             read()
 
 
+def test_a_cone_state_refuses_tuples_of_other_elements():
+    # A 2-tuple ((a,), b) of a cone and a Gödel chain has a cone state's rank
+    # 2, but its entries are not integers: value and validate_state refuse it.
+    H = ProductHoop([cone_hoop(1), godel_hoop(2)])
+    w = ConeState([1, 2])
+    for read in (lambda: w.value(((1,), 1)), lambda: validate_state(H, w, 2), lambda: w.table([(1, 2), ((1,), 1)])):
+        with pytest.raises(MalformedInputError, match="reads tuples of integers, not"):
+            read()
+    assert w.value((1, 2)) == -5 and w.table([(1, 2), (0, 3)])[0].tolist() == [-5, -6]
+
+
 def test_empty_tables_are_integer_columns():
     for w in (ConeState([1, Fraction(1, 3)]), ConeState([10**30]), TableState({}),
               ProductState([ConeState([1]), zero_state(lukasiewicz_hoop(3))])):

@@ -2,6 +2,7 @@
 
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,12 +22,13 @@ from ellstates.corpus import (
 )
 from ellstates.hypernum import dual
 from ellstates._scan import tables
-from ellstates.ibp0 import ProductAlgebra, boolean_skeleton, decompose, radical, require_ibp0
+from ellstates.ibp0 import ProductAlgebra, boolean_skeleton, decompose, radical, require_ibp0, validate_ibp0
 from ellstates.lmonoid import KElement
 from ellstates.reports import (
     InternalConsistencyError,
     MalformedInputError,
     PreconditionError,
+    ValidationReport,
 )
 from ellstates.semihoop import ConeState, ProductState, SymbolicConeHoop, TableState
 from ellstates.states import (
@@ -503,3 +505,22 @@ def test_relabelling_keeps_every_hyperstate_verdict(name, data):
         assert (split.p, split.w.values) == (p, {h: w.value(h) for h in radA.hoop.carrier(8)})
         assert (relabelled_split.p, relabelled_split.w.values) == (q, v.values)
         assert relabelled_split.scanned == split.scanned
+
+
+def test_a_passing_op_renders_no_witness_and_reads_the_variety_verdict_once(monkeypatch):
+    # On a fresh boolean-8, the ibp0 report's ok is read at most once however
+    # many ops run; once a first op has built the frame and the radical's
+    # pairs, a passing join, split and property run call no np.flatnonzero.
+    A = boolean_algebra(8)
+    reads, ok = [], ValidationReport.ok
+    monkeypatch.setattr(ValidationReport, "ok", property(lambda r: reads.append(r) or ok.fget(r)))
+    family = hyperstate_family(A)
+    s, report = join_hyperstate(A, *family[0])
+    assert report.ok and split_hyperstate(A, s).p == family[0][0] and hyperstate_properties(A, s).ok
+    found = []
+    monkeypatch.setattr(np, "flatnonzero", lambda *args: found.append(args) or np.nonzero(np.ravel(args[0]))[0])
+    for p, w in family[1:4]:
+        s, report = join_hyperstate(A, p, w)
+        assert report.ok and split_hyperstate(A, s).p == p and hyperstate_properties(A, s).ok
+    assert found == []
+    assert sum(r is validate_ibp0(A) for r in reads) <= 1

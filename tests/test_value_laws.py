@@ -14,6 +14,7 @@ corpus, on cones and on the radical hoops of the product corpus, and on
 windows that its op results leave.
 """
 
+import math
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
@@ -195,7 +196,7 @@ def ref_hyperstate_properties(A, s, window=WINDOW):
     report.add(verdict("valuation", bad, mode=mode, note=ref_note(note, skipped)))
 
     sk = boolean_skeleton(A, window)
-    restriction = ProbabilityMeasure(sk, [s.raw_value(atom)[0] for atom in sk.atoms])
+    restriction = RefMeasure(sk, [s.raw_value(atom)[0] for atom in sk.atoms])
     report.merge(ref_validate_probability(sk, restriction), prefix="measure-")
     bad = [{"witness": {"x": A.token(b)}, "lhs": format_dual(s.raw_value(b)),
             "rhs": format_dual((restriction.value(b), F(0)))}
@@ -211,6 +212,23 @@ def ref_hyperstate_properties(A, s, window=WINDOW):
     induced = TableState({h: s.raw_value(rad.from_hoop(h))[1] for h in rad.hoop.carrier(window)})
     report.merge(ref_validate_state(rad.hoop, induced, window), prefix="induced-")
     return report
+
+
+class RefMeasure:
+    """A probability measure as its atoms' Fraction weights, read as
+    ProbabilityMeasure reads them; p(b) sums the weights of the atoms that the
+    order puts below b."""
+
+    def __init__(self, skeleton, weights):
+        self.skeleton, atoms = skeleton, skeleton.atoms
+        if isinstance(weights, dict):
+            self.weights = tuple(F(weights.get(i, weights.get(str(i), 0))) for i in range(len(atoms)))
+        else:
+            self.weights = tuple(map(F, weights))
+
+    def value(self, b):
+        A = self.skeleton.algebra
+        return sum((w for a, w in zip(self.skeleton.atoms, self.weights) if A.leq(a, b)), F(0))
 
 
 def ref_validate_probability(B, p):
@@ -572,6 +590,50 @@ def test_measures_agree():
         for weights in ([F(1, k)] * k, [F(-1, 3)] + [F(4, 3 * max(k - 1, 1))] * (k - 1), [F(1, 2)] * k):
             p = ProbabilityMeasure(sk, weights)
             assert rows(validate_probability(sk, p)) == rows(ref_validate_probability(sk, p))
+
+
+MEASURE_WEIGHTS = st.one_of(
+    st.sampled_from([F(0), F(1), F(-1, 3), F(3, 2), F(2**64 + 1, 3), F(-(2**70), 2**65 + 1)]),
+    st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**66)),
+    st.builds(F, st.integers(-2, 9), st.integers(1, 6)),
+)
+
+
+@st.composite
+def measure_draws(draw):
+    """A skeleton of boolean-2, -4 or -8 and weights for its atoms, as a list
+    or as a map from atom index (an int or its string) to weight.  Some draws
+    are measures, nonnegative and summing to 1, over a denominator past 2^63
+    or not; the others have any sign and sum."""
+    sk = boolean_skeleton(SINGLES[draw(st.sampled_from(["boolean-2", "boolean-4", "boolean-8"]))], WINDOW)
+    k = len(sk.atoms)
+    if draw(st.integers(0, 2)) == 0:
+        parts = draw(st.lists(st.integers(0, 2**66), min_size=k, max_size=k).filter(any))
+        weights = [F(n, sum(parts)) for n in parts]
+    else:
+        weights = draw(st.lists(MEASURE_WEIGHTS, min_size=k, max_size=k))
+    if draw(st.booleans()):
+        keys = draw(st.lists(st.sampled_from(range(k)), unique=True))
+        weights = {draw(st.sampled_from([i, str(i)])): weights[i] for i in keys}
+    return sk, weights
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(measure_draws(), measure_draws(), st.integers(1, 2**64))
+def test_the_integer_measure_agrees_with_fraction_weights(first, second, scale):
+    (sk, weights), (sk2, weights2) = first, second
+    p, ref = ProbabilityMeasure(sk, weights), RefMeasure(sk, weights)
+    assert p.weights == ref.weights and all(type(w) is F for w in p.weights)
+    assert p == ProbabilityMeasure(sk, list(ref.weights))
+    assert [p.value(b) for b in sk.elements] == [ref.value(b) for b in sk.elements]
+    col, den = p.column(sk.elements)
+    assert den == math.lcm(*(w.denominator for w in ref.weights))
+    assert [F(n, den) for n in col.tolist()] == [ref.value(b) for b in sk.elements]
+    assert repr(p) == f"ProbabilityMeasure({', '.join(map(str, ref.weights))})"
+    q = ProbabilityMeasure(sk2, weights2)
+    assert (p == q) == (ref.weights == RefMeasure(sk2, weights2).weights and sk.atoms == sk2.atoms)
+    assert ProbabilityMeasure.over(sk, [n * scale for n in p.nums], p.den * scale) == p
+    assert rows(validate_probability(sk, p)) == rows(ref_validate_probability(sk, ref))
 
 
 # ---------------------------------------------------------------------------
