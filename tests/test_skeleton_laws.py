@@ -26,7 +26,7 @@ import pytest
 
 from ellstates import ibp0
 from ellstates._scan import scan_mode, stride_select
-from ellstates.corpus import cone_hoop, hyperstate_product_corpus, ibp0_corpus
+from ellstates.corpus import boolean_algebra, chang_algebra, cone_hoop, hyperstate_product_corpus, ibp0_corpus
 from ellstates.ibp0 import FiniteMTL, ProductAlgebra, _boolean_skeleton, boolean_skeleton, radical
 from ellstates.reports import ValidationReport, verdict
 from reference import LeakyRotation, twin
@@ -195,3 +195,25 @@ def test_radical_closure_agrees_on_a_planted_leak(monkeypatch):
     # Each of the three checks fails, so the masks and witnesses are compared on failures.
     assert not any(c.passed for c in ours.checks)
     assert {w["op"] for w in ours.check("closure").witnesses} == {"times", "impl", "meet"}
+
+
+def ref_roundtrip(A, rad, window=WINDOW):
+    """translation-roundtrip by the plain loop over the radical's elements."""
+    T = twin(A)
+    bad = [{"witness": {"x": T.token(a)}} for a in rad.elements if rad.from_hoop(rad.to_hoop(a)) != a]
+    return ValidationReport(subject="radical", checks=[verdict("translation-roundtrip", bad, mode=scan_mode(A, window))])
+
+
+def test_a_broken_translation_fails_the_roundtrip_as_the_reference_does(monkeypatch):
+    # A product's from_hoop reads its factors' views, so breaking one factor's
+    # breaks the product's at every element; both factors are fresh, so no
+    # other test reads the broken view.
+    factor = chang_algebra(1)
+    view = radical(factor, WINDOW)
+    real = view.from_hoop
+    monkeypatch.setattr(view, "from_hoop", lambda m: real((m[0] + 1,)))
+    A = ProductAlgebra([factor, boolean_algebra(2)])
+    rad = radical(A, WINDOW)
+    ours = ValidationReport(subject="radical", checks=[rad.report.check("translation-roundtrip")])
+    assert not ours.ok and ours.checks[0].violations == len(rad.elements)
+    assert rows(ours) == rows(ref_roundtrip(A, rad))

@@ -592,6 +592,57 @@ def test_measures_agree():
             assert rows(validate_probability(sk, p)) == rows(ref_validate_probability(sk, p))
 
 
+def move_one_value(monkeypatch, victim):
+    """p(victim) moved up by 1/den after the atom sums, in ProbabilityMeasure
+    and in RefMeasure alike: a measure is summed from its atoms, so this is
+    the one way its additivity can fail."""
+    column, value = ProbabilityMeasure.column, RefMeasure.value
+
+    def moved_column(self, elements):
+        V, den = column(self, elements)
+        return V + np.array([b == victim for b in elements], dtype=bool), den
+
+    def moved_value(self, b):
+        return value(self, b) + (F(1, math.lcm(*(w.denominator for w in self.weights))) if b == victim else 0)
+
+    monkeypatch.setattr(ProbabilityMeasure, "column", moved_column)
+    monkeypatch.setattr(RefMeasure, "value", moved_value)
+
+
+def test_a_moved_measure_value_fails_additivity_as_the_reference_does(monkeypatch):
+    sk = boolean_skeleton(SINGLES["boolean-8"], WINDOW)
+    move_one_value(monkeypatch, sk.atoms[0])
+    p = ProbabilityMeasure(sk, [F(1, 3)] * len(sk.atoms))
+    report = validate_probability(sk, p)
+    assert [c.axiom for c in report.failures()] == ["additivity"]
+    assert rows(report) == rows(ref_validate_probability(sk, RefMeasure(sk, p.weights)))
+
+
+def test_a_moved_restriction_value_fails_measure_additivity_as_the_reference_does(monkeypatch):
+    A = SINGLES["boolean-8"]
+    s, report = join_hyperstate(A, *hyperstate_family(A, WINDOW)[0], WINDOW)
+    assert report.ok
+    move_one_value(monkeypatch, boolean_skeleton(A, WINDOW).atoms[-1])
+    measure_rows = lambda r: [row for row in rows(r) if row[0].startswith("measure-")]
+    ours = hyperstate_properties(A, s, WINDOW)
+    assert not ours.check("measure-additivity").passed
+    assert measure_rows(ours) == measure_rows(ref_hyperstate_properties(A, s))
+
+
+def test_a_standard_part_at_a_coradical_element_agrees():
+    A = SINGLES["chang-1"]
+    s, report = join_hyperstate(A, *hyperstate_family(A, WINDOW)[0], WINDOW)
+    assert report.ok
+    table = {a: s.value(a) for a in states._frame(A, WINDOW).elements}
+    victims = coradical(A, WINDOW)[1:3]
+    for victim in victims:
+        table[victim] = DualRational(F(1, 2), F(0))
+    t = TableHyperstate(table)
+    check = hyperstate_properties(A, t, WINDOW).check("coradical-standard-part")
+    assert [w["witness"]["x"] for w in check.witnesses] == [A.token(x) for x in victims]
+    assert_hyperstate_agrees(A, t)
+
+
 MEASURE_WEIGHTS = st.one_of(
     st.sampled_from([F(0), F(1), F(-1, 3), F(3, 2), F(2**64 + 1, 3), F(-(2**70), 2**65 + 1)]),
     st.builds(F, st.integers(-(2**70), 2**70), st.integers(1, 2**66)),
