@@ -23,10 +23,13 @@ Instances are visited in ``itertools.product`` order (the last variable
 varies fastest), violations are counted in full, and the first
 :data:`~.reports.MAX_WITNESSES` are rendered as witnesses through the scalar terms.
 
-Value laws read each map once into an exact table, integer numerators in
-lowest terms over one denominator, typed here alone (:func:`width`, through
-:func:`exact_table`, :func:`lowest` and the keys of :func:`packed`), and compare
-sums of its values as gathers over index columns from the id tables (:func:`pair_columns`).
+Value laws are data too (:class:`ValueLaw`), run by one runner,
+:func:`scan_laws`, over contexts of position columns built once per algebra
+and window (:func:`pair_columns`, :func:`element_columns`), on which it keeps
+what a law reads of them alone.  Each map is read once into an exact table,
+integer numerators in lowest terms over one denominator, typed here alone
+(:func:`width`, through :func:`exact_table`, :func:`lowest` and the keys of
+:func:`packed`).
 
 Symbolic carriers are infinite, and cartesian products of windows can be
 huge, so quantified checks sometimes run over a reduced deterministic
@@ -46,7 +49,7 @@ from typing import Any, Callable, Hashable, Mapping, NamedTuple, Sequence, TypeV
 
 import numpy as np
 
-from .hypernum import _rat
+from .hypernum import _rat, _ratio
 from .reports import MAX_WITNESSES, Check, verdict
 
 T = TypeVar("T")
@@ -293,7 +296,7 @@ def masked_verdict(axiom: str, bad: np.ndarray, witness: Callable[[int], dict], 
     """The check for ``axiom`` over instances whose failures ``bad`` marks:
     every failure is counted, and the first MAX_WITNESSES are rendered by
     ``witness(k)`` in instance order.  A passing check costs one reduction."""
-    if not bad.any():
+    if not np.count_nonzero(bad):
         return Check(axiom, True, mode, note=note)
     hits = np.flatnonzero(bad)
     return verdict(axiom, [witness(k) for k in hits[:MAX_WITNESSES].tolist()], mode=mode, note=note,
@@ -307,7 +310,8 @@ def pair_columns(A, elems: Sequence, cap: int, wording: str, ops: Sequence[str],
     op's result are positions in ``elems``, -1 where a result lands outside
     them (symbolic products can leave any finite window); ``leq`` is a truth
     value.  The results are gathered from the id tables ``o``, by default
-    fresh ``tables(A)``.  ``note`` is the sampling note."""
+    fresh ``tables(A)``.  ``note`` is the sampling note; ``skip``, if set,
+    words how many pairs in a law's scope left the window."""
     index = {a: i for i, a in enumerate(elems)}
     base = stride_select(range(len(elems)), cap)
     x, y = np.array(list(product(base, repeat=2)), dtype=np.intp).reshape(-1, 2).T
@@ -315,23 +319,87 @@ def pair_columns(A, elems: Sequence, cap: int, wording: str, ops: Sequence[str],
     window = o.encode(elems)
     cols = {name: getattr(o, name)(*((window,) if name == "neg" else (window[x], window[y]))) for name in ops}
     cols.update((name, locate(o, col, window)) for name, col in cols.items() if name not in PREDICATES)
-    return SimpleNamespace(elems=elems, index=index, x=x, y=y, note=sampled_note(wording, base, elems), **cols)
+    return SimpleNamespace(A=A, elems=elems, index=index, x=x, y=y, note=sampled_note(wording, base, elems), skip="",
+                           witness=lambda k: {"x": A.token(elems[x[k]]), "y": A.token(elems[y[k]])}, **cols)
 
 
-def pair_verdict(A, ctx: SimpleNamespace, axiom: str, bad: np.ndarray, lhs, rhs, render: Callable,
-                 mode: str, skipped: np.ndarray | None = None) -> Check:
-    """:func:`masked_verdict` for a law over the pairs of ``ctx`` (see
-    :func:`pair_columns`) whose sides, one row per pair, are lhs and rhs.
-    The note adds how many pairs ``skipped`` marks as left the window."""
-    bits = [ctx.note] if ctx.note else []
-    if skipped is not None and skipped.any():
-        bits.append(f"{np.count_nonzero(skipped)} pairs left the window")
+def element_columns(A, elements: Sequence, at) -> SimpleNamespace:
+    """A value law's context of one instance x per position of ``at`` in
+    ``elements``, as pair_columns' are of one per pair."""
+    x = np.asarray(at, dtype=np.intp)
+    return SimpleNamespace(A=A, x=x, note="", skip="", witness=lambda k: {"x": A.token(elements[x[k]])})
 
-    def witness(k: int) -> dict:
-        x, y = ctx.elems[ctx.x[k]], ctx.elems[ctx.y[k]]
-        return {"witness": {"x": A.token(x), "y": A.token(y)}, "lhs": render(lhs[k]), "rhs": render(rhs[k])}
 
-    return masked_verdict(axiom, bad, witness, mode, "; ".join(bits))
+class ValueLaw(NamedTuple):
+    """A law on a map's values V, over the context that ``over`` names on a
+    frame.  A side is a tuple of position columns, read as V summed at them;
+    a function ``(ctx, v, read)`` of the context, the map (see
+    :func:`scan_laws`) and ``read(ctx, columns)``, such a sum; or, on the
+    right, a number, when a witness shows V at x in place of the sides.  The
+    law fails where ``fails(lhs, rhs)``, among the instances ``scope(ctx)``
+    selects, all if None, at which no column a side names is -1."""
+
+    name: str
+    lhs: tuple[str, ...] | Callable
+    rhs: tuple[str, ...] | Callable | int
+    scope: Callable[[SimpleNamespace], np.ndarray] | None = None
+    fails: Callable = np.not_equal
+    over: str = "pairs"
+
+
+class Exact(NamedTuple):
+    """A map as scan_laws reads it: integer numerators V over ``one``."""
+
+    V: np.ndarray
+    one: int
+
+    def render(self, n) -> str:
+        return _ratio(int(n), self.one)
+
+
+def scan_laws(frame, laws: Sequence[ValueLaw], v, mode: str) -> list[Check]:
+    """One check per law on the map ``v``: its values ``v.V`` at positions,
+    the value of 1 ``v.one``, and ``v.render(value)`` (see :class:`Exact`).
+    What a law reads of its context alone is kept on it (see _reach), and
+    each sum of columns is gathered once per call."""
+    sums, V = {}, v.V
+
+    def read(ctx, cols: tuple[str, ...]) -> np.ndarray:
+        key = id(ctx), cols
+        if key not in sums:
+            sums[key] = reduce(operator.add, [V.take(getattr(ctx, c)) for c in cols])
+        return sums[key]
+
+    checks = []
+    for law in laws:
+        ctx = getattr(frame, law.over)
+        compared, note = memo(ctx, law, lambda: _reach(ctx, law))
+        lhs, rhs = law.lhs, law.rhs
+        lhs = read(ctx, lhs) if type(lhs) is tuple else lhs(ctx, v, read)
+        rhs = read(ctx, rhs) if type(rhs) is tuple else rhs if isinstance(rhs, int) else rhs(ctx, v, read)
+        bad = law.fails(lhs, rhs)
+        if compared is not None:
+            bad &= compared
+        checks.append(masked_verdict(law.name, bad, partial(_law_witness, v, ctx, law, lhs, rhs), mode, note))
+    return checks
+
+
+def _law_witness(v, ctx, law: ValueLaw, lhs, rhs, k: int) -> dict:
+    """Instance k of a failed law: its element(s), and its sides or V at x."""
+    if isinstance(law.rhs, int):
+        return {"witness": ctx.witness(k), "value": v.render(v.V[ctx.x[k]])}
+    return {"witness": ctx.witness(k), "lhs": v.render(lhs[k]), "rhs": v.render(rhs[k])}
+
+
+def _reach(ctx, law: ValueLaw) -> tuple[np.ndarray | None, str]:
+    """The instances of ``ctx`` that ``law`` compares, None for all, and its
+    note, with how many it skipped in scope if ``ctx.skip`` words that."""
+    scope = np.ones(len(ctx.x), dtype=bool) if law.scope is None else law.scope(ctx)
+    named = {c for side in (law.lhs, law.rhs) if type(side) is tuple for c in side}
+    compared = reduce(operator.and_, [getattr(ctx, c) >= 0 for c in named], scope)
+    skipped = np.count_nonzero(scope & ~compared)
+    note = "; ".join(bit for bit in (ctx.note, skipped and ctx.skip.format(skipped)) if bit)
+    return None if compared.all() else compared, note
 
 
 def _witness(A, axiom: Axiom, inst: tuple) -> dict[str, Any]:

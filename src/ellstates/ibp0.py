@@ -44,7 +44,6 @@ from .reports import (
     MalformedInputError,
     PreconditionError,
     ValidationReport,
-    verdict,
 )
 
 # Scan budgets.  Single algebras keep full triple scans up to this many
@@ -290,10 +289,7 @@ def _boolean_skeleton(A, window: int) -> Skeleton:
     mode = scan_mode(A, window)
     # Every pair of the finite skeleton; a result of -1 has left it.
     pairs = pair_columns(A, elements, len(elements), "", ("times", "oplus", "meet", "join", "leq", "neg"), o)
-
-    def pair(k: int) -> dict:
-        return {"witness": {"x": A.token(elements[pairs.x[k]]), "y": A.token(elements[pairs.y[k]])}}
-
+    pair = lambda k: {"witness": pairs.witness(k)}
     report.add(masked_verdict("closure-times", pairs.times < 0, pair, mode))
     report.add(masked_verdict("closure-oplus", pairs.oplus < 0, pair, mode))
     report.add(masked_verdict("closure-neg", pairs.neg < 0, lambda k: {"witness": {"x": A.token(elements[k])}}, mode))
@@ -404,12 +400,9 @@ def _radical(A, window: int) -> RadicalView:
     report.add(masked_verdict("skeleton-join-closure", ~in_radical(o, joins).ravel(), joined, mode))
 
     # Translation maps must be mutually inverse on the window.
-    bad = [
-        {"witness": {"x": A.token(a)}}
-        for a in elements
-        if from_hoop(to_hoop(a)) != a
-    ]
-    report.add(verdict("translation-roundtrip", bad, mode=mode))
+    roundtrip = np.array([from_hoop(to_hoop(a)) != a for a in elements], dtype=bool)
+    report.add(masked_verdict("translation-roundtrip", roundtrip, lambda k: {"witness": {"x": A.token(elements[k])}},
+                              mode))
 
     return RadicalView(elements=elements, hoop=hoop, to_hoop=to_hoop, from_hoop=from_hoop, report=report)
 

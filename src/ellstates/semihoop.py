@@ -25,16 +25,17 @@ from functools import partial
 from fractions import Fraction
 from itertools import product
 from math import isqrt, lcm
+from operator import attrgetter
 from types import SimpleNamespace
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from ._scan import (Axiom, distinct, dot, exact_table, integers, lowest, masked_verdict, memo, over_lcm, pair_columns,
-                    pair_verdict, scan_axioms, scan_mode, stride_select, tables)
+from ._scan import (Axiom, Exact, ValueLaw, distinct, dot, element_columns, exact_table, integers, lowest, memo,
+                    over_lcm, pair_columns, scan_axioms, scan_laws, scan_mode, stride_select, tables)
 from .hypernum import format_exact
 from .lmonoid import Componentwise, Cone, KElement, KGroup, TableAlgebra, k_envelope
-from .reports import InternalConsistencyError, MalformedInputError, ValidationReport, verdict
+from .reports import InternalConsistencyError, MalformedInputError, ValidationReport
 
 # Scans over infinite carriers work on a window of elements.  Pair and
 # triple axioms additionally stride-sample the window once it gets large,
@@ -319,6 +320,28 @@ def weight_generators(H) -> list:
     return []
 
 
+# The value laws of a state (see _state_frame).  A pair whose product, meet,
+# join or residuum left the window has nothing to compare, and these checks
+# do not count it.  valuation and monotone are also hyperstate laws.
+VALUATION = ValueLaw("valuation", ("meet", "join"), ("x", "y"))
+MONOTONE = ValueLaw("monotone", ("x",), ("y",), scope=attrgetter("leq"), fails=np.greater)
+STATE_LAWS = [
+    ValueLaw("codomain-nonpositive", ("x",), 0, fails=np.greater, over="window"),
+    ValueLaw("v1-unit", ("x",), 0, over="top"),
+    ValueLaw("v2-additive", ("times",), ("x", "y")),
+    MONOTONE._replace(name="v3-monotone"),
+]
+# Each law of state_properties, under the validate_semihoop flag it needs.
+STATE_PROPERTY_LAWS = {
+    "prelinear": VALUATION,
+    # w(x) + w(x → y) = w(y) + w(y → x)
+    "basic": ValueLaw("bosbach", ("x", "impl"), ("y", "impl_yx")),
+    # v1 + v2 + nonpositive codomain already force monotonicity on a
+    # divisible hoop; confirm by direct scan.
+    "divisible": MONOTONE._replace(name="monotone-derived"),
+}
+
+
 def validate_state(H, w, window: int = 8) -> ValidationReport:
     """Check codomain, (v1), (v2), (v3) exactly over the (windowed) carrier,
     on w read once as an integer column, by state_laws.
@@ -329,32 +352,36 @@ def validate_state(H, w, window: int = 8) -> ValidationReport:
     return state_laws(H, *w.table(H.carrier(window)), window)
 
 
+def _state_frame(H, window: int) -> SimpleNamespace:
+    """STATE_LAWS' contexts, kept per (H, window): the window's sampled pairs
+    with their products and order, the window's elements, and its top."""
+    def build() -> SimpleNamespace:
+        pairs = pair_columns(H, H.carrier(window), PAIR_BASE_CAP, SAMPLED_NOTE, ("times", "leq"))
+        return SimpleNamespace(pairs=pairs, window=element_columns(H, pairs.elems, range(len(pairs.elems))),
+                               top=element_columns(H, pairs.elems, [pairs.index[H.top]]))
+
+    return memo(H, ("state-laws", window), build)
+
+
 def state_laws(H, V: np.ndarray, den: int, window: int = 8) -> ValidationReport:
     """validate_state's checks on a map given as its integer column ``V``
     over ``den`` at H's window elements, in carrier order."""
-    report = ValidationReport(subject="state")
-    ctx = memo(H, ("state-pairs", window),
-               lambda: pair_columns(H, H.carrier(window), PAIR_BASE_CAP, SAMPLED_NOTE, ("times", "leq")))
-    elems = ctx.elems
-    mode = scan_mode(H, window)
+    checks = scan_laws(_state_frame(H, window), STATE_LAWS, Exact(V, den), scan_mode(H, window))
+    return ValidationReport(subject="state", checks=checks)
 
-    def frac(n) -> str:
-        return format_exact(Fraction(int(n), den))
 
-    report.add(masked_verdict(
-        "codomain-nonpositive", V > 0, lambda k: {"witness": {"x": H.token(elems[k])}, "value": frac(V[k])}, mode
-    ))
+def _property_frame(H, window: int) -> SimpleNamespace:
+    """STATE_PROPERTY_LAWS' context, kept per (H, window): validate_state's
+    pairs, with no sampling note, their residua both ways, meets, joins and
+    order."""
+    def build() -> SimpleNamespace:
+        pairs = pair_columns(H, H.carrier(window), PAIR_BASE_CAP, "", ("impl", "meet", "join", "leq"))
+        # y → x is x → y at the transposed pair.
+        m = isqrt(len(pairs.x))
+        pairs.impl_yx = pairs.impl.reshape(m, m).T.ravel()
+        return SimpleNamespace(pairs=pairs)
 
-    top_val = V[ctx.index[H.top]]
-    bad = [] if top_val == 0 else [{"witness": {"x": H.token(H.top)}, "value": frac(top_val)}]
-    report.add(verdict("v1-unit", bad, mode=mode))
-
-    # A product that left the window has nothing to compare.
-    Vx, Vy, Vxy = V[ctx.x], V[ctx.y], V[ctx.times]
-    bad = (ctx.times >= 0) & (Vxy != Vx + Vy)
-    report.add(pair_verdict(H, ctx, "v2-additive", bad, Vxy, Vx + Vy, frac, mode))
-    report.add(pair_verdict(H, ctx, "v3-monotone", ctx.leq & (Vx > Vy), Vx, Vy, frac, mode))
-    return report
+    return memo(H, ("state-properties", window), build)
 
 
 def state_properties(H, w, window: int = 8) -> ValidationReport:
@@ -366,34 +393,10 @@ def state_properties(H, w, window: int = 8) -> ValidationReport:
     with a result outside the window is skipped.
     """
     flags = validate_semihoop(H, window).flags
-    report = ValidationReport(subject="state-properties", flags=dict(flags))
-    mode = scan_mode(H, window)
-    # The pairs validate_state scans; these checks carry no sampling note.
-    ctx = memo(H, ("state-property-pairs", window),
-               lambda: pair_columns(H, H.carrier(window), PAIR_BASE_CAP, "", ("impl", "meet", "join", "leq")))
-    V, den = w.table(ctx.elems)
-    Vx, Vy = V[ctx.x], V[ctx.y]
-
-    def frac(n) -> str:
-        return format_exact(Fraction(int(n), den))
-
-    # -1 marks a result outside the window: such pairs are masked out, so V[-1] never counts.
-    if flags["prelinear"]:
-        inside = (ctx.meet >= 0) & (ctx.join >= 0)
-        lhs, rhs = V[ctx.meet] + V[ctx.join], Vx + Vy
-        report.add(pair_verdict(H, ctx, "valuation", inside & (lhs != rhs), lhs, rhs, frac, mode))
-    if flags["basic"]:
-        # y → x is x → y at the transposed pair.
-        m = isqrt(len(ctx.x))
-        yx = ctx.impl.reshape(m, m).T.ravel()
-        inside = (ctx.impl >= 0) & (yx >= 0)
-        lhs, rhs = Vx + V[ctx.impl], Vy + V[yx]
-        report.add(pair_verdict(H, ctx, "bosbach", inside & (lhs != rhs), lhs, rhs, frac, mode))
-    if flags["divisible"]:
-        # v1 + v2 + nonpositive codomain already force monotonicity here;
-        # confirm by direct scan.
-        report.add(pair_verdict(H, ctx, "monotone-derived", ctx.leq & (Vx > Vy), Vx, Vy, frac, mode))
-    return report
+    frame = _property_frame(H, window)
+    laws = [law for flag, law in STATE_PROPERTY_LAWS.items() if flags[flag]]
+    checks = scan_laws(frame, laws, Exact(*w.table(frame.pairs.elems)), scan_mode(H, window))
+    return ValidationReport(subject="state-properties", checks=checks, flags=dict(flags))
 
 
 def enumerate_states_finite(H) -> list:

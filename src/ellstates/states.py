@@ -26,8 +26,8 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ._scan import (distinct, integers, lowest, masked_verdict, memo, over_lcm, packed, pair_columns,
-                    pair_verdict, scan_mode, tables, unpacked)
+from ._scan import (Exact, ValueLaw, distinct, dot, element_columns, integers, lowest, memo, over_lcm, packed,
+                    pair_columns, scan_laws, scan_mode, tables, unpacked)
 from .hypernum import DualRational, _rat, _ratio, canonical, format_dual, interval_defect, parse_dual
 from .ibp0 import (
     Skeleton,
@@ -42,10 +42,11 @@ from .reports import (
     MalformedInputError,
     PreconditionError,
     ValidationReport,
-    verdict,
 )
 from .semihoop import (
+    MONOTONE,
     SAMPLED_NOTE,
+    VALUATION,
     HoopRows,
     state_laws,
     state_to_kgroup_state,
@@ -117,6 +118,36 @@ class ProbabilityMeasure:
         return f"ProbabilityMeasure({', '.join(_ratio(n, self.den) for n in self.nums)})"
 
 
+def _out_of_range(c, p, read) -> np.ndarray:
+    """Where an atom's weight is negative, or p(x) leaves [0, 1] (see _measure_frame)."""
+    V = read(c, ("x",))
+    return (V < 0) | (c.bounded & (V > p.one))
+
+
+# The laws of a measure p on its skeleton (see _measure_frame); p(x) for
+# skeleton elements x, an atom's weight is p of the atom.
+MEASURE_LAWS = [
+    ValueLaw("range", _out_of_range, False, over="range"),
+    ValueLaw("normalization", ("x",), lambda c, p, read: [p.one], over="top"),
+    ValueLaw("additivity", ("join",), ("x", "y"), scope=lambda c: c.meet == c.index[c.A.bot]),
+]
+
+
+def _measure_frame(B: Skeleton) -> SimpleNamespace:
+    """MEASURE_LAWS' contexts, kept on B: every pair of the finite skeleton,
+    whose joins stay in it (``B.pairs``), its atoms and then its elements,
+    of which only the elements are bounded above, and its top."""
+    def build() -> SimpleNamespace:
+        A, m = B.algebra, len(B.atoms)
+        f = SimpleNamespace(pairs=B.pairs, top=element_columns(A, B.elements, [B.pairs.index[A.top]]),
+                            range=element_columns(A, B.elements, [B.pairs.index[a] for a in [*B.atoms, *B.elements]]))
+        f.range.bounded = np.arange(len(f.range.x)) >= m
+        f.range.witness = lambda k: {"atom" if k < m else "x": A.token(B.elements[f.range.x[k]])}
+        return f
+
+    return memo(B, "measure-laws", build)
+
+
 def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport:
     """Normalization, additivity on disjoint pairs, and range, exhaustively.
 
@@ -125,32 +156,8 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
     """
     if p.skeleton.atoms != B.atoms:
         raise MalformedInputError("measure was built over a different skeleton")
-    A = B.algebra
-    report = ValidationReport(subject="probability")
-    # p on every skeleton element, as integer numerators over den.
-    V, den = p.column(B.elements)
-    exact = lambda n: _ratio(int(n), den)
-
-    bad = [{"witness": {"atom": A.token(a)}, "value": exact(n)} for a, n in zip(B.atoms, p.nums) if n < 0]
-    bad += [
-        {"witness": {"x": A.token(b)}, "value": exact(n)}
-        for b, n in zip(B.elements, V.tolist())
-        if not 0 <= n <= den
-    ]
-    report.add(verdict("range", bad))
-
-    # Every pair of the finite skeleton, whose joins stay in it.
-    ctx = B.pairs
-    total = sum(p.nums)
-    bad = []
-    if total != den or V[ctx.index[A.top]] != den:
-        bad = [{"witness": {"x": A.token(A.top)}, "lhs": exact(total), "rhs": "1"}]
-    report.add(verdict("normalization", bad))
-
-    lhs, rhs = V[ctx.join], V[ctx.x] + V[ctx.y]
-    bad = (ctx.meet == ctx.index[A.bot]) & (lhs != rhs)
-    report.add(pair_verdict(A, ctx, "additivity", bad, lhs, rhs, exact, "exhaustive"))
-    return report
+    checks = scan_laws(_measure_frame(B), MEASURE_LAWS, Exact(*p.column(B.elements)), "exhaustive")
+    return ValidationReport(subject="probability", checks=checks)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +238,7 @@ class FormulaHyperstate:
     def table(self, A, window: int) -> tuple[np.ndarray, int]:
         """The frame's table, gathered from p's and w's columns over their lcm."""
         f = _frame(A, window)
-        (P, W), den = over_lcm([self.measure.column(f.skeleton), self.state.table(f.hoop)])
+        (P, W), den = over_lcm([self.measure.column(f.bases), self.state.table(f.hoop)])
         return lowest(np.stack([P.take(f.b), W.take(f.lo) - W.take(f.hi)], axis=1), den)
 
 
@@ -250,26 +257,32 @@ _PARTS = {
 
 def _frame(A, window: int) -> SimpleNamespace:
     """What the hyperstate laws read of A, once per (A, window), off one id
-    table set.  The window's pairs, with the positions of x·y, x ⊕ y, x ∧ y
-    and x ∨ y, the truth of x ≤ y, and each element's negation, -1 outside
-    the window (see pair_columns; ``elems`` is the window).  ``elements``:
-    the window, then each element of _PARTS outside it, in that order and
-    once; ``index`` their positions; ``parts`` and ``at`` the elements of
-    each part and their positions, never -1.  And the elements' split
-    triples as positions: ``b`` into ``skeleton`` and ``lo``, ``hi`` into
-    ``hoop``, which hold the distinct skeleton parts and hoop elements.  The
-    decomposition runs as term columns (see decompose), which raise at the
-    first element where it fails."""
+    table set: their contexts (see pair_columns, element_columns), the
+    window's ``pairs`` (``pairs.elems`` is the window) with x·y, x ⊕ y, x ∧ y,
+    x ∨ y, x ≤ y and ¬x, the ``window``'s elements with ¬x, its ``ends`` top
+    and bot, and each part's, the ``skeleton``'s with its atoms and those
+    below each element; ``elements``, the window then each part's elements
+    outside it, once, at positions ``index``; and their split triples: ``b``
+    into ``bases`` and ``lo``, ``hi`` into ``hoop``, the distinct skeleton
+    parts and hoop elements, from term columns that raise at the first
+    element whose decomposition fails (see decompose)."""
     def build() -> SimpleNamespace:
         o, carrier = tables(A), A.carrier(window)
-        f = pair_columns(A, carrier, HYPER_PAIR_CAP, SAMPLED_NOTE, ("times", "oplus", "meet", "join", "leq", "neg"), o)
-        f.parts = {name: part(A, window) for name, part in _PARTS.items()}
-        f.elements = list(dict.fromkeys(chain(carrier, *f.parts.values())))
+        ops = ("times", "oplus", "meet", "join", "leq", "neg")
+        f = SimpleNamespace(pairs=pair_columns(A, carrier, HYPER_PAIR_CAP, SAMPLED_NOTE, ops, o))
+        f.pairs.skip = "{} pairs left the window"
+        parts = {name: part(A, window) for name, part in _PARTS.items()}
+        f.elements = list(dict.fromkeys(chain(carrier, *parts.values())))
         f.index = {a: k for k, a in enumerate(f.elements)}
-        f.at = {name: np.array([f.index[a] for a in part], dtype=np.intp) for name, part in f.parts.items()}
+        for name, elems in [("window", carrier), ("ends", [A.top, A.bot]), *parts.items()]:
+            setattr(f, name, element_columns(A, f.elements, [f.index[a] for a in elems]))
+        f.window.neg, f.window.skip = f.pairs.neg, "{} negations left the window"
+        sk = boolean_skeleton(A, window)
+        f.skeleton.atoms = [f.index[a] for a in sk.atoms]
+        f.skeleton.below = [[int(i in sk.below[x]) for i in range(len(sk.atoms))] for x in sk.elements]
         b, c = decompose(A, f.elements, o)
         rad = radical(A, window)
-        ([f.b], f.skeleton), ((f.lo, f.hi), hoop) = distinct(o, b), distinct(o, o.join(o.neg(b), c), o.join(b, c))
+        ([f.b], f.bases), ((f.lo, f.hi), hoop) = distinct(o, b), distinct(o, o.join(o.neg(b), c), o.join(b, c))
         f.hoop = HoopRows(rad.hoop, [rad.to_hoop(x) for x in hoop])
         return f
 
@@ -279,7 +292,7 @@ def _frame(A, window: int) -> SimpleNamespace:
 class _Values:
     """s on the frame (see _frame): ``s.table``, one (std, inf) row of
     integer numerators per frame element over one denominator ``den``, the
-    window's rows first; ``keys``, each row packed into one exact integer
+    window's rows first; ``V``, each row packed into one exact integer
     (see packed), on which the laws compare sums, ``one`` the key of 1; and
     ``defects``, where a value lies outside the interval.  Every law reads
     rows of this one table, and so do a formula's ``value`` and
@@ -289,13 +302,13 @@ class _Values:
     def __init__(self, s, A, window: int):
         self.A, self.frame = A, _frame(A, window)
         self.rows, self.den = s.table(A, window)
-        self.keys, self.K = packed(self.rows, self.den)
+        self.V, self.K = packed(self.rows, self.den)
         self.one = self.den * self.K
         # The rows as Python ints, for value and the laws that read a few elements each.
         self.cells = self.rows.tolist()
-        self.defects = (self.keys < 0) | (self.keys > self.one)
+        self.defects = (self.V < 0) | (self.V > self.one)
 
-    def dual(self, key) -> str:
+    def render(self, key) -> str:
         std, inf = unpacked(key, self.K)
         return format_dual((Fraction(std, self.den), Fraction(inf, self.den)))
 
@@ -310,23 +323,45 @@ class _Values:
         std, inf = self.cells[self.position(a)]
         return Fraction(std, self.den), Fraction(inf, self.den)
 
-    def column(self, name: str, part: int) -> np.ndarray:
-        """Part ``part`` (0 standard, 1 infinitesimal) of s at the elements
-        ``name`` of _PARTS, one column of the rows over ``den``."""
-        return self.rows[:, part].take(self.frame.at[name])
-
 
 def _values(A, s, window: int) -> _Values:
     return memo(s, ("values", A, window), lambda: _Values(s, A, window))
 
 
-def _part_law(v: _Values, axiom: str, name: str, part: int, want, mode: str):
-    """The check that part ``part`` of s is ``want`` at each of the elements ``name``."""
-    elements = v.frame.parts[name]
-    return masked_verdict(
-        axiom, v.column(name, part) != want * v.den,
-        lambda k: {"witness": {"x": v.A.token(elements[k])}, "value": format_dual(v.raw(elements[k]))}, mode,
-    )
+def _part(k: int, want: int = 0):
+    """Part k of s (0 standard, 1 infinitesimal) at a context's elements, less ``want``."""
+    return lambda c, v, read: v.rows[:, k].take(c.x) - want * v.den
+
+
+def _restricted(c, v, read) -> np.ndarray:
+    """At each skeleton element x, the key of (p(x), 0), where p is s's
+    standard part on the atoms: the sum over the atoms below x."""
+    return dot(c.below, [v.cells[k][0] * v.K for k in c.atoms])
+
+
+# The laws of a hyperstate s on its frame (see _frame); each side below is a
+# key of s or a sum of two, compared exactly (see packed).
+HYPERSTATE_LAWS = [
+    ValueLaw("codomain", lambda c, v, read: v.defects.take(c.x), False, over="window"),
+    ValueLaw("boundary-values", ("x",), lambda c, v, read: [v.one, 0], over="ends"),
+    ValueLaw("pair-additivity", ("oplus", "times"), ("x", "y")),
+    ValueLaw("skeleton-standard", _part(1), 0, over="skeleton"),
+]
+PROPERTY_LAWS = [
+    ValueLaw("negation-law", ("neg",), lambda c, v, read: v.one - read(c, ("x",)), over="window"),
+    MONOTONE,
+    ValueLaw("orthogonal-additivity", ("oplus",), ("x", "y"), scope=lambda c: c.times == c.index[c.A.bot]),
+    # x ⊙ y in the interval: (x + y − 1) ∨ 0.
+    ValueLaw("complementary-multiplicativity", ("times",),
+             lambda c, v, read: np.maximum(read(c, ("x", "y")) - v.one, 0),
+             scope=lambda c: c.oplus == c.index[c.A.top]),
+    VALUATION,
+]
+PART_LAWS = [
+    ValueLaw("skeleton-restriction", ("x",), _restricted, over="skeleton"),
+    ValueLaw("radical-standard-part", _part(0, 1), 0, over="radical"),
+    ValueLaw("coradical-standard-part", _part(0), 0, over="coradical"),
+]
 
 
 def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
@@ -339,27 +374,8 @@ def validate_hyperstate(A, s, window: int = 8) -> ValidationReport:
     (p, w) pair, not about the input file.
     """
     require_ibp0(A, window)
-    report = ValidationReport(subject="hyperstate")
-    mode = scan_mode(A, window)
     v = _values(A, s, window)
-    ctx, V = v.frame, v.keys
-
-    report.add(masked_verdict(
-        "codomain", v.defects[:len(ctx.elems)],
-        lambda k: {"witness": {"x": A.token(ctx.elems[k])}, "value": v.dual(V[k])}, mode
-    ))
-
-    ends = ((A.top, v.one), (A.bot, 0))
-    bad = [{"witness": {"x": A.token(e)}, "lhs": v.dual(got), "rhs": v.dual(want)}
-           for e, want in ends if (got := V[ctx.index[e]]) != want]
-    report.add(verdict("boundary-values", bad, mode=mode))
-
-    inside = (ctx.times >= 0) & (ctx.oplus >= 0)
-    lhs, rhs = V.take(ctx.oplus) + V.take(ctx.times), V.take(ctx.x) + V.take(ctx.y)
-    report.add(pair_verdict(A, ctx, "pair-additivity", inside & (lhs != rhs), lhs, rhs, v.dual, mode, ~inside))
-
-    report.add(_part_law(v, "skeleton-standard", "skeleton", 1, 0, mode))
-    return report
+    return ValidationReport(subject="hyperstate", checks=scan_laws(v.frame, HYPERSTATE_LAWS, v, scan_mode(A, window)))
 
 
 def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
@@ -371,57 +387,21 @@ def hyperstate_properties(A, s, window: int = 8) -> ValidationReport:
     the induced semihoop state.
     """
     require_ibp0(A, window)
-    report = ValidationReport(subject="hyperstate-properties")
     mode = scan_mode(A, window)
     v = _values(A, s, window)
-    ctx, V, one = v.frame, v.keys, v.one
-    n = len(ctx.elems)  # the window's rows come first
+    f, n = v.frame, len(v.frame.pairs.elems)  # the window's rows come first
     if v.defects[:n].any():
-        defect = interval_defect(*v.raw(ctx.elems[v.defects[:n].argmax()]))
+        defect = interval_defect(*v.raw(f.pairs.elems[v.defects[:n].argmax()]))
         raise PreconditionError(f"not a hyperstate on this window: {defect}")
 
-    # Each side below is a key or a sum of two, compared exactly (see packed).
-    got, want = V.take(ctx.neg), one - V[:n]
-    skipped = np.count_nonzero(ctx.neg < 0)
-    report.add(masked_verdict(
-        "negation-law", (ctx.neg >= 0) & (got != want),
-        lambda k: {"witness": {"x": A.token(ctx.elems[k])}, "lhs": v.dual(got[k]), "rhs": v.dual(want[k])},
-        mode, f"{skipped} negations left the window" if skipped else "",
-    ))
-
-    Vx, Vy = V.take(ctx.x), V.take(ctx.y)
-    report.add(pair_verdict(A, ctx, "monotone", ctx.leq & (Vy < Vx), Vx, Vy, v.dual, mode))
-
-    orthogonal, inside = ctx.times == ctx.index[A.bot], ctx.oplus >= 0
-    got, rhs = V.take(ctx.oplus), Vx + Vy
-    bad = orthogonal & inside & (got != rhs)
-    report.add(pair_verdict(A, ctx, "orthogonal-additivity", bad, got, rhs, v.dual, mode, orthogonal & ~inside))
-
-    # x ⊙ y in the interval: (x + y − 1) ∨ 0.
-    complementary, inside = ctx.oplus == ctx.index[A.top], ctx.times >= 0
-    want, got = np.maximum(Vx + Vy - one, 0), V.take(ctx.times)
-    report.add(pair_verdict(A, ctx, "complementary-multiplicativity", complementary & inside & (got != want), got,
-                            want, v.dual, mode, complementary & ~inside))
-
-    inside = (ctx.meet >= 0) & (ctx.join >= 0)
-    lhs, rhs = V.take(ctx.meet) + V.take(ctx.join), Vx + Vy
-    report.add(pair_verdict(A, ctx, "valuation", inside & (lhs != rhs), lhs, rhs, v.dual, mode, ~inside))
-
+    report = ValidationReport(subject="hyperstate-properties", checks=scan_laws(f, PROPERTY_LAWS, v, mode))
     sk = boolean_skeleton(A, window)
-    restriction = ProbabilityMeasure.over(sk, [v.cells[v.position(atom)][0] for atom in sk.atoms], v.den)
+    restriction = ProbabilityMeasure.over(sk, [v.cells[k][0] for k in f.skeleton.atoms], v.den)
     report.merge(validate_probability(sk, restriction), prefix="measure-")
-    (got, want), den = over_lcm([(v.column("skeleton", 0), v.den), restriction.column(sk.elements)])
-    report.add(masked_verdict(
-        "skeleton-restriction", (got != want) | (v.column("skeleton", 1) != 0),
-        lambda k: {"witness": {"x": A.token(sk.elements[k])}, "lhs": format_dual(v.raw(sk.elements[k])),
-                   "rhs": format_dual((Fraction(int(want[k]), den), Fraction(0)))}, mode,
-    ))
-
-    report.add(_part_law(v, "radical-standard-part", "radical", 0, 1, mode))
-    report.add(_part_law(v, "coradical-standard-part", "coradical", 0, 0, mode))
-
+    report.checks += scan_laws(f, PART_LAWS, v, mode)
     # The induced state is the infinitesimal part of s along the radical.
-    report.merge(state_laws(radical(A, window).hoop, v.column("induced", 1), v.den, window), prefix="induced-")
+    report.merge(state_laws(radical(A, window).hoop, v.rows[:, 1].take(f.induced.x), v.den, window),
+                 prefix="induced-")
     return report
 
 
@@ -471,7 +451,7 @@ def _split(A, s, window: int) -> SplitResult:
 
     lam = [-v.raw(rad.from_hoop(g))[1] for g in weight_generators(rad.hoop)]
     w = weighted_state(rad.hoop, lam)
-    carrier = v.frame.elems
+    carrier = v.frame.pairs.elems
     if not (isinstance(s, FormulaHyperstate) and s.measure == p and s.state == w):
         formula = FormulaHyperstate(A, p, w, window)
         want, den = formula.table(A, window)

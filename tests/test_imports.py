@@ -201,6 +201,42 @@ def test_detects_a_dataclasses_import():
     assert imported_modules(source) == {"numpy", "os", "dataclasses"}
 
 
+def verdict_names(source: str) -> tuple[set[str], set[str]]:
+    """The names ``source`` imports from other modules, and every name it
+    mentions: bare, as an attribute, or as what it defines."""
+    imported, named = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            named.add(node.name)
+    return imported, named
+
+
+def test_only_scan_writes_a_value_law_verdict():
+    # A value law is a declaration that _scan.scan_laws runs; no law module
+    # builds its own check, and the per-law helpers it replaced stay gone.
+    names = {p.name: verdict_names(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert [m for m in ("ibp0.py", "semihoop.py", "states.py") if "verdict" in names[m][0]] == []
+    assert [m for m in ("semihoop.py", "states.py") if "masked_verdict" in names[m][0]] == []
+    assert [m for m, (imported, named) in names.items() if {"pair_verdict", "_part_law"} & (imported | named)] == []
+
+
+def test_detects_a_value_law_verdict():
+    source = (
+        "from .reports import ValidationReport, verdict\n"
+        "from ._scan import masked_verdict as mv\n"
+        "def _part_law(v):\n"
+        "    return _scan.pair_verdict(v)\n"
+    )
+    assert verdict_names(source) == ({"ValidationReport", "verdict", "masked_verdict"},
+                                     {"_part_law", "_scan", "pair_verdict", "v"})
+
+
 def package_classes() -> list[type]:
     """Every class defined in a module of the package."""
     modules = [importlib.import_module(f"ellstates.{p.stem}") for p in sorted(PACKAGE.glob("*.py"))]

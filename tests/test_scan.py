@@ -19,6 +19,7 @@ import subprocess
 import sys
 from itertools import product
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -409,3 +410,21 @@ def test_a_masked_verdict_is_the_verdict_of_every_witness(bad, note):
     witness = lambda k: {"witness": {"k": k}}
     want = verdict("law", [witness(k) for k in np.flatnonzero(bad).tolist()], mode="m", note=note)
     assert _scan.masked_verdict("law", bad, witness, "m", note) == want
+    # So is scan_laws' check of a law whose sides differ exactly where bad is
+    # set, against a function side or a number; a passing law renders nothing.
+    flat = bad.ravel()
+    hits = np.flatnonzero(flat).tolist()
+    ctx = _scan.element_columns(SimpleNamespace(token=str), list(range(flat.size)), range(flat.size))
+    ctx.note = note
+
+    def render(n) -> str:
+        assert hits, "a passing law rendered a witness"
+        return str(n)
+
+    v = SimpleNamespace(V=flat.astype(np.int64), one=1, render=render)
+    zeros = lambda c, v, read: np.zeros(len(c.x), dtype=np.int64)
+    laws = [_scan.ValueLaw("sides", ("x",), zeros, over="all"), _scan.ValueLaw("value", ("x",), 0, over="all")]
+    assert _scan.scan_laws(SimpleNamespace(all=ctx), laws, v, "m") == [
+        verdict("sides", [{"witness": {"x": str(k)}, "lhs": "1", "rhs": "0"} for k in hits], mode="m", note=note),
+        verdict("value", [{"witness": {"x": str(k)}, "value": "1"} for k in hits], mode="m", note=note),
+    ]

@@ -15,6 +15,7 @@ windows that its op results leave.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction as F
 from functools import cache
 from itertools import product
@@ -641,6 +642,26 @@ def test_a_standard_part_at_a_coradical_element_agrees():
     check = hyperstate_properties(A, t, WINDOW).check("coradical-standard-part")
     assert [w["witness"]["x"] for w in check.witnesses] == [A.token(x) for x in victims]
     assert_hyperstate_agrees(A, t)
+
+
+def test_each_law_reads_its_context_once_per_algebra_and_window(monkeypatch):
+    # Two property suites on one (A, window) with different s evaluate each
+    # law's scope once: what a law compares is kept on its context, so a
+    # suite costs per law only its sides, one comparison, one & and one any().
+    A, calls = SINGLES["chang-1"], Counter()
+
+    def spied(law):
+        scope = law.scope or (lambda c: np.ones(len(c.x), dtype=bool))
+        return law._replace(scope=lambda c: calls.update([law.name]) or scope(c))
+
+    lists = [(states, "PROPERTY_LAWS"), (states, "PART_LAWS"), (states, "MEASURE_LAWS"), (semihoop, "STATE_LAWS")]
+    for module, name in lists:
+        monkeypatch.setattr(module, name, [spied(law) for law in getattr(module, name)])
+    for p, w in hyperstate_family(A, WINDOW)[:2]:
+        s, report = join_hyperstate(A, p, w, WINDOW)
+        assert report.ok and hyperstate_properties(A, s, WINDOW).ok
+    assert calls == Counter(law.name for module, name in lists for law in getattr(module, name))
+    assert set(calls.values()) == {1}
 
 
 MEASURE_WEIGHTS = st.one_of(
