@@ -388,7 +388,7 @@ def scan_laws(frame, laws: Sequence[ValueLaw], v, mode: str) -> list[Check]:
         bad = law.fails(lhs, rhs)
         if compared is not None:
             bad &= compared
-        # A pass builds its check here, with no witness function.
+        # A pass needs no witness function: building one per law would cost more than its check.
         checks.append(masked_verdict(law.name, bad, partial(_law_witness, v, ctx, law, lhs, rhs), mode, note)
                       if np.count_nonzero(bad) else Check(law.name, True, mode, note=note))
     return checks

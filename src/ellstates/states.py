@@ -124,8 +124,8 @@ def _out_of_range(c, p, read) -> np.ndarray:
     return (V < 0) | (c.bounded & (V > p.one))
 
 
-# The laws of a measure p on its skeleton (see _measure_frame); p(x) for
-# skeleton elements x, an atom's weight is p of the atom.
+# The laws of a measure p on its skeleton (see _measure_frame).  V is p at
+# the skeleton's elements, so an atom's weight is p of the atom.
 MEASURE_LAWS = [
     ValueLaw("range", _out_of_range, False, over="range"),
     ValueLaw("normalization", ("x",), lambda c, p, read: [p.one], over="top"),
