@@ -33,9 +33,10 @@ integer numerators in lowest terms over one denominator, typed here alone
 
 Symbolic carriers are infinite, and cartesian products of windows can be
 huge, so quantified checks sometimes run over a reduced deterministic
-subset.  Reduction is always by even striding over a fixed enumeration
-order -- never randomness -- so identical invocations scan identical
-instances.
+subset.  Reduction has one rule, :func:`stride_select` (:func:`strided` on
+indices): even striding over a fixed enumeration order, a scan axis or a
+product's flat indices (:func:`capped_cartesian`), never randomness, so
+identical invocations scan identical instances.
 """
 
 from __future__ import annotations
@@ -75,13 +76,8 @@ class Axiom(NamedTuple):
 def scan_mode(A, window: int) -> str:
     """The mode of a scan over A's window: exhaustive only when the window
     holds all of a finite A, which a capped product window does not."""
-    whole = lambda: A.is_finite and len(A.carrier(window)) == span(A, window)
+    whole = lambda: A.is_finite and len(A.carrier(window)) == A.span(window)
     return "exhaustive" if memo(A, ("whole", window), whole) else f"window-verified (N={window})"
-
-
-def span(A, window: int) -> int:
-    """How many elements A's window holds before a product caps it: its factors' spans multiplied."""
-    return prod(span(f, window) for f in A.factors) if hasattr(A, "factors") else len(A.carrier(window))
 
 
 def sampled_note(wording: str, base: Sequence, elems: Sequence) -> str:
@@ -475,7 +471,7 @@ class _Tables:
         self._A, self._coords, self._tables = A, None, {}
 
     @property
-    def span(self) -> int:
+    def known(self) -> int:
         return len(self._coords)
 
     def key(self, ids: np.ndarray) -> np.ndarray:
@@ -490,7 +486,7 @@ class _Tables:
     def _intern(self, rows: np.ndarray) -> np.ndarray:
         """The ids of coordinate rows, each new one appended.  Known rows come
         first among the coded rows, so a code's first row is its id if known."""
-        known = 0 if self._coords is None else self.span
+        known = 0 if self._coords is None else self.known
         coords = rows if self._coords is None else np.concatenate([self._coords, rows])
         offsets = coords - coords.min(axis=0)
         radix = (offsets.max(axis=0) + 1).tolist()
@@ -556,13 +552,13 @@ class _ProductTables:
         self._factors = [tables(f) for f in A.factors]
 
     @property
-    def span(self) -> int:
-        return prod(f.span for f in self._factors)
+    def known(self) -> int:
+        return prod(f.known for f in self._factors)
 
     def key(self, v: _Parts) -> np.ndarray:
         """One integer per element: the mixed-radix code of its factors' keys."""
-        kind = width(self.span, 1)
-        return reduce(lambda acc, fv: acc * fv[0].span + fv[0].key(fv[1]).astype(kind),
+        kind = width(self.known, 1)
+        return reduce(lambda acc, fv: acc * fv[0].known + fv[0].key(fv[1]).astype(kind),
                       zip(self._factors, v.parts), 0)
 
     def encode(self, elems: Sequence) -> _Parts:
@@ -607,55 +603,29 @@ class _Parts:
 
 def stride_select(items: Sequence[T], cap: int) -> list[T]:
     """At most ``cap`` elements, evenly strided, first and last included."""
-    n = len(items)
-    if n <= cap:
-        return list(items)
-    if cap == 1:
-        return [items[0]]
-    picked = []
-    seen = set()
-    for i in range(cap):
-        j = (i * (n - 1)) // (cap - 1)
-        if j not in seen:
-            seen.add(j)
-            picked.append(items[j])
-    return picked
+    return list(items) if len(items) <= cap else [items[i] for i in strided(len(items), cap)]
 
 
-def capped_cartesian(
-    lists: Sequence[Sequence[T]],
-    cap: int | None,
-    forced: Sequence[tuple[T, ...]] = (),
-) -> list[tuple[T, ...]]:
+def strided(n: int, cap: int) -> list[int]:
+    """stride_select's indices into n > cap items, n past 2^63 too, which no
+    sequence's len reaches.  The stride exceeds 1, so no index repeats."""
+    return [i * (n - 1) // max(cap - 1, 1) for i in range(cap)]
+
+
+def capped_cartesian(lists: Sequence[Sequence[T]], cap: int, forced: Sequence[tuple] = ()) -> list[tuple]:
     """Cartesian product of ``lists``, strided down to ``cap`` tuples.
 
-    ``forced`` tuples (typically bottom and top) are always present.  When
-    the full product fits under the cap it is returned whole, in
-    itertools.product order.
+    ``forced`` tuples (typically bottom and top) are always present, first;
+    the rest are the tuples at :func:`strided` flat indices into the
+    product, in itertools.product order.  When the full product fits under
+    the cap it is returned whole, in that order.
     """
-    total = prod(len(xs) for xs in lists)
-    if cap is None or total <= cap:
+    shape = [len(xs) for xs in lists]
+    if prod(shape) <= cap:
         return list(product(*lists))
-    out: list[tuple[T, ...]] = []
-    seen: set[tuple[T, ...]] = set()
-    for t in forced:
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    budget = max(cap - len(out), 1)
-    for i in range(budget):
-        flat = (i * (total - 1)) // (budget - 1) if budget > 1 else 0
-        t = _decode_mixed_radix(flat, lists)
-        if t not in seen:
-            seen.add(t)
-            out.append(t)
-    return out
-
-
-def _decode_mixed_radix(index: int, lists: Sequence[Sequence[T]]) -> tuple[T, ...]:
-    # itertools.product order: the last factor varies fastest.
-    digits: list[T] = []
-    for xs in reversed(lists):
-        index, r = divmod(index, len(xs))
-        digits.append(xs[r])
-    return tuple(reversed(digits))
+    out = dict.fromkeys(forced)
+    # Place values as Python ints: numpy refuses a flat index past 2^63, as nine chang-2 windows reach.
+    places = [prod(shape[k + 1:]) for k in range(len(shape))]
+    flat = strided(prod(shape), max(cap - len(out), 1))
+    out.update(dict.fromkeys(tuple(xs[f // p % len(xs)] for xs, p in zip(lists, places)) for f in flat))
+    return list(out)

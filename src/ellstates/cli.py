@@ -48,7 +48,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from math import prod
 from pathlib import Path
 from typing import Any, Callable
 
@@ -181,26 +180,12 @@ def _span_field(A) -> str:
     return {"product": "factors", "rotation": "rank", "cone": "rank"}.get(getattr(A, "FORM", None), "size")
 
 
-def window_size(A, window: int) -> int:
-    """The elements A spans at ``window``, counted without building them:
-    (window+1)^min(rank, 12) for a cone, as every larger rank is over the
-    ceiling too, twice that for a rotation, and the factors' product for a product."""
-    field = _span_field(A)
-    if field == "factors":
-        return prod(window_size(f, window) for f in A.factors)
-    if field == "size":
-        return A.size
-    cone = (window + 1) ** min(A.rank, MAX_WINDOW_ELEMENTS.bit_length())
-    return 2 * cone if A.FORM == "rotation" else cone
-
-
 def _algebra(path: str, window: int | None, family: str | None = None, verb: str = ""):
     """The algebra in ``path``, refused before any carrier is built when it
     spans more than MAX_WINDOW_ELEMENTS at ``window`` (at 1 for a verb with none)
     or when it is not of the ``family`` that ``verb`` needs, if one is given."""
     A = algebra_from_json(_load(path))
-    n = window_size(A, window or 1)
-    if n > MAX_WINDOW_ELEMENTS:
+    if A.span(window or 1) > MAX_WINDOW_ELEMENTS:
         at = f" at --window {window}" if window else ""
         raise MalformedInputError(f"{path}: {_span_field(A)!r} spans more than {MAX_WINDOW_ELEMENTS} elements{at}")
     if family and A.KIND != family:

@@ -36,8 +36,8 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from ._scan import (Axiom, capped_cartesian, masked_verdict, memo, pair_columns, scan_axioms, scan_mode, span,
-                    stride_select, tables)
+from ._scan import (Axiom, capped_cartesian, masked_verdict, memo, pair_columns, scan_axioms, scan_mode, stride_select,
+                    tables)
 from .lmonoid import Carrier, Componentwise, TableAlgebra
 from .reports import (
     InternalConsistencyError,
@@ -115,6 +115,9 @@ class SymbolicPerfectAlgebra(Carrier):
     def carrier(self, window: int) -> list[tuple]:
         core = self.core.carrier(window)
         return [("neg", m) for m in core] + [("pos", m) for m in core]
+
+    def span(self, window: int) -> int:
+        return 2 * self.core.span(window)
 
     def _branch(self, spec, cx, cy):
         """One core entry of SIGNED, on core rows."""
@@ -215,7 +218,7 @@ def _validate(A, window: int, axioms: list[Axiom], subject: str) -> ValidationRe
     triple_cap = SINGLE_TRIPLE_CAP
     if isinstance(A, ProductAlgebra):
         triple_cap = PRODUCT_TRIPLE_CAP
-        if len(elems) < span(A, window):
+        if len(elems) < A.span(window):
             report.flags["window_capped"] = True
     report.checks = scan_axioms(A, axioms, elems, {3: triple_cap}, mode, SAMPLED_NOTE)
     return report

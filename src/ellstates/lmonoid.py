@@ -3,9 +3,10 @@
 Every carrier (finite Cayley tables, the symbolic cones N^k, rotations,
 direct products, the envelope) defines each op of :data:`OPS` once, as a
 batch op on coordinate rows, and :class:`Carrier` derives the scalar op on
-elements from it.  The envelope K(M) is the abelian lattice-group of formal
-differences [x, y]: on a finite ell-monoid it has one class, by the proof in
-:class:`KGroup`, and on a cone its rows are the canonical forms x - y.
+elements from it.  Each but the envelope counts its own window, ``span``,
+without building it.  The envelope K(M) is the abelian lattice-group of
+formal differences [x, y]: on a finite ell-monoid it has one class, by the
+proof in :class:`KGroup`, and on a cone its rows are the canonical forms x - y.
 
 The witness relation defining equality of pairs is
 
@@ -33,6 +34,7 @@ from __future__ import annotations
 from contextlib import suppress
 from functools import cached_property, partial
 from itertools import accumulate, chain, product
+from math import prod
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -127,6 +129,10 @@ class Componentwise(Carrier):
                  for f, c in zip(self.factors, self._columns)]
         return np.logical_and.reduce(parts) if op in PREDICATES else np.concatenate(parts, axis=-1)
 
+    def span(self, window: int) -> int:
+        """The elements of the window before a product caps it: its factors' spans multiplied."""
+        return prod(f.span(window) for f in self.factors)
+
     def row(self, x: tuple) -> tuple:
         return tuple(chain.from_iterable(f.row(a) for f, a in zip(self.factors, x)))
 
@@ -184,6 +190,9 @@ class TableAlgebra(Carrier):
     def carrier(self, window: int) -> list[int]:
         return list(range(self.size))
 
+    def span(self, window: int) -> int:
+        return self.size
+
     def leq_rows(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return (self.meet_rows(x, y) == x)[..., 0]
 
@@ -235,6 +244,14 @@ class Cone(Carrier):
 
     def carrier(self, window: int) -> list[tuple[int, ...]]:
         return [tuple(t) for t in product(range(window + 1), repeat=self.rank)]
+
+    # Past this rank span counts no higher, so a huge rank computes no huge power: from
+    # window 1 up, 2^12 = 4096 elements are over the scans' ceiling, cli.MAX_WINDOW_ELEMENTS.
+    SPAN_RANK_CAP = 12
+
+    def span(self, window: int) -> int:
+        """(window + 1)^rank, exact up to rank SPAN_RANK_CAP."""
+        return (window + 1) ** min(self.rank, self.SPAN_RANK_CAP)
 
     def token(self, x: tuple) -> str:
         return "(" + ",".join(str(c) for c in x) + ")"

@@ -119,13 +119,13 @@ class ProbabilityMeasure:
 
 
 def _out_of_range(c, p, read) -> np.ndarray:
-    """Where an atom's weight is negative, or p(x) leaves [0, 1] (see _measure_frame)."""
+    """Where p(x) leaves [0, 1]; an atom's weight is p of the atom."""
     V = read(c, ("x",))
-    return (V < 0) | (c.bounded & (V > p.one))
+    return (V < 0) | (V > p.one)
 
 
-# The laws of a measure p on its skeleton (see _measure_frame).  V is p at
-# the skeleton's elements, so an atom's weight is p of the atom.
+# The laws of a measure p on its skeleton (see _measure_frame); V is p at
+# the skeleton's elements.
 MEASURE_LAWS = [
     ValueLaw("range", _out_of_range, False, over="range"),
     ValueLaw("normalization", ("x",), lambda c, p, read: [p.one], over="top"),
@@ -135,15 +135,11 @@ MEASURE_LAWS = [
 
 def _measure_frame(B: Skeleton) -> SimpleNamespace:
     """MEASURE_LAWS' contexts, kept on B: every pair of the finite skeleton,
-    whose joins stay in it (``B.pairs``), its atoms and then its elements,
-    of which only the elements are bounded above, and its top."""
+    whose joins stay in it (``B.pairs``), its elements and its top."""
     def build() -> SimpleNamespace:
-        A, m = B.algebra, len(B.atoms)
-        f = SimpleNamespace(pairs=B.pairs, top=element_columns(A, B.elements, [B.pairs.index[A.top]]),
-                            range=element_columns(A, B.elements, [B.pairs.index[a] for a in [*B.atoms, *B.elements]]))
-        f.range.bounded = np.arange(len(f.range.x)) >= m
-        f.range.witness = lambda k: {"atom" if k < m else "x": A.token(B.elements[f.range.x[k]])}
-        return f
+        A = B.algebra
+        return SimpleNamespace(pairs=B.pairs, top=element_columns(A, B.elements, [B.pairs.index[A.top]]),
+                               range=element_columns(A, B.elements, range(len(B.elements))))
 
     return memo(B, "measure-laws", build)
 

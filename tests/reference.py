@@ -15,10 +15,14 @@ the factors' twins, and never reads a row.
 in ``KGroup``, and a cone's on canonical rows with the cone's own batch ops;
 the witness search here, run on twins, and :class:`EnvelopeTwin`, the
 envelope on pairs by its witness formulas, are what both are held against.
+
+:func:`capped_cartesian` is a capped product window by its own loop, which
+``_scan.capped_cartesian`` is held against.
 """
 
 from functools import partial, reduce
 from itertools import product
+from math import prod
 from weakref import WeakKeyDictionary
 
 import numpy as np
@@ -439,3 +443,34 @@ def h_is_injective_by_search(M) -> bool:
     class_of = {p: i for i, members in enumerate(witness_classes(M)) for p in members}
     T = twin(M)
     return len({class_of[(T.add(x, x), x)] for x in M.elements()}) == M.size
+
+
+# ---------------------------------------------------------------------------
+# A capped product window, tuple by tuple
+
+
+def capped_cartesian(lists, cap: int, forced=()) -> list[tuple]:
+    """The product of ``lists`` whole if it has at most ``cap`` tuples, else
+    the distinct ``forced`` tuples, then the tuples at ``cap`` less their
+    count (at least one) evenly strided flat indices, each decoded digit by
+    digit with the last list fastest; a tuple already taken is skipped."""
+    total = prod(len(xs) for xs in lists)
+    if total <= cap:
+        return list(product(*lists))
+    out, seen = [], set()
+    for t in forced:
+        if t not in seen:
+            seen.add(t)
+            out.append(t)
+    budget = max(cap - len(out), 1)
+    for i in range(budget):
+        index = (i * (total - 1)) // (budget - 1) if budget > 1 else 0
+        digits = []
+        for xs in reversed(lists):
+            index, r = divmod(index, len(xs))
+            digits.append(xs[r])
+        t = tuple(reversed(digits))
+        if t not in seen:
+            seen.add(t)
+            out.append(t)
+    return out

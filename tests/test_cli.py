@@ -28,7 +28,6 @@ from ellstates.cli import (
     main,
     state_from_json,
     state_to_json,
-    window_size,
 )
 from ellstates.corpus import (
     boolean_algebra,
@@ -424,8 +423,8 @@ class TestExitContract:
 
     def test_window_ceiling_admits_the_largest_corpus_input(self, corpus_dir):
         A = algebra_from_json(json.loads((corpus_dir / "product-chang-1xchang-2.json").read_text()))
-        assert window_size(A, 8) == 18 * 162 <= MAX_WINDOW_ELEMENTS
-        assert window_size(algebra_from_json({"kind": "rotation", "rank": 3}), 40) == 2 * 41**3
+        assert A.span(8) == 18 * 162 <= MAX_WINDOW_ELEMENTS
+        assert algebra_from_json({"kind": "rotation", "rank": 3}).span(40) == 2 * 41**3
 
     def test_mixed_product_names_the_field(self, tmp_path, capsys):
         mixed = {"kind": "product", "factors": [{"kind": "cone", "rank": 1}, {"kind": "rotation", "rank": 1}]}

@@ -237,6 +237,44 @@ def test_detects_a_value_law_verdict():
                                      {"_part_law", "_scan", "pair_verdict", "v"})
 
 
+def window_counters(source: str) -> list[str]:
+    """What in ``source`` counts a window beside the carriers' ``span``
+    methods: a function named ``window_size`` at any level, and a
+    module-level ``span``, defined or assigned."""
+    tree = ast.parse(source)
+    found = [(n.lineno, n.name) for n in ast.walk(tree) if isinstance(n, ast.FunctionDef) and n.name == "window_size"]
+    for node in tree.body:
+        names = [node.name] if isinstance(node, ast.FunctionDef) else [
+            t.id for t in getattr(node, "targets", []) if isinstance(t, ast.Name)]
+        found += [(node.lineno, name) for name in names if name == "span"]
+    return [f"{name} (line {line})" for line, name in sorted(found)]
+
+
+def test_only_carriers_count_a_window():
+    # Each carrier class counts its own window, A.span(window); the two
+    # module-level counters that once answered for it stay gone.
+    counters = {p.name: window_counters(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: found for name, found in counters.items() if found} == {}
+
+
+def test_detects_a_window_counter():
+    source = (
+        "def span(A, window):\n"
+        "    return 1\n"
+        "class Cone:\n"
+        "    def span(self, window):\n"
+        "        return 2\n"
+        "    def window_size(self, window):\n"
+        "        return 3\n"
+        "def _algebra(A):\n"
+        "    def window_size(f):\n"
+        "        return f.span(1)\n"
+        "span = window_size = None\n"
+    )
+    assert window_counters(source) == ["span (line 1)", "window_size (line 6)", "window_size (line 9)",
+                                       "span (line 11)"]
+
+
 def package_classes() -> list[type]:
     """Every class defined in a module of the package."""
     modules = [importlib.import_module(f"ellstates.{p.stem}") for p in sorted(PACKAGE.glob("*.py"))]

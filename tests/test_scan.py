@@ -18,6 +18,7 @@ import os
 import subprocess
 import sys
 from itertools import product
+from math import prod
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,12 +30,14 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from ellstates import _scan
 from ellstates._scan import INT64_MAX, PREDICATES, integers, scan_axioms, stride_select, tables
+from ellstates.cli import MAX_WINDOW_ELEMENTS
 from ellstates.corpus import (
     boolean_algebra,
     chang_algebra,
     cone_hoop,
     godel_hoop,
     hyperstate_family,
+    hyperstate_product_corpus,
     ibp0_corpus,
     lmonoid_corpus,
     lukasiewicz_hoop,
@@ -42,14 +45,14 @@ from ellstates.corpus import (
     semihoop_corpus,
     trunc_monoid,
 )
-from ellstates.ibp0 import (IBP0_AXIOMS, SAMPLED_NOTE, ProductAlgebra, SymbolicPerfectAlgebra, boolean_skeleton,
-                           radical, validate_ibp0)
-from ellstates.lmonoid import LMONOID_AXIOMS, SymbolicCancellativeMonoid, TableAlgebra
+from ellstates.ibp0 import (IBP0_AXIOMS, PRODUCT_ELEMENT_CAP, SAMPLED_NOTE, ProductAlgebra, SymbolicPerfectAlgebra,
+                           boolean_skeleton, radical, validate_ibp0)
+from ellstates.lmonoid import LMONOID_AXIOMS, Cone, SymbolicCancellativeMonoid, TableAlgebra
 from ellstates.reports import MAX_WITNESSES, verdict
 from ellstates.semihoop import SEMIHOOP_AXIOMS, Componentwise, ProductHoop, SymbolicConeHoop
 from ellstates.states import join_hyperstate
-from reference import (SCALAR_OPS, UntruncatedCone, broken_monoid, planted_fault, planted_hoop_fault,
-                       spy_scalar_ops, twin)
+from reference import (SCALAR_OPS, UntruncatedCone, broken_monoid, capped_cartesian, planted_fault,
+                       planted_hoop_fault, spy_scalar_ops, twin)
 
 WINDOW = 3
 
@@ -428,3 +431,61 @@ def test_a_masked_verdict_is_the_verdict_of_every_witness(bad, note):
         verdict("sides", [{"witness": {"x": str(k)}, "lhs": "1", "rhs": "0"} for k in hits], mode="m", note=note),
         verdict("value", [{"witness": {"x": str(k)}, "value": "1"} for k in hits], mode="m", note=note),
     ]
+
+
+# Every carrier family once: the corpora, cones of rank 1-3 in both
+# orientations, rotations over a cone, the product corpus and nested products.
+SPANNED = {
+    **{f"algebra-{n}": A for n, A in ibp0_corpus().items()},
+    **{f"semihoop-{n}": H for n, H in semihoop_corpus().items()},
+    **{f"lmonoid-{n}": M for n, M in lmonoid_corpus().items()},
+    **{f"cone-hoop-{r}": cone_hoop(r) for r in (1, 2, 3)},
+    **{f"natural-cone-{r}": SymbolicCancellativeMonoid(rank=r) for r in (1, 2, 3)},
+    **{f"rotation-cone-{r}": SymbolicPerfectAlgebra(cone_hoop(r)) for r in (1, 2)},
+    **{f"product-{n}": A for n, A in hyperstate_product_corpus().items()},
+    "nested-product-hoop": ProductHoop([ProductHoop([cone_hoop(1), godel_hoop(2)]), godel_hoop(3)]),
+    "nested-product-algebra": ProductAlgebra([ProductAlgebra([boolean_algebra(1), chang_algebra(1)]),
+                                              boolean_algebra(2)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPANNED))
+def test_span_counts_the_window_without_building_it(name):
+    # A product algebra caps its window, so its span is its factors' windows
+    # multiplied, which scan_mode and window_capped compare the window with.
+    A = SPANNED[name]
+    for window in (1, 4, 8):
+        factors = A.factors if isinstance(A, ProductAlgebra) else [A]
+        assert A.span(window) == prod(len(f.carrier(window)) for f in factors)
+
+
+def test_the_rank_cap_refuses_what_the_ceiling_refuses():
+    # Past Cone.SPAN_RANK_CAP a cone's span stops counting; it must still be
+    # over the element ceiling wherever the true count is.
+    for rank, window in product(range(1, 2 * Cone.SPAN_RANK_CAP), range(10)):
+        for A, copies in ((cone_hoop(rank), 1), (SymbolicPerfectAlgebra(cone_hoop(rank)), 2)):
+            exact = copies * (window + 1) ** rank
+            assert (A.span(window) > MAX_WINDOW_ELEMENTS) == (exact > MAX_WINDOW_ELEMENTS), (rank, window)
+    assert cone_hoop(10**9).span(1) > MAX_WINDOW_ELEMENTS
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4), st.data())
+def test_capped_cartesian_equals_the_reference_loop(sizes, data):
+    lists = [[f"{k}.{i}" for i in range(n)] for k, n in enumerate(sizes)]
+    cap = data.draw(st.integers(1, prod(sizes) + 2), label="cap")
+    forced = data.draw(st.lists(st.tuples(*map(st.sampled_from, lists)), max_size=3), label="forced")
+    if forced and data.draw(st.booleans(), label="repeat"):
+        forced.append(forced[0])
+    assert _scan.capped_cartesian(lists, cap, forced) == capped_cartesian(lists, cap, forced)
+
+
+# The corpus products, and one of more than 2^63 tuples, past numpy's index range.
+WINDOWED = {**hyperstate_product_corpus(), "chang-2^9": ProductAlgebra([chang_algebra(2)] * 9)}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWED))
+def test_a_product_window_equals_the_reference_loop(name):
+    A = WINDOWED[name]
+    axes = [f.carrier(8) for f in A.factors]
+    assert A.carrier(8) == capped_cartesian(axes, PRODUCT_ELEMENT_CAP, forced=(A.bot, A.top))

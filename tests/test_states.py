@@ -89,6 +89,14 @@ class TestProbabilityMeasure:
         report = validate_probability(sk, p)
         assert not report.check("range").passed
 
+    def test_negative_weight_is_counted_once(self):
+        # An atom's weight is p of the atom: one bad value, one violation,
+        # not an atom witness beside the element's.
+        sk = boolean_skeleton(boolean_algebra(2))
+        check = validate_probability(sk, ProbabilityMeasure(sk, [F(-1, 3), F(4, 3)])).check("range")
+        assert check.violations == 2
+        assert [w["witness"] for w in check.witnesses] == [{"x": "1"}, {"x": "2"}]
+
     def test_mapping_form_defaults_missing_atoms_to_zero(self):
         sk = boolean_skeleton(boolean_algebra(3))
         p = ProbabilityMeasure(sk, {2: 1})

@@ -236,8 +236,7 @@ def ref_validate_probability(B, p):
     A = twin(B.algebra)
     report = ValidationReport(subject="probability")
     vals = {b: p.value(b) for b in B.elements}
-    bad = [{"witness": {"atom": A.token(a)}, "value": str(w)} for a, w in zip(B.atoms, p.weights) if w < 0]
-    bad += [{"witness": {"x": A.token(b)}, "value": str(v)} for b, v in vals.items() if not 0 <= v <= 1]
+    bad = [{"witness": {"x": A.token(b)}, "value": str(v)} for b, v in vals.items() if not 0 <= v <= 1]
     report.add(verdict("range", bad))
     total = sum(p.weights, F(0))
     bad = []
