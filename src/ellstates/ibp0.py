@@ -36,9 +36,9 @@ from typing import Any, NamedTuple, Sequence
 
 import numpy as np
 
-from ._scan import (Axiom, capped_cartesian, masked_verdict, memo, pair_columns, scan_axioms, scan_mode, stride_select,
-                    tables)
-from .lmonoid import Carrier, Componentwise, TableAlgebra
+from ._scan import (Axiom, capped_cartesian, element_columns, masked_verdict, memo, pair_columns, scan_axioms,
+                    scan_mode, stride_select, tables)
+from .lmonoid import SAMPLED_NOTE, SINGLE_TRIPLE_CAP, Carrier, Componentwise, TableAlgebra
 from .reports import (
     InternalConsistencyError,
     MalformedInputError,
@@ -46,14 +46,12 @@ from .reports import (
     ValidationReport,
 )
 
-# Scan budgets.  Single algebras keep full triple scans up to this many
-# window elements (the rank-2 rotation at window 8 has 162).  Product
-# windows are capped outright, and their triple axis harder, because the
-# factors have already been scanned individually.
-SINGLE_TRIPLE_CAP = 176
+# Scan budgets.  Single algebras keep full triple scans up to lmonoid's
+# SINGLE_TRIPLE_CAP window elements (the rank-2 rotation at window 8 has
+# 162).  Product windows are capped outright, and their triple axis harder,
+# because the factors have already been scanned individually.
 PRODUCT_ELEMENT_CAP = 144
 PRODUCT_TRIPLE_CAP = 48
-SAMPLED_NOTE = "each axis sampled {m} of {n} window elements"
 
 
 class FiniteMTL(TableAlgebra):
@@ -257,13 +255,17 @@ class Skeleton:
     its own: its meet, join and order are the ambient ones, restricted.
     ``pairs`` holds every pair of elements with their ·, ⊕, ∧ and ∨ as
     positions in ``elements`` and their order, and each element's negation
-    (see :func:`._scan.pair_columns`), and ``below`` maps each element to the
-    indices of the atoms below it.
+    (see :func:`._scan.pair_columns`), and ``below`` maps each element, in
+    order, to the indices of the atoms below it.  With ``each`` element and
+    the ``top``, built on first use, they are a measure's law contexts.
     """
 
     def __init__(self, elements: list, atoms: list, report: ValidationReport, pairs: Any, below: dict, algebra: Any):
         self.elements, self.atoms, self.report = elements, atoms, report
         self.pairs, self.below, self.algebra = pairs, below, algebra
+
+    each = cached_property(lambda B: element_columns(B.algebra, B.elements, range(len(B.elements))))
+    top = cached_property(lambda B: element_columns(B.algebra, B.elements, [B.pairs.index[B.algebra.top]]))
 
 
 def boolean_skeleton(A, window: int = 8) -> Skeleton:

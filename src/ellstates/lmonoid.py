@@ -45,6 +45,10 @@ from .reports import InternalConsistencyError, MalformedInputError, Precondition
 Element = Any  # int index (finite) or tuple of ints (symbolic)
 # Every op a carrier may have, as a batch op ``<op>_rows``; leq is the predicate.
 OPS = ("add", "times", "impl", "meet", "join", "neg", "oplus", "leq")
+# A scan of one algebra keeps its whole triple axis up to this many elements
+# and stride-samples it past them, saying so in its note (ibp0 reads both).
+SINGLE_TRIPLE_CAP = 176
+SAMPLED_NOTE = "each axis sampled {m} of {n} window elements"
 
 
 def _is_index(v: Any, n: int) -> bool:
@@ -407,19 +411,20 @@ LMONOID_AXIOMS = [
 
 
 def validate_lmonoid(M) -> ValidationReport:
-    """Scan every ell-monoid axiom instance of a finite M; every violation is
-    counted.  The report is memoized on M and shared, so callers must not
-    change it."""
+    """Scan the ell-monoid axioms over a finite M, its triple axis strided to
+    SINGLE_TRIPLE_CAP elements; every violation scanned is counted.  The
+    report is memoized on M and shared, so callers must not change it."""
 
     def scan() -> ValidationReport:
-        checks = scan_axioms(M, LMONOID_AXIOMS, list(M.elements()), {}, "exhaustive", "")
+        checks = scan_axioms(M, LMONOID_AXIOMS, list(M.elements()), {3: SINGLE_TRIPLE_CAP}, "exhaustive", SAMPLED_NOTE)
         return ValidationReport(subject="lmonoid", checks=checks)
 
     return memo(M, "lmonoid", scan)
 
 
 def require_lmonoid(M) -> None:
-    """Raise PreconditionError unless the finite M passes validate_lmonoid."""
+    """Raise PreconditionError unless the finite M passes validate_lmonoid, whose
+    triple axis is sampled past SINGLE_TRIPLE_CAP elements, as require_ibp0's is."""
     failed = validate_lmonoid(M).failures()
     if failed:
         raise PreconditionError(f"not a lattice-ordered monoid: {', '.join(c.axiom for c in failed)} fail")

@@ -10,7 +10,8 @@ c1 ≤ c2 iff c1 → c2 = 1 together with the exchange law
 is a true join exactly when it is associative, which prelinearity grants.
 
 A state is a map w: H → ℝ⁻ with w(1) = 0, w(x·y) = w(x) + w(y), monotone.
-Everything here is exact: values are Fractions, never floats.
+Every law of a state reads one pair context per (H, window) (see
+_state_frame), exactly: w is read as integer numerators, never floats.
 
 Sign convention for the induced envelope-group state: with the embedding
 h(x) = [x·x, x], this module uses σ̂([x, y]) = w(x) − w(y), which makes
@@ -172,15 +173,11 @@ def validate_semihoop(H, window: int = 8) -> ValidationReport:
 
 class HoopRows(list):
     """Elements of the hoop ``H`` that keep their coordinate rows ``rows``,
-    converted once: a frame's elements, read by each state table on it."""
+    converted once: a frame's elements, read by a cone state's table on it."""
 
     def __init__(self, H, elems: Sequence):
         super().__init__(elems)
         self.H, self.rows = H, integers([H.row(x) for x in elems])
-
-    def factor(self, k: int) -> HoopRows:
-        """Factor k's entries of a product H's elements, kept as that factor's HoopRows."""
-        return memo(self, k, lambda: HoopRows(self.H.factors[k], [x[k] for x in self]))
 
 
 def _length(x) -> int:
@@ -262,10 +259,8 @@ class ProductState:
         return sum((p.value(x) for p, x in zip(self.parts, self._sized(xs))), Fraction(0))
 
     def table(self, elems: Sequence, terms: int = 2) -> tuple[np.ndarray, int]:
-        """The parts' columns on their factors of ``elems`` (see HoopRows), summed over their lcm."""
-        kept = isinstance(getattr(elems, "H", None), ProductHoop) and self._sized(elems.H.factors)
-        factors = [elems.factor(k) if kept else [self._sized(xs)[k] for xs in elems] for k in range(len(self.parts))]
-        cols, den = over_lcm([p.table(f) for p, f in zip(self.parts, factors)])
+        """The parts' columns on their factors of ``elems``, summed over their lcm."""
+        cols, den = over_lcm([p.table([self._sized(xs)[k] for xs in elems]) for k, p in enumerate(self.parts)])
         return lowest(sum(cols), den, terms)
 
     def __eq__(self, other) -> bool:
@@ -353,10 +348,14 @@ def validate_state(H, w, window: int = 8) -> ValidationReport:
 
 
 def _state_frame(H, window: int) -> SimpleNamespace:
-    """STATE_LAWS' contexts, kept per (H, window): the window's sampled pairs
-    with their products and order, the window's elements, and its top."""
+    """The one pair context over H's window, and STATE_LAWS' others, kept per
+    (H, window): the window's sampled pairs with x·y, x → y, y → x, x ∧ y,
+    x ∨ y and x ≤ y, the window's elements, and its top."""
     def build() -> SimpleNamespace:
-        pairs = pair_columns(H, H.carrier(window), PAIR_BASE_CAP, SAMPLED_NOTE, ("times", "leq"))
+        pairs = pair_columns(H, H.carrier(window), PAIR_BASE_CAP, SAMPLED_NOTE,
+                             ("times", "impl", "meet", "join", "leq"))
+        # y → x is x → y at the transposed pair.
+        pairs.impl_yx = pairs.impl.reshape((isqrt(len(pairs.x)),) * 2).T.ravel()
         return SimpleNamespace(pairs=pairs, window=element_columns(H, pairs.elems, range(len(pairs.elems))),
                                top=element_columns(H, pairs.elems, [pairs.index[H.top]]))
 
@@ -370,30 +369,16 @@ def state_laws(H, V: np.ndarray, den: int, window: int = 8) -> ValidationReport:
     return ValidationReport(subject="state", checks=checks)
 
 
-def _property_frame(H, window: int) -> SimpleNamespace:
-    """STATE_PROPERTY_LAWS' context, kept per (H, window): validate_state's
-    pairs, with no sampling note, their residua both ways, meets, joins and
-    order."""
-    def build() -> SimpleNamespace:
-        pairs = pair_columns(H, H.carrier(window), PAIR_BASE_CAP, "", ("impl", "meet", "join", "leq"))
-        # y → x is x → y at the transposed pair.
-        m = isqrt(len(pairs.x))
-        pairs.impl_yx = pairs.impl.reshape(m, m).T.ravel()
-        return SimpleNamespace(pairs=pairs)
-
-    return memo(H, ("state-properties", window), build)
-
-
 def state_properties(H, w, window: int = 8) -> ValidationReport:
     """Verify the valuation identity, the Bosbach identity, and that for a
     divisible hoop monotonicity already follows from the other axioms.
 
-    Which laws apply (validate_semihoop's flags) and the pairs they scan are
-    kept per (H, window); w is read once into an integer column, and a pair
-    with a result outside the window is skipped.
+    Which laws apply (validate_semihoop's flags) and validate_state's pairs,
+    which they scan, are kept per (H, window); w is read once into an integer
+    column, and a pair with a result outside the window is skipped.
     """
     flags = validate_semihoop(H, window).flags
-    frame = _property_frame(H, window)
+    frame = _state_frame(H, window)
     laws = [law for flag, law in STATE_PROPERTY_LAWS.items() if flags[flag]]
     checks = scan_laws(frame, laws, Exact(*w.table(frame.pairs.elems)), scan_mode(H, window))
     return ValidationReport(subject="state-properties", checks=checks, flags=dict(flags))

@@ -10,9 +10,12 @@ decomposes as
     s(a) = p(b) + ε·(w(¬b ∨ c) − w(b ∨ c))
 
 with p a probability measure on the skeleton and w a semihoop state of the
-radical.  The converse direction is not a theorem: join_hyperstate builds
-the map from a (p, w) pair and always re-validates, so a pair that fails to
-produce a hyperstate yields a failing report, never a silent wrong object.
+radical.  Each is checked on one frame per structure: p on its skeleton's
+contexts (see ibp0.Skeleton), w on its hoop window's one pair context (see
+semihoop._state_frame), and s on the frame of (A, window) (see _frame).
+The converse direction is not a theorem: join_hyperstate builds the map
+from a (p, w) pair and always re-validates, so a pair that fails to produce
+a hyperstate yields a failing report, never a silent wrong object.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from ._scan import (Exact, ValueLaw, distinct, dot, element_columns, integers, lowest, memo, over_lcm, packed,
+from ._scan import (Exact, ValueLaw, distinct, element_columns, integers, lowest, memo, over_lcm, packed,
                     pair_columns, scan_laws, scan_mode, tables, unpacked)
 from .hypernum import DualRational, _rat, _ratio, canonical, format_dual, interval_defect, parse_dual
 from .ibp0 import (
@@ -124,24 +127,13 @@ def _out_of_range(c, p, read) -> np.ndarray:
     return (V < 0) | (V > p.one)
 
 
-# The laws of a measure p on its skeleton (see _measure_frame); V is p at
-# the skeleton's elements.
+# The laws of a measure p on its skeleton B, over B's contexts (see
+# ibp0.Skeleton); V is p at B's elements.
 MEASURE_LAWS = [
-    ValueLaw("range", _out_of_range, False, over="range"),
+    ValueLaw("range", _out_of_range, False, over="each"),
     ValueLaw("normalization", ("x",), lambda c, p, read: [p.one], over="top"),
     ValueLaw("additivity", ("join",), ("x", "y"), scope=lambda c: c.meet == c.index[c.A.bot]),
 ]
-
-
-def _measure_frame(B: Skeleton) -> SimpleNamespace:
-    """MEASURE_LAWS' contexts, kept on B: every pair of the finite skeleton,
-    whose joins stay in it (``B.pairs``), its elements and its top."""
-    def build() -> SimpleNamespace:
-        A = B.algebra
-        return SimpleNamespace(pairs=B.pairs, top=element_columns(A, B.elements, [B.pairs.index[A.top]]),
-                               range=element_columns(A, B.elements, range(len(B.elements))))
-
-    return memo(B, "measure-laws", build)
 
 
 def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport:
@@ -152,7 +144,7 @@ def validate_probability(B: Skeleton, p: ProbabilityMeasure) -> ValidationReport
     """
     if p.skeleton.atoms != B.atoms:
         raise MalformedInputError("measure was built over a different skeleton")
-    checks = scan_laws(_measure_frame(B), MEASURE_LAWS, Exact(*p.column(B.elements)), "exhaustive")
+    checks = scan_laws(B, MEASURE_LAWS, Exact(*p.column(B.elements)), "exhaustive")
     return ValidationReport(subject="probability", checks=checks)
 
 
@@ -274,8 +266,7 @@ def _frame(A, window: int) -> SimpleNamespace:
             setattr(f, name, element_columns(A, f.elements, [f.index[a] for a in elems]))
         f.window.neg, f.window.skip = f.pairs.neg, "{} negations left the window"
         sk = boolean_skeleton(A, window)
-        f.skeleton.atoms = [f.index[a] for a in sk.atoms]
-        f.skeleton.below = [[int(i in sk.below[x]) for i in range(len(sk.atoms))] for x in sk.elements]
+        f.skeleton.atoms, f.skeleton.below = [f.index[a] for a in sk.atoms], sk.below
         b, c = decompose(A, f.elements, o)
         rad = radical(A, window)
         ([f.b], f.bases), ((f.lo, f.hi), hoop) = distinct(o, b), distinct(o, o.join(o.neg(b), c), o.join(b, c))
@@ -330,9 +321,9 @@ def _part(k: int, want: int = 0):
 
 
 def _restricted(c, v, read) -> np.ndarray:
-    """At each skeleton element x, the key of (p(x), 0), where p is s's
-    standard part on the atoms: the sum over the atoms below x."""
-    return dot(c.below, [v.cells[k][0] * v.K for k in c.atoms])
+    """At each skeleton element x, in order, the key of (p(x), 0), where p is
+    s's standard part on the atoms: the sum over the atoms below x."""
+    return integers([sum(v.cells[c.atoms[i]][0] for i in below) * v.K for below in c.below.values()], 1)
 
 
 # The laws of a hyperstate s on its frame (see _frame); each side below is a
@@ -438,7 +429,7 @@ def _split(A, s, window: int) -> SplitResult:
     rad = radical(A, window)
     v = _values(A, s, window)
 
-    cells = [v.cells[v.position(atom)] for atom in sk.atoms]
+    cells = [v.cells[k] for k in v.frame.skeleton.atoms]
     for atom, (_, inf) in zip(sk.atoms, cells):
         if inf:
             raise InternalConsistencyError(f"skeleton atom {A.token(atom)} carries infinitesimal part "

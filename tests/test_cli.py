@@ -40,7 +40,7 @@ from ellstates.corpus import (
 )
 from ellstates.hypernum import format_dual
 from ellstates.ibp0 import FiniteMTL, ProductAlgebra, SymbolicPerfectAlgebra, radical
-from ellstates.lmonoid import FiniteLMonoid
+from ellstates.lmonoid import LMONOID_AXIOMS, SINGLE_TRIPLE_CAP, FiniteLMonoid
 from ellstates.reports import MalformedInputError
 from ellstates.semihoop import ConeState, FiniteSemihoop, ProductHoop, SymbolicConeHoop
 from reference import broken_monoid
@@ -508,6 +508,18 @@ class TestVerbs:
             state.write_text(json.dumps(body["result"]["states"][0]))
             code, body, _ = run(capsys, "states", str(path), str(state))
             assert code == 0 and "v2-additive" in [c["axiom"] for c in body["checks"]], sizes
+
+    def test_a_large_lattice_monoid_samples_its_triple_axis(self, tmp_path, capsys):
+        # 600 elements pass the element ceiling.  Past SINGLE_TRIPLE_CAP the
+        # triple laws scan a strided axis and say so, so the verb ends in
+        # about a second rather than growing as the cube of the size.
+        path = tmp_path / "trunc-600.json"
+        path.write_text(json.dumps(algebra_to_json(trunc_monoid(600))))
+        code, body, _ = run(capsys, "validate", str(path))
+        assert code == 0 and body["subject"] == "lmonoid"
+        notes = {c["axiom"]: c.get("note") for c in body["checks"]}
+        sampled = f"each axis sampled {SINGLE_TRIPLE_CAP} of 600 window elements"
+        assert notes == {a.name: sampled if a.arity == 3 else None for a in LMONOID_AXIOMS}
 
     def test_grothendieck_trivial_envelope(self, corpus_dir, capsys):
         code, body, _ = run(

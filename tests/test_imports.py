@@ -366,3 +366,37 @@ def test_detects_an_envelope_wrapper_call():
         "        return K.add(a, b), k_envelope(M), self.k_add\n"
     )
     assert envelope_functions(source) == (["k_leq (line 3)", "k_equal (line 3)", "k_add (line 3)"], ["k_join"])
+
+
+def pair_context_builders(source: str) -> list[str]:
+    """The module-level functions of ``source`` that call ``pair_columns``,
+    bare or as an attribute, in their own body or in a nested function."""
+    found = []
+    for node in ast.parse(source).body:
+        calls = [n.func for n in ast.walk(node) if isinstance(n, ast.Call)]
+        names = [f.id if isinstance(f, ast.Name) else getattr(f, "attr", None) for f in calls]
+        if isinstance(node, ast.FunctionDef) and "pair_columns" in names:
+            found.append(node.name)
+    return found
+
+
+def test_one_pair_context_per_hoop_window():
+    # Every value law over a hoop window's pairs reads _state_frame's one
+    # context: no second function of semihoop builds its own.
+    assert pair_context_builders((PACKAGE / "semihoop.py").read_text()) == ["_state_frame"]
+
+
+def test_detects_a_second_pair_context():
+    source = (
+        "from ._scan import pair_columns\n"
+        "def _state_frame(H, window):\n"
+        "    def build():\n"
+        "        return pair_columns(H, H.carrier(window), 128, '', ('times',))\n"
+        "    return memo(H, window, build)\n"
+        "def _property_frame(H, window):\n"
+        "    return _scan.pair_columns(H, H.carrier(window), 128, '', ('impl',))\n"
+        "def state_laws(H, V):\n"
+        "    return scan_laws(_state_frame(H, 8), LAWS, V)\n"
+        "pairs = pair_columns(H, [], 1, '', ())\n"
+    )
+    assert pair_context_builders(source) == ["_state_frame", "_property_frame"]

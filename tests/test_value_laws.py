@@ -282,7 +282,9 @@ def ref_state_properties(H, w, window=WINDOW):
     report = ValidationReport(subject="state-properties", flags=dict(flags))
     H = twin(H)
     mode = scan_mode(H, window)
-    base = stride_select(H.carrier(window), PAIR_BASE_CAP)
+    elems = H.carrier(window)
+    base = stride_select(elems, PAIR_BASE_CAP)
+    note = sampled_note(SAMPLED_NOTE, base, elems)
     pairs = list(product(base, repeat=2))
 
     @cache
@@ -296,7 +298,7 @@ def ref_state_properties(H, w, window=WINDOW):
             rhs = wv(x) + wv(y)
             if lhs != rhs:
                 bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(lhs), "rhs": str(rhs)})
-        report.add(verdict("valuation", bad, mode=mode))
+        report.add(verdict("valuation", bad, mode=mode, note=note))
     if flags.get("basic"):
         bad = []
         for x, y in pairs:
@@ -304,13 +306,13 @@ def ref_state_properties(H, w, window=WINDOW):
             rhs = wv(y) + wv(H.impl(y, x))
             if lhs != rhs:
                 bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(lhs), "rhs": str(rhs)})
-        report.add(verdict("bosbach", bad, mode=mode))
+        report.add(verdict("bosbach", bad, mode=mode, note=note))
     if flags.get("divisible"):
         bad = []
         for x, y in pairs:
             if H.leq(x, y) and wv(x) > wv(y):
                 bad.append({"witness": {"x": H.token(x), "y": H.token(y)}, "lhs": str(wv(x)), "rhs": str(wv(y))})
-        report.add(verdict("monotone-derived", bad, mode=mode))
+        report.add(verdict("monotone-derived", bad, mode=mode, note=note))
     return report
 
 
@@ -534,6 +536,29 @@ def test_state_properties_agree_on_product_radicals(name):
         states = [zero_state(H), shifted(H, zero_state(H), WINDOW, H.carrier(WINDOW)[1])]
     assert assert_properties_agree(H, states[0]) == 0
     assert assert_properties_agree(H, states[1]) > 0
+
+
+def test_one_pair_context_per_hoop_and_window(monkeypatch):
+    # validate_state, state_properties and a hyperstate's induced-* laws all
+    # read the one pair context of the radical hoop's window.
+    A = chang_algebra(1)
+    H, built = radical(A, WINDOW).hoop, []
+    real = semihoop.pair_columns
+    monkeypatch.setattr(semihoop, "pair_columns", lambda B, elems, *args: built.append((B, len(elems)))
+                        or real(B, elems, *args))
+    p, w = hyperstate_family(A, WINDOW)[-1]
+    s, report = join_hyperstate(A, p, w, WINDOW)
+    assert report.ok and validate_state(H, w, WINDOW).ok and state_properties(H, w, WINDOW).ok
+    assert hyperstate_properties(A, s, WINDOW).ok
+    assert built == [(H, len(H.carrier(WINDOW)))]
+
+
+def test_state_properties_say_what_their_pairs_sampled():
+    # 169 window elements: both reports scan the same 128-strided pairs, and say so.
+    H, w = cone_hoop(2), ConeState([1, F(1, 2)])
+    note = validate_state(H, w, 12).check("v2-additive").note
+    assert note == "axis sampled 128 of 169 window elements"
+    assert [c.note for c in state_properties(H, w, 12).checks] == [note] * 3
 
 
 class Gapped(semihoop.FiniteSemihoop):
